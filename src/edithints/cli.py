@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .editdist import CostModel, EditError, UNIT_COSTS
-from .evaluate import hint_quality, hyper_search, loo_rmse
+from .evaluate import PREDICTION_SCHEMES, hint_quality, hyper_search, loo_rmse, prepared_traces
 from .policies import (
     DEFAULT_M_MAX,
     FitError,
@@ -36,9 +36,8 @@ from .policies import (
 from .space import CorrectedSpace, NumericalError
 from .states import CanonConfig, StateError, parse_state, serialize_state
 from .traces import DataError, Trace, build_pairs, load_dataset
-from .evaluate import prepared_traces
 
-MODEL_FORMAT = "edithints-model-v1"
+MODEL_FORMAT = "edithints-model-v2"
 
 USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 1, 2, 3
 
@@ -90,18 +89,8 @@ def _sha256(text: str) -> str:
 
 
 def model_to_dict(model: GprModel, provenance: str, search_meta=None) -> dict:
-    trace_lengths = []
-    count = 0
-    current = None
-    for t_index in model.pairs.trace_of:
-        if t_index != current:
-            if current is not None:
-                trace_lengths.append(count)
-            current = t_index
-            count = 0
-        count += 1
-    if current is not None:
-        trace_lengths.append(count)
+    """The model file: everything fitting consumed, nothing derived from it.
+    Embeddings and the kernel system are rebuilt from ``dist_raw`` on load."""
     payload = {
         "format": MODEL_FORMAT,
         "kind": model.kind,
@@ -113,18 +102,9 @@ def model_to_dict(model: GprModel, provenance: str, search_meta=None) -> dict:
         "cost": model.cost.to_dict(),
         "canon": model.canon.to_dict(),
         "trace_ids": list(model.pairs.trace_ids),
-        "trace_lengths": trace_lengths,
+        "trace_lengths": [stop - start for start, stop in model.pairs.trace_spans],
         "states": [serialize_state(s) for s in model.pairs.states],
         "dist_raw": model.dist_raw.tolist(),
-        "kernel_matrix": model.kernel_matrix.tolist(),
-        "space": {
-            "eigenvalues": model.space.eigenvalues.tolist(),
-            "eigenvectors": model.space.eigenvectors.tolist(),
-        },
-        "kernel_space": {
-            "eigenvalues": model.kernel_space.eigenvalues.tolist(),
-            "eigenvectors": model.kernel_space.eigenvectors.tolist(),
-        },
         "provenance": {"dataset_sha256": provenance},
         "search": search_meta,
     }
@@ -133,54 +113,32 @@ def model_to_dict(model: GprModel, provenance: str, search_meta=None) -> dict:
 
 
 def model_from_dict(raw: dict) -> GprModel:
-    if raw.get("format") != MODEL_FORMAT:
-        raise DataError(f"not a recognized model file (format {raw.get('format')!r})")
+    fmt = raw.get("format") if isinstance(raw, dict) else None
+    if fmt != MODEL_FORMAT:
+        raise DataError(
+            f"model format {fmt!r} is not {MODEL_FORMAT!r}; refit the model with 'edithints fit'"
+        )
     claimed = raw.get("checksum")
     payload = dict(raw)
     payload.pop("checksum", None)
     if claimed != _sha256(_canonical_json(payload)):
         raise DataError("model file failed its checksum; refusing to load")
-    kind = raw["kind"]
-    canon = CanonConfig.from_dict(raw["canon"])
-    cost = CostModel.from_dict(raw["cost"])
-    params = KernelParams(**raw["params"])
-    states = tuple(parse_state(text, kind) for text in raw["states"])
-    traces = []
-    offset = 0
-    for tid, length in zip(raw["trace_ids"], raw["trace_lengths"]):
-        traces.append(Trace(tid, states[offset : offset + length], True))
-        offset += length
-    pairs = build_pairs(traces)
-    model = GprModel.__new__(GprModel)
-    model.kind = kind
-    model.pairs = pairs
-    model.cost = cost
-    model.canon = canon
-    model.params = params
-    model.mode = raw["mode"]
-    model.dist_raw = np.array(raw["dist_raw"], dtype=float)
-    model.space = CorrectedSpace(
-        model.dist_raw**2,
-        raw["mode"],
-        _precomputed=(
-            np.array(raw["space"]["eigenvalues"], dtype=float),
-            np.array(raw["space"]["eigenvectors"], dtype=float),
-        ),
-    )
-    model.kernel_indices = pairs.moving_indices
-    idx = list(model.kernel_indices)
-    model.kernel_space = CorrectedSpace(
-        model.dist_raw[np.ix_(idx, idx)] ** 2,
-        raw["mode"],
-        _precomputed=(
-            np.array(raw["kernel_space"]["eigenvalues"], dtype=float),
-            np.array(raw["kernel_space"]["eigenvectors"], dtype=float),
-        ),
-    )
-    model.kernel_matrix = np.array(raw["kernel_matrix"], dtype=float)
-    model.used_pseudo_inverse = False
-    model._prepare_solver()
-    return model
+    try:
+        kind = raw["kind"]
+        canon = CanonConfig.from_dict(raw["canon"])
+        cost = CostModel.from_dict(raw["cost"])
+        params = KernelParams(**raw["params"])
+        states = tuple(parse_state(text, kind) for text in raw["states"])
+        traces = []
+        offset = 0
+        for tid, length in zip(raw["trace_ids"], raw["trace_lengths"]):
+            traces.append(Trace(tid, states[offset : offset + length], True))
+            offset += length
+        dist_raw = np.array(raw["dist_raw"], dtype=float)
+        mode = raw["mode"]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"model file has a missing or malformed field: {exc!r}") from exc
+    return GprModel(kind, build_pairs(traces), cost, canon, params, mode, dist_raw)
 
 
 def load_model(path: str) -> GprModel:
@@ -269,17 +227,11 @@ def _params_from_args(args, dataset, cost, canon):
 
 
 def _state_ids(pairs) -> list:
-    ids = []
-    step = 0
-    current = None
-    for i in range(len(pairs)):
-        t = pairs.trace_of[i]
-        if t != current:
-            current = t
-            step = 0
-        step += 1
-        ids.append(f"{pairs.trace_ids[t]}:{step}")
-    return ids
+    return [
+        f"{trace_id}:{step}"
+        for trace_id, (start, stop) in zip(pairs.trace_ids, pairs.trace_spans)
+        for step in range(1, stop - start + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +374,7 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="run an evaluation harness")
     _add_common(p_eval)
     p_eval.add_argument("--task", choices=("rmse", "quality"), default="rmse")
-    p_eval.add_argument(
-        "--scheme",
-        default="gaussian_process",
-        choices=(
-            "do_nothing",
-            "successor_of_closest",
-            "closest_correct",
-            "gaussian_process",
-            "nwr",
-            "nn",
-        ),
-    )
+    p_eval.add_argument("--scheme", default="gaussian_process", choices=PREDICTION_SCHEMES)
     p_eval.add_argument("--policy", choices=POLICY_NAMES, help="policy (quality task)")
     p_eval.add_argument("--psi", type=float)
     p_eval.add_argument("--noise", type=float)

@@ -350,23 +350,6 @@ def invert_edit(edit, state):
     raise EditError(f"unknown edit type {type(edit).__name__}")
 
 
-def edit_cost(edit, state, cost: CostModel) -> float:
-    """Cost of applying ``edit`` to ``state`` under ``cost``."""
-    if isinstance(edit, SeqEdit):
-        if edit.kind == "insert":
-            return cost.cost_insert(edit.label)
-        old = state[edit.position - 1]
-        if edit.kind == "delete":
-            return cost.cost_delete(old)
-        return cost.cost_relabel(old, edit.label)
-    if edit.kind == "insert_node":
-        return cost.cost_insert(edit.label)
-    node = state.node_at(edit.path)
-    if edit.kind == "delete_node":
-        return cost.cost_delete(node.label)
-    return cost.cost_relabel(node.label, edit.label)
-
-
 # ---------------------------------------------------------------------------
 # sequence edit distance (Levenshtein with backtrace)
 

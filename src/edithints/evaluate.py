@@ -119,13 +119,6 @@ def prepared_traces(dataset: Dataset, cost: CostModel = UNIT_COSTS):
     return tuple(goal_filter(t, metric) for t in dataset.successful_traces())
 
 
-def _closest_correct(model: GprModel, raw: np.ndarray) -> int:
-    ends = model.pairs.end_indices
-    best = min(float(raw[i]) for i in ends)
-    tied = [i for i in ends if float(raw[i]) <= best + 1e-9]
-    return min(tied, key=lambda i: (model.pairs.trace_ids[model.pairs.trace_of[i]], i))
-
-
 def _predict_coords(model: GprModel, scheme: str, raw: np.ndarray, coords) -> np.ndarray:
     """Predicted next-state coordinates for one query under a scheme."""
     if scheme == "do_nothing":
@@ -135,7 +128,7 @@ def _predict_coords(model: GprModel, scheme: str, raw: np.ndarray, coords) -> np
         successor = model.pairs.pair_of[nearest][1]
         return model.space.coordinates[successor]
     if scheme == "closest_correct":
-        return model.space.coordinates[_closest_correct(model, raw)]
+        return model.space.coordinates[model.closest_correct_raw_index(raw)]
     gamma = model.weights(raw, _WEIGHT_SCHEME[scheme])
     move = np.zeros_like(coords)
     for i, (xi, yi) in enumerate(model.pairs.pair_of):

@@ -74,10 +74,10 @@ class KernelParams:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        if not self.length_scale > 0:
-            raise ValueError("length_scale must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        if not (math.isfinite(self.length_scale) and self.length_scale > 0):
+            raise ValueError(f"length_scale must be positive and finite, got {self.length_scale}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be non-negative and finite, got {self.noise_std}")
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,8 @@ class GprModel:
         self.mode = mode
         if dist_raw is None:
             dist_raw = pairwise_distances(pairs.states, cost)
+        if dist_raw.shape != (len(pairs), len(pairs)):
+            raise ValueError(f"expected {len(pairs)}x{len(pairs)} distances, got {dist_raw.shape}")
         self.dist_raw = dist_raw
         self.space = CorrectedSpace(dist_raw**2, mode)
         self.kernel_indices = pairs.moving_indices
@@ -224,16 +226,23 @@ class GprModel:
 
     def closest_correct_index(self, corrected_sqdist_to_states: np.ndarray) -> int:
         """Index of the end state closest to the query in the corrected
-        space; ties break toward the lowest trace id, then dataset order."""
+        space; values within a relative ``_TIE_EPS`` tie, and ties break
+        toward the lowest trace id, then dataset order."""
+        return self._closest_end(corrected_sqdist_to_states, relative=True)
+
+    def closest_correct_raw_index(self, raw_distances: np.ndarray) -> int:
+        """Index of the end state closest to the query in raw edit
+        distance; values within an absolute ``_TIE_EPS`` tie, and ties break
+        as in :meth:`closest_correct_index`."""
+        return self._closest_end(raw_distances, relative=False)
+
+    def _closest_end(self, values: np.ndarray, relative: bool) -> int:
         ends = self.pairs.end_indices
         if not ends:
             raise FitError("model has no end states")
-        best = min(float(corrected_sqdist_to_states[i]) for i in ends)
-        tied = [
-            i
-            for i in ends
-            if float(corrected_sqdist_to_states[i]) <= best + _TIE_EPS * (1.0 + abs(best))
-        ]
+        best = min(float(values[i]) for i in ends)
+        limit = best + _TIE_EPS * ((1.0 + abs(best)) if relative else 1.0)
+        tied = [i for i in ends if float(values[i]) <= limit]
         return min(tied, key=lambda i: (self.pairs.trace_ids[self.pairs.trace_of[i]], i))
 
 
@@ -274,30 +283,13 @@ def alpha_from_gamma(gamma: np.ndarray, pairs: TracePairs) -> np.ndarray:
     if gamma.shape != (m,):
         raise ValueError(f"gamma must have length {m}")
     alpha = np.zeros(m)
-    start = 0
-    while start < m:
-        stop = start
-        while stop < m and pairs.trace_of[stop] == pairs.trace_of[start]:
-            stop += 1
-        length = stop - start
-        if length > 1:
+    for start, stop in pairs.trace_spans:
+        if stop - start > 1:
             alpha[start] = -gamma[start]
             for i in range(start + 1, stop - 1):
                 alpha[i] = gamma[i - 1] - gamma[i]
             alpha[stop - 1] = gamma[stop - 2]
-        start = stop
     return alpha
-
-
-def combination_coefficients(gamma: np.ndarray, pairs: TracePairs) -> np.ndarray:
-    """Coefficients over training states of sum_i gamma_i (phi(y_i) - phi(x_i)),
-    accumulated directly from the pair bookkeeping (test oracle for
-    :func:`alpha_from_gamma`)."""
-    out = np.zeros(len(pairs))
-    for i, (xi, yi) in enumerate(pairs.pair_of):
-        out[yi] += gamma[i]
-        out[xi] -= gamma[i]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +461,10 @@ def score_candidates(x, candidates, support_states, weights, cost: CostModel = U
 def preimage_select(x, alpha, candidates, model: GprModel) -> HintResult:
     """Pick the candidate edit minimizing the pre-image objective.
 
-    Ties break toward the edit closest to the root (trees) or the smallest
-    position (sequences), then by serialized form; the result does not
-    depend on the candidate order.
+    Scores within a relative ``_TIE_EPS`` of the lowest tie, so rounding
+    in the embedding cannot decide; ties break toward the edit closest to
+    the root (trees) or the smallest position (sequences), then by
+    serialized form.  The result does not depend on the candidate order.
     """
     alpha = np.asarray(alpha, dtype=float)
     if not candidates:
@@ -480,7 +473,10 @@ def preimage_select(x, alpha, candidates, model: GprModel) -> HintResult:
     scored = score_candidates(
         x, candidates, [model.pairs.states[i] for i in nz], alpha[nz], model.cost
     )
-    scored.sort(key=lambda pair: (pair[1], _tie_key(pair[0])))
+    lowest = min(score for _, score in scored)
+    limit = lowest + _TIE_EPS * (1.0 + abs(lowest))
+    # every score up to the limit ranks as the limit: the tie key decides
+    scored.sort(key=lambda pair: (max(pair[1], limit), _tie_key(pair[0])))
     best_edit, best_score = scored[0]
     return HintResult(best_edit, best_score, tuple(scored), alpha_used=alpha)
 
@@ -551,11 +547,7 @@ def zimmerman_hint(model: GprModel, state) -> HintResult:
     """First edit on the shortest script toward the closest correct
     solution (raw edit distance; ties toward the lowest trace id)."""
     x = canonicalize_state(state, model.canon)
-    raw = model.query_raw_distances(x)
-    ends = model.pairs.end_indices
-    best = min(float(raw[i]) for i in ends)
-    tied = [i for i in ends if float(raw[i]) <= best + _TIE_EPS]
-    star = min(tied, key=lambda i: (model.pairs.trace_ids[model.pairs.trace_of[i]], i))
+    star = model.closest_correct_raw_index(model.query_raw_distances(x))
     return _first_edit_toward(model, x, star, "at-solution")
 
 

@@ -232,6 +232,20 @@ class TracePairs:
         zero edit vector."""
         return tuple(i for i, p in enumerate(self.position_of) if p != END)
 
+    @property
+    def trace_spans(self) -> tuple:
+        """Half-open index range ``(start, stop)`` of each trace's states,
+        in ``trace_ids`` order; a trace's states are contiguous."""
+        spans = []
+        start = 0
+        for t in range(len(self.trace_ids)):
+            stop = start
+            while stop < len(self.trace_of) and self.trace_of[stop] == t:
+                stop += 1
+            spans.append((start, stop))
+            start = stop
+        return tuple(spans)
+
 
 def build_pairs(traces) -> TracePairs:
     states, pair_of, position_of, trace_of, trace_ids = [], [], [], [], []

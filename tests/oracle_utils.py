@@ -4,7 +4,8 @@ Everything here recomputes expected values by a different route than the
 package: breadth-first search over the legal move graph for string
 distances, exhaustive enumeration of valid tree mappings for tree
 distances, numpy's eigensolver and exact characteristic polynomials for
-the embedding, and direct coordinate geometry for planted configurations.
+the embedding, direct coordinate geometry for planted configurations, and
+pair-by-pair accumulation for the state coefficients of pair weights.
 """
 
 from __future__ import annotations
@@ -226,3 +227,18 @@ def poly_roots(coeffs) -> np.ndarray:
 def planted_sqdist(points: np.ndarray) -> np.ndarray:
     diff = points[:, None, :] - points[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+# ---------------------------------------------------------------------------
+# state coefficients of pair weights
+
+
+def combination_coefficients(gamma: np.ndarray, pairs) -> np.ndarray:
+    """Coefficients over training states of sum_i gamma_i (phi(y_i) - phi(x_i)),
+    accumulated directly from the pair bookkeeping (oracle for
+    ``alpha_from_gamma``)."""
+    out = np.zeros(len(pairs))
+    for i, (xi, yi) in enumerate(pairs.pair_of):
+        out[yi] += gamma[i]
+        out[xi] -= gamma[i]
+    return out

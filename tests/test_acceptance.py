@@ -27,7 +27,6 @@ from edithints.policies import (
     alpha_from_gamma,
     candidate_edits,
     chf_hint,
-    combination_coefficients,
     fit_model,
     preimage_objective,
     preimage_select,
@@ -43,6 +42,7 @@ from oracle_utils import (
     all_trees,
     bfs_string_distances,
     char_poly_exact,
+    combination_coefficients,
     mapping_tree_distance,
     planted_sqdist,
     poly_roots,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -84,9 +85,17 @@ def test_fit_stores_worked_kernel_matrix(fig2_path, tmp_path):
         ["fit", "--dataset", fig2_path, "--psi", "1.0", "--noise", "0.0", "--out", str(model_path)]
     ) == 0
     raw = json.loads(model_path.read_text())
-    e = math.exp(-0.5)
-    assert np.allclose(raw["kernel_matrix"], [[1.0, e], [e, 1.0]], atol=1e-12)
+    # the file holds inputs only; the kernel is rebuilt from them on load
+    assert set(raw) == {
+        "format", "kind", "mode", "params", "cost", "canon", "trace_ids",
+        "trace_lengths", "states", "dist_raw", "provenance", "search", "checksum",
+    }
+    assert raw["format"] == "edithints-model-v2"
+    assert np.array(raw["dist_raw"]).shape == (4, 4)
     assert raw["provenance"]["dataset_sha256"]
+    e = math.exp(-0.5)
+    kernel = load_model(str(model_path)).kernel_matrix
+    assert np.allclose(kernel, [[1.0, e], [e, 1.0]], atol=1e-12)
 
 
 def test_fit_is_byte_identical(fig2_path, tmp_path):
@@ -118,6 +127,53 @@ def test_corrupted_model_rejected(fig2_path, tmp_path):
     with pytest.raises(DataError):
         load_model(str(model_path))
     assert run(["hint", "--model", str(model_path), "--state", '["a"]']) == 2
+
+
+def _rewrite_model(path, change):
+    """Apply ``change`` to a model file's JSON and re-seal its checksum."""
+    raw = json.loads(path.read_text())
+    raw.pop("checksum")
+    change(raw)
+    raw["checksum"] = hashlib.sha256(
+        json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    ).hexdigest()
+    path.write_text(json.dumps(raw))
+
+
+def test_v1_model_is_data_error(fig2_path, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    run(["fit", "--dataset", fig2_path, "--psi", "1.0", "--noise", "0.0", "--out", str(model_path)])
+    _rewrite_model(model_path, lambda raw: raw.update(format="edithints-model-v1"))
+    capsys.readouterr()
+    assert run(["hint", "--model", str(model_path), "--state", '["a"]']) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "refit" in err
+    model_path.write_text("[1]")  # valid JSON, but no model object
+    assert run(["hint", "--model", str(model_path), "--state", '["a"]']) == 2
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda raw: raw["dist_raw"].pop(),
+        lambda raw: [raw["dist_raw"][i].__setitem__(j, math.nan) for i, j in ((0, 1), (1, 0))],
+        lambda raw: raw.pop("trace_lengths"),
+    ],
+    ids=["short-distances", "nan-distance", "missing-key"],
+)
+def test_malformed_sealed_model_is_data_error(fig2_path, tmp_path, change):
+    model_path = tmp_path / "model.json"
+    run(["fit", "--dataset", fig2_path, "--psi", "1.0", "--noise", "0.0", "--out", str(model_path)])
+    _rewrite_model(model_path, change)
+    assert run(["hint", "--model", str(model_path), "--state", '["a"]']) == 2
+
+
+def test_fit_non_finite_noise_is_data_error(fig2_path, tmp_path):
+    out = tmp_path / "model.json"
+    for noise in ("nan", "inf"):
+        args = ["fit", "--dataset", fig2_path, "--noise", noise, "--out", str(out)]
+        assert run(args) == 2
+    assert not out.exists()
 
 
 def test_hint_worked_example(fig2_path, tmp_path, capsys):

@@ -12,7 +12,6 @@ from edithints.policies import (
     alpha_from_gamma,
     candidate_edits,
     chf_hint,
-    combination_coefficients,
     fit_model,
     gross_hint,
     hint_by_policy,
@@ -26,6 +25,8 @@ from edithints.policies import (
 )
 from edithints.states import parse_tree, sequence
 from edithints.traces import load_dataset
+
+from oracle_utils import combination_coefficients
 
 
 GAMMA_STAR = 1.0 / (1.0 + math.sqrt(math.e))  # 0.37754...
@@ -82,6 +83,15 @@ def test_kernel_params_validation():
         KernelParams(0.0, 0.0)
     with pytest.raises(ValueError):
         KernelParams(1.0, -0.1)
+
+
+@pytest.mark.parametrize(
+    "length_scale, noise_std",
+    [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)],
+)
+def test_kernel_params_reject_non_finite(length_scale, noise_std):
+    with pytest.raises(ValueError):
+        KernelParams(length_scale, noise_std)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +372,17 @@ def test_preimage_single_candidate(fig2_model):
 def test_preimage_empty_candidates(fig2_model):
     result = preimage_select(sequence("ab"), np.zeros(4), [], fig2_model)
     assert result.edit is None and result.reason == "no-candidates"
+
+
+def test_preimage_near_tie_breaks_by_position(fig2_model, monkeypatch):
+    # scores equal up to eigensolver rounding must tie: the smaller position
+    # wins even when its score is a few ulps higher
+    low, high = SeqEdit("insert", 1, "c"), SeqEdit("insert", 3, "c")
+    scores = [(high, -67.40653655167708), (low, -67.40653655167654)]
+    monkeypatch.setattr("edithints.policies.score_candidates", lambda *args: scores)
+    result = preimage_select(sequence("ab"), np.zeros(4), [high, low], fig2_model)
+    assert result.edit == low
+    assert [e for e, _ in result.candidates] == [low, high]
 
 
 def test_preimage_matches_brute_force_oracle(fig7_model):

@@ -41,16 +41,28 @@ def test_validate_sqdist_rejects_bad_input():
         validate_sqdist(np.ones((2, 3)))
 
 
+def test_non_finite_sqdist_rejected():
+    for bad in (np.nan, np.inf):
+        d2 = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError):
+            validate_sqdist(d2)
+        with pytest.raises(ValueError):
+            CorrectedSpace(d2)
+
+
 def test_jacobi_matches_numpy_eigh():
     rng = np.random.default_rng(42)
-    for n in (1, 2, 3, 7, 25, 60):
+    for n in (0, 1, 2, 3, 7, 25, 60):
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
         w, u = jacobi_eigh(a)
-        assert np.allclose(np.sort(w)[::-1], w)  # descending
+        assert np.all(np.diff(w) <= 0)  # descending
         assert np.allclose(w, np.sort(np.linalg.eigvalsh(a))[::-1], atol=1e-9)
         assert np.allclose(u.T @ u, np.eye(n), atol=1e-9)
         assert np.allclose(u @ np.diag(w) @ u.T, a, atol=1e-9)
+        # sign convention: each column's largest-magnitude entry is positive
+        for k in range(n):
+            assert u[np.argmax(np.abs(u[:, k])), k] > 0
 
 
 def test_jacobi_deterministic():
@@ -61,11 +73,19 @@ def test_jacobi_deterministic():
     w2, u2 = jacobi_eigh(a)
     assert np.array_equal(w1, w2)
     assert np.array_equal(u1, u2)
+    # a basis flipped column by column comes back with the same signs
+    w3, u3 = jacobi_eigh(-a)
+    assert np.allclose(w3, -w1[::-1], atol=1e-12)
+    assert np.allclose(u3, u1[:, ::-1], atol=1e-9)
 
 
-def test_jacobi_nonconvergence_reports_residual():
-    with pytest.raises(NumericalError):
-        jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
+def test_jacobi_lapack_failure_is_numerical_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError, match="did not converge"):
+        jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_correct_eigenvalues_modes():
