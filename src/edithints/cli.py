@@ -166,15 +166,27 @@ def _add_common(parser):
     )
 
 
-def _merge_config(args, parser_defaults):
+def _merge_config(args, given):
+    """Apply the config file to every option not in ``given``, the options
+    on the command line."""
     config = _load_json_arg(args.config, "config file") if args.config else {}
     for key, value in config.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise DataError(f"config file sets unknown option {key!r}")
-        if getattr(args, attr) is None or getattr(args, attr) == parser_defaults.get(attr):
+        if attr not in given:
             setattr(args, attr, value)
     return args
+
+
+def _given_options(argv) -> set:
+    """Names of the options on the command line, whatever their values:
+    ``argv`` parsed again with no option defaults."""
+    parser = build_parser()
+    for sub_parser in parser.commands.values():
+        for action in sub_parser._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
 
 
 def _dataset_from_args(args):
@@ -392,20 +404,16 @@ def build_parser() -> _Parser:
     p_mds.add_argument("--out", help="output CSV path (default stdout)")
     p_mds.set_defaults(func=cmd_mds)
 
-    parser.command_defaults = {
-        name: {a.dest: a.default for a in sub_parser._actions if a.dest != "help"}
-        for name, sub_parser in sub.choices.items()
-    }
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    defaults = parser.command_defaults.get(args.command, {})
     try:
         if getattr(args, "config", None):
-            _merge_config(args, defaults)
+            _merge_config(args, _given_options(argv))
         return args.func(args)
     except (DataError, StateError, EditError, FitError, ValueError) as exc:
         print(f"edithints: data error: {exc}", file=sys.stderr)

@@ -41,10 +41,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .states import Label, SequenceState, TreeState
+from .states import Label, SequenceState, TreeState, serialize_state
 
 INF = math.inf
 
@@ -72,17 +73,19 @@ class CostModel:
     relabel: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.indel_default > 0:
-            raise ValueError("indel costs must be positive")
-        if self.relabel_default < 0:
+        # finite indels keep every distance finite: delete-all plus
+        # insert-all always connects two states
+        if not 0 < self.indel_default < INF:
+            raise ValueError("indel costs must be finite positive")
+        if not self.relabel_default >= 0:
             raise ValueError("relabel costs must be non-negative")
         for label, cost in self.indel.items():
-            if not cost > 0 or cost == INF:
+            if not 0 < cost < INF:
                 raise ValueError(f"indel cost for {label!r} must be finite positive")
         norm = {}
         for key, cost in self.relabel.items():
             a, b = key
-            if cost < 0:
+            if not cost >= 0:
                 raise ValueError(f"relabel cost for {key!r} must be non-negative")
             norm[(a, b) if a <= b else (b, a)] = float(cost)
         object.__setattr__(self, "relabel", norm)
@@ -354,6 +357,31 @@ def invert_edit(edit, state):
 # sequence edit distance (Levenshtein with backtrace)
 
 
+def _lev_rows(x: SequenceState, y: SequenceState, cost: CostModel):
+    """The rows of the Levenshtein table of ``x`` against ``y``, top to
+    bottom; row ``i`` holds the distances from ``x[:i]`` to every prefix
+    of ``y``."""
+    cost_y = [cost.cost_insert(b) for b in y]
+    row = list(accumulate(cost_y, initial=0.0))
+    yield row
+    for a in x:
+        cost_a = cost.cost_delete(a)
+        left = row[0] + cost_a
+        new = [left]
+        for diag, up, b, cost_b in zip(row, row[1:], y, cost_y):
+            if a != b:
+                diag += cost.cost_relabel(a, b)
+            up += cost_a
+            left += cost_b
+            if up < left:
+                left = up
+            if diag < left:
+                left = diag
+            new.append(left)
+        row = new
+        yield row
+
+
 def seq_distance(x: SequenceState, y: SequenceState, cost: CostModel = UNIT_COSTS):
     """Minimum-cost edit distance between two sequences with a realizing
     script.
@@ -364,28 +392,17 @@ def seq_distance(x: SequenceState, y: SequenceState, cost: CostModel = UNIT_COST
     appended last, e.g. ab -> aac is realized as relabel(2, a), insert(3, c).
     """
     m, n = len(x), len(y)
-    dp = np.zeros((m + 1, n + 1))
-    for i in range(1, m + 1):
-        dp[i, 0] = dp[i - 1, 0] + cost.cost_delete(x[i - 1])
-    for j in range(1, n + 1):
-        dp[0, j] = dp[0, j - 1] + cost.cost_insert(y[j - 1])
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            dp[i, j] = min(
-                dp[i - 1, j - 1] + cost.cost_relabel(x[i - 1], y[j - 1]),
-                dp[i - 1, j] + cost.cost_delete(x[i - 1]),
-                dp[i, j - 1] + cost.cost_insert(y[j - 1]),
-            )
+    dp = list(_lev_rows(x, y, cost))
 
     # backtrace, then emit edits left to right tracking the evolving position
     ops = []
     i, j = m, n
     while i > 0 or j > 0:
-        here = dp[i, j]
-        if j > 0 and here == dp[i, j - 1] + cost.cost_insert(y[j - 1]):
+        here = dp[i][j]
+        if j > 0 and here == dp[i][j - 1] + cost.cost_insert(y[j - 1]):
             ops.append(("insert", y[j - 1]))
             j -= 1
-        elif i > 0 and j > 0 and here == dp[i - 1, j - 1] + cost.cost_relabel(x[i - 1], y[j - 1]):
+        elif i > 0 and j > 0 and here == dp[i - 1][j - 1] + cost.cost_relabel(x[i - 1], y[j - 1]):
             ops.append(("match", y[j - 1]) if x[i - 1] == y[j - 1] else ("relabel", y[j - 1]))
             i, j = i - 1, j - 1
         else:
@@ -406,7 +423,7 @@ def seq_distance(x: SequenceState, y: SequenceState, cost: CostModel = UNIT_COST
         else:
             edits.append(SeqEdit("insert", pos, label))
             pos += 1
-    return float(dp[m, n]), EditScript(tuple(edits), float(dp[m, n]))
+    return float(dp[m][n]), EditScript(tuple(edits), float(dp[m][n]))
 
 
 # ---------------------------------------------------------------------------
@@ -454,36 +471,45 @@ def _zss_tables(t1: _Annotated, t2: _Annotated, cost: CostModel, keep_tables: bo
     """
     cd = [cost.cost_delete(lab) for lab in t1.labels]
     ci = [cost.cost_insert(lab) for lab in t2.labels]
-    td = np.zeros((t1.n, t2.n))
+    rows = {lab: [cost.cost_relabel(lab, other) for other in t2.labels] for lab in set(t1.labels)}
+    relabel = [rows[lab] for lab in t1.labels]
+    td = [[0.0] * t2.n for _ in range(t1.n)]
     tables = {} if keep_tables else None
+    # per target keyroot: for each forest column its node, insert cost and
+    # the column where the node's subtree starts; and the all-insert row
+    columns = {}
+    for j in t2.keyroots:
+        lj = t2.lml[j]
+        cols = [(nj, ci[nj], t2.lml[nj] - lj) for nj in range(lj, j + 1)]
+        columns[j] = cols, list(accumulate((c for _, c, _ in cols), initial=0.0))
     for i in t1.keyroots:
         li = t1.lml[i]
-        m = i - li + 2
         for j in t2.keyroots:
-            lj = t2.lml[j]
-            n = j - lj + 2
-            fd = np.zeros((m, n))
-            for x in range(1, m):
-                fd[x, 0] = fd[x - 1, 0] + cd[li + x - 1]
-            for y in range(1, n):
-                fd[0, y] = fd[0, y - 1] + ci[lj + y - 1]
-            for x in range(1, m):
-                ni = li + x - 1
-                both_trees_x = t1.lml[ni] == li
-                for y in range(1, n):
-                    nj = lj + y - 1
-                    dele = fd[x - 1, y] + cd[ni]
-                    ins = fd[x, y - 1] + ci[nj]
-                    if both_trees_x and t2.lml[nj] == lj:
-                        diag = fd[x - 1, y - 1] + cost.cost_relabel(
-                            t1.labels[ni], t2.labels[nj]
-                        )
-                        fd[x, y] = min(diag, dele, ins)
-                        td[ni, nj] = fd[x, y]
-                    else:
-                        a = t1.lml[ni] - li
-                        b = t2.lml[nj] - lj
-                        fd[x, y] = min(fd[a, b] + td[ni, nj], dele, ins)
+            cols, row = columns[j]
+            fd = [row]
+            for ni in range(li, i + 1):
+                prev, c_del, td_i, rel_i = row, cd[ni], td[ni], relabel[ni]
+                a = t1.lml[ni] - li
+                fd_a = fd[a]
+                left = prev[0] + c_del
+                row = [left]
+                for diag, up, (nj, c_ins, b) in zip(prev, prev[1:], cols):
+                    # min(delete, insert, match) by comparisons, faster than min()
+                    up += c_del
+                    left += c_ins
+                    if up < left:
+                        left = up
+                    if a or b:
+                        diag = fd_a[b] + td_i[nj]
+                        if diag < left:
+                            left = diag
+                    else:  # both forests are whole trees
+                        diag += rel_i[nj]
+                        if diag < left:
+                            left = diag
+                        td_i[nj] = left
+                    row.append(left)
+                fd.append(row)
             if keep_tables:
                 tables[(i, j)] = fd
     return td, tables
@@ -508,13 +534,13 @@ def _zss_mapping(t1: _Annotated, t2: _Annotated, cost: CostModel, td, tables):
         while x > 0 or y > 0:
             ni = li + x - 1
             nj = lj + y - 1
-            here = fd[x, y]
-            if y > 0 and here == fd[x, y - 1] + ci[nj]:
+            here = fd[x][y]
+            if y > 0 and here == fd[x][y - 1] + ci[nj]:
                 y -= 1  # nj inserted
                 continue
             if x > 0 and y > 0:
                 if t1.lml[ni] == li and t2.lml[nj] == lj:
-                    if here == fd[x - 1, y - 1] + cost.cost_relabel(
+                    if here == fd[x - 1][y - 1] + cost.cost_relabel(
                         t1.labels[ni], t2.labels[nj]
                     ):
                         mapping.append((ni, nj))
@@ -523,7 +549,7 @@ def _zss_mapping(t1: _Annotated, t2: _Annotated, cost: CostModel, td, tables):
                 else:
                     a = t1.lml[ni] - li
                     b = t2.lml[nj] - lj
-                    if here == fd[a, b] + td[ni, nj]:
+                    if here == fd[a][b] + td[ni][nj]:
                         stack.append((ni, nj))
                         x, y = a, b
                         continue
@@ -711,7 +737,7 @@ def tree_distance(x: TreeState, y: TreeState, cost: CostModel = UNIT_COSTS):
     """Zhang-Shasha tree edit distance with a realizing edit script."""
     t1, t2 = _Annotated(x), _Annotated(y)
     td, tables = _zss_tables(t1, t2, cost, keep_tables=True)
-    dist = float(td[t1.n - 1, t2.n - 1])
+    dist = float(td[-1][-1])
     mapping = _zss_mapping(t1, t2, cost, td, tables)
     script = _script_from_mapping(t1, t2, mapping, cost)
     if not math.isclose(script.total_cost, dist, rel_tol=1e-12, abs_tol=1e-12):
@@ -724,7 +750,7 @@ def tree_distance(x: TreeState, y: TreeState, cost: CostModel = UNIT_COSTS):
 def tree_distance_only(x: TreeState, y: TreeState, cost: CostModel = UNIT_COSTS) -> float:
     t1, t2 = _Annotated(x), _Annotated(y)
     td, _ = _zss_tables(t1, t2, cost, keep_tables=False)
-    return float(td[t1.n - 1, t2.n - 1])
+    return float(td[-1][-1])
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +766,9 @@ def distance_and_script(x, y, cost: CostModel = UNIT_COSTS):
 def distance(x, y, cost: CostModel = UNIT_COSTS) -> float:
     if isinstance(x, TreeState):
         return tree_distance_only(x, y, cost)
-    return seq_distance(x, y, cost)[0]
+    for row in _lev_rows(x, y, cost):
+        pass
+    return float(row[-1])
 
 
 def edit_script(x, y, cost: CostModel = UNIT_COSTS) -> EditScript:
@@ -750,15 +778,19 @@ def edit_script(x, y, cost: CostModel = UNIT_COSTS) -> EditScript:
 def pairwise_distances(states, cost: CostModel = UNIT_COSTS) -> np.ndarray:
     """Symmetric matrix of raw edit distances over a state list.
 
-    Distances are finite for every pair (delete-all plus insert-all always
-    connects two states), computed once per unordered pair.
+    Each unordered pair of distinct states is computed once; repeated
+    states (equal serialized forms) share one row and column.  This is
+    exact because distances are bitwise symmetric.
     """
-    m = len(states)
-    out = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = distance(states[i], states[j], cost)
-            if not math.isfinite(d):
-                raise AssertionError("edit distances must be finite")
-            out[i, j] = out[j, i] = d
-    return out
+    index, unique, ids = {}, [], []
+    for s in states:
+        key = serialize_state(s)
+        if key not in index:
+            index[key] = len(unique)
+            unique.append(s)
+        ids.append(index[key])
+    out = np.zeros((len(unique), len(unique)))
+    for i in range(len(unique)):
+        for j in range(i + 1, len(unique)):
+            out[i, j] = out[j, i] = distance(unique[i], unique[j], cost)
+    return out[np.ix_(ids, ids)]

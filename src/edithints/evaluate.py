@@ -21,9 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .editdist import CostModel, UNIT_COSTS, apply_edit, distance, serialize_edit
+from .editdist import (
+    CostModel, EditError, UNIT_COSTS, apply_edit, distance, pairwise_distances, serialize_edit
+)
 from .policies import FitError, GprModel, KernelParams, fit_model
-from .states import CanonConfig, EMPTY_CANON, serialize_state
+from .states import CanonConfig, EMPTY_CANON
 from .traces import Dataset, Trace, build_pairs, goal_filter
 
 PREDICTION_SCHEMES = (
@@ -137,32 +139,6 @@ def _predict_coords(model: GprModel, scheme: str, raw: np.ndarray, coords) -> np
     return coords + move
 
 
-class _DistanceCache:
-    """Pairwise raw distances over the union of all trace states, computed
-    once; folds and queries reuse submatrices and rows."""
-
-    def __init__(self, traces, cost: CostModel):
-        self.cost = cost
-        self.states = []
-        self.index = {}
-        self.trace_slices = []
-        for trace in traces:
-            ids = []
-            for s in trace.states:
-                key = serialize_state(s)
-                if key not in self.index:
-                    self.index[key] = len(self.states)
-                    self.states.append(s)
-                ids.append(self.index[key])
-            self.trace_slices.append(ids)
-        n = len(self.states)
-        self.matrix = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = distance(self.states[i], self.states[j], cost)
-                self.matrix[i, j] = self.matrix[j, i] = d
-
-
 def loo_rmse_multi(
     dataset: Dataset,
     schemes,
@@ -186,22 +162,24 @@ def loo_rmse_multi(
     traces = prepared_traces(dataset, cost)
     if len(traces) < 2:
         raise FitError("leave-one-out needs at least two successful traces")
-    cache = _DistanceCache(traces, cost)
+    flat = build_pairs(traces)
+    spans = [range(start, stop) for start, stop in flat.trace_spans]
+    matrix = pairwise_distances(flat.states, cost)
 
     per_trace = {scheme: [] for scheme in schemes}
     skipped = []
     for held in range(len(traces)):
         train = [t for k, t in enumerate(traces) if k != held]
-        train_ids = [gid for k, ids in enumerate(cache.trace_slices) if k != held for gid in ids]
+        train_ids = [g for k, span in enumerate(spans) if k != held for g in span]
         try:
             pairs = build_pairs(train)
-            sub = cache.matrix[np.ix_(train_ids, train_ids)]
+            sub = matrix[np.ix_(train_ids, train_ids)]
             model = GprModel(dataset.kind, pairs, cost, canon, params, mode, dist_raw=sub)
         except (FitError, ValueError) as exc:
             skipped.append((traces[held].id, str(exc)))
             continue
-        held_ids = cache.trace_slices[held]
-        raw_rows = [cache.matrix[gid][train_ids] for gid in held_ids]
+        held_ids = spans[held]
+        raw_rows = [matrix[g][train_ids] for g in held_ids]
         coords = [model.embed_query(row).coords for row in raw_rows]
         n = len(held_ids)
         for scheme in schemes:
@@ -311,7 +289,7 @@ def hint_quality(
             for entry in entries:
                 try:
                     tutor_state = apply_edit(state, entry.edit)
-                except Exception:
+                except EditError:
                     continue  # tutor edit not applicable to the canonic form
                 dists.append(distance(hinted_state, tutor_state, cost))
             if dists:
@@ -428,9 +406,9 @@ def synthetic_corpus(
                 for edit in options:
                     try:
                         nxt = apply_edit(state, edit)
-                    except Exception:
+                    except EditError:
                         continue
-                    if seq_distance(nxt, goal)[0] < d_here:
+                    if distance(nxt, goal) < d_here:
                         state = nxt
                         break
                 else:

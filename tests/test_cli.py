@@ -176,6 +176,27 @@ def test_fit_non_finite_noise_is_data_error(fig2_path, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "cost",
+    [
+        {"indel_default": "inf"},
+        {"indel_default": "nan"},
+        {"relabel_default": "nan"},
+        {"relabel": {"a|b": "nan"}},
+    ],
+)
+def test_fit_non_finite_cost_is_data_error(fig2_path, tmp_path, cost):
+    out = tmp_path / "model.json"
+    argv = ["fit", "--dataset", fig2_path, "--cost", json.dumps(cost), "--out", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-m", "edithints.cli", *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_hint_worked_example(fig2_path, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     run(["fit", "--dataset", fig2_path, "--psi", "1.0", "--noise", "0.0", "--out", str(model_path)])
@@ -348,6 +369,28 @@ def test_config_file_merging(fig2_path, tmp_path, capsys):
     model3 = tmp_path / "model3.json"
     assert run(["fit", "--config", str(cfg2), "--out", str(model3)]) == 0
     assert json.loads(model3.read_text())["search"]["repeats"] == 2
+
+
+def test_config_never_overrides_explicit_flag(fig2_path, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "dataset": fig2_path,
+                "search": True,
+                "psi-range": [0.8, 1.2],
+                "noise-range": [0.01, 0.02],
+                "repeats": 3,
+            }
+        )
+    )
+    model = tmp_path / "model.json"
+    # the flag wins even when its value is the parser default (10) ...
+    assert run(["fit", "--config", str(cfg), "--repeats", "10", "--out", str(model)]) == 0
+    assert json.loads(model.read_text())["search"]["repeats"] == 10
+    # ... and the config value applies when the flag is absent
+    assert run(["fit", "--config", str(cfg), "--out", str(model)]) == 0
+    assert json.loads(model.read_text())["search"]["repeats"] == 3
 
 
 def test_random_hint_deterministic_across_runs(fig2_path, tmp_path, capsys):

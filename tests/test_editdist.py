@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edithints.editdist import (
     INF,
@@ -23,7 +24,7 @@ from edithints.editdist import (
     tree_distance,
     tree_distance_only,
 )
-from edithints.states import parse_tree, sequence
+from edithints.states import parse_tree, sequence, tree
 
 from oracle_utils import (
     all_strings,
@@ -219,10 +220,17 @@ def test_infinite_relabel_matches_oracle():
 
 
 def test_cost_model_validation():
-    with pytest.raises(ValueError):
-        CostModel(indel_default=0.0)
-    with pytest.raises(ValueError):
-        CostModel(indel={"a": -1.0})
+    for bad in (
+        dict(indel_default=0.0),
+        dict(indel_default=INF),
+        dict(indel_default=float("nan")),
+        dict(indel={"a": -1.0}),
+        dict(indel={"a": INF}),
+        dict(relabel_default=float("nan")),
+        dict(relabel={("a", "b"): float("nan")}),
+    ):
+        with pytest.raises(ValueError):
+            CostModel(**bad)
     cm = CostModel(relabel={("b", "a"): 0.5})
     assert cm.cost_relabel("a", "b") == 0.5
     assert cm.cost_relabel("b", "a") == 0.5
@@ -277,3 +285,68 @@ def test_script_backtrace_is_deterministic():
         assert s1 == s2
         a, b = random_tree(rng), random_tree(rng)
         assert tree_distance(a, b)[1] == tree_distance(a, b)[1]
+
+
+# ---------------------------------------------------------------------------
+# properties over random states and cost models
+
+# cost models draw finite positive indels and relabels that include INF
+labels = st.sampled_from("abc")
+costs = st.floats(min_value=0.05, max_value=4.0)
+cost_models = st.builds(
+    CostModel,
+    indel_default=costs,
+    relabel_default=costs | st.just(INF),
+    indel=st.dictionaries(labels, costs),
+    relabel=st.dictionaries(st.tuples(labels, labels), costs | st.just(INF)),
+)
+sequences = st.lists(labels, max_size=8).map(tuple)
+
+
+def trees(max_leaves):
+    return st.recursive(
+        st.builds(tree, labels),
+        lambda kids: st.builds(
+            lambda label, children: tree(label, *children), labels, st.lists(kids, max_size=3)
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+same_kind_pairs = st.tuples(sequences, sequences) | st.tuples(trees(8), trees(8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_kind_pairs, cost_models)
+def test_distance_only_equals_script_path_and_is_symmetric(pair, cost):
+    x, y = pair
+    d = distance(x, y, cost)
+    d_script, script = distance_and_script(x, y, cost)
+    assert d == d_script
+    assert d == distance(y, x, cost)
+    assert script.apply(x) == y
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text("ab", max_size=4), st.text("ab", max_size=4))
+def test_unit_string_distance_matches_bfs(x, y):
+    oracle = bfs_string_distances(x, [y], "ab")
+    assert distance(seq_of(x), seq_of(y)) == oracle[y]
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees(4), trees(4), cost_models)
+def test_tree_distance_matches_mapping_oracle(x, y, cost):
+    assert distance(x, y, cost) == pytest.approx(mapping_tree_distance(x, y, cost), rel=1e-12)
+
+
+state_lists = st.lists(sequences, min_size=1, max_size=5) | st.lists(trees(6), min_size=1, max_size=5)
+
+
+@settings(max_examples=50, deadline=None)
+@given(state_lists, cost_models, st.randoms())
+def test_pairwise_distances_with_repeats_equals_double_loop(base, cost, rng):
+    states = base + [rng.choice(base) for _ in range(3)]
+    rng.shuffle(states)
+    want = np.array([[distance(a, b, cost) for b in states] for a in states])
+    assert np.array_equal(pairwise_distances(states, cost), want)

@@ -60,15 +60,18 @@ def test_do_nothing_final_rmse_closed_form():
     report = loo_rmse(ds, "do_nothing")
     # closed form: root mean squared corrected distance from each held-out
     # state to its trace's final state, recomputed through the embedding
-    from edithints.evaluate import _DistanceCache
+    from edithints.editdist import pairwise_distances
     from edithints.policies import GprModel
     from edithints.traces import build_pairs
 
     traces = prepared_traces(ds)
-    cache = _DistanceCache(traces, UNIT_COSTS)
+    flat = [s for t in traces for s in t.states]
+    matrix = pairwise_distances(flat, UNIT_COSTS)
+    starts = np.cumsum([0] + [len(t.states) for t in traces])
+    spans = [range(a, b) for a, b in zip(starts[:-1], starts[1:])]
     for held, trace in enumerate(traces):
         train = [t for k, t in enumerate(traces) if k != held]
-        train_ids = [g for k, ids in enumerate(cache.trace_slices) if k != held for g in ids]
+        train_ids = [g for k, span in enumerate(spans) if k != held for g in span]
         model = GprModel(
             "sequence",
             build_pairs(train),
@@ -76,12 +79,9 @@ def test_do_nothing_final_rmse_closed_form():
             None,
             KernelParams(),
             "clip",
-            dist_raw=cache.matrix[np.ix_(train_ids, train_ids)],
+            dist_raw=matrix[np.ix_(train_ids, train_ids)],
         )
-        coords = [
-            model.embed_query(cache.matrix[g][train_ids]).coords
-            for g in cache.trace_slices[held]
-        ]
+        coords = [model.embed_query(matrix[g][train_ids]).coords for g in spans[held]]
         want = math.sqrt(
             np.mean([np.sum((c - coords[-1]) ** 2) for c in coords])
         )
