@@ -5,9 +5,10 @@ model), ``hint`` (hint JSON for one state), ``eval`` (cross-validated RMSE
 or tutor-hint quality), ``mds`` (2-D embedding CSV for plotting).
 
 Every command accepts ``--config FILE`` with a JSON object whose keys are
-the long option names (underscores for dashes); explicit flags override
-config values.  All outputs are UTF-8 and deterministic given the same
-inputs and seed.
+the long option names (underscores or dashes).  Each entry becomes
+command-line tokens placed before the explicit flags, so argparse checks
+config values like flags and explicit flags win.  All outputs are UTF-8
+and deterministic given the same inputs and seed.
 
 Exit codes: 0 success (including a null hint), 1 usage error, 2 data
 error, 3 numerical failure.
@@ -22,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .editdist import CostModel, EditError, UNIT_COSTS
+from .editdist import CostModel, EditError, UNIT_COSTS, pairwise_distances
 from .evaluate import PREDICTION_SCHEMES, hint_quality, hyper_search, loo_rmse, prepared_traces
 from .policies import (
     DEFAULT_M_MAX,
@@ -136,7 +137,7 @@ def model_from_dict(raw: dict) -> GprModel:
             offset += length
         dist_raw = np.array(raw["dist_raw"], dtype=float)
         mode = raw["mode"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"model file has a missing or malformed field: {exc!r}") from exc
     return GprModel(kind, build_pairs(traces), cost, canon, params, mode, dist_raw)
 
@@ -158,40 +159,51 @@ def load_model(path: str) -> GprModel:
 
 def _add_common(parser):
     parser.add_argument("--config", help="JSON file with defaults for the flags")
-    parser.add_argument("--dataset", help="dataset JSON file")
+    parser.add_argument("--dataset", required=True, help="dataset JSON file")
     parser.add_argument("--cost", help="cost model, JSON file or inline JSON")
     parser.add_argument("--canon", help="canonicalization config, JSON file or inline")
     parser.add_argument(
-        "--mode", choices=("clip", "flip", "shift"), help="eigenvalue correction mode"
+        "--mode", default="clip", choices=("clip", "flip", "shift"),
+        help="eigenvalue correction mode",
     )
 
 
-def _merge_config(args, given):
-    """Apply the config file to every option not in ``given``, the options
-    on the command line."""
-    config = _load_json_arg(args.config, "config file") if args.config else {}
-    for key, value in config.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise DataError(f"config file sets unknown option {key!r}")
-        if attr not in given:
-            setattr(args, attr, value)
-    return args
+def _add_kernel(parser):
+    parser.add_argument("--psi", type=float, default=1.0, help="kernel length scale")
+    parser.add_argument("--noise", type=float, default=0.0, help="kernel noise standard deviation")
+    parser.add_argument("--search", action="store_true", help="random hyper-parameter search")
+    parser.add_argument(
+        "--psi-range", nargs=2, type=float, default=[0.5, 10.0], metavar=("LO", "HI")
+    )
+    parser.add_argument(
+        "--noise-range", nargs=2, type=float, default=[1e-3, 1.0], metavar=("LO", "HI")
+    )
+    parser.add_argument("--repeats", type=int, default=10)
+    parser.add_argument("--seed", type=int)
 
 
-def _given_options(argv) -> set:
-    """Names of the options on the command line, whatever their values:
-    ``argv`` parsed again with no option defaults."""
-    parser = build_parser()
-    for sub_parser in parser.commands.values():
-        for action in sub_parser._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
+def _config_tokens(argv) -> list:
+    """The entries of the ``--config`` file in ``argv`` as command-line
+    tokens: ``true`` is the bare flag, ``false`` and ``null`` are left out,
+    a list gives the flag's values, an object gives inline JSON."""
+    pre = _Parser(prog="edithints", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    tokens = []
+    for key, value in _load_json_arg(path, "config file").items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif isinstance(value, list):
+            tokens += [flag, *(str(v) for v in value)]
+        elif isinstance(value, dict):
+            tokens.append(f"{flag}={json.dumps(value)}")
+        elif value is not False and value is not None:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def _dataset_from_args(args):
-    if not args.dataset:
-        raise DataError("a dataset is required (--dataset or config)")
     try:
         with open(args.dataset, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -209,33 +221,38 @@ def _cost_from_args(args) -> CostModel:
 
 def _params_from_args(args, dataset, cost, canon):
     """Explicit kernel parameters, or the result of a random search."""
-    if getattr(args, "search", False):
-        psi_range = tuple(args.psi_range or (0.5, 10.0))
-        noise_range = tuple(args.noise_range or (1e-3, 1.0))
-        params = hyper_search(
-            dataset,
-            psi_range,
-            noise_range,
-            repeats=args.repeats,
-            seed=args.seed if args.seed is not None else 0,
-            cost=cost,
-            canon=canon,
-            mode=args.mode or "clip",
-        )
-        meta = {
-            "psi_range": list(psi_range),
-            "noise_range": list(noise_range),
-            "repeats": args.repeats,
-            "seed": args.seed if args.seed is not None else 0,
-        }
-        return params, meta
-    return (
-        KernelParams(
-            length_scale=args.psi if args.psi is not None else 1.0,
-            noise_std=args.noise if args.noise is not None else 0.0,
-        ),
-        None,
+    if not args.search:
+        return KernelParams(length_scale=args.psi, noise_std=args.noise), None
+    seed = 0 if args.seed is None else args.seed
+    params = hyper_search(
+        dataset,
+        args.psi_range,
+        args.noise_range,
+        repeats=args.repeats,
+        seed=seed,
+        cost=cost,
+        canon=canon,
+        mode=args.mode,
     )
+    meta = {
+        "psi_range": args.psi_range,
+        "noise_range": args.noise_range,
+        "repeats": args.repeats,
+        "seed": seed,
+    }
+    return params, meta
+
+
+def _distance_matrix(args):
+    """The training pairs of the dataset's prepared traces and their
+    pairwise raw edit distances."""
+    dataset, _, _ = _dataset_from_args(args)
+    cost = _cost_from_args(args)
+    traces = prepared_traces(dataset, cost)
+    if not traces:
+        raise DataError("dataset has no successful traces")
+    pairs = build_pairs(traces)
+    return pairs, pairwise_distances(pairs.states, cost)
 
 
 def _state_ids(pairs) -> list:
@@ -251,15 +268,7 @@ def _state_ids(pairs) -> list:
 
 
 def cmd_dist(args) -> int:
-    dataset, canon, _ = _dataset_from_args(args)
-    cost = _cost_from_args(args)
-    traces = prepared_traces(dataset, cost)
-    if not traces:
-        raise DataError("dataset has no successful traces")
-    pairs = build_pairs(traces)
-    from .editdist import pairwise_distances
-
-    matrix = pairwise_distances(pairs.states, cost)
+    pairs, matrix = _distance_matrix(args)
     ids = _state_ids(pairs)
     lines = ["id," + ",".join(ids)]
     for label, row in zip(ids, matrix):
@@ -272,7 +281,7 @@ def cmd_fit(args) -> int:
     dataset, canon, digest = _dataset_from_args(args)
     cost = _cost_from_args(args)
     params, search_meta = _params_from_args(args, dataset, cost, canon)
-    model = fit_model(dataset, cost, canon, params, args.mode or "clip")
+    model = fit_model(dataset, cost, canon, params, args.mode)
     payload = model_to_dict(model, digest, search_meta)
     text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     _write_text(args.out, text)
@@ -282,13 +291,7 @@ def cmd_fit(args) -> int:
 def cmd_hint(args) -> int:
     model = load_model(args.model)
     state = parse_state(args.state, model.kind)
-    result = hint_by_policy(
-        model,
-        state,
-        args.policy,
-        seed=args.seed,
-        m_max=args.m_max if args.m_max is not None else DEFAULT_M_MAX,
-    )
+    result = hint_by_policy(model, state, args.policy, seed=args.seed, m_max=args.m_max)
     out = result.to_dict()
     out["policy"] = args.policy
     sys.stdout.write(json.dumps(out, sort_keys=True, indent=1) + "\n")
@@ -299,22 +302,14 @@ def cmd_eval(args) -> int:
     dataset, canon, _ = _dataset_from_args(args)
     cost = _cost_from_args(args)
     params, _ = _params_from_args(args, dataset, cost, canon)
-    mode = args.mode or "clip"
     if args.task == "rmse":
-        report = loo_rmse(dataset, args.scheme, params, cost, canon, mode)
+        report = loo_rmse(dataset, args.scheme, params, cost, canon, args.mode)
     else:
-        policy = args.policy or "chf"
 
         def policy_fn(model, state):
-            return hint_by_policy(
-                model,
-                state,
-                policy,
-                seed=args.seed,
-                m_max=args.m_max if args.m_max is not None else DEFAULT_M_MAX,
-            )
+            return hint_by_policy(model, state, args.policy, seed=args.seed, m_max=args.m_max)
 
-        report = hint_quality(dataset, policy_fn, cost, canon, params, mode)
+        report = hint_quality(dataset, policy_fn, cost, canon, params, args.mode)
     summary = report.to_dict()
     text = json.dumps(summary, sort_keys=True, indent=1) + "\n"
     if args.out_prefix:
@@ -327,17 +322,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_mds(args) -> int:
-    dataset, canon, _ = _dataset_from_args(args)
-    cost = _cost_from_args(args)
-    traces = prepared_traces(dataset, cost)
-    if not traces:
-        raise DataError("dataset has no successful traces")
-    pairs = build_pairs(traces)
-    from .editdist import pairwise_distances
-
-    matrix = pairwise_distances(pairs.states, cost)
-    space = CorrectedSpace(matrix**2, args.mode or "clip")
-    coords = space.mds_coordinates(2)
+    pairs, matrix = _distance_matrix(args)
+    coords = CorrectedSpace(matrix**2, args.mode).mds_coordinates(2)
     ids = _state_ids(pairs)
     lines = ["id,trace,step,x,y"]
     for i, label in enumerate(ids):
@@ -364,13 +350,7 @@ def build_parser() -> _Parser:
 
     p_fit = sub.add_parser("fit", help="fit a hint model and persist it")
     _add_common(p_fit)
-    p_fit.add_argument("--psi", type=float, help="kernel length scale")
-    p_fit.add_argument("--noise", type=float, help="kernel noise standard deviation")
-    p_fit.add_argument("--search", action="store_true", help="random hyper-parameter search")
-    p_fit.add_argument("--psi-range", nargs=2, type=float, metavar=("LO", "HI"))
-    p_fit.add_argument("--noise-range", nargs=2, type=float, metavar=("LO", "HI"))
-    p_fit.add_argument("--repeats", type=int, default=10)
-    p_fit.add_argument("--seed", type=int)
+    _add_kernel(p_fit)
     p_fit.add_argument("--out", help="model file path (default stdout)")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -380,22 +360,18 @@ def build_parser() -> _Parser:
     p_hint.add_argument("--state", required=True, help="state text (tree or JSON array)")
     p_hint.add_argument("--policy", default="chf", choices=POLICY_NAMES)
     p_hint.add_argument("--seed", type=int, help="seed (random policy)")
-    p_hint.add_argument("--m-max", type=int, help="sparsification budget")
+    p_hint.add_argument("--m-max", type=int, default=DEFAULT_M_MAX, help="sparsification budget")
     p_hint.set_defaults(func=cmd_hint)
 
     p_eval = sub.add_parser("eval", help="run an evaluation harness")
     _add_common(p_eval)
+    _add_kernel(p_eval)
     p_eval.add_argument("--task", choices=("rmse", "quality"), default="rmse")
     p_eval.add_argument("--scheme", default="gaussian_process", choices=PREDICTION_SCHEMES)
-    p_eval.add_argument("--policy", choices=POLICY_NAMES, help="policy (quality task)")
-    p_eval.add_argument("--psi", type=float)
-    p_eval.add_argument("--noise", type=float)
-    p_eval.add_argument("--search", action="store_true")
-    p_eval.add_argument("--psi-range", nargs=2, type=float, metavar=("LO", "HI"))
-    p_eval.add_argument("--noise-range", nargs=2, type=float, metavar=("LO", "HI"))
-    p_eval.add_argument("--repeats", type=int, default=10)
-    p_eval.add_argument("--seed", type=int)
-    p_eval.add_argument("--m-max", type=int)
+    p_eval.add_argument(
+        "--policy", default="chf", choices=POLICY_NAMES, help="policy (quality task)"
+    )
+    p_eval.add_argument("--m-max", type=int, default=DEFAULT_M_MAX, help="sparsification budget")
     p_eval.add_argument("--out-prefix", help="write PREFIX.json and PREFIX.csv")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -403,17 +379,16 @@ def build_parser() -> _Parser:
     _add_common(p_mds)
     p_mds.add_argument("--out", help="output CSV path (default stdout)")
     p_mds.set_defaults(func=cmd_mds)
-
-    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if getattr(args, "config", None):
-            _merge_config(args, _given_options(argv))
+        # config tokens go after the command name and before the explicit
+        # flags, so argparse's last-wins rule lets the flags win
+        argv = argv[:1] + _config_tokens(argv) + argv[1:]
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (DataError, StateError, EditError, FitError, ValueError) as exc:
         print(f"edithints: data error: {exc}", file=sys.stderr)

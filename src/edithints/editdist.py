@@ -114,15 +114,22 @@ class CostModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CostModel":
-        dec = lambda c: INF if c == "inf" else float(c)
+        def dec(c):
+            if isinstance(c, bool) or not isinstance(c, (int, float, str)):
+                raise ValueError(f"cost {c!r} is not a number")
+            return INF if c == "inf" else float(c)
+
+        indel, pairs = raw.get("indel", {}), raw.get("relabel", {})
+        if not (isinstance(indel, dict) and isinstance(pairs, dict)):
+            raise ValueError("'indel' and 'relabel' costs must be JSON objects")
         relabel = {}
-        for key, cost in raw.get("relabel", {}).items():
+        for key, cost in pairs.items():
             a, _, b = key.partition("|")
             relabel[(a, b)] = dec(cost)
         return cls(
-            indel_default=float(raw.get("indel_default", 1.0)),
+            indel_default=dec(raw.get("indel_default", 1.0)),
             relabel_default=dec(raw.get("relabel_default", 1.0)),
-            indel={k: float(v) for k, v in raw.get("indel", {}).items()},
+            indel={k: dec(v) for k, v in indel.items()},
             relabel=relabel,
         )
 
@@ -458,10 +465,6 @@ class _Annotated:
         self.keyroots = sorted(last_for_lml.values())
         self.keyroot_of = [last_for_lml[self.lml[i]] for i in range(self.n)]
 
-    def is_ancestor(self, a: int, b: int) -> bool:
-        """True if a is a proper ancestor of b (postorder indices)."""
-        return self.lml[a] <= b < a
-
 
 def _zss_tables(t1: _Annotated, t2: _Annotated, cost: CostModel, keep_tables: bool):
     """Zhang-Shasha forest dynamic program.
@@ -769,10 +772,6 @@ def distance(x, y, cost: CostModel = UNIT_COSTS) -> float:
     for row in _lev_rows(x, y, cost):
         pass
     return float(row[-1])
-
-
-def edit_script(x, y, cost: CostModel = UNIT_COSTS) -> EditScript:
-    return distance_and_script(x, y, cost)[1]
 
 
 def pairwise_distances(states, cost: CostModel = UNIT_COSTS) -> np.ndarray:

@@ -126,9 +126,7 @@ def _predict_coords(model: GprModel, scheme: str, raw: np.ndarray, coords) -> np
     if scheme == "do_nothing":
         return coords
     if scheme == "successor_of_closest":
-        nearest = int(np.flatnonzero(raw <= float(np.min(raw)) + 1e-9)[0])
-        successor = model.pairs.pair_of[nearest][1]
-        return model.space.coordinates[successor]
+        return model.space.coordinates[model.closest_successor_raw_index(raw)]
     if scheme == "closest_correct":
         return model.space.coordinates[model.closest_correct_raw_index(raw)]
     gamma = model.weights(raw, _WEIGHT_SCHEME[scheme])
@@ -333,6 +331,8 @@ def hyper_search(
     and keep the sample with the lowest mean next-step RMSE of the
     Gaussian-process scheme under leave-one-out cross-validation.
     Deterministic for a fixed seed; ties keep the earlier sample."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     rng = random.Random(seed)
     best = None
     for _ in range(repeats):

@@ -74,10 +74,12 @@ class KernelParams:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.length_scale) and self.length_scale > 0):
-            raise ValueError(f"length_scale must be positive and finite, got {self.length_scale}")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValueError(f"noise_std must be non-negative and finite, got {self.noise_std}")
+        # the kernel uses the squares: finite, and non-zero for the length scale
+        psi, noise = self.length_scale, self.noise_std
+        if not (psi > 0 and 0 < psi * psi < math.inf):
+            raise ValueError(f"length_scale must be positive with a finite square, got {psi}")
+        if not (noise >= 0 and math.isfinite(noise * noise)):
+            raise ValueError(f"noise_std must be non-negative with a finite square, got {noise}")
 
 
 @dataclass(frozen=True)
@@ -150,19 +152,22 @@ class GprModel:
         self._prepare_solver()
 
     def _prepare_solver(self):
-        a = self.kernel_matrix + self.params.noise_std**2 * np.eye(len(self.kernel_indices))
+        """The operator (K + noise^2 I)^-1 that every GPR query multiplies
+        by: from the Cholesky factor when it is well conditioned, else the
+        Moore-Penrose pseudo-inverse."""
+        n = len(self.kernel_indices)
+        a = self.kernel_matrix + self.params.noise_std**2 * np.eye(n)
         try:
             chol = np.linalg.cholesky(a)
-            self._solve = lambda k: _cho_solve(chol, k)
             # reject factorizations that are numerically meaningless
             diag = np.diag(chol)
-            if len(diag) and float(np.min(diag)) < 1e-10 * float(np.max(diag)):
+            if n and float(np.min(diag)) < 1e-10 * float(np.max(diag)):
                 raise np.linalg.LinAlgError("ill-conditioned")
+            chol_inv = np.linalg.solve(chol, np.eye(n))
+            self._inverse = chol_inv.T @ chol_inv
         except np.linalg.LinAlgError:
-            # duplicate training states make K singular at zero noise;
-            # fall back to the Moore-Penrose pseudo-inverse
-            pinv = np.linalg.pinv(a, rcond=1e-10)
-            self._solve = lambda k: pinv @ k
+            # duplicate training states make K singular at zero noise
+            self._inverse = np.linalg.pinv(a, rcond=1e-10)
             self.used_pseudo_inverse = True
 
     # -- query-side quantities ---------------------------------------------
@@ -187,7 +192,7 @@ class GprModel:
         gamma = np.zeros(len(self.pairs))
         if idx:
             k = rbf(self.kernel_query_sqdist(raw_distances), self.params.length_scale)
-            gamma[idx] = self._solve(k)
+            gamma[idx] = self._inverse @ k
         return gamma
 
     def nwr_weights(self, raw_distances: np.ndarray) -> np.ndarray:
@@ -236,6 +241,15 @@ class GprModel:
         as in :meth:`closest_correct_index`."""
         return self._closest_end(raw_distances, relative=False)
 
+    def closest_successor_raw_index(self, raw_distances: np.ndarray) -> int:
+        """Index of the successor in its trace of the training state closest
+        to the query in raw edit distance (the state itself when it is
+        final); the first state within an absolute ``_TIE_EPS`` of the
+        minimum is the closest."""
+        best = float(np.min(raw_distances))
+        nearest = int(np.flatnonzero(raw_distances <= best + _TIE_EPS)[0])
+        return self.pairs.pair_of[nearest][1]
+
     def _closest_end(self, values: np.ndarray, relative: bool) -> int:
         ends = self.pairs.end_indices
         if not ends:
@@ -244,11 +258,6 @@ class GprModel:
         limit = best + _TIE_EPS * ((1.0 + abs(best)) if relative else 1.0)
         tied = [i for i in ends if float(values[i]) <= limit]
         return min(tied, key=lambda i: (self.pairs.trace_ids[self.pairs.trace_of[i]], i))
-
-
-def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    y = np.linalg.solve(chol, b)
-    return np.linalg.solve(chol.T, y)
 
 
 def fit_model(
@@ -555,10 +564,7 @@ def gross_hint(model: GprModel, state) -> HintResult:
     """First edit toward the successor-in-trace of the closest training
     state (the state itself when it is final)."""
     x = canonicalize_state(state, model.canon)
-    raw = model.query_raw_distances(x)
-    best = float(np.min(raw))
-    nearest = int(np.flatnonzero(raw <= best + _TIE_EPS)[0])
-    successor = model.pairs.pair_of[nearest][1]
+    successor = model.closest_successor_raw_index(model.query_raw_distances(x))
     return _first_edit_toward(model, x, successor, "at-reference")
 
 

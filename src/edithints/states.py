@@ -11,7 +11,8 @@ Trees have a plain-text bracket format::
 
 Labels that contain a structural delimiter (comma, parenthesis, quote,
 whitespace) are written in double quotes with backslash escaping.  The
-format round-trips: ``parse_tree(serialize_tree(t)) == t``.
+format round-trips: ``parse_tree(serialize_tree(t)) == t``.  Parsed trees
+are at most ``MAX_TREE_DEPTH`` levels deep.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ Label = str
 
 _UNQUOTED_RE = re.compile(r'[^,()"\s\\]+')
 _CANON_VAR_RE = re.compile(r"^v[0-9]+$")
+
+# levels (nodes on the longest root-to-leaf path) a parsed tree may have;
+# the tree algorithms recurse once or a few times per level
+MAX_TREE_DEPTH = 100
 
 
 class StateError(ValueError):
@@ -78,11 +83,6 @@ class TreeState:
                 )
             node = node.children[i - 1]
         return node
-
-    def pre_order(self):
-        yield self
-        for c in self.children:
-            yield from c.pre_order()
 
 
 def tree(label: Label, *children: TreeState) -> TreeState:
@@ -156,17 +156,19 @@ class _TreeParser:
                 chars.append(ch)
                 self.pos += 1
 
-    def parse_tree(self) -> TreeState:
+    def parse_tree(self, depth: int = 1) -> TreeState:
         label = self.parse_label()
         self.skip_ws()
         children = []
         if self.pos < len(self.text) and self.text[self.pos] == "(":
+            if depth == MAX_TREE_DEPTH:
+                raise self.error(f"tree is deeper than {MAX_TREE_DEPTH} levels")
             self.pos += 1
-            children.append(self.parse_tree())
+            children.append(self.parse_tree(depth + 1))
             self.skip_ws()
             while self.pos < len(self.text) and self.text[self.pos] == ",":
                 self.pos += 1
-                children.append(self.parse_tree())
+                children.append(self.parse_tree(depth + 1))
                 self.skip_ws()
             if self.pos >= len(self.text) or self.text[self.pos] != ")":
                 raise self.error("expected ',' or ')'")
@@ -178,7 +180,8 @@ def parse_tree(text: str) -> TreeState:
     """Parse bracket-notation tree text.
 
     Raises :class:`TreeParseError` with the byte offset of the first
-    offending character on malformed input.
+    offending character on malformed input, and at the opening parenthesis
+    of a level beyond ``MAX_TREE_DEPTH``.
     """
     parser = _TreeParser(text)
     t = parser.parse_tree()
@@ -245,11 +248,13 @@ class CanonConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CanonConfig":
-        return cls(
-            variable_label_prefixes=tuple(raw.get("variable_label_prefixes", ())),
-            commutative_labels=tuple(raw.get("commutative_labels", ())),
-            dead_labels=tuple(raw.get("dead_labels", ())),
-        )
+        fields = {}
+        for name in ("variable_label_prefixes", "commutative_labels", "dead_labels"):
+            labels = raw.get(name, [])
+            if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+                raise StateError(f"canonicalization field {name!r} must be a list of strings")
+            fields[name] = tuple(labels)
+        return cls(**fields)
 
     def to_dict(self) -> dict:
         return {

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from edithints.cli import load_model, main
 from edithints.policies import KernelParams, fit_model
@@ -158,8 +159,9 @@ def test_v1_model_is_data_error(fig2_path, tmp_path, capsys):
         lambda raw: raw["dist_raw"].pop(),
         lambda raw: [raw["dist_raw"][i].__setitem__(j, math.nan) for i, j in ((0, 1), (1, 0))],
         lambda raw: raw.pop("trace_lengths"),
+        lambda raw: raw.update(cost=[]),
     ],
-    ids=["short-distances", "nan-distance", "missing-key"],
+    ids=["short-distances", "nan-distance", "missing-key", "cost-not-object"],
 )
 def test_malformed_sealed_model_is_data_error(fig2_path, tmp_path, change):
     model_path = tmp_path / "model.json"
@@ -170,7 +172,7 @@ def test_malformed_sealed_model_is_data_error(fig2_path, tmp_path, change):
 
 def test_fit_non_finite_noise_is_data_error(fig2_path, tmp_path):
     out = tmp_path / "model.json"
-    for noise in ("nan", "inf"):
+    for noise in ("nan", "inf", "1e200"):  # 1e200 squared overflows
         args = ["fit", "--dataset", fig2_path, "--noise", noise, "--out", str(out)]
         assert run(args) == 2
     assert not out.exists()
@@ -197,12 +199,28 @@ def test_fit_non_finite_cost_is_data_error(fig2_path, tmp_path, cost):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--cost", {"indel": 1}),
+        ("--cost", {"relabel_default": [1]}),
+        ("--cost", {"indel_default": True}),
+        ("--canon", {"dead_labels": 1}),
+        ("--canon", {"commutative_labels": [["x"]]}),
+    ],
+)
+def test_fit_malformed_cost_or_canon_is_data_error(fig2_path, capsys, flag, value):
+    assert run(["fit", "--dataset", fig2_path, flag, json.dumps(value)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 def test_hint_worked_example(fig2_path, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     run(["fit", "--dataset", fig2_path, "--psi", "1.0", "--noise", "0.0", "--out", str(model_path)])
     assert run(["hint", "--model", str(model_path), "--state", '["a","b"]', "--policy", "chf"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["edit"] == {"kind": "insert", "label": "c", "position": 3}
+    assert out["objective"] == pytest.approx(1.8776131300682697, abs=1e-12)  # README
     assert out["policy"] == "chf"
 
 
@@ -237,6 +255,29 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         run(["hint"])  # missing required flags
     assert err.value.code == 1
+
+
+def test_tree_depth_limit(tmp_path, capsys):
+    def chain(levels, leaf="b"):
+        return "a(" * (levels - 1) + leaf + ")" * (levels - 1)
+
+    def dataset(levels):
+        path = tmp_path / f"depth{levels}.json"
+        traces = [
+            {"id": "t1", "successful": True, "states": [chain(levels - 2), chain(levels)]},
+            {"id": "t2", "successful": True, "states": ["c", chain(levels)]},
+        ]
+        path.write_text(json.dumps({"kind": "tree", "traces": traces}))
+        return str(path)
+
+    model = tmp_path / "model.json"
+    assert run(["fit", "--dataset", dataset(100), "--psi", "5", "--out", str(model)]) == 0
+    assert run(["hint", "--model", str(model), "--state", chain(99)]) == 0
+    assert json.loads(capsys.readouterr().out)["edit"] is not None
+    assert run(["fit", "--dataset", dataset(101), "--out", str(model)]) == 2
+    assert run(["hint", "--model", str(model), "--state", chain(101)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2 and all("deeper than 100 levels" in line for line in err)
 
 
 def test_eval_rmse_files(tmp_path, capsys):
@@ -391,6 +432,124 @@ def test_config_never_overrides_explicit_flag(fig2_path, tmp_path):
     # ... and the config value applies when the flag is absent
     assert run(["fit", "--config", str(cfg), "--out", str(model)]) == 0
     assert json.loads(model.read_text())["search"]["repeats"] == 3
+
+
+def _config(tmp_path, entries):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+def test_config_entries_parse_as_flags(fig2_path, tmp_path):
+    model = tmp_path / "model.json"
+    # an object is inline JSON, null is left out
+    cfg = _config(tmp_path, {"dataset": fig2_path, "cost": {"indel_default": 2}, "seed": None})
+    assert run(["fit", "--config", cfg, "--out", str(model)]) == 0
+    assert json.loads(model.read_text())["cost"]["indel_default"] == 2.0
+    # values get the option's type, as on the command line
+    cfg = _config(
+        tmp_path,
+        {"dataset": fig2_path, "search": True, "repeats": "3", "psi_range": [0.8, 1.2]},
+    )
+    assert run(["fit", "--config", cfg, "--out", str(model)]) == 0
+    assert json.loads(model.read_text())["search"]["repeats"] == 3
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({"psi": "abc"}, "invalid float value"),
+        ({"search": True, "psi_range": [1]}, "expected 2 arguments"),
+        ({"search": "false"}, "ignored explicit argument"),
+        ({"bogus": 1}, "unrecognized arguments"),
+    ],
+    ids=["ill-typed", "wrong-arity", "string-for-switch", "unknown-key"],
+)
+def test_config_entry_errors_are_usage_errors(fig2_path, tmp_path, capsys, entries, message):
+    model = tmp_path / "model.json"
+    cfg = _config(tmp_path, {"dataset": fig2_path, **entries})
+    with pytest.raises(SystemExit) as err:
+        run(["fit", "--config", cfg, "--out", str(model)])
+    assert err.value.code == 1
+    assert message in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_hint_takes_model_and_state_from_config(fig2_path, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert run(["fit", "--dataset", fig2_path, "--out", str(model)]) == 0
+    assert run(["hint", "--model", str(model), "--state", '["a","b"]']) == 0
+    by_flags = capsys.readouterr().out
+    cfg = _config(tmp_path, {"model": str(model), "state": '["a","b"]'})
+    assert run(["hint", "--config", cfg]) == 0
+    assert capsys.readouterr().out == by_flags
+
+
+@pytest.mark.parametrize("command, repeats", [("fit", "0"), ("eval", "-1")])
+def test_search_rejects_non_positive_repeats(fig2_path, capsys, command, repeats):
+    assert run([command, "--dataset", fig2_path, "--search", "--repeats", repeats]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "repeats" in err[0]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)  # small, so that "repeats" stays cheap
+    | FINITE
+    | st.sampled_from(["", "abc", "inf", "nan", "-1", "0.5", "clip", "[1]", "{}"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=6,
+)
+DATASET = "<the worked example>"
+COST_KEYS = st.sampled_from(["indel_default", "relabel_default", "indel", "relabel"])
+CANON_KEYS = st.sampled_from(["variable_label_prefixes", "commutative_labels", "dead_labels"])
+# values of each fit option's own type; every key also draws any JSON value
+TYPED_VALUES = {
+    "dataset": st.just(DATASET),
+    "cost": st.dictionaries(COST_KEYS, JSON_VALUES, max_size=2),
+    "canon": st.dictionaries(CANON_KEYS, JSON_VALUES, max_size=2),
+    "mode": st.sampled_from(["clip", "flip", "shift"]),
+    "psi": FINITE,
+    "noise": FINITE,
+    "search": st.booleans(),
+    "psi_range": st.lists(FINITE, min_size=2, max_size=2),
+    "noise-range": st.lists(FINITE, min_size=2, max_size=2),
+    "repeats": st.integers(-2, 3),
+    "seed": st.integers(-2, 3),
+    "config": st.text(max_size=3),
+    "out": st.text(max_size=3),
+}
+JUNK_KEYS = ("bogus", "model", "task", "", "-", "psi range")
+CONFIGS = st.lists(
+    st.sampled_from(sorted(TYPED_VALUES) + list(JUNK_KEYS)), unique=True, max_size=4
+).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {key: TYPED_VALUES.get(key, st.nothing()) | JSON_VALUES for key in keys}
+    )
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(entries=CONFIGS)
+def test_config_contract_property(tmp_path_factory, entries):
+    """Whatever a config file holds, ``fit`` succeeds or ends with a
+    documented code: 1 (usage, raised by argparse), 2 (data), 3 (numerical)."""
+    folder = tmp_path_factory.getbasetemp()
+    dataset = folder / "property-dataset.json"
+    dataset.write_text(json.dumps(FIG2))
+    # the worked example unless the drawn entries replace it
+    entries = {"dataset": DATASET, **entries}
+    entries = {k: str(dataset) if v == DATASET else v for k, v in entries.items()}
+    cfg = folder / "property-config.json"
+    cfg.write_text(json.dumps(entries))
+    try:
+        code = run(["fit", "--config", str(cfg), "--out", str(folder / "property-model.json")])
+    except SystemExit as exc:
+        assert exc.code == 1
+    else:
+        assert code in (0, 2, 3)
 
 
 def test_random_hint_deterministic_across_runs(fig2_path, tmp_path, capsys):

@@ -83,6 +83,11 @@ def test_kernel_params_validation():
         KernelParams(0.0, 0.0)
     with pytest.raises(ValueError):
         KernelParams(1.0, -0.1)
+    # the kernel squares both: psi^2 must not underflow, noise^2 not overflow
+    with pytest.raises(ValueError):
+        KernelParams(1e-200, 0.0)
+    with pytest.raises(ValueError):
+        KernelParams(1.0, 1e200)
 
 
 @pytest.mark.parametrize(

@@ -49,6 +49,8 @@ def test_quoted_labels_round_trip():
         ("a)b", 1),
         ('a("unterminated', 2),
         ("a(b))", 4),
+        # 101 levels: the 100th "(" opens the level beyond the limit
+        pytest.param("a(" * 100 + "b" + ")" * 100, 199, id="too-deep"),
     ],
 )
 def test_parse_errors_carry_offsets(bad, offset):
