@@ -44,6 +44,12 @@ USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 1, 2, 3
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits with the usage code on errors and takes long options, flags
+    and config keys alike, by their full names only."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

@@ -130,11 +130,9 @@ def _predict_coords(model: GprModel, scheme: str, raw: np.ndarray, coords) -> np
     if scheme == "closest_correct":
         return model.space.coordinates[model.closest_correct_raw_index(raw)]
     gamma = model.weights(raw, _WEIGHT_SCHEME[scheme])
-    move = np.zeros_like(coords)
-    for i, (xi, yi) in enumerate(model.pairs.pair_of):
-        if gamma[i] != 0.0 and xi != yi:
-            move += gamma[i] * (model.space.coordinates[yi] - model.space.coordinates[xi])
-    return coords + move
+    xs, ys = np.array(model.pairs.pair_of).reshape(-1, 2).T
+    points = model.space.coordinates
+    return coords + gamma @ (points[ys] - points[xs])
 
 
 def loo_rmse_multi(

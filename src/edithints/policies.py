@@ -57,6 +57,9 @@ from .traces import Dataset, TracePairs, build_pairs, goal_filter
 DEFAULT_M_MAX = 11
 KERNEL_DECAY_NORM = 1e-6
 _TIE_EPS = 1e-9
+# How far, relative to the Gram scale, a screened sparsification error may
+# sit from its exact refit.  It dwarfs the greedy step's 1e-15 tie rule.
+_SCREEN_SLACK = 1e-9
 
 
 class FitError(ValueError):
@@ -327,6 +330,40 @@ def _affine_ls(gram: np.ndarray, target: np.ndarray, cols) -> tuple:
     return coef, err
 
 
+def _screen(gram, pull, offset, active, cols, best_err, flat_tol):
+    """Estimated squared error of the refit ``active + [j]`` for every j in
+    ``cols``, from one solve against the bordered KKT matrix
+    ``[[G_AA, 1], [1^T, 0]]`` of the active states.
+
+    ``pull`` is G t and ``offset`` is t^T G t.  Candidate j's Schur
+    complement s_j is its squared distance to the affine hull of the active
+    states, and adding it lowers the error by g_j^2 / s_j.  An estimate is
+    NaN where s_j is at most ``flat_tol`` or the solve fails.
+    """
+    diag = np.diag(gram)[cols]
+    if not active:  # one state takes the whole weight
+        return diag - 2.0 * pull[cols] + offset
+    k = len(active)
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = gram[np.ix_(active, active)]
+    kkt[:k, k] = kkt[k, :k] = 1.0
+    border = np.ones((k + 1, len(cols) + 1))  # candidate columns, then the fit's right side
+    border[:k, :-1] = gram[np.ix_(active, cols)]
+    border[:k, -1] = pull[active]
+    est = np.full(len(cols), np.nan)
+    try:
+        sol = np.linalg.solve(kkt, border)
+    except np.linalg.LinAlgError:
+        return est
+    if not np.all(np.isfinite(sol)):
+        return est
+    schur = diag - np.einsum("ij,ij->j", border[:, :-1], sol[:, :-1])
+    gap = pull[cols] - sol[:, -1] @ border[:, :-1]
+    ok = schur > flat_tol
+    est[ok] = best_err - gap[ok] ** 2 / schur[ok]
+    return est
+
+
 def sparsify(
     model: GprModel,
     alpha: np.ndarray,
@@ -342,6 +379,15 @@ def sparsify(
     sum-constrained least-squares refit per step, and renormalizing the
     ``m_max`` largest coefficients of ``alpha`` inside the support;
     whichever lands closer to the target is returned.
+
+    Each greedy step screens every candidate with one bordered solve
+    (:func:`_screen`) and refits by least squares only those whose
+    estimate is within four slacks (``_SCREEN_SLACK`` times the Gram
+    scale) of the lowest, or that have no estimate.  The others cannot
+    decide the step's ``1e-15`` tie rule; when a refit misses its estimate
+    by more than one slack, the step refits every candidate.  So the
+    support, the coefficients and the stop are those of refitting every
+    candidate at every step.
 
     Returns ``(alpha_tilde, applied)``; ``applied`` is False when the
     allowed support is empty and sparsification was skipped.
@@ -369,14 +415,30 @@ def sparsify(
     scale = max(1.0, float(np.max(np.abs(np.diag(gram)))))
 
     # heuristic 1: greedy forward selection with affine refit
+    pull = gram @ target
+    offset = float(target @ pull)
+    slack = _SCREEN_SLACK * scale
     active = []
     best_err = math.inf
     best_coef = None
     remaining = list(allowed)
     for _ in range(min(m_max, len(allowed))):
+        est = _screen(gram, pull, offset, active, remaining, best_err, slack)
+        known = ~np.isnan(est)
+        low = float(np.min(est[known])) if known.any() else math.inf
+        # with every estimate within one slack of its exact error, those
+        # left out lie more than two slacks above the lowest exact error
+        picks = [j for j, e, ok in zip(remaining, est, known) if not ok or e <= low + 4.0 * slack]
+        fits = {j: _affine_ls(gram, target, active + [j]) for j in picks}
+        if any(ok and j in fits and abs(fits[j][1] - e) > slack
+               for j, e, ok in zip(remaining, est, known)):
+            for j in set(remaining) - set(fits):
+                fits[j] = _affine_ls(gram, target, active + [j])
         step_best = None
         for j in remaining:
-            coef, err = _affine_ls(gram, target, active + [j])
+            if j not in fits:
+                continue
+            coef, err = fits[j]
             if step_best is None or err < step_best[1] - 1e-15:
                 step_best = (j, err, coef)
         j, err, coef = step_best

@@ -143,7 +143,13 @@ class CorrectedSpace:
         root = np.sqrt(self.corrected_eigenvalues)
         self.coordinates = self.eigenvectors * root[np.newaxis, :]
         self.gram_corrected = self.coordinates @ self.coordinates.T
-        self._eps = 1e-10 * float(np.max(self.corrected_eigenvalues, initial=0.0))
+        # Nystrom factor sqrt(lambda+) / lambda per eigenvalue; 0 where either
+        # is numerically zero, so those directions drop out of the projection
+        eps = 1e-10 * float(np.max(self.corrected_eigenvalues, initial=0.0))
+        w, w_plus = self.eigenvalues, self.corrected_eigenvalues
+        kept = (w_plus > eps) & (np.abs(w) > eps)
+        self._projection = np.zeros(m)
+        self._projection[kept] = np.sqrt(w_plus[kept]) / w[kept]
         self._check_invariants()
 
     def _check_invariants(self):
@@ -184,12 +190,7 @@ class CorrectedSpace:
             return QueryEmbedding(np.zeros(0), np.zeros(0), 0.0)
         query_mean = float(d2q.mean())
         g_tilde = -0.5 * (d2q - self.col_means - query_mean + self.grand_mean)
-        coords = np.zeros(self.size)
-        for k in range(self.size):
-            lam = self.eigenvalues[k]
-            lam_plus = self.corrected_eigenvalues[k]
-            if lam_plus > self._eps and abs(lam) > self._eps:
-                coords[k] = (self.eigenvectors[:, k] @ g_tilde) * np.sqrt(lam_plus) / lam
+        coords = (g_tilde @ self.eigenvectors) * self._projection
         cross = self.coordinates @ coords
         norm_estimate = query_mean - 0.5 * self.grand_mean
         self_inner = max(float(coords @ coords), norm_estimate, 0.0)
@@ -210,25 +211,6 @@ class CorrectedSpace:
         out[m, :m] = q.cross_gram
         out[m, m] = q.self_inner
         return out
-
-    def combo_sqdist(self, a, b, query: QueryEmbedding = None) -> float:
-        """Squared distance between two weighted state combinations.
-
-        Coefficient vectors run over the training states, plus one trailing
-        entry for the query when ``query`` is given.  The value is the
-        quadratic form (a - b)^T G (a - b) over the (extended) corrected
-        Gram matrix; tiny negative values from rounding are possible and
-        bounded by -1e-8 times the Gram scale.
-        """
-        gram = self.extended_gram(query)
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.shape != (gram.shape[0],) or b.shape != (gram.shape[0],):
-            raise ValueError(
-                f"coefficient vectors must have length {gram.shape[0]}"
-            )
-        v = a - b
-        return float(v @ gram @ v)
 
     def mds_coordinates(self, dims: int = 2) -> np.ndarray:
         """Top-``dims`` corrected eigen-coordinates per state (zero-padded)."""

@@ -4,13 +4,16 @@ Everything here recomputes expected values by a different route than the
 package: breadth-first search over the legal move graph for string
 distances, exhaustive enumeration of valid tree mappings for tree
 distances, numpy's eigensolver and exact characteristic polynomials for
-the embedding, direct coordinate geometry for planted configurations, and
-pair-by-pair accumulation for the state coefficients of pair weights.
+the embedding, direct coordinate geometry for planted configurations,
+pair-by-pair accumulation for the state coefficients of pair weights,
+loop forms of the Nystrom projection and the prediction step, and
+sparsification that refits every candidate at every greedy step.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -242,3 +245,140 @@ def combination_coefficients(gamma: np.ndarray, pairs) -> np.ndarray:
         out[yi] += gamma[i]
         out[xi] -= gamma[i]
     return out
+
+
+# ---------------------------------------------------------------------------
+# loop forms of the query path: the package computes each in one pass
+
+
+def combo_sqdist(space, a, b, query=None) -> float:
+    """Squared distance between two weighted state combinations in a
+    corrected space.
+
+    Coefficient vectors run over the training states, plus one trailing
+    entry for the query when ``query`` is given.  The value is the
+    quadratic form (a - b)^T G (a - b) over the (extended) corrected Gram
+    matrix; tiny negative values from rounding are possible and bounded by
+    -1e-8 times the Gram scale.
+    """
+    gram = space.extended_gram(query)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != (gram.shape[0],) or b.shape != (gram.shape[0],):
+        raise ValueError(f"coefficient vectors must have length {gram.shape[0]}")
+    v = a - b
+    return float(v @ gram @ v)
+
+
+def extend_coords_loop(space, d2_to_training) -> np.ndarray:
+    """Nystrom coordinates of a query, one eigenvalue at a time (oracle for
+    ``CorrectedSpace.extend``)."""
+    d2q = np.asarray(d2_to_training, dtype=float)
+    coords = np.zeros(space.size)
+    if space.size == 0:
+        return coords
+    g_tilde = -0.5 * (d2q - space.col_means - float(d2q.mean()) + space.grand_mean)
+    eps = 1e-10 * float(np.max(space.corrected_eigenvalues, initial=0.0))
+    for k in range(space.size):
+        lam = space.eigenvalues[k]
+        lam_plus = space.corrected_eigenvalues[k]
+        if lam_plus > eps and abs(lam) > eps:
+            coords[k] = (space.eigenvectors[:, k] @ g_tilde) * np.sqrt(lam_plus) / lam
+    return coords
+
+
+def predict_move_loop(model, gamma) -> np.ndarray:
+    """sum_i gamma_i (phi(y_i) - phi(x_i)) in corrected coordinates, pair by
+    pair (oracle for the move in ``evaluate._predict_coords``)."""
+    coords = model.space.coordinates
+    move = np.zeros(coords.shape[1])
+    for i, (xi, yi) in enumerate(model.pairs.pair_of):
+        if gamma[i] != 0.0 and xi != yi:
+            move += gamma[i] * (coords[yi] - coords[xi])
+    return move
+
+
+# ---------------------------------------------------------------------------
+# sparsification with a full refit of every candidate at every greedy step
+
+
+def _affine_ls(gram: np.ndarray, target: np.ndarray, cols) -> tuple:
+    k = len(cols)
+    sub = gram[np.ix_(cols, cols)]
+    rhs = gram[cols, :] @ target
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = sub
+    kkt[:k, k] = 1.0
+    kkt[k, :k] = 1.0
+    vec = np.zeros(k + 1)
+    vec[:k] = rhs
+    vec[k] = 1.0
+    sol = np.linalg.lstsq(kkt, vec, rcond=None)[0]
+    coef = sol[:k]
+    err = float(coef @ sub @ coef - 2.0 * coef @ rhs + target @ gram @ target)
+    return coef, err
+
+
+def greedy_sparsify_oracle(model, alpha, query, allowed, m_max):
+    """``policies.sparsify`` with the greedy step refitting every remaining
+    candidate by least squares (oracle for the screened step)."""
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    alpha = np.asarray(alpha, dtype=float)
+    m = len(model.pairs)
+    allowed = sorted(set(int(i) for i in allowed))
+    if not allowed:
+        return alpha.copy(), False
+
+    support = [int(i) for i in np.flatnonzero(np.abs(alpha) > 1e-12)]
+    if (
+        len(support) <= m_max
+        and set(support) <= set(allowed)
+        and float(alpha.sum()) > 1e-12
+    ):
+        out = np.zeros(m)
+        out[support] = alpha[support] / alpha[support].sum()
+        return out, True
+
+    gram = model.space.extended_gram(query)
+    target = np.append(alpha, 1.0)
+    scale = max(1.0, float(np.max(np.abs(np.diag(gram)))))
+
+    # heuristic 1: greedy forward selection with affine refit
+    active = []
+    best_err = math.inf
+    best_coef = None
+    remaining = list(allowed)
+    for _ in range(min(m_max, len(allowed))):
+        step_best = None
+        for j in remaining:
+            coef, err = _affine_ls(gram, target, active + [j])
+            if step_best is None or err < step_best[1] - 1e-15:
+                step_best = (j, err, coef)
+        j, err, coef = step_best
+        if err >= best_err - 1e-12 * scale:
+            break
+        active.append(j)
+        remaining.remove(j)
+        best_err, best_coef = err, coef
+    greedy = np.zeros(m)
+    greedy[active] = best_coef
+
+    # heuristic 2: largest coefficients of alpha inside the support
+    ranked = sorted(
+        (i for i in allowed if abs(alpha[i]) > 1e-12),
+        key=lambda i: (-abs(alpha[i]), i),
+    )[:m_max]
+    top = None
+    top_err = math.inf
+    if ranked:
+        total = float(alpha[ranked].sum())
+        if abs(total) > 1e-12:
+            top = np.zeros(m)
+            top[ranked] = alpha[ranked] / total
+            v = np.append(top, 0.0) - target
+            top_err = float(v @ gram @ v)
+
+    if top is not None and top_err < best_err:
+        return top, True
+    return greedy, True

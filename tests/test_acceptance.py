@@ -43,6 +43,7 @@ from oracle_utils import (
     bfs_string_distances,
     char_poly_exact,
     combination_coefficients,
+    combo_sqdist,
     mapping_tree_distance,
     planted_sqdist,
     poly_roots,
@@ -206,8 +207,8 @@ def test_criterion_6_gpr_contracts():
             g = rng.normal(size=4)
             alpha = alpha_from_gamma(g, model.pairs)
             direct = combination_coefficients(g, model.pairs)
-            err = model.space.combo_sqdist(
-                np.append(alpha, 1.0), np.append(direct, 1.0), query=q
+            err = combo_sqdist(
+                model.space, np.append(alpha, 1.0), np.append(direct, 1.0), query=q
             )
             assert abs(err) <= 1e-8
 

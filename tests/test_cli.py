@@ -475,6 +475,21 @@ def test_config_entry_errors_are_usage_errors(fig2_path, tmp_path, capsys, entri
     assert not model.exists()
 
 
+def test_option_prefixes_are_usage_errors(fig2_path, tmp_path, capsys):
+    # "rep" is a prefix of exactly one option, --repeats, and still no option
+    model = tmp_path / "model.json"
+    cfg = _config(tmp_path, {"dataset": fig2_path, "search": True, "rep": 2})
+    for argv in (
+        ["fit", "--config", cfg, "--out", str(model)],
+        ["fit", "--dataset", fig2_path, "--search", "--rep", "2", "--out", str(model)],
+    ):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_hint_takes_model_and_state_from_config(fig2_path, tmp_path, capsys):
     model = tmp_path / "model.json"
     assert run(["fit", "--dataset", fig2_path, "--out", str(model)]) == 0

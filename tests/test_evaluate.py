@@ -5,6 +5,7 @@ import pytest
 
 from edithints.editdist import SeqEdit, UNIT_COSTS
 from edithints.evaluate import (
+    _predict_coords,
     hint_quality,
     hyper_search,
     loo_rmse,
@@ -12,8 +13,10 @@ from edithints.evaluate import (
     prepared_traces,
     synthetic_corpus,
 )
-from edithints.policies import FitError, HintResult, KernelParams
+from edithints.policies import FitError, HintResult, KernelParams, fit_model
 from edithints.traces import load_dataset
+
+from oracle_utils import predict_move_loop
 
 
 def small_corpus():
@@ -240,3 +243,18 @@ def test_synthetic_corpus_is_goal_directed_and_seeded():
         ds = [distance(s, goal) for s in trace.states]
         assert all(x > y for x, y in zip(ds, ds[1:]))
         assert trace.successful
+
+
+@pytest.mark.parametrize(
+    "scheme, weights", [("gaussian_process", "gpr"), ("nwr", "nwr"), ("nn", "nn")]
+)
+def test_predict_coords_matches_pair_loop(scheme, weights):
+    model = fit_model(small_corpus(), params=KernelParams(2.0, 0.3))
+    for trace in synthetic_corpus(seed=6, n_traces=3, base_solution="abcdef").traces:
+        for state in trace.states:
+            raw = model.query_raw_distances(state)
+            coords = model.embed_query(raw).coords
+            got = _predict_coords(model, scheme, raw, coords)
+            want = coords + predict_move_loop(model, model.weights(raw, weights))
+            peak = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-12 * peak

@@ -1,10 +1,20 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from edithints.editdist import SeqEdit, apply_edit, distance, serialize_edit
+from edithints import policies
+from edithints.editdist import (
+    SeqEdit,
+    apply_edit,
+    distance,
+    distance_and_script,
+    serialize_edit,
+)
+from edithints.evaluate import synthetic_corpus
 from edithints.policies import (
     DEFAULT_M_MAX,
     FitError,
@@ -23,10 +33,17 @@ from edithints.policies import (
     sparsify,
     zimmerman_hint,
 )
-from edithints.states import parse_tree, sequence
+from edithints.space import CorrectedSpace
+from edithints.states import parse_tree, sequence, serialize_state
 from edithints.traces import load_dataset
 
-from oracle_utils import combination_coefficients
+from oracle_utils import (
+    combination_coefficients,
+    combo_sqdist,
+    greedy_sparsify_oracle,
+    planted_sqdist,
+    random_tree,
+)
 
 
 GAMMA_STAR = 1.0 / (1.0 + math.sqrt(math.e))  # 0.37754...
@@ -206,8 +223,8 @@ def test_representation_identity(fig2_model):
         gamma = rng.normal(size=4)
         alpha = alpha_from_gamma(gamma, fig2_model.pairs)
         direct = combination_coefficients(gamma, fig2_model.pairs)
-        err = fig2_model.space.combo_sqdist(
-            np.append(alpha, 1.0), np.append(direct, 1.0), query=q
+        err = combo_sqdist(
+            fig2_model.space, np.append(alpha, 1.0), np.append(direct, 1.0), query=q
         )
         assert abs(err) <= 1e-8
 
@@ -320,6 +337,123 @@ def test_sparsify_empty_support_skipped(fig7_model):
     tilde, applied = sparsify(fig7_model, alpha, None, allowed=[], m_max=3)
     assert not applied
     assert np.array_equal(tilde, alpha)
+
+
+def _tree_walks(seed: int, n_traces: int) -> dict:
+    """Tree dataset whose traces walk from random trees to one of two
+    solutions along shortest edit scripts, recording every state."""
+    rng = random.Random(seed)
+    goals = [parse_tree("f(g(h),h(f,g))"), parse_tree("f(g(h,h),h(g))")]
+    traces = []
+    for t in range(n_traces):
+        state, goal = random_tree(rng), rng.choice(goals)
+        states = [serialize_state(state)]
+        for edit in distance_and_script(state, goal)[1].edits:
+            state = apply_edit(state, edit)
+            states.append(serialize_state(state))
+        traces.append({"id": f"w{t}", "successful": True, "states": states})
+    return {"kind": "tree", "traces": traces}
+
+
+def _sparsify_inputs(model, x, scheme):
+    """alpha, query embedding and allowed support, as ``chf_hint`` builds them."""
+    raw = model.query_raw_distances(x)
+    alpha = alpha_from_gamma(model.weights(raw, scheme), model.pairs)
+    query = model.embed_query(raw)
+    star = model.closest_correct_index(model.space.query_sqdist(query))
+    near = raw[star] + 1e-9
+    allowed = [
+        i for i in range(len(model.pairs))
+        if raw[i] <= near and model.dist_raw[i, star] <= near
+    ]
+    return alpha, query, allowed
+
+
+def _assert_matches_oracle(model, alpha, query, allowed, m_max):
+    got, applied = sparsify(model, alpha, query, allowed, m_max)
+    want, want_applied = greedy_sparsify_oracle(model, alpha, query, allowed, m_max)
+    assert applied == want_applied
+    assert np.array_equal(got, want), (allowed, m_max)
+
+
+@pytest.mark.parametrize("kind", ["sequence", "tree"])
+def test_sparsify_matches_full_refit_oracle(kind):
+    # the screened greedy step picks the support, coefficients and stop of
+    # refitting every candidate at every step, bit for bit
+    if kind == "sequence":
+        # one shared goal, so the traces repeat states
+        corpus = synthetic_corpus(seed=41, n_traces=10, goal_variants=False)
+        model = fit_model(corpus, params=KernelParams(3.0, 0.3))
+        queries = [s for t in synthetic_corpus(seed=42, n_traces=3).traces for s in t.states]
+    else:
+        model = fit_model(load_dataset(_tree_walks(43, 8)), params=KernelParams(2.0, 0.3))
+        rng = random.Random(44)
+        queries = [random_tree(rng) for _ in range(8)]
+    calls = 0
+    for x in queries:
+        for scheme in ("gpr", "nwr", "nn"):
+            alpha, query, allowed = _sparsify_inputs(model, x, scheme)
+            everything = range(len(model.pairs))
+            for m_max in (1, 3, 11):
+                _assert_matches_oracle(model, alpha, query, allowed, m_max)
+                _assert_matches_oracle(model, alpha, query, everything, m_max)
+                calls += 2
+    assert calls >= (200 if kind == "sequence" else 100)
+
+
+@pytest.mark.parametrize("fault", ["solve-fails", "estimates-off"])
+def test_sparsify_refits_every_candidate_when_the_screen_fails(fig7_model, monkeypatch, fault):
+    if fault == "solve-fails":
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+    else:
+        # estimates in reverse candidate order: the exact refits miss them
+        screen = policies._screen
+        monkeypatch.setattr(policies, "_screen", lambda *args: screen(*args)[::-1])
+    model = fig7_model
+    query = model.embed_query(model.query_raw_distances(sequence("ab")))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        alpha = rng.normal(size=6)
+        alpha -= alpha.mean()
+        for m_max in (1, 3):
+            _assert_matches_oracle(model, alpha, query, range(6), m_max)
+
+
+# integer points in the plane repeat and line up often; the extra points
+# are exact duplicates and points on lines through two others
+_POINT = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+_EXTRA = st.tuples(
+    st.integers(0, 100), st.integers(0, 100), st.sampled_from([0.0, 0.5, -1.0, 2.0])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.lists(_POINT, min_size=1, max_size=6),
+    extra=st.lists(_EXTRA, max_size=6),
+    query=_POINT,
+    weights=st.lists(st.sampled_from([0.0, -1.0, -0.5, 0.25, 1.0, 3.0]), min_size=12, max_size=12),
+    keep=st.lists(st.booleans(), min_size=12, max_size=12),
+    m_max=st.sampled_from([1, 3, 11]),
+)
+def test_sparsify_matches_oracle_on_degenerate_points(base, extra, query, weights, keep, m_max):
+    # duplicated and collinear states make the refits' KKT matrices singular
+    # and their Schur complements vanish; the result still equals the oracle's
+    points = [np.array(p, dtype=float) for p in base]
+    for i, j, t in extra:
+        a, b = points[i % len(points)], points[j % len(points)]
+        points.append(t * a + (1.0 - t) * b)
+    points = np.array(points)
+    m = len(points)
+    space = CorrectedSpace(planted_sqdist(points), "clip")
+    model = SimpleNamespace(pairs=[None] * m, space=space)
+    embedded = space.extend(((points - np.array(query, dtype=float)) ** 2).sum(axis=1))
+    alpha = np.array(weights[:m])
+    allowed = [i for i in range(m) if keep[i]]
+    _assert_matches_oracle(model, alpha, embedded, allowed, m_max)
 
 
 # ---------------------------------------------------------------------------

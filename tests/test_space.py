@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edithints.space import (
+    MODES,
     CorrectedSpace,
     NumericalError,
     center,
@@ -10,7 +11,13 @@ from edithints.space import (
     validate_sqdist,
 )
 
-from oracle_utils import char_poly_exact, planted_sqdist, poly_roots
+from oracle_utils import (
+    char_poly_exact,
+    combo_sqdist,
+    extend_coords_loop,
+    planted_sqdist,
+    poly_roots,
+)
 
 
 def test_center_hand_example():
@@ -195,16 +202,39 @@ def test_extend_out_of_span_distances_not_underestimated():
     assert np.allclose(space.query_sqdist(q), [1.0, 1.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_extend_matches_per_eigenvalue_loop(mode):
+    rng = np.random.default_rng(31)
+    d = np.abs(rng.normal(size=(7, 7))) + 1.0  # indefinite: negative eigenvalues
+    d = (d + d.T) / 2
+    np.fill_diagonal(d, 0.0)
+    # rank 2: five eigenvalues below the cutoff
+    planted = planted_sqdist(rng.normal(size=(7, 2)))
+    # one eigenvalue about 1e-6 of the largest, well above the cutoff
+    flat = planted_sqdist(rng.normal(size=(7, 3)) * [1.0, 1.0, 1e-3])
+    for d2 in (d**2, planted, flat, np.zeros((1, 1)), np.zeros((0, 0))):
+        space = CorrectedSpace(d2, mode)
+        for _ in range(5):
+            d2q = rng.uniform(0.0, 4.0, size=space.size)
+            got = space.extend(d2q).coords
+            want = extend_coords_loop(space, d2q)
+            assert got.shape == want.shape
+            peak = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * peak
+            # a dropped eigenvalue contributes nothing
+            assert np.all(got[want == 0.0] == 0.0)
+
+
 def test_combo_sqdist_trivial_and_unit_vectors():
     rng = np.random.default_rng(21)
     pts = rng.normal(size=(6, 2))
     space = CorrectedSpace(planted_sqdist(pts), "clip")
     a = rng.normal(size=6)
-    assert space.combo_sqdist(a, a) == pytest.approx(0.0, abs=1e-12)
+    assert combo_sqdist(space, a, a) == pytest.approx(0.0, abs=1e-12)
     e0, e3 = np.zeros(6), np.zeros(6)
     e0[0] = 1.0
     e3[3] = 1.0
-    assert space.combo_sqdist(e0, e3) == pytest.approx(
+    assert combo_sqdist(space, e0, e3) == pytest.approx(
         space.corrected_sqdist()[0, 3], abs=1e-8
     )
 
@@ -219,9 +249,9 @@ def test_combo_sqdist_matches_coordinate_oracle():
         # centering drops out when both coefficient vectors have equal sums
         b[0] += a.sum() - b.sum()
         want = float(((pts.T @ a - pts.T @ b) ** 2).sum())
-        got = space.combo_sqdist(a, b)
+        got = combo_sqdist(space, a, b)
         assert got == pytest.approx(want, abs=1e-8)
-        assert space.combo_sqdist(b, a) == pytest.approx(got, abs=1e-12)
+        assert combo_sqdist(space, b, a) == pytest.approx(got, abs=1e-12)
 
 
 def test_combo_sqdist_parallelogram_identity():
@@ -231,8 +261,8 @@ def test_combo_sqdist_parallelogram_identity():
     a, b = rng.normal(size=7), rng.normal(size=7)
     mid = (a + b) / 2
     # |a-b|^2 = 2|a-m|^2 + 2|b-m|^2 for the midpoint m
-    lhs = space.combo_sqdist(a, b)
-    rhs = 2 * space.combo_sqdist(a, mid) + 2 * space.combo_sqdist(b, mid)
+    lhs = combo_sqdist(space, a, b)
+    rhs = 2 * combo_sqdist(space, a, mid) + 2 * combo_sqdist(space, b, mid)
     assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -247,7 +277,7 @@ def test_combo_sqdist_with_query_column():
     e2 = np.zeros(7)
     e2[2] = 1.0
     want = float(((holdout - pts[2]) ** 2).sum())
-    assert space.combo_sqdist(coef_q, e2, query=q) == pytest.approx(want, abs=1e-6)
+    assert combo_sqdist(space, coef_q, e2, query=q) == pytest.approx(want, abs=1e-6)
 
 
 def test_mds_coordinates_shape_and_geometry():
