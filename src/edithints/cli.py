@@ -36,7 +36,7 @@ from .policies import (
 )
 from .space import CorrectedSpace, NumericalError
 from .states import CanonConfig, StateError, parse_state, serialize_state
-from .traces import DataError, Trace, build_pairs, load_dataset
+from .traces import DataError, TracePairs, build_pairs, load_dataset
 
 MODEL_FORMAT = "edithints-model-v2"
 
@@ -135,17 +135,13 @@ def model_from_dict(raw: dict) -> GprModel:
         canon = CanonConfig.from_dict(raw["canon"])
         cost = CostModel.from_dict(raw["cost"])
         params = KernelParams(**raw["params"])
-        states = tuple(parse_state(text, kind) for text in raw["states"])
-        traces = []
-        offset = 0
-        for tid, length in zip(raw["trace_ids"], raw["trace_lengths"]):
-            traces.append(Trace(tid, states[offset : offset + length], True))
-            offset += length
+        states = [parse_state(text, kind) for text in raw["states"]]
+        pairs = TracePairs.from_lengths(states, raw["trace_ids"], raw["trace_lengths"])
         dist_raw = np.array(raw["dist_raw"], dtype=float)
         mode = raw["mode"]
     except (KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"model file has a missing or malformed field: {exc!r}") from exc
-    return GprModel(kind, build_pairs(traces), cost, canon, params, mode, dist_raw)
+    return GprModel(kind, pairs, cost, canon, params, mode, dist_raw)
 
 
 def load_model(path: str) -> GprModel:

@@ -243,7 +243,7 @@ class EditScript:
 
 
 # ---------------------------------------------------------------------------
-# applying and inverting edits
+# applying edits
 
 
 def _apply_seq(s: SequenceState, e: SeqEdit) -> SequenceState:
@@ -330,33 +330,6 @@ def apply_edit(state, edit):
         if not isinstance(state, TreeState):
             raise EditError("tree edit applied to non-tree state")
         return _apply_tree(state, edit)
-    raise EditError(f"unknown edit type {type(edit).__name__}")
-
-
-def invert_edit(edit, state):
-    """Return the inverse edit of ``edit`` on ``state``:
-    ``apply_edit(apply_edit(state, edit), invert_edit(edit, state)) == state``.
-    """
-    if isinstance(edit, SeqEdit):
-        if edit.kind == "insert":
-            return SeqEdit("delete", edit.position)
-        if edit.position > len(state):
-            raise EditError(f"position {edit.position} > length {len(state)}")
-        old = state[edit.position - 1]
-        if edit.kind == "delete":
-            return SeqEdit("insert", edit.position, old)
-        return SeqEdit("relabel", edit.position, old)
-    if isinstance(edit, TreeEdit):
-        if edit.kind == "insert_node":
-            return TreeEdit("delete_node", edit.path)
-        node = state.node_at(edit.path)
-        if edit.kind == "relabel_node":
-            return TreeEdit("relabel_node", edit.path, node.label)
-        if not edit.path:
-            return TreeEdit("insert_node", (), node.label, (1, 1))
-        return TreeEdit(
-            "insert_node", edit.path, node.label, (edit.path[-1], len(node.children))
-        )
     raise EditError(f"unknown edit type {type(edit).__name__}")
 
 

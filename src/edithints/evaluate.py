@@ -130,9 +130,8 @@ def _predict_coords(model: GprModel, scheme: str, raw: np.ndarray, coords) -> np
     if scheme == "closest_correct":
         return model.space.coordinates[model.closest_correct_raw_index(raw)]
     gamma = model.weights(raw, _WEIGHT_SCHEME[scheme])
-    xs, ys = np.array(model.pairs.pair_of).reshape(-1, 2).T
     points = model.space.coordinates
-    return coords + gamma @ (points[ys] - points[xs])
+    return coords + gamma @ (points[model.pairs.successor] - points)
 
 
 def loo_rmse_multi(
@@ -177,14 +176,14 @@ def loo_rmse_multi(
         held_ids = spans[held]
         raw_rows = [matrix[g][train_ids] for g in held_ids]
         coords = [model.embed_query(row).coords for row in raw_rows]
+        nexts = flat.successor[held_ids] - held_ids.start
         n = len(held_ids)
         for scheme in schemes:
             errs_next = []
             errs_final = []
             for t in range(n):
                 pred = _predict_coords(model, scheme, raw_rows[t], coords[t])
-                target_next = coords[t + 1] if t + 1 < n else coords[t]
-                errs_next.append(float(np.sum((pred - target_next) ** 2)))
+                errs_next.append(float(np.sum((pred - coords[nexts[t]]) ** 2)))
                 errs_final.append(float(np.sum((pred - coords[-1]) ** 2)))
             per_trace[scheme].append(
                 (

@@ -147,8 +147,7 @@ class GprModel:
             raise ValueError(f"expected {len(pairs)}x{len(pairs)} distances, got {dist_raw.shape}")
         self.dist_raw = dist_raw
         self.space = CorrectedSpace(dist_raw**2, mode)
-        self.kernel_indices = pairs.moving_indices
-        idx = list(self.kernel_indices)
+        idx = self.kernel_indices = pairs.moving_indices.tolist()
         self.kernel_space = CorrectedSpace(dist_raw[np.ix_(idx, idx)] ** 2, mode)
         self.kernel_matrix = rbf(self.kernel_space.corrected_sqdist(), params.length_scale)
         self.used_pseudo_inverse = False
@@ -184,53 +183,40 @@ class GprModel:
     def kernel_query_sqdist(self, raw_distances: np.ndarray) -> np.ndarray:
         """Corrected squared distances from a query to the regression
         inputs: the eigenvalue correction extended to the new distances."""
-        idx = list(self.kernel_indices)
-        q = self.kernel_space.extend(raw_distances[idx] ** 2)
+        q = self.kernel_space.extend(raw_distances[self.kernel_indices] ** 2)
         return np.maximum(self.kernel_space.query_sqdist(q), 0.0)
 
-    def gpr_weights(self, raw_distances: np.ndarray) -> np.ndarray:
-        """Gaussian-process weights k(x) (K + noise^2 I)^-1, placed into a
-        full-length vector with zeros at the final self-pairs."""
-        idx = list(self.kernel_indices)
-        gamma = np.zeros(len(self.pairs))
-        if idx:
-            k = rbf(self.kernel_query_sqdist(raw_distances), self.params.length_scale)
-            gamma[idx] = self._inverse @ k
-        return gamma
+    def weights(self, raw_distances: np.ndarray, scheme: str) -> np.ndarray:
+        """Regression weights ``gamma`` over the pairs, zero at the final
+        self-pairs, from one kernel query.
 
-    def nwr_weights(self, raw_distances: np.ndarray) -> np.ndarray:
-        idx = list(self.kernel_indices)
-        gamma = np.zeros(len(self.pairs))
-        if not idx:
-            return gamma
-        k = rbf(self.kernel_query_sqdist(raw_distances), self.params.length_scale)
-        total = float(k.sum())
-        if total == 0.0:
-            return gamma  # no-prediction signal: every kernel value underflowed
-        gamma[idx] = k / total
-        return gamma
-
-    def nn_weights(self, raw_distances: np.ndarray) -> np.ndarray:
-        idx = list(self.kernel_indices)
+        ``gpr``: the Gaussian-process weights k(x) (K + noise^2 I)^-1.
+        ``nwr``: the kernel values normalized to sum to one; all zeros when
+        every kernel value underflowed (a no-prediction signal).  ``nn``:
+        weight one on the closest regression input in corrected distance;
+        the lowest pair index within a relative ``_TIE_EPS`` wins.
+        """
+        if scheme not in ("gpr", "nwr", "nn"):
+            raise ValueError(f"unknown weight scheme {scheme!r}")
+        idx = self.kernel_indices
         gamma = np.zeros(len(self.pairs))
         if not idx:
             return gamma
         d = self.kernel_query_sqdist(raw_distances)
-        best = float(np.min(d))
-        for pos, i in enumerate(idx):  # ties: lowest pair index wins
-            if d[pos] <= best + _TIE_EPS * (1.0 + best):
-                gamma[i] = 1.0
-                break
-        return gamma
-
-    def weights(self, raw_distances: np.ndarray, scheme: str) -> np.ndarray:
-        if scheme == "gpr":
-            return self.gpr_weights(raw_distances)
-        if scheme == "nwr":
-            return self.nwr_weights(raw_distances)
         if scheme == "nn":
-            return self.nn_weights(raw_distances)
-        raise ValueError(f"unknown weight scheme {scheme!r}")
+            best = float(np.min(d))
+            for pos, i in enumerate(idx):  # ties: lowest pair index wins
+                if d[pos] <= best + _TIE_EPS * (1.0 + best):
+                    gamma[i] = 1.0
+                    break
+            return gamma
+        k = rbf(d, self.params.length_scale)
+        total = float(k.sum())
+        if scheme == "gpr":
+            gamma[idx] = self._inverse @ k
+        elif total != 0.0:
+            gamma[idx] = k / total
+        return gamma
 
     def closest_correct_index(self, corrected_sqdist_to_states: np.ndarray) -> int:
         """Index of the end state closest to the query in the corrected
@@ -251,16 +237,17 @@ class GprModel:
         minimum is the closest."""
         best = float(np.min(raw_distances))
         nearest = int(np.flatnonzero(raw_distances <= best + _TIE_EPS)[0])
-        return self.pairs.pair_of[nearest][1]
+        return int(self.pairs.successor[nearest])
 
     def _closest_end(self, values: np.ndarray, relative: bool) -> int:
-        ends = self.pairs.end_indices
+        ends = self.pairs.end_indices.tolist()
         if not ends:
             raise FitError("model has no end states")
         best = min(float(values[i]) for i in ends)
         limit = best + _TIE_EPS * ((1.0 + abs(best)) if relative else 1.0)
-        tied = [i for i in ends if float(values[i]) <= limit]
-        return min(tied, key=lambda i: (self.pairs.trace_ids[self.pairs.trace_of[i]], i))
+        return min(
+            (tid, i) for tid, i in zip(self.pairs.trace_ids, ends) if float(values[i]) <= limit
+        )[1]
 
 
 def fit_model(
@@ -294,13 +281,10 @@ def alpha_from_gamma(gamma: np.ndarray, pairs: TracePairs) -> np.ndarray:
     m = len(pairs)
     if gamma.shape != (m,):
         raise ValueError(f"gamma must have length {m}")
+    moving = pairs.moving_indices
     alpha = np.zeros(m)
-    for start, stop in pairs.trace_spans:
-        if stop - start > 1:
-            alpha[start] = -gamma[start]
-            for i in range(start + 1, stop - 1):
-                alpha[i] = gamma[i - 1] - gamma[i]
-            alpha[stop - 1] = gamma[stop - 2]
+    alpha[moving] = -gamma[moving]
+    alpha[pairs.successor[moving]] += gamma[moving]
     return alpha
 
 

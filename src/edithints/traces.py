@@ -1,5 +1,5 @@
-"""Trace data model: student paths through the state space, their
-interaction network, and the training pairs the hint policies learn from.
+"""Trace data model: student paths through the state space and the
+training pairs the hint policies learn from.
 
 A trace is one student's recorded sequence of states up to their final
 submission; ``successful`` marks whether that submission solved the task
@@ -11,7 +11,10 @@ enumerate every state ``x_i`` of every trace together with its successor
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
+
+import numpy as np
 
 from .editdist import edit_from_dict, edit_to_dict
 from .states import (
@@ -23,8 +26,6 @@ from .states import (
     sequence,
     serialize_state,
 )
-
-START, INTERMEDIATE, END = "start", "intermediate", "end"
 
 
 class DataError(ValueError):
@@ -200,99 +201,58 @@ def goal_filter(trace: Trace, metric) -> Trace:
 class TracePairs:
     """Flattened training pairs (x_i, y_i) over a list of traces.
 
-    ``states[i]`` is x_i; ``pair_of[i] = (i, succ)`` points at (x_i, y_i)
-    within ``states`` where ``succ = i + 1`` inside a trace and ``succ = i``
-    for a trace's final state (the final solution is paired with itself).
-    ``position_of[i]`` is start/intermediate/end within the trace;
-    a single-state trace's only state counts as an end.
+    ``states[i]`` is x_i.  Trace ``trace_ids[t]`` holds the states in the
+    half-open range ``trace_spans[t] = (start, stop)``; the spans tile
+    ``states`` in order, one non-empty span per trace, and the ids are
+    distinct strings.  The pair indices are derived from the spans once:
+    ``successor[i]`` points at y_i, which is ``i + 1`` inside a trace and
+    ``i`` at a trace's final state (the final solution is paired with
+    itself); ``end_indices`` holds each trace's final state in trace order
+    and ``moving_indices`` every other state, the pairs with actual
+    movement that regression learns from.
     """
 
     states: tuple
-    pair_of: tuple  # tuple[(int, int)]
-    position_of: tuple  # tuple[str]
-    trace_of: tuple  # tuple[int], index into trace_ids
     trace_ids: tuple
+    trace_spans: tuple  # tuple[(int, int)]
+    successor: np.ndarray = field(init=False, repr=False, compare=False)
+    end_indices: np.ndarray = field(init=False, repr=False, compare=False)
+    moving_indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = len(self.states)
-        if not (len(self.pair_of) == len(self.position_of) == len(self.trace_of) == m):
-            raise DataError("inconsistent pair bookkeeping")
+        bound = 0
+        for start, stop in self.trace_spans:
+            if not (type(start) is type(stop) is int and start == bound < stop):
+                raise DataError(f"trace span {(start, stop)} is not a non-empty range from {bound}")
+            bound = stop
+        if bound != len(self.states):
+            raise DataError(f"trace spans cover {bound} of {len(self.states)} states")
+        if len(self.trace_ids) != len(self.trace_spans):
+            raise DataError(f"{len(self.trace_ids)} trace ids for {len(self.trace_spans)} traces")
+        ids = self.trace_ids
+        if not all(isinstance(t, str) for t in ids) or len(set(ids)) != len(ids):
+            raise DataError("trace ids must be distinct strings")
+        ends = np.array([stop - 1 for _, stop in self.trace_spans], dtype=np.intp)
+        successor = np.arange(1, bound + 1)
+        successor[ends] = ends
+        moving = np.flatnonzero(successor != np.arange(bound))
+        derived = {"successor": successor, "end_indices": ends, "moving_indices": moving}
+        for name, value in derived.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_lengths(cls, states, trace_ids, lengths) -> "TracePairs":
+        """Pairs over ``states`` cut, in order, into traces of the given lengths."""
+        bounds = list(accumulate(lengths, initial=0))
+        return cls(tuple(states), tuple(trace_ids), tuple(zip(bounds, bounds[1:])))
 
     def __len__(self):
         return len(self.states)
 
-    @property
-    def end_indices(self) -> tuple:
-        return tuple(i for i, p in enumerate(self.position_of) if p == END)
-
-    @property
-    def moving_indices(self) -> tuple:
-        """Indices of pairs with actual movement (y_i != x_i); these are the
-        pairs regression learns from, the final self-pairs contribute the
-        zero edit vector."""
-        return tuple(i for i, p in enumerate(self.position_of) if p != END)
-
-    @property
-    def trace_spans(self) -> tuple:
-        """Half-open index range ``(start, stop)`` of each trace's states,
-        in ``trace_ids`` order; a trace's states are contiguous."""
-        spans = []
-        start = 0
-        for t in range(len(self.trace_ids)):
-            stop = start
-            while stop < len(self.trace_of) and self.trace_of[stop] == t:
-                stop += 1
-            spans.append((start, stop))
-            start = stop
-        return tuple(spans)
-
 
 def build_pairs(traces) -> TracePairs:
-    states, pair_of, position_of, trace_of, trace_ids = [], [], [], [], []
-    for t_index, trace in enumerate(traces):
-        trace_ids.append(trace.id)
-        base = len(states)
-        n = len(trace.states)
-        for k, s in enumerate(trace.states):
-            states.append(s)
-            trace_of.append(t_index)
-            if k == n - 1:
-                pair_of.append((base + k, base + k))
-                position_of.append(END)
-            else:
-                pair_of.append((base + k, base + k + 1))
-                position_of.append(START if k == 0 else INTERMEDIATE)
-    return TracePairs(
-        tuple(states), tuple(pair_of), tuple(position_of), tuple(trace_of), tuple(trace_ids)
+    traces = tuple(traces)
+    return TracePairs.from_lengths(
+        [s for t in traces for s in t.states], [t.id for t in traces], [len(t.states) for t in traces]
     )
-
-
-@dataclass(frozen=True)
-class InteractionNetwork:
-    nodes: frozenset
-    edges: frozenset  # ordered state pairs
-
-
-def interaction_network(traces) -> InteractionNetwork:
-    nodes = set()
-    edges = set()
-    for trace in traces:
-        nodes.update(trace.states)
-        for a, b in zip(trace.states, trace.states[1:]):
-            edges.add((a, b))
-    return InteractionNetwork(frozenset(nodes), frozenset(edges))
-
-
-def network_stats(traces):
-    """(number of distinct states, fraction of distinct states visited once).
-
-    Counts are over canonicalized state equality across all given traces.
-    """
-    visits = {}
-    for trace in traces:
-        for s in trace.states:
-            visits[s] = visits.get(s, 0) + 1
-    if not visits:
-        return 0, 0.0
-    once = sum(1 for n in visits.values() if n == 1)
-    return len(visits), once / len(visits)

@@ -5,6 +5,7 @@ package: breadth-first search over the legal move graph for string
 distances, exhaustive enumeration of valid tree mappings for tree
 distances, numpy's eigensolver and exact characteristic polynomials for
 the embedding, direct coordinate geometry for planted configurations,
+the inverse of an edit for round trips,
 pair-by-pair accumulation for the state coefficients of pair weights,
 loop forms of the Nystrom projection and the prediction step, and
 sparsification that refits every candidate at every greedy step.
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from edithints.editdist import INF, CostModel
+from edithints.editdist import INF, CostModel, EditError, SeqEdit, TreeEdit
 from edithints.states import TreeState, tree
 
 
@@ -168,6 +169,37 @@ def mapping_tree_distance(x: TreeState, y: TreeState, cost: CostModel) -> float:
 
 
 # ---------------------------------------------------------------------------
+# edit inversion
+
+
+def invert_edit(edit, state):
+    """Return the inverse edit of ``edit`` on ``state``:
+    ``apply_edit(apply_edit(state, edit), invert_edit(edit, state)) == state``.
+    """
+    if isinstance(edit, SeqEdit):
+        if edit.kind == "insert":
+            return SeqEdit("delete", edit.position)
+        if edit.position > len(state):
+            raise EditError(f"position {edit.position} > length {len(state)}")
+        old = state[edit.position - 1]
+        if edit.kind == "delete":
+            return SeqEdit("insert", edit.position, old)
+        return SeqEdit("relabel", edit.position, old)
+    if isinstance(edit, TreeEdit):
+        if edit.kind == "insert_node":
+            return TreeEdit("delete_node", edit.path)
+        node = state.node_at(edit.path)
+        if edit.kind == "relabel_node":
+            return TreeEdit("relabel_node", edit.path, node.label)
+        if not edit.path:
+            return TreeEdit("insert_node", (), node.label, (1, 1))
+        return TreeEdit(
+            "insert_node", edit.path, node.label, (edit.path[-1], len(node.children))
+        )
+    raise EditError(f"unknown edit type {type(edit).__name__}")
+
+
+# ---------------------------------------------------------------------------
 # random state generators
 
 
@@ -238,12 +270,13 @@ def planted_sqdist(points: np.ndarray) -> np.ndarray:
 
 def combination_coefficients(gamma: np.ndarray, pairs) -> np.ndarray:
     """Coefficients over training states of sum_i gamma_i (phi(y_i) - phi(x_i)),
-    accumulated directly from the pair bookkeeping (oracle for
-    ``alpha_from_gamma``)."""
+    accumulated pair by pair (oracle for ``alpha_from_gamma``).  A self-pair
+    contributes the zero vector, whatever its weight."""
     out = np.zeros(len(pairs))
-    for i, (xi, yi) in enumerate(pairs.pair_of):
-        out[yi] += gamma[i]
-        out[xi] -= gamma[i]
+    for i, yi in enumerate(pairs.successor):
+        if yi != i:
+            out[yi] += gamma[i]
+            out[i] -= gamma[i]
     return out
 
 
@@ -292,9 +325,9 @@ def predict_move_loop(model, gamma) -> np.ndarray:
     pair (oracle for the move in ``evaluate._predict_coords``)."""
     coords = model.space.coordinates
     move = np.zeros(coords.shape[1])
-    for i, (xi, yi) in enumerate(model.pairs.pair_of):
-        if gamma[i] != 0.0 and xi != yi:
-            move += gamma[i] * (coords[yi] - coords[xi])
+    for i, yi in enumerate(model.pairs.successor):
+        if gamma[i] != 0.0 and yi != i:
+            move += gamma[i] * (coords[yi] - coords[i])
     return move
 
 

@@ -90,7 +90,7 @@ def test_criterion_1_worked_example_reproduction():
         e = 1.0 / math.sqrt(math.e)
         assert np.allclose(kernel_vector, [e, e], atol=1e-9)
         assert np.allclose(model.kernel_matrix, [[1.0, e], [e, 1.0]], atol=1e-9)
-        gamma = model.gpr_weights(raw)
+        gamma = model.weights(raw, "gpr")
         assert abs(gamma[0] - 0.3775) < 1e-3
         assert abs(gamma[2] - 0.3775) < 1e-3
         assert gamma[1] == 0.0 and gamma[3] == 0.0
@@ -193,7 +193,7 @@ def test_criterion_6_gpr_contracts():
     def body():
         model = fit_model(load_dataset(FIG2), params=KernelParams(1.0, 0.0))
         raw = model.query_raw_distances(sequence("a"))
-        gamma = model.gpr_weights(raw)
+        gamma = model.weights(raw, "gpr")
         basis = np.zeros(4)
         basis[0] = 1.0
         assert np.max(np.abs(gamma - basis)) < 1e-8

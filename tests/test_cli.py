@@ -108,6 +108,42 @@ def test_fit_is_byte_identical(fig2_path, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+PIN_TREE = {
+    "kind": "tree",
+    "traces": [
+        {"id": "t2", "successful": True, "states": ["s", "s(ask)", "s(ask,loop(var:x))"]},
+        {"id": "t1", "successful": True, "states": ["s(say)", "s(say,say)", "s(say,loop(var:y))"]},
+        {"id": "t3", "successful": False, "states": ["s", "loop"]},
+        {"id": "t4", "successful": True, "states": ["s(loop(var:z))"]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "dataset, flags, digest",
+    [
+        (FIG2, [], "d51290d70e1cfc18cb3e9913f48ecb38bb74a115621111895b5d9ab3e310a60a"),
+        (
+            PIN_TREE,
+            [
+                "--canon", '{"variable_label_prefixes": ["var:"]}',
+                "--cost", '{"indel_default": 1.5, "relabel": {"ask|say": 0.5}}',
+                "--psi", "2.0", "--noise", "0.1", "--mode", "flip",
+            ],
+            "0300566d958da263745615d5f4f7e42adb81b169b4c6259a3bc9ab845c62c350",
+        ),
+    ],
+    ids=["fig2", "tree"],
+)
+def test_model_bytes_match_recorded_digest(tmp_path, dataset, flags, digest):
+    # the digests were recorded from files written by an earlier version of
+    # the package: a refactor must leave model files byte for byte as they were
+    data, out = tmp_path / "data.json", tmp_path / "model.json"
+    data.write_text(json.dumps(dataset))
+    assert run(["fit", "--dataset", str(data), *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_model_round_trip_preserves_behavior(fig2_path, tmp_path):
     model_path = tmp_path / "model.json"
     run(["fit", "--dataset", fig2_path, "--psi", "1.0", "--noise", "0.0", "--out", str(model_path)])
@@ -116,7 +152,7 @@ def test_model_round_trip_preserves_behavior(fig2_path, tmp_path):
     assert np.allclose(model.kernel_matrix, direct.kernel_matrix)
     assert np.allclose(model.dist_raw, direct.dist_raw)
     raw = model.query_raw_distances(sequence("ab"))
-    assert np.allclose(model.gpr_weights(raw), direct.gpr_weights(raw))
+    assert np.allclose(model.weights(raw, "gpr"), direct.weights(raw, "gpr"))
 
 
 def test_corrupted_model_rejected(fig2_path, tmp_path):
@@ -160,14 +196,29 @@ def test_v1_model_is_data_error(fig2_path, tmp_path, capsys):
         lambda raw: [raw["dist_raw"][i].__setitem__(j, math.nan) for i, j in ((0, 1), (1, 0))],
         lambda raw: raw.pop("trace_lengths"),
         lambda raw: raw.update(cost=[]),
+        # the fig2 model holds traces t1 and t2 of two states each
+        lambda raw: raw.update(trace_lengths=[0, 4]),
+        lambda raw: raw.update(trace_lengths=[2, 1]),
+        lambda raw: raw.update(trace_lengths=[-1, 5]),
+        lambda raw: raw.update(trace_lengths=[1.5, 2.5]),
+        lambda raw: raw.update(trace_lengths=[2, 3]),
+        lambda raw: raw.update(trace_ids=["t1", "t2", "t3"]),
+        lambda raw: raw.update(trace_ids=["t1", "t1"]),
+        lambda raw: raw.update(trace_ids=[1, "t2"]),
     ],
-    ids=["short-distances", "nan-distance", "missing-key", "cost-not-object"],
+    ids=[
+        "short-distances", "nan-distance", "missing-key", "cost-not-object", "zero-length",
+        "short-sum", "negative-length", "non-integer-length", "long-sum", "extra-trace-id",
+        "duplicate-trace-id", "non-string-trace-id",
+    ],
 )
-def test_malformed_sealed_model_is_data_error(fig2_path, tmp_path, change):
+def test_malformed_sealed_model_is_data_error(fig2_path, tmp_path, capsys, change):
     model_path = tmp_path / "model.json"
     run(["fit", "--dataset", fig2_path, "--psi", "1.0", "--noise", "0.0", "--out", str(model_path)])
     _rewrite_model(model_path, change)
+    capsys.readouterr()
     assert run(["hint", "--model", str(model_path), "--state", '["a"]']) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_fit_non_finite_noise_is_data_error(fig2_path, tmp_path):

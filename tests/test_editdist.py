@@ -17,7 +17,6 @@ from edithints.editdist import (
     distance_and_script,
     edit_from_dict,
     edit_to_dict,
-    invert_edit,
     pairwise_distances,
     seq_distance,
     serialize_edit,
@@ -30,6 +29,7 @@ from oracle_utils import (
     all_strings,
     all_trees,
     bfs_string_distances,
+    invert_edit,
     mapping_tree_distance,
     random_sequence,
     random_tree,

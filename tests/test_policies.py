@@ -127,7 +127,7 @@ def test_worked_example_kernel_matrix(fig2_model):
 
 def test_worked_example_gamma(fig2_model):
     raw = fig2_model.query_raw_distances(sequence("ab"))
-    gamma = fig2_model.gpr_weights(raw)
+    gamma = fig2_model.weights(raw, "gpr")
     assert gamma[1] == 0.0 and gamma[3] == 0.0  # final self-pairs carry no weight
     assert gamma[0] == pytest.approx(GAMMA_STAR, abs=1e-3)
     assert gamma[2] == pytest.approx(GAMMA_STAR, abs=1e-3)
@@ -146,7 +146,7 @@ def test_worked_example_hint(fig2_model):
 
 def test_interpolation_basis_vector(fig2_model):
     raw = fig2_model.query_raw_distances(sequence("a"))
-    gamma = fig2_model.gpr_weights(raw)
+    gamma = fig2_model.weights(raw, "gpr")
     want = np.zeros(4)
     want[0] = 1.0
     assert np.max(np.abs(gamma - want)) < 1e-8
@@ -155,14 +155,14 @@ def test_interpolation_basis_vector(fig2_model):
 def test_far_query_weights_vanish(fig2_model):
     far = sequence("q" * 30)
     raw = fig2_model.query_raw_distances(far)
-    assert np.linalg.norm(fig2_model.gpr_weights(raw)) < 1e-6
+    assert np.linalg.norm(fig2_model.weights(raw, "gpr")) < 1e-6
     result = chf_hint(fig2_model, far)
     assert result.edit is None and result.reason == "kernel-decay"
 
 
 def test_nwr_weights_symmetric_pair(fig2_model):
     raw = fig2_model.query_raw_distances(sequence("ab"))
-    gamma = fig2_model.nwr_weights(raw)
+    gamma = fig2_model.weights(raw, "nwr")
     assert gamma[0] == pytest.approx(0.5, abs=1e-9)
     assert gamma[2] == pytest.approx(0.5, abs=1e-9)
     assert gamma.sum() == pytest.approx(1.0)
@@ -170,7 +170,7 @@ def test_nwr_weights_symmetric_pair(fig2_model):
 
 def test_nn_weights_tie_lowest_pair_index(fig2_model):
     raw = fig2_model.query_raw_distances(sequence("ab"))  # equidistant from a and b
-    gamma = fig2_model.nn_weights(raw)
+    gamma = fig2_model.weights(raw, "nn")
     assert gamma[0] == 1.0 and gamma[2] == 0.0
 
 
@@ -193,7 +193,7 @@ def test_duplicate_states_fall_back_to_pseudo_inverse():
     model = fit_model(load_dataset(dup), params=KernelParams(1.0, 0.0))
     assert model.used_pseudo_inverse
     raw = model.query_raw_distances(sequence("a"))
-    gamma = model.gpr_weights(raw)
+    gamma = model.weights(raw, "gpr")
     # the pseudo-inverse splits the unit weight across the duplicates
     assert gamma.sum() == pytest.approx(1.0, abs=1e-8)
 

@@ -1,47 +1,51 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edithints.editdist import UNIT_COSTS, SeqEdit, distance
+from edithints.policies import alpha_from_gamma
 from edithints.states import CanonConfig, parse_tree, sequence
 from edithints.traces import (
     DataError,
     Trace,
+    TracePairs,
     build_pairs,
     dataset_to_dict,
     goal_filter,
-    interaction_network,
     load_dataset,
-    network_stats,
 )
+
+from oracle_utils import combination_coefficients
 
 METRIC = lambda a, b: distance(a, b, UNIT_COSTS)
 
 
-def trace_of(*texts, id="t", successful=True):
+def make_trace(*texts, id="t", successful=True):
     return Trace(id, tuple(sequence(t) for t in texts), successful)
 
 
 def test_goal_filter_worked_example():
     # distances to the goal "aac": a -> 2, ab -> 2, a -> 2; only strictly
     # decreasing states survive, so both middle states drop
-    t = trace_of("a", "ab", "a", "aac")
+    t = make_trace("a", "ab", "a", "aac")
     got = goal_filter(t, METRIC)
     assert got.states == (sequence("a"), sequence("aac"))
 
 
 def test_goal_filter_monotone_unchanged():
-    t = trace_of("a", "ab", "abc")
+    t = make_trace("a", "ab", "abc")
     assert goal_filter(t, METRIC).states == t.states
 
 
 def test_goal_filter_single_state():
-    t = trace_of("a")
+    t = make_trace("a")
     assert goal_filter(t, METRIC) is t
 
 
 def test_goal_filter_distances_strictly_decrease():
-    t = trace_of("x", "ab", "zq", "abc", "ab", "abcd")
+    t = make_trace("x", "ab", "zq", "abc", "ab", "abcd")
     got = goal_filter(t, METRIC)
     goal = got.states[-1]
     ds = [METRIC(s, goal) for s in got.states]
@@ -51,23 +55,25 @@ def test_goal_filter_distances_strictly_decrease():
 
 
 def test_build_pairs_two_traces():
-    pairs = build_pairs([trace_of("a", "aac", id="t1"), trace_of("b", "bbc", id="t2")])
+    pairs = build_pairs([make_trace("a", "aac", id="t1"), make_trace("b", "bbc", id="t2")])
     assert len(pairs) == 4
-    assert pairs.pair_of == ((0, 1), (1, 1), (2, 3), (3, 3))
-    assert pairs.position_of == ("start", "end", "start", "end")
-    assert pairs.moving_indices == (0, 2)
-    assert pairs.end_indices == (1, 3)
+    assert pairs.trace_spans == ((0, 2), (2, 4))
+    assert pairs.successor.tolist() == [1, 1, 3, 3]
+    assert pairs.moving_indices.tolist() == [0, 2]
+    assert pairs.end_indices.tolist() == [1, 3]
 
 
 def test_build_pairs_self_pair_count_and_positions():
-    traces = [trace_of("a", "ab", "abc", id="t1"), trace_of("z", id="t2")]
+    traces = [make_trace("a", "ab", "abc", id="t1"), make_trace("z", id="t2")]
     pairs = build_pairs(traces)
     assert len(pairs) == 4
-    self_pairs = [i for i, (x, y) in enumerate(pairs.pair_of) if x == y]
+    self_pairs = [i for i, y in enumerate(pairs.successor) if y == i]
     assert len(self_pairs) == len(traces)
-    assert pairs.position_of == ("start", "intermediate", "end", "end")
-    # pair_of maps bijectively onto the expected index pairs
-    assert sorted(x for x, _ in pairs.pair_of) == [0, 1, 2, 3]
+    # a start and an intermediate state move on; both final states,
+    # the single-state trace's included, are ends
+    assert pairs.moving_indices.tolist() == [0, 1]
+    assert pairs.end_indices.tolist() == [2, 3]
+    assert pairs.successor.tolist() == [1, 2, 2, 3]
 
 
 def test_build_pairs_empty():
@@ -75,26 +81,63 @@ def test_build_pairs_empty():
     assert len(pairs) == 0
 
 
-def test_network_stats_counting():
-    two_same = [trace_of("a", id="t1"), trace_of("a", id="t2")]
-    assert network_stats(two_same) == (1, 0.0)
-    distinct = [trace_of("a", "ab", id="t1"), trace_of("xyz", id="t2")]
-    assert network_stats(distinct) == (3, 1.0)
+@settings(max_examples=300, deadline=None)
+@given(
+    layout=st.lists(
+        st.lists(st.sampled_from(["a", "ab", "b", "abc"]), min_size=1, max_size=5),
+        max_size=6,
+    ),
+    data=st.data(),
+)
+def test_pair_indices_follow_the_traces(layout, data):
+    traces = [make_trace(*texts, id=f"t{k}") for k, texts in enumerate(layout)]
+    pairs = build_pairs(traces)
+    # brute force: walk the traces, numbering their states in order
+    states, spans, successor, ends, moving = [], [], [], [], []
+    for trace in traces:
+        start = len(states)
+        for k, state in enumerate(trace.states):
+            i = len(states)
+            states.append(state)
+            final = k == len(trace.states) - 1
+            successor.append(i if final else i + 1)
+            (ends if final else moving).append(i)
+        spans.append((start, len(states)))
+    assert pairs.states == tuple(states)
+    assert pairs.trace_ids == tuple(t.id for t in traces)
+    assert pairs.trace_spans == tuple(spans)
+    assert pairs.successor.tolist() == successor
+    assert pairs.end_indices.tolist() == ends
+    assert pairs.moving_indices.tolist() == moving
+    # weights at the trace ends are drawn too: their self-pairs must drop out
+    gamma = np.array(
+        data.draw(
+            st.lists(
+                st.floats(-1e6, 1e6, allow_nan=False), min_size=len(pairs), max_size=len(pairs)
+            )
+        )
+    )
+    assert np.array_equal(alpha_from_gamma(gamma, pairs), combination_coefficients(gamma, pairs))
 
 
-def test_network_stats_planted_duplication():
-    # 5 distinct states, two of them visited twice -> 3 of 5 visited once
-    traces = [trace_of("a", "ab", "abc", id="t1"), trace_of("q", "ab", "abc", "abcq", id="t2")]
-    uniq, once = network_stats(traces)
-    assert uniq == 5
-    assert once == pytest.approx(3 / 5)
-
-
-def test_interaction_network():
-    net = interaction_network([trace_of("a", "aac", id="t1"), trace_of("b", "bbc", id="t2")])
-    assert len(net.nodes) == 4
-    assert (sequence("a"), sequence("aac")) in net.edges
-    assert len(net.edges) == 2
+@pytest.mark.parametrize(
+    "spans, ids",
+    [
+        (((0, 2), (3, 4)), ("t1", "t2")),  # a gap
+        (((0, 2), (1, 4)), ("t1", "t2")),  # an overlap
+        (((0, 2), (2, 2), (2, 4)), ("t1", "t2", "t3")),  # an empty span
+        (((0, 2), (2, 3)), ("t1", "t2")),  # a state outside every span
+        (((0, 2), (2, 5)), ("t1", "t2")),  # a span past the states
+        (((0, 2.0), (2.0, 4)), ("t1", "t2")),  # non-integer bounds
+        (((0, 2), (2, 4)), ("t1",)),  # fewer ids than spans
+        (((0, 2), (2, 4)), ("t1", "t2", "t3")),  # more ids than spans
+        (((0, 2), (2, 4)), ("t1", "t1")),  # a duplicated id
+        (((0, 2), (2, 4)), (1, "t2")),  # an id that is not a string
+    ],
+)
+def test_trace_pairs_reject_layouts_that_do_not_tile(spans, ids):
+    with pytest.raises(DataError):
+        TracePairs(tuple(sequence(s) for s in ("a", "ab", "b", "bb")), ids, spans)
 
 
 def test_load_dataset_canonicalizes_and_collapses():
