@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .editdist import CostModel, EditError, UNIT_COSTS, pairwise_distances
+from .editdist import CostModel, EditError, UNIT_COSTS
 from .evaluate import PREDICTION_SCHEMES, hint_quality, hyper_search, loo_rmse, prepared_traces
 from .policies import (
     DEFAULT_M_MAX,
@@ -36,7 +36,8 @@ from .policies import (
 )
 from .space import CorrectedSpace, NumericalError
 from .states import CanonConfig, StateError, parse_state, serialize_state
-from .traces import DataError, TracePairs, build_pairs, load_dataset
+from .traces import DataError, TracePairs, load_dataset
+from .traces import build_pairs  # uncalled; perfbench/tracing.py wraps this name
 
 MODEL_FORMAT = "edithints-model-v2"
 
@@ -249,12 +250,7 @@ def _distance_matrix(args):
     """The training pairs of the dataset's prepared traces and their
     pairwise raw edit distances."""
     dataset, _, _ = _dataset_from_args(args)
-    cost = _cost_from_args(args)
-    traces = prepared_traces(dataset, cost)
-    if not traces:
-        raise DataError("dataset has no successful traces")
-    pairs = build_pairs(traces)
-    return pairs, pairwise_distances(pairs.states, cost)
+    return prepared_traces(dataset, _cost_from_args(args))
 
 
 def _state_ids(pairs) -> list:

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .editdist import (
-    CostModel, EditError, UNIT_COSTS, apply_edit, distance, pairwise_distances, serialize_edit
-)
-from .policies import FitError, GprModel, KernelParams, fit_model
+from .editdist import CostModel, EditError, UNIT_COSTS, apply_edit, distance, serialize_edit
+from .policies import FitError, GprModel, KernelParams, fit_model, prepared_traces
 from .states import CanonConfig, EMPTY_CANON
-from .traces import Dataset, Trace, build_pairs, goal_filter
+from .traces import Dataset, Trace, TracePairs
+from .traces import build_pairs, goal_filter  # uncalled; perfbench/tracing.py wraps these names
 
 PREDICTION_SCHEMES = (
     "do_nothing",
@@ -114,13 +113,6 @@ class EvalReport:
                 yield (t, s, int(h), repr(q), "" if d is None else repr(d))
 
 
-def prepared_traces(dataset: Dataset, cost: CostModel = UNIT_COSTS):
-    """Goal-filtered successful traces, the common preprocessing for
-    fitting and evaluation."""
-    metric = lambda a, b: distance(a, b, cost)
-    return tuple(goal_filter(t, metric) for t in dataset.successful_traces())
-
-
 def _predict_coords(model: GprModel, scheme: str, raw: np.ndarray, coords) -> np.ndarray:
     """Predicted next-state coordinates for one query under a scheme."""
     if scheme == "do_nothing":
@@ -141,12 +133,14 @@ def loo_rmse_multi(
     cost: CostModel = UNIT_COSTS,
     canon: CanonConfig = EMPTY_CANON,
     mode: str = "clip",
+    prepared: tuple = None,
 ) -> dict:
     """Leave-one-trace-out RMSE for several prediction schemes at once.
 
     The fold models (distance submatrices, embeddings, kernel systems) are
-    fitted once per fold and shared across schemes.  Returns a mapping
-    scheme name -> :class:`EvalReport`.
+    fitted once per fold and shared across schemes.  ``prepared`` is
+    ``prepared_traces(dataset, cost)``, computed here when not given.
+    Returns a mapping scheme name -> :class:`EvalReport`.
     """
     schemes = tuple(schemes)
     for scheme in schemes:
@@ -154,26 +148,26 @@ def loo_rmse_multi(
             raise ValueError(
                 f"unknown scheme {scheme!r}; expected one of {PREDICTION_SCHEMES}"
             )
-    traces = prepared_traces(dataset, cost)
-    if len(traces) < 2:
+    flat, matrix = prepared_traces(dataset, cost) if prepared is None else prepared
+    ids = flat.trace_ids
+    if len(ids) < 2:
         raise FitError("leave-one-out needs at least two successful traces")
-    flat = build_pairs(traces)
     spans = [range(start, stop) for start, stop in flat.trace_spans]
-    matrix = pairwise_distances(flat.states, cost)
 
     per_trace = {scheme: [] for scheme in schemes}
     skipped = []
-    for held in range(len(traces)):
-        train = [t for k, t in enumerate(traces) if k != held]
-        train_ids = [g for k, span in enumerate(spans) if k != held for g in span]
+    for held, held_ids in enumerate(spans):
+        rest = spans[:held] + spans[held + 1 :]
+        train_ids = [g for span in rest for g in span]
         try:
-            pairs = build_pairs(train)
+            pairs = TracePairs.from_lengths(
+                [flat.states[g] for g in train_ids], ids[:held] + ids[held + 1 :], map(len, rest)
+            )
             sub = matrix[np.ix_(train_ids, train_ids)]
-            model = GprModel(dataset.kind, pairs, cost, canon, params, mode, dist_raw=sub)
+            model = GprModel(dataset.kind, pairs, cost, canon, params, mode, sub)
         except (FitError, ValueError) as exc:
-            skipped.append((traces[held].id, str(exc)))
+            skipped.append((ids[held], str(exc)))
             continue
-        held_ids = spans[held]
         raw_rows = [matrix[g][train_ids] for g in held_ids]
         coords = [model.embed_query(row).coords for row in raw_rows]
         nexts = flat.successor[held_ids] - held_ids.start
@@ -187,7 +181,7 @@ def loo_rmse_multi(
                 errs_final.append(float(np.sum((pred - coords[-1]) ** 2)))
             per_trace[scheme].append(
                 (
-                    traces[held].id,
+                    ids[held],
                     math.sqrt(sum(errs_next) / n),
                     math.sqrt(sum(errs_final) / n),
                     n,
@@ -327,9 +321,11 @@ def hyper_search(
     """Random hyper-parameter search: sample both parameters log-uniformly
     and keep the sample with the lowest mean next-step RMSE of the
     Gaussian-process scheme under leave-one-out cross-validation.
-    Deterministic for a fixed seed; ties keep the earlier sample."""
+    Deterministic for a fixed seed; ties keep the earlier sample.  Every
+    sample's folds slice one prepared distance matrix."""
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
+    prepared = prepared_traces(dataset, cost)
     rng = random.Random(seed)
     best = None
     for _ in range(repeats):
@@ -337,8 +333,9 @@ def hyper_search(
             length_scale=_log_uniform(rng, *psi_range),
             noise_std=_log_uniform(rng, *noise_range),
         )
-        report = loo_rmse(dataset, "gaussian_process", params, cost, canon, mode)
-        score = report.mean_next
+        scheme = "gaussian_process"
+        reports = loo_rmse_multi(dataset, (scheme,), params, cost, canon, mode, prepared)
+        score = reports[scheme].mean_next
         if best is None or score < best[0]:
             best = (score, params)
     return best[1]

@@ -132,8 +132,8 @@ class GprModel:
         cost: CostModel,
         canon: CanonConfig,
         params: KernelParams,
-        mode: str = "clip",
-        dist_raw: np.ndarray = None,
+        mode: str,
+        dist_raw: np.ndarray,
     ):
         self.kind = kind
         self.pairs = pairs
@@ -141,8 +141,6 @@ class GprModel:
         self.canon = canon
         self.params = params
         self.mode = mode
-        if dist_raw is None:
-            dist_raw = pairwise_distances(pairs.states, cost)
         if dist_raw.shape != (len(pairs), len(pairs)):
             raise ValueError(f"expected {len(pairs)}x{len(pairs)} distances, got {dist_raw.shape}")
         self.dist_raw = dist_raw
@@ -250,6 +248,18 @@ class GprModel:
         )[1]
 
 
+def prepared_traces(dataset: Dataset, cost: CostModel = UNIT_COSTS) -> tuple:
+    """The training data that fitting and evaluation share: the
+    goal-filtered successful traces as pairs, and the raw edit distances
+    between their states.  Returns ``(pairs, dist_raw)``."""
+    successful = dataset.successful_traces()
+    if not successful:
+        raise FitError("dataset has no successful traces to learn from")
+    metric = lambda a, b: distance(a, b, cost)
+    pairs = build_pairs(goal_filter(t, metric) for t in successful)
+    return pairs, pairwise_distances(pairs.states, cost)
+
+
 def fit_model(
     dataset: Dataset,
     cost: CostModel = UNIT_COSTS,
@@ -257,16 +267,10 @@ def fit_model(
     params: KernelParams = KernelParams(),
     mode: str = "clip",
 ) -> GprModel:
-    """Fit a hint model: goal-filter the successful traces, build pairs,
-    compute pairwise distances, the corrected space, and the kernel system.
-    """
-    successful = dataset.successful_traces()
-    if not successful:
-        raise FitError("dataset has no successful traces to learn from")
-    metric = lambda a, b: distance(a, b, cost)
-    filtered = tuple(goal_filter(t, metric) for t in successful)
-    pairs = build_pairs(filtered)
-    return GprModel(dataset.kind, pairs, cost, canon, params, mode)
+    """Fit a hint model on the prepared traces: the corrected spaces and
+    the kernel system."""
+    pairs, dist_raw = prepared_traces(dataset, cost)
+    return GprModel(dataset.kind, pairs, cost, canon, params, mode, dist_raw)
 
 
 def alpha_from_gamma(gamma: np.ndarray, pairs: TracePairs) -> np.ndarray:

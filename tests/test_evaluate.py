@@ -65,9 +65,10 @@ def test_do_nothing_final_rmse_closed_form():
     # state to its trace's final state, recomputed through the embedding
     from edithints.editdist import pairwise_distances
     from edithints.policies import GprModel
-    from edithints.traces import build_pairs
+    from edithints.traces import Trace, build_pairs
 
-    traces = prepared_traces(ds)
+    pairs, _ = prepared_traces(ds)
+    traces = [Trace(t, pairs.states[a:b], True) for t, (a, b) in zip(pairs.trace_ids, pairs.trace_spans)]
     flat = [s for t in traces for s in t.states]
     matrix = pairwise_distances(flat, UNIT_COSTS)
     starts = np.cumsum([0] + [len(t.states) for t in traces])
