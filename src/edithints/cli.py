@@ -17,7 +17,9 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import sys
 
@@ -82,6 +84,12 @@ def _write_text(path: str, text: str):
         return
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
+
+
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def _canonical_json(obj) -> str:
@@ -212,9 +220,12 @@ def _dataset_from_args(args):
             text = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read dataset {args.dataset!r}: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"dataset is not valid JSON: {exc}") from exc
     canon = CanonConfig.from_dict(_load_json_arg(args.canon, "canon config"))
-    dataset = load_dataset(text, canon)
-    return dataset, canon, _sha256(text)
+    return load_dataset(raw, canon), canon, _sha256(text)
 
 
 def _cost_from_args(args) -> CostModel:
@@ -254,8 +265,9 @@ def _distance_matrix(args):
 
 
 def _state_ids(pairs) -> list:
+    """(label, trace id, step) of every state; steps count from 1 per trace."""
     return [
-        f"{trace_id}:{step}"
+        (f"{trace_id}:{step}", trace_id, step)
         for trace_id, (start, stop) in zip(pairs.trace_ids, pairs.trace_spans)
         for step in range(1, stop - start + 1)
     ]
@@ -267,11 +279,10 @@ def _state_ids(pairs) -> list:
 
 def cmd_dist(args) -> int:
     pairs, matrix = _distance_matrix(args)
-    ids = _state_ids(pairs)
-    lines = ["id," + ",".join(ids)]
-    for label, row in zip(ids, matrix):
-        lines.append(label + "," + ",".join(repr(float(v)) for v in row))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    labels = [label for label, _, _ in _state_ids(pairs)]
+    rows = [["id", *labels]]
+    rows += [[label, *map(repr, row)] for label, row in zip(labels, matrix.tolist())]
+    _write_text(args.out, _csv_text(rows))
     return 0
 
 
@@ -312,9 +323,7 @@ def cmd_eval(args) -> int:
     text = json.dumps(summary, sort_keys=True, indent=1) + "\n"
     if args.out_prefix:
         _write_text(args.out_prefix + ".json", text)
-        rows = list(report.csv_rows())
-        csv_text = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
-        _write_text(args.out_prefix + ".csv", csv_text)
+        _write_text(args.out_prefix + ".csv", _csv_text(report.csv_rows()))
     sys.stdout.write(text)
     return 0
 
@@ -322,14 +331,9 @@ def cmd_eval(args) -> int:
 def cmd_mds(args) -> int:
     pairs, matrix = _distance_matrix(args)
     coords = CorrectedSpace(matrix**2, args.mode).mds_coordinates(2)
-    ids = _state_ids(pairs)
-    lines = ["id,trace,step,x,y"]
-    for i, label in enumerate(ids):
-        trace_id, step = label.rsplit(":", 1)
-        lines.append(
-            f"{label},{trace_id},{step},{repr(float(coords[i, 0]))},{repr(float(coords[i, 1]))}"
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    rows = [("id", "trace", "step", "x", "y")]
+    rows += [(*state, repr(x), repr(y)) for state, (x, y) in zip(_state_ids(pairs), coords.tolist())]
+    _write_text(args.out, _csv_text(rows))
     return 0
 
 

@@ -199,17 +199,23 @@ def edit_to_dict(edit) -> dict:
 
 
 def edit_from_dict(raw: dict):
-    kind = raw.get("kind")
-    if kind in ("delete", "insert", "relabel"):
-        return SeqEdit(kind, int(raw["position"]), raw.get("label"))
-    if kind in ("delete_node", "insert_node", "relabel_node"):
-        span = raw.get("child_span")
-        return TreeEdit(
-            kind,
-            tuple(int(i) for i in raw.get("path", ())),
-            raw.get("label"),
-            tuple(span) if span is not None else None,
-        )
+    """The edit that an :func:`edit_to_dict` object describes; any other
+    value raises :class:`EditError`."""
+    if not isinstance(raw, dict):
+        raise EditError(f"an edit is an object, got {raw!r}")
+    kind, label, span = raw.get("kind"), raw.get("label"), raw.get("child_span")
+    if label is not None and not isinstance(label, str):
+        raise EditError(f"edit label {label!r} is not a string")
+    if span is not None and not (isinstance(span, list) and len(span) == 2):
+        raise EditError(f"child_span {span!r} is not a pair")
+    try:
+        if kind in ("delete", "insert", "relabel"):
+            return SeqEdit(kind, int(raw["position"]), label)
+        if kind in ("delete_node", "insert_node", "relabel_node"):
+            path = tuple(int(i) for i in raw.get("path", ()))
+            return TreeEdit(kind, path, label, None if span is None else tuple(span))
+    except (KeyError, TypeError) as exc:
+        raise EditError(f"malformed {kind} edit: {exc!r}") from exc
     raise EditError(f"unknown edit kind {kind!r}")
 
 

@@ -75,17 +75,24 @@ def _collapse(states) -> tuple:
     return tuple(out)
 
 
+def _objects(raw: dict, key: str) -> list:
+    entries = raw.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise DataError(f"dataset {key!r} must be a list of objects")
+    return entries
+
+
 def load_dataset(source, canon: CanonConfig = EMPTY_CANON) -> Dataset:
-    """Load a dataset from a JSON string, dict, or file path.
+    """Load a dataset from a JSON string or file path, or from a parsed
+    JSON value, which must be an object.
 
     States are canonicalized on ingest and consecutive duplicates are
     collapsed.  Tutor hint steps index the trace's state list *as given in
     the file* (1-based, before collapsing).
     """
-    if isinstance(source, dict):
-        raw = source
-    else:
-        text = str(source)
+    raw = source
+    if isinstance(source, str):
+        text = source
         if not text.lstrip().startswith("{"):  # a path, not JSON text
             try:
                 with open(text, "r", encoding="utf-8") as handle:
@@ -96,6 +103,8 @@ def load_dataset(source, canon: CanonConfig = EMPTY_CANON) -> Dataset:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"dataset is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError("dataset must be a JSON object")
 
     kind = raw.get("kind")
     if kind not in ("sequence", "tree"):
@@ -104,7 +113,7 @@ def load_dataset(source, canon: CanonConfig = EMPTY_CANON) -> Dataset:
     traces = []
     originals = {}
     seen_ids = set()
-    for ti, entry in enumerate(raw.get("traces", ())):
+    for ti, entry in enumerate(_objects(raw, "traces")):
         tid = entry.get("id")
         if not isinstance(tid, str) or not tid:
             raise DataError(f"trace {ti} has no usable id")
@@ -112,15 +121,17 @@ def load_dataset(source, canon: CanonConfig = EMPTY_CANON) -> Dataset:
             raise DataError(f"duplicate trace id {tid!r}")
         seen_ids.add(tid)
         raw_states = entry.get("states")
-        if not raw_states:
-            raise DataError(f"trace {tid!r} has no states")
+        if not isinstance(raw_states, list) or not raw_states:
+            raise DataError(f"trace {tid!r} has no list of states")
         states = []
         for si, raw_state in enumerate(raw_states):
             try:
                 if kind == "tree":
                     state = parse_tree(raw_state)
-                else:
+                elif isinstance(raw_state, list):
                     state = sequence(raw_state)
+                else:
+                    raise StateError(f"a sequence state is an array, got {raw_state!r}")
             except (StateError, TypeError) as exc:
                 raise DataError(f"trace {tid!r} state {si + 1}: {exc}") from exc
             states.append(canonicalize_state(state, canon))
@@ -128,20 +139,22 @@ def load_dataset(source, canon: CanonConfig = EMPTY_CANON) -> Dataset:
         traces.append(Trace(tid, _collapse(states), bool(entry.get("successful", False))))
 
     hints = []
-    for hi, entry in enumerate(raw.get("tutor_hints", ())):
+    for hi, entry in enumerate(_objects(raw, "tutor_hints")):
         tid = entry.get("trace")
-        if tid not in originals:
+        if not isinstance(tid, str) or tid not in originals:
             raise DataError(f"tutor hint {hi} names unknown trace {tid!r}")
-        step = int(entry.get("step", 0))
+        try:
+            step = int(entry.get("step", 0))
+            quality = float(entry.get("quality", 0.0))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"tutor hint {hi} has a malformed step or quality: {exc}") from exc
         if not 1 <= step <= len(originals[tid]):
             raise DataError(f"tutor hint {hi} step {step} outside trace {tid!r}")
         try:
             edit = edit_from_dict(entry["edit"])
         except (KeyError, ValueError) as exc:
             raise DataError(f"tutor hint {hi} has no usable edit: {exc}") from exc
-        hints.append(
-            TutorHint(tid, step, originals[tid][step - 1], edit, float(entry.get("quality", 0.0)))
-        )
+        hints.append(TutorHint(tid, step, originals[tid][step - 1], edit, quality))
 
     return Dataset(kind, tuple(traces), tuple(hints))
 

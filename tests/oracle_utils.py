@@ -7,8 +7,10 @@ distances, numpy's eigensolver and exact characteristic polynomials for
 the embedding, direct coordinate geometry for planted configurations,
 the inverse of an edit for round trips,
 pair-by-pair accumulation for the state coefficients of pair weights,
-loop forms of the Nystrom projection and the prediction step, and
-sparsification that refits every candidate at every greedy step.
+loop forms of the Nystrom projection and the prediction step,
+sparsification that refits every candidate at every greedy step, and a
+hyper-parameter search that scores each sample with a fresh public
+leave-one-out run.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from edithints.editdist import INF, CostModel, EditError, SeqEdit, TreeEdit
+from edithints.evaluate import loo_rmse
+from edithints.policies import KernelParams
 from edithints.states import TreeState, tree
 
 
@@ -415,3 +419,21 @@ def greedy_sparsify_oracle(model, alpha, query, allowed, m_max):
     if top is not None and top_err < best_err:
         return top, True
     return greedy, True
+
+
+# ---------------------------------------------------------------------------
+# hyper-parameter search, one public leave-one-out run per sample
+
+
+def hyper_search_oracle(dataset, psi_range, noise_range, repeats, seed, **options):
+    """The parameters ``evaluate.hyper_search`` must pick: the same
+    log-uniform draws, each scored by its own ``loo_rmse`` call; the
+    earliest lowest mean next-step RMSE wins."""
+
+    def draw(lo, hi):
+        return lo if lo == hi else math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    rng = random.Random(seed)
+    samples = [KernelParams(draw(*psi_range), draw(*noise_range)) for _ in range(repeats)]
+    scores = [loo_rmse(dataset, "gaussian_process", p, **options).mean_next for p in samples]
+    return samples[scores.index(min(scores))]

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -9,9 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from edithints.cli import load_model, main
+from edithints.evaluate import synthetic_corpus
 from edithints.policies import KernelParams, fit_model
 from edithints.states import sequence
-from edithints.traces import DataError, load_dataset
+from edithints.traces import DataError, dataset_to_dict, load_dataset
 
 FIG2 = {
     "kind": "sequence",
@@ -132,8 +135,13 @@ PIN_TREE = {
             ],
             "0300566d958da263745615d5f4f7e42adb81b169b4c6259a3bc9ab845c62c350",
         ),
+        (
+            dataset_to_dict(synthetic_corpus(5, 4, "abcde", min_missing=1, max_missing=3)),
+            ["--search", "--repeats", "3", "--seed", "7"],
+            "6afa0b700804bad09c24bba54bb047e32fbb2e1dfdea564dcf58813c9a842fde",
+        ),
     ],
-    ids=["fig2", "tree"],
+    ids=["fig2", "tree", "search"],
 )
 def test_model_bytes_match_recorded_digest(tmp_path, dataset, flags, digest):
     # the digests were recorded from files written by an earlier version of
@@ -263,6 +271,56 @@ def test_fit_non_finite_cost_is_data_error(fig2_path, tmp_path, cost):
 def test_fit_malformed_cost_or_canon_is_data_error(fig2_path, capsys, flag, value):
     assert run(["fit", "--dataset", fig2_path, flag, json.dumps(value)]) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def _hint(**fields):
+    return {**FIG2, "tutor_hints": [{"trace": "t1", "step": 1, "quality": 1.0,
+                                     "edit": {"kind": "delete", "position": 1}, **fields}]}
+
+
+@pytest.mark.parametrize(
+    "dataset, message",
+    [
+        ([], "must be a JSON object"),
+        ({"kind": "sequence", "traces": [1]}, "'traces' must be a list of objects"),
+        ({"kind": "sequence", "traces": 5}, "'traces' must be a list of objects"),
+        (
+            {"kind": "sequence", "traces": [{"id": "t", "successful": True, "states": "ab"}]},
+            "no list of states",
+        ),
+        (
+            {"kind": "sequence", "traces": [{"id": "t", "successful": True, "states": ["ab"]}]},
+            "a sequence state is an array",
+        ),
+        ({**FIG2, "tutor_hints": [7]}, "'tutor_hints' must be a list of objects"),
+        (_hint(trace=["t1"]), "unknown trace"),
+        (_hint(step=[1]), "malformed step or quality"),
+        (_hint(quality=[1.0]), "malformed step or quality"),
+        (_hint(edit=[1]), "an edit is an object"),
+        (_hint(edit={"kind": "insert", "label": "c"}), "'position'"),
+        (_hint(edit={"kind": "insert", "position": 1, "label": ["c"]}), "is not a string"),
+        (
+            _hint(edit={"kind": "insert_node", "path": [1], "label": "c", "child_span": 1}),
+            "is not a pair",
+        ),
+        (
+            _hint(edit={"kind": "insert_node", "path": [1], "label": "c", "child_span": [1, 1, 1]}),
+            "is not a pair",
+        ),
+    ],
+    ids=[
+        "array", "trace-not-object", "traces-not-list", "states-string", "state-string",
+        "hint-not-object", "hint-trace-list", "step-list", "quality-list", "edit-not-object",
+        "edit-no-position", "label-list", "child-span-int", "child-span-triple",
+    ],
+)
+def test_malformed_dataset_structure_is_data_error(tmp_path, capsys, dataset, message):
+    data = tmp_path / "bad.json"
+    data.write_text(json.dumps(dataset))
+    assert run(["dist", "--dataset", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("edithints: data error:") and message in err
 
 
 def test_hint_worked_example(fig2_path, tmp_path, capsys):
@@ -405,6 +463,35 @@ def test_eval_quality_files(tmp_path, capsys):
     report = json.loads((tmp_path / "q.json").read_text())
     assert report["hintable_fraction"] == 1.0
     assert report["median_quality"] == 1.0
+
+
+def test_csv_quotes_trace_ids(tmp_path, capsys):
+    ids = ["t,1", 't"2', "t3\nx"]
+    data = tmp_path / "ids.json"
+    data.write_text(json.dumps({
+        "kind": "sequence",
+        "traces": [
+            {"id": tid, "successful": True, "states": [["a"] * (k + 1), ["b"] * (k + 1)]}
+            for k, tid in enumerate(ids)
+        ],
+    }))
+    labels = [f"{tid}:{step}" for tid in ids for step in (1, 2)]
+    assert run(["dist", "--dataset", str(data)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["id", *labels]
+    assert [row[0] for row in rows[1:]] == labels
+    assert all(len(row) == len(labels) + 1 for row in rows)
+    assert run(["mds", "--dataset", str(data)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [row[:3] for row in rows[1:]] == [
+        [f"{tid}:{step}", tid, str(step)] for tid in ids for step in (1, 2)
+    ]
+    prefix = tmp_path / "report"
+    assert run(["eval", "--dataset", str(data), "--scheme", "do_nothing",
+                "--out-prefix", str(prefix)]) == 0
+    with open(f"{prefix}.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert [row[0] for row in rows[1:]] == ids and all(len(row) == 4 for row in rows)
 
 
 def test_mds_equilateral(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from edithints.editdist import SeqEdit, UNIT_COSTS
 from edithints.evaluate import (
+    PREDICTION_SCHEMES,
     _predict_coords,
     hint_quality,
     hyper_search,
@@ -16,7 +17,7 @@ from edithints.evaluate import (
 from edithints.policies import FitError, HintResult, KernelParams, fit_model
 from edithints.traces import load_dataset
 
-from oracle_utils import predict_move_loop
+from oracle_utils import hyper_search_oracle, predict_move_loop
 
 
 def small_corpus():
@@ -226,6 +227,38 @@ def test_hyper_search_deterministic_and_beats_degenerate_endpoint():
         ds, "gaussian_process", KernelParams(1e-3, 1e-3)
     ).mean_next
     assert chosen <= degenerate
+
+
+@pytest.mark.parametrize("mode, seed", [("clip", 3), ("flip", 11), ("shift", 4)])
+def test_hyper_search_matches_per_sample_oracle(mode, seed):
+    ds = small_corpus()
+    got = hyper_search(ds, (0.3, 6.0), (1e-3, 1.0), repeats=5, seed=seed, mode=mode)
+    assert got == hyper_search_oracle(ds, (0.3, 6.0), (1e-3, 1.0), 5, seed, mode=mode)
+
+
+def test_distance_matrix_built_once_per_call(monkeypatch):
+    from edithints import cli, editdist, evaluate, policies
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return editdist.pairwise_distances(*args, **kwargs)
+
+    for module in (cli, evaluate, policies):
+        if hasattr(module, "pairwise_distances"):
+            monkeypatch.setattr(module, "pairwise_distances", counted)
+    ds = load_dataset(QUALITY_DATA)
+    runs = {
+        "hyper_search": lambda: hyper_search(ds, (0.5, 3.0), (0.01, 0.5), repeats=4, seed=1),
+        "loo_rmse_multi": lambda: loo_rmse_multi(ds, PREDICTION_SCHEMES),
+        "fit_model": lambda: fit_model(ds),
+        "hint_quality": lambda: hint_quality(ds, lambda model, state: HintResult(None, None, ())),
+    }
+    for name, call in runs.items():
+        calls.clear()
+        call()
+        assert len(calls) == 1, name
 
 
 def test_hyper_search_rejects_bad_ranges():
