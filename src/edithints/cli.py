@@ -220,10 +220,13 @@ def _dataset_from_args(args):
             text = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read dataset {args.dataset!r}: {exc}") from exc
+    # parsed here: load_dataset would read text that is not an object as a path
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"dataset is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError("dataset must be a JSON object")
     canon = CanonConfig.from_dict(_load_json_arg(args.canon, "canon config"))
     return load_dataset(raw, canon), canon, _sha256(text)
 

@@ -83,16 +83,16 @@ def _objects(raw: dict, key: str) -> list:
 
 
 def load_dataset(source, canon: CanonConfig = EMPTY_CANON) -> Dataset:
-    """Load a dataset from a JSON string or file path, or from a parsed
-    JSON value, which must be an object.
+    """Load a dataset from a JSON string, dict, or file path.
 
     States are canonicalized on ingest and consecutive duplicates are
     collapsed.  Tutor hint steps index the trace's state list *as given in
     the file* (1-based, before collapsing).
     """
-    raw = source
-    if isinstance(source, str):
-        text = source
+    if isinstance(source, dict):
+        raw = source
+    else:
+        text = str(source)
         if not text.lstrip().startswith("{"):  # a path, not JSON text
             try:
                 with open(text, "r", encoding="utf-8") as handle:
@@ -103,8 +103,8 @@ def load_dataset(source, canon: CanonConfig = EMPTY_CANON) -> Dataset:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"dataset is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DataError("dataset must be a JSON object")
+        if not isinstance(raw, dict):
+            raise DataError("dataset must be a JSON object")
 
     kind = raw.get("kind")
     if kind not in ("sequence", "tree"):

@@ -282,6 +282,7 @@ def _hint(**fields):
     "dataset, message",
     [
         ([], "must be a JSON object"),
+        ("data.json", "must be a JSON object"),
         ({"kind": "sequence", "traces": [1]}, "'traces' must be a list of objects"),
         ({"kind": "sequence", "traces": 5}, "'traces' must be a list of objects"),
         (
@@ -309,7 +310,7 @@ def _hint(**fields):
         ),
     ],
     ids=[
-        "array", "trace-not-object", "traces-not-list", "states-string", "state-string",
+        "array", "string", "trace-not-object", "traces-not-list", "states-string", "state-string",
         "hint-not-object", "hint-trace-list", "step-list", "quality-list", "edit-not-object",
         "edit-no-position", "label-list", "child-span-int", "child-span-triple",
     ],
