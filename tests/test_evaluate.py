@@ -103,6 +103,15 @@ def test_loo_multi_consistent_with_single():
     assert multi["gaussian_process"].per_trace == single.per_trace
 
 
+@pytest.mark.parametrize("mode", ["clip", "flip", "shift"])
+def test_loo_multi_with_prepared_data_is_bitwise_the_same(mode):
+    ds = small_corpus()
+    params = KernelParams(1.5, 0.2)
+    alone = loo_rmse_multi(ds, PREDICTION_SCHEMES, params, mode=mode)
+    shared = loo_rmse_multi(ds, PREDICTION_SCHEMES, params, mode=mode, prepared=prepared_traces(ds))
+    assert shared == alone
+
+
 def test_loo_requires_two_traces():
     ds = load_dataset(
         {
