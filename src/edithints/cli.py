@@ -236,8 +236,9 @@ def _cost_from_args(args) -> CostModel:
     return CostModel.from_dict(spec) if spec else UNIT_COSTS
 
 
-def _params_from_args(args, dataset, cost, canon):
-    """Explicit kernel parameters, or the result of a random search."""
+def _params_from_args(args, dataset, cost, canon, prepared=None):
+    """Explicit kernel parameters, or the result of a random search on
+    ``prepared``, the dataset's prepared traces (computed when not given)."""
     if not args.search:
         return KernelParams(length_scale=args.psi, noise_std=args.noise), None
     seed = 0 if args.seed is None else args.seed
@@ -250,6 +251,7 @@ def _params_from_args(args, dataset, cost, canon):
         cost=cost,
         canon=canon,
         mode=args.mode,
+        prepared=prepared,
     )
     meta = {
         "psi_range": args.psi_range,
@@ -292,8 +294,9 @@ def cmd_dist(args) -> int:
 def cmd_fit(args) -> int:
     dataset, canon, digest = _dataset_from_args(args)
     cost = _cost_from_args(args)
-    params, search_meta = _params_from_args(args, dataset, cost, canon)
-    model = fit_model(dataset, cost, canon, params, args.mode)
+    prepared = prepared_traces(dataset, cost)  # shared by the search and the fit
+    params, search_meta = _params_from_args(args, dataset, cost, canon, prepared)
+    model = fit_model(dataset, cost, canon, params, args.mode, prepared)
     payload = model_to_dict(model, digest, search_meta)
     text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     _write_text(args.out, text)

@@ -7,7 +7,9 @@ Distances are shortest-path costs in the resulting move graph, computed
 with the standard dynamic programs: Levenshtein for sequences, Zhang-Shasha
 for ordered trees.  Both return an :class:`EditScript` realizing the
 distance; replaying the script on the source state yields the target state
-and the script cost equals the distance exactly.
+and the script cost equals the distance exactly.  Without a script, a
+sequence distance under unit costs runs bit-parallel (see :func:`distance`)
+and returns the same value.
 
 Position conventions
 --------------------
@@ -65,6 +67,8 @@ class CostModel:
     ``indel`` maps labels to their (positive) deletion/insertion cost,
     ``relabel`` maps sorted label pairs to a non-negative (possibly
     infinite) replacement cost.  Unlisted labels fall back to the defaults.
+    ``is_unit`` (derived, not a field) is true when every indel and every
+    relabel of distinct labels costs 1.
     """
 
     indel_default: float = 1.0
@@ -89,6 +93,15 @@ class CostModel:
                 raise ValueError(f"relabel cost for {key!r} must be non-negative")
             norm[(a, b) if a <= b else (b, a)] = float(cost)
         object.__setattr__(self, "relabel", norm)
+        # a private copy of the indels, so that is_unit stays true to them
+        object.__setattr__(self, "indel", dict(self.indel))
+        unit = (
+            self.indel_default == 1
+            and self.relabel_default == 1
+            and all(c == 1 for c in self.indel.values())
+            and all(c == 1 for (a, b), c in norm.items() if a != b)
+        )
+        object.__setattr__(self, "is_unit", unit)
 
     def cost_delete(self, label: Label) -> float:
         return self.indel.get(label, self.indel_default)
@@ -198,6 +211,12 @@ def edit_to_dict(edit) -> dict:
     return out
 
 
+def _index(value, what: str) -> int:
+    if type(value) is not int:  # bools and floats are not coerced
+        raise EditError(f"edit {what} {value!r} is not an integer")
+    return value
+
+
 def edit_from_dict(raw: dict):
     """The edit that an :func:`edit_to_dict` object describes; any other
     value raises :class:`EditError`."""
@@ -210,10 +229,15 @@ def edit_from_dict(raw: dict):
         raise EditError(f"child_span {span!r} is not a pair")
     try:
         if kind in ("delete", "insert", "relabel"):
-            return SeqEdit(kind, int(raw["position"]), label)
+            return SeqEdit(kind, _index(raw["position"], "position"), label)
         if kind in ("delete_node", "insert_node", "relabel_node"):
-            path = tuple(int(i) for i in raw.get("path", ()))
-            return TreeEdit(kind, path, label, None if span is None else tuple(span))
+            path = raw.get("path", [])
+            if not isinstance(path, list):
+                raise EditError(f"edit path {path!r} is not a list")
+            path = tuple(_index(i, "path entry") for i in path)
+            if span is not None:
+                span = tuple(_index(i, "child_span entry") for i in span)
+            return TreeEdit(kind, path, label, span)
     except (KeyError, TypeError) as exc:
         raise EditError(f"malformed {kind} edit: {exc!r}") from exc
     raise EditError(f"unknown edit kind {kind!r}")
@@ -746,11 +770,37 @@ def distance_and_script(x, y, cost: CostModel = UNIT_COSTS):
 
 
 def distance(x, y, cost: CostModel = UNIT_COSTS) -> float:
+    """The edit distance of two states, without a script.
+
+    Under unit costs a sequence distance runs the bit-parallel recurrence
+    of Myers (1999) in the global form of Hyyrö (2003): bit ``i`` of
+    ``vp`` (``vn``) is set when ``D[i + 1][j] - D[i][j]`` is +1 (-1) in
+    column ``j`` of the table of ``x`` against ``y``, so the last column
+    sums to ``D[m][n]``.  The result is the table's integer, so it equals
+    the dynamic program's value exactly.
+    """
     if isinstance(x, TreeState):
         return tree_distance_only(x, y, cost)
-    for row in _lev_rows(x, y, cost):
-        pass
-    return float(row[-1])
+    if not cost.is_unit:
+        for row in _lev_rows(x, y, cost):
+            pass
+        return float(row[-1])
+    peq = {}  # label -> bit mask of its positions in x
+    for i, a in enumerate(x):
+        peq[a] = peq.get(a, 0) | 1 << i
+    mask = (1 << len(x)) - 1
+    vp, vn = mask, 0  # column 0: D[i][0] = i
+    for b in y:
+        eq = peq.get(b, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        # the carry-in 1 is the top row's step D[0][j + 1] - D[0][j]
+        hp = hp << 1 | 1
+        vp = (hn << 1 | ~(xv | hp)) & mask
+        vn = hp & xv
+    return float(len(y) + vp.bit_count() - vn.bit_count())
 
 
 def pairwise_distances(states, cost: CostModel = UNIT_COSTS) -> np.ndarray:

@@ -317,15 +317,18 @@ def hyper_search(
     cost: CostModel = UNIT_COSTS,
     canon: CanonConfig = EMPTY_CANON,
     mode: str = "clip",
+    prepared: tuple = None,
 ) -> KernelParams:
     """Random hyper-parameter search: sample both parameters log-uniformly
     and keep the sample with the lowest mean next-step RMSE of the
     Gaussian-process scheme under leave-one-out cross-validation.
     Deterministic for a fixed seed; ties keep the earlier sample.  Every
-    sample's folds slice one prepared distance matrix."""
+    sample's folds slice one prepared distance matrix: ``prepared`` is
+    ``prepared_traces(dataset, cost)``, computed here when not given."""
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
-    prepared = prepared_traces(dataset, cost)
+    if prepared is None:
+        prepared = prepared_traces(dataset, cost)
     rng = random.Random(seed)
     best = None
     for _ in range(repeats):

@@ -266,10 +266,12 @@ def fit_model(
     canon: CanonConfig = EMPTY_CANON,
     params: KernelParams = KernelParams(),
     mode: str = "clip",
+    prepared: tuple = None,
 ) -> GprModel:
     """Fit a hint model on the prepared traces: the corrected spaces and
-    the kernel system."""
-    pairs, dist_raw = prepared_traces(dataset, cost)
+    the kernel system.  ``prepared`` is ``prepared_traces(dataset, cost)``,
+    computed here when not given."""
+    pairs, dist_raw = prepared_traces(dataset, cost) if prepared is None else prepared
     return GprModel(dataset.kind, pairs, cost, canon, params, mode, dist_raw)
 
 

@@ -136,25 +136,31 @@ def load_dataset(source, canon: CanonConfig = EMPTY_CANON) -> Dataset:
                 raise DataError(f"trace {tid!r} state {si + 1}: {exc}") from exc
             states.append(canonicalize_state(state, canon))
         originals[tid] = tuple(states)
-        traces.append(Trace(tid, _collapse(states), bool(entry.get("successful", False))))
+        successful = entry.get("successful", False)
+        if not isinstance(successful, bool):
+            raise DataError(f"trace {tid!r} 'successful' must be true or false, got {successful!r}")
+        traces.append(Trace(tid, _collapse(states), successful))
 
     hints = []
     for hi, entry in enumerate(_objects(raw, "tutor_hints")):
         tid = entry.get("trace")
         if not isinstance(tid, str) or tid not in originals:
             raise DataError(f"tutor hint {hi} names unknown trace {tid!r}")
-        try:
-            step = int(entry.get("step", 0))
-            quality = float(entry.get("quality", 0.0))
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"tutor hint {hi} has a malformed step or quality: {exc}") from exc
+        step, quality = entry.get("step", 0), entry.get("quality", 0.0)
+        # exact types: a bool, a string or a fractional step is not coerced
+        if type(step) is not int or type(quality) not in (int, float):
+            raise DataError(
+                f"tutor hint {hi} has a malformed step or quality: {step!r}, {quality!r}"
+            )
         if not 1 <= step <= len(originals[tid]):
             raise DataError(f"tutor hint {hi} step {step} outside trace {tid!r}")
+        if not 0 <= quality <= 1:  # checked before float(), which overflows on huge integers
+            raise DataError(f"tutor hint {hi} quality {quality} outside [0, 1]")
         try:
             edit = edit_from_dict(entry["edit"])
         except (KeyError, ValueError) as exc:
             raise DataError(f"tutor hint {hi} has no usable edit: {exc}") from exc
-        hints.append(TutorHint(tid, step, originals[tid][step - 1], edit, quality))
+        hints.append(TutorHint(tid, step, originals[tid][step - 1], edit, float(quality)))
 
     return Dataset(kind, tuple(traces), tuple(hints))
 

@@ -308,11 +308,31 @@ def _hint(**fields):
             _hint(edit={"kind": "insert_node", "path": [1], "label": "c", "child_span": [1, 1, 1]}),
             "is not a pair",
         ),
+        ({**FIG2, "traces": [{**FIG2["traces"][0], "successful": "false"}]}, "true or false"),
+        ({**FIG2, "traces": [{**FIG2["traces"][0], "successful": 1}]}, "true or false"),
+        (_hint(step=1.9), "malformed step or quality"),
+        (_hint(step=True), "malformed step or quality"),
+        (_hint(quality="0.5"), "malformed step or quality"),
+        (_hint(quality=True), "malformed step or quality"),
+        (_hint(quality=10**400), "outside [0, 1]"),
+        (_hint(edit={"kind": "delete", "position": 1.9}), "position 1.9 is not an integer"),
+        (_hint(edit={"kind": "delete", "position": "2"}), "position '2' is not an integer"),
+        (_hint(edit={"kind": "delete", "position": True}), "position True is not an integer"),
+        (_hint(edit={"kind": "delete_node", "path": [1.9]}), "path entry 1.9 is not an integer"),
+        (_hint(edit={"kind": "delete_node", "path": ["2"]}), "path entry '2' is not an integer"),
+        (_hint(edit={"kind": "delete_node", "path": "12"}), "is not a list"),
+        (
+            _hint(edit={"kind": "insert_node", "path": [], "label": "c", "child_span": [1.0, 1]}),
+            "child_span entry 1.0 is not an integer",
+        ),
     ],
     ids=[
         "array", "string", "trace-not-object", "traces-not-list", "states-string", "state-string",
         "hint-not-object", "hint-trace-list", "step-list", "quality-list", "edit-not-object",
         "edit-no-position", "label-list", "child-span-int", "child-span-triple",
+        "successful-string", "successful-int", "step-float", "step-bool", "quality-string",
+        "quality-bool", "quality-huge-int", "position-float", "position-string", "position-bool",
+        "path-float", "path-string-entry", "path-string", "child-span-float",
     ],
 )
 def test_malformed_dataset_structure_is_data_error(tmp_path, capsys, dataset, message):

@@ -3,8 +3,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from edithints import editdist
 from edithints.editdist import (
     INF,
     CostModel,
@@ -12,6 +13,7 @@ from edithints.editdist import (
     SeqEdit,
     TreeEdit,
     UNIT_COSTS,
+    _lev_rows,
     apply_edit,
     distance,
     distance_and_script,
@@ -350,3 +352,77 @@ def test_pairwise_distances_with_repeats_equals_double_loop(base, cost, rng):
     rng.shuffle(states)
     want = np.array([[distance(a, b, cost) for b in states] for a in states])
     assert np.array_equal(pairwise_distances(states, cost), want)
+
+
+# ---------------------------------------------------------------------------
+# the bit-parallel unit-cost path of distance()
+
+# unit costs written out in several ways: each must take the bit-parallel
+# path; a listed relabel of a label to itself costs 0 whatever it says
+UNIT_MODELS = [
+    UNIT_COSTS,
+    CostModel(indel={"a": 1.0}, relabel={("a", "b"): 1}),
+    CostModel(indel_default=1, indel={"b": 1, "c": 1.0}, relabel={("c", "a"): 1.0, ("b", "b"): 3.0}),
+]
+# one cost off 1: each must keep the dynamic program
+NEAR_UNIT_MODELS = [
+    CostModel(relabel_default=2.0),
+    CostModel(indel={"a": 0.5}),
+    CostModel(relabel={("b", "a"): 0.5}),
+    CostModel(indel_default=1.5),
+]
+
+
+def lev_rows_distance(x, y, cost):
+    for row in _lev_rows(x, y, cost):
+        pass
+    return float(row[-1])
+
+
+def test_unit_cost_models_take_the_bit_parallel_path(monkeypatch):
+    assert all(cost.is_unit for cost in UNIT_MODELS)
+    assert not any(cost.is_unit for cost in NEAR_UNIT_MODELS)
+
+    def dynamic_program(*args):
+        raise AssertionError("the dynamic program ran")
+
+    monkeypatch.setattr(editdist, "_lev_rows", dynamic_program)
+    for cost in UNIT_MODELS:
+        assert distance(seq_of("abc"), seq_of("bcd"), cost) == 2.0
+    for cost in NEAR_UNIT_MODELS:
+        with pytest.raises(AssertionError, match="dynamic program"):
+            distance(seq_of("abc"), seq_of("bcd"), cost)
+
+
+@st.composite
+def unit_cost_cases(draw):
+    """Two sequences over an alphabet of 1 to 20 symbols, where ``y`` may
+    also hold symbols that ``x`` never has, with lengths up to 140 (past one
+    and two 64-bit words), and a unit or near-unit cost model."""
+    alphabet = [chr(ord("a") + i) for i in range(draw(st.integers(1, 20)))]
+
+    def symbols(pool):
+        size = draw(st.integers(0, 4) | st.integers(0, 140))
+        return tuple(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+
+    x, y = symbols(alphabet), symbols(alphabet + ["Y", "Z"])
+    return x, y, draw(st.sampled_from(UNIT_MODELS + NEAR_UNIT_MODELS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_cost_cases())
+@example(((), (), UNIT_COSTS))
+@example(((), tuple("ab" * 40), UNIT_COSTS))
+@example((tuple("ab" * 40), tuple("ba" * 40) + ("Z",), UNIT_COSTS))
+@example((tuple("abc" * 43), tuple("acb" * 45), UNIT_MODELS[1]))
+@example((tuple("abc" * 43), tuple("acb" * 45), NEAR_UNIT_MODELS[2]))
+def test_distance_equals_dynamic_program_and_bfs(case):
+    x, y, cost = case
+    d = distance(x, y, cost)
+    assert d.hex() == lev_rows_distance(x, y, cost).hex()
+    assert d.hex() == distance(y, x, cost).hex()
+    assert d.hex() == seq_distance(x, y, cost)[0].hex()
+    if cost.is_unit and len(x) + len(y) <= 6:
+        alphabet = sorted(set(x) | set(y))  # an optimal path uses no other symbol
+        source, target = "".join(x), "".join(y)
+        assert d == bfs_string_distances(source, [target], alphabet)[target]

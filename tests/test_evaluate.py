@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -245,7 +246,7 @@ def test_hyper_search_matches_per_sample_oracle(mode, seed):
     assert got == hyper_search_oracle(ds, (0.3, 6.0), (1e-3, 1.0), 5, seed, mode=mode)
 
 
-def test_distance_matrix_built_once_per_call(monkeypatch):
+def test_distance_matrix_built_once_per_call(monkeypatch, tmp_path):
     from edithints import cli, editdist, evaluate, policies
 
     calls = []
@@ -258,16 +259,22 @@ def test_distance_matrix_built_once_per_call(monkeypatch):
         if hasattr(module, "pairwise_distances"):
             monkeypatch.setattr(module, "pairwise_distances", counted)
     ds = load_dataset(QUALITY_DATA)
+    data, out = tmp_path / "data.json", tmp_path / "model.json"
+    data.write_text(json.dumps(QUALITY_DATA))
+    fit_argv = ["fit", "--dataset", str(data), "--search", "--repeats", "2", "--out", str(out)]
     runs = {
         "hyper_search": lambda: hyper_search(ds, (0.5, 3.0), (0.01, 0.5), repeats=4, seed=1),
         "loo_rmse_multi": lambda: loo_rmse_multi(ds, PREDICTION_SCHEMES),
         "fit_model": lambda: fit_model(ds),
         "hint_quality": lambda: hint_quality(ds, lambda model, state: HintResult(None, None, ())),
+        # the search and the final fit share one prepared matrix
+        "fit --search": lambda: cli.main(fit_argv),
     }
     for name, call in runs.items():
         calls.clear()
         call()
         assert len(calls) == 1, name
+    assert out.exists()
 
 
 def test_hyper_search_rejects_bad_ranges():

@@ -175,6 +175,9 @@ def test_load_dataset_validation_errors():
         )
     with pytest.raises(DataError):
         load_dataset("{not json")
+    # a missing flag means unsuccessful (other values: test_cli)
+    one = {"kind": "sequence", "traces": [{"id": "a", "states": [["x"]]}]}
+    assert not load_dataset(one).traces[0].successful
 
 
 def test_load_dataset_tutor_hints():
