@@ -7,8 +7,10 @@ or tutor-hint quality), ``mds`` (2-D embedding CSV for plotting).
 Every command accepts ``--config FILE`` with a JSON object whose keys are
 the long option names (underscores or dashes).  Each entry becomes
 command-line tokens placed before the explicit flags, so argparse checks
-config values like flags and explicit flags win.  All outputs are UTF-8
-and deterministic given the same inputs and seed.
+config values like flags and explicit flags win.  Every JSON argument
+(``--config``, ``--dataset``, ``--cost``, ``--canon``, ``--model``) is
+inline JSON when it starts with ``{`` and a file path otherwise.  All
+outputs are UTF-8 and deterministic given the same inputs and seed.
 
 Exit codes: 0 success (including a null hint), 1 usage error, 2 data
 error, 3 numerical failure.
@@ -26,7 +28,7 @@ import sys
 import numpy as np
 
 from .editdist import CostModel, EditError, UNIT_COSTS
-from .evaluate import PREDICTION_SCHEMES, hint_quality, hyper_search, loo_rmse, prepared_traces
+from .evaluate import PREDICTION_SCHEMES, hint_quality, hyper_search, loo_rmse_multi, prepared_traces
 from .policies import (
     DEFAULT_M_MAX,
     FitError,
@@ -38,7 +40,7 @@ from .policies import (
 )
 from .space import CorrectedSpace, NumericalError
 from .states import CanonConfig, StateError, parse_state, serialize_state
-from .traces import DataError, TracePairs, load_dataset
+from .traces import DataError, TracePairs, load_dataset, read_json_object
 from .traces import build_pairs  # uncalled; perfbench/tracing.py wraps this name
 
 MODEL_FORMAT = "edithints-model-v2"
@@ -60,22 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json_arg(value: str, what: str) -> dict:
-    if value is None:
-        return {}
-    text = value
-    if not text.lstrip().startswith("{"):
-        try:
-            with open(text, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise DataError(f"cannot read {what} {value!r}: {exc}") from exc
-    try:
-        out = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{what} is not valid JSON: {exc}") from exc
-    if not isinstance(out, dict):
-        raise DataError(f"{what} must be a JSON object")
-    return out
+    return {} if value is None else read_json_object(value, what)[0]
 
 
 def _write_text(path: str, text: str):
@@ -153,15 +140,9 @@ def model_from_dict(raw: dict) -> GprModel:
     return GprModel(kind, pairs, cost, canon, params, mode, dist_raw)
 
 
-def load_model(path: str) -> GprModel:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read model {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model file is not valid JSON: {exc}") from exc
-    return model_from_dict(raw)
+def load_model(source: str) -> GprModel:
+    """The model in a model file, or in inline JSON."""
+    return model_from_dict(read_json_object(source, "model file")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +151,7 @@ def load_model(path: str) -> GprModel:
 
 def _add_common(parser):
     parser.add_argument("--config", help="JSON file with defaults for the flags")
-    parser.add_argument("--dataset", required=True, help="dataset JSON file")
+    parser.add_argument("--dataset", required=True, help="dataset, JSON file or inline JSON")
     parser.add_argument("--cost", help="cost model, JSON file or inline JSON")
     parser.add_argument("--canon", help="canonicalization config, JSON file or inline")
     parser.add_argument(
@@ -214,31 +195,22 @@ def _config_tokens(argv) -> list:
     return tokens
 
 
-def _dataset_from_args(args):
-    try:
-        with open(args.dataset, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {args.dataset!r}: {exc}") from exc
-    # parsed here: load_dataset would read text that is not an object as a path
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"dataset is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DataError("dataset must be a JSON object")
+def _training_data(args) -> tuple:
+    """What a dataset command trains on, each read once: the dataset, its
+    cost model and canon config, the SHA-256 of the dataset's JSON text,
+    and ``prepared_traces(dataset, cost)``, the one distance matrix that
+    the search, the fit and the evaluation all slice."""
+    raw, text = read_json_object(args.dataset, "dataset")
     canon = CanonConfig.from_dict(_load_json_arg(args.canon, "canon config"))
-    return load_dataset(raw, canon), canon, _sha256(text)
-
-
-def _cost_from_args(args) -> CostModel:
+    dataset = load_dataset(raw, canon)
     spec = _load_json_arg(args.cost, "cost model")
-    return CostModel.from_dict(spec) if spec else UNIT_COSTS
+    cost = CostModel.from_dict(spec) if spec else UNIT_COSTS
+    return dataset, cost, canon, _sha256(text), prepared_traces(dataset, cost)
 
 
-def _params_from_args(args, dataset, cost, canon, prepared=None):
+def _params_from_args(args, dataset, cost, canon, prepared):
     """Explicit kernel parameters, or the result of a random search on
-    ``prepared``, the dataset's prepared traces (computed when not given)."""
+    ``prepared``, the dataset's prepared traces."""
     if not args.search:
         return KernelParams(length_scale=args.psi, noise_std=args.noise), None
     seed = 0 if args.seed is None else args.seed
@@ -262,13 +234,6 @@ def _params_from_args(args, dataset, cost, canon, prepared=None):
     return params, meta
 
 
-def _distance_matrix(args):
-    """The training pairs of the dataset's prepared traces and their
-    pairwise raw edit distances."""
-    dataset, _, _ = _dataset_from_args(args)
-    return prepared_traces(dataset, _cost_from_args(args))
-
-
 def _state_ids(pairs) -> list:
     """(label, trace id, step) of every state; steps count from 1 per trace."""
     return [
@@ -283,7 +248,7 @@ def _state_ids(pairs) -> list:
 
 
 def cmd_dist(args) -> int:
-    pairs, matrix = _distance_matrix(args)
+    pairs, matrix = _training_data(args)[-1]
     labels = [label for label, _, _ in _state_ids(pairs)]
     rows = [["id", *labels]]
     rows += [[label, *map(repr, row)] for label, row in zip(labels, matrix.tolist())]
@@ -292,9 +257,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    dataset, canon, digest = _dataset_from_args(args)
-    cost = _cost_from_args(args)
-    prepared = prepared_traces(dataset, cost)  # shared by the search and the fit
+    dataset, cost, canon, digest, prepared = _training_data(args)
     params, search_meta = _params_from_args(args, dataset, cost, canon, prepared)
     model = fit_model(dataset, cost, canon, params, args.mode, prepared)
     payload = model_to_dict(model, digest, search_meta)
@@ -314,17 +277,18 @@ def cmd_hint(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset, canon, _ = _dataset_from_args(args)
-    cost = _cost_from_args(args)
-    params, _ = _params_from_args(args, dataset, cost, canon)
+    dataset, cost, canon, _, prepared = _training_data(args)
+    params, _ = _params_from_args(args, dataset, cost, canon, prepared)
     if args.task == "rmse":
-        report = loo_rmse(dataset, args.scheme, params, cost, canon, args.mode)
+        reports = loo_rmse_multi(dataset, (args.scheme,), params, cost, canon, args.mode, prepared)
+        report = reports[args.scheme]
     else:
 
         def policy_fn(model, state):
             return hint_by_policy(model, state, args.policy, seed=args.seed, m_max=args.m_max)
 
-        report = hint_quality(dataset, policy_fn, cost, canon, params, args.mode)
+        model = fit_model(dataset, cost, canon, params, args.mode, prepared)
+        report = hint_quality(model, dataset.tutor_hints, policy_fn)
     summary = report.to_dict()
     text = json.dumps(summary, sort_keys=True, indent=1) + "\n"
     if args.out_prefix:
@@ -335,7 +299,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_mds(args) -> int:
-    pairs, matrix = _distance_matrix(args)
+    pairs, matrix = _training_data(args)[-1]
     coords = CorrectedSpace(matrix**2, args.mode).mds_coordinates(2)
     rows = [("id", "trace", "step", "x", "y")]
     rows += [(*state, repr(x), repr(y)) for state, (x, y) in zip(_state_ids(pairs), coords.tolist())]
@@ -364,7 +328,7 @@ def build_parser() -> _Parser:
 
     p_hint = sub.add_parser("hint", help="hint for one state against a model")
     p_hint.add_argument("--config", help="JSON file with defaults for the flags")
-    p_hint.add_argument("--model", required=True, help="model file from fit")
+    p_hint.add_argument("--model", required=True, help="model from fit, JSON file or inline JSON")
     p_hint.add_argument("--state", required=True, help="state text (tree or JSON array)")
     p_hint.add_argument("--policy", default="chf", choices=POLICY_NAMES)
     p_hint.add_argument("--seed", type=int, help="seed (random policy)")

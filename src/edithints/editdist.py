@@ -291,62 +291,49 @@ def _apply_seq(s: SequenceState, e: SeqEdit) -> SequenceState:
     return s[: e.position - 1] + (e.label,) + s[e.position :]
 
 
-def _rebuild(root: TreeState, path, rebuild) -> TreeState:
-    """Replace the node at ``path`` by ``rebuild(node)`` (None removes it,
-    a list splices)."""
-    if not path:
-        out = rebuild(root)
-        if not isinstance(out, TreeState):
-            raise EditError("tree root operations must leave a single root")
-        return out
-    i = path[0]
-    if not 1 <= i <= len(root.children):
-        raise EditError(f"path component {i} out of range")
-    child = _rebuild_child(root.children[i - 1], path[1:], rebuild)
-    children = root.children[: i - 1] + child + root.children[i:]
-    return TreeState(root.label, children)
-
-
-def _rebuild_child(node: TreeState, path, rebuild) -> tuple:
+def _rebuild(node: TreeState, path, rebuild) -> tuple:
+    """The nodes that take the place of ``node`` when the node at ``path``
+    below it is replaced by ``rebuild(node)``: a node, or a tuple of nodes
+    spliced into the parent (empty removes it)."""
     if not path:
         out = rebuild(node)
-        if isinstance(out, TreeState):
-            return (out,)
-        return tuple(out)
+        return (out,) if isinstance(out, TreeState) else tuple(out)
     i = path[0]
     if not 1 <= i <= len(node.children):
         raise EditError(f"path component {i} out of range")
-    child = _rebuild_child(node.children[i - 1], path[1:], rebuild)
-    children = node.children[: i - 1] + child + node.children[i:]
-    return (TreeState(node.label, children),)
+    child = _rebuild(node.children[i - 1], path[1:], rebuild)
+    return (TreeState(node.label, node.children[: i - 1] + child + node.children[i:]),)
 
 
 def _apply_tree(t: TreeState, e: TreeEdit) -> TreeState:
     if e.kind == "relabel_node":
-        return _rebuild(t, e.path, lambda n: TreeState(e.label, n.children))
-    if e.kind == "delete_node":
+        out = _rebuild(t, e.path, lambda n: TreeState(e.label, n.children))
+    elif e.kind == "delete_node":
         if not e.path:
             if len(t.children) != 1:
                 raise EditError(
                     "the root may only be deleted while it has exactly one child"
                 )
             return t.children[0]
-        return _rebuild(t, e.path, lambda n: n.children)
-    # insert_node: e.path is where the new node will live
-    first, count = e.child_span
-    if not e.path:
-        return TreeState(e.label, (t,))
+        out = _rebuild(t, e.path, lambda n: n.children)
+    else:  # insert_node: e.path is where the new node will live
+        first, count = e.child_span
+        if not e.path:
+            return TreeState(e.label, (t,))
 
-    def insert(parent: TreeState) -> TreeState:
-        if first > len(parent.children) + 1 or first + count - 1 > len(parent.children):
-            raise EditError(
-                f"child_span {e.child_span} exceeds {len(parent.children)} children"
-            )
-        node = TreeState(e.label, parent.children[first - 1 : first - 1 + count])
-        children = parent.children[: first - 1] + (node,) + parent.children[first - 1 + count :]
-        return TreeState(parent.label, children)
+        def insert(parent: TreeState) -> TreeState:
+            if first > len(parent.children) + 1 or first + count - 1 > len(parent.children):
+                raise EditError(
+                    f"child_span {e.child_span} exceeds {len(parent.children)} children"
+                )
+            node = TreeState(e.label, parent.children[first - 1 : first - 1 + count])
+            children = parent.children[: first - 1] + (node,) + parent.children[first - 1 + count :]
+            return TreeState(parent.label, children)
 
-    return _rebuild(t, e.path[:-1], insert)
+        out = _rebuild(t, e.path[:-1], insert)
+    if len(out) != 1:
+        raise EditError("tree root operations must leave a single root")
+    return out[0]
 
 
 def apply_edit(state, edit):

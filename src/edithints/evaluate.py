@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .editdist import CostModel, EditError, UNIT_COSTS, apply_edit, distance, serialize_edit
-from .policies import FitError, GprModel, KernelParams, fit_model, prepared_traces
+from .policies import FitError, GprModel, KernelParams, prepared_traces
 from .states import CanonConfig, EMPTY_CANON
 from .traces import Dataset, Trace, TracePairs
 from .traces import build_pairs, goal_filter  # uncalled; perfbench/tracing.py wraps these names
@@ -228,32 +228,24 @@ def loo_rmse(
     return loo_rmse_multi(dataset, (scheme,), params, cost, canon, mode)[scheme]
 
 
-def hint_quality(
-    dataset: Dataset,
-    policy_fn,
-    cost: CostModel = UNIT_COSTS,
-    canon: CanonConfig = EMPTY_CANON,
-    params: KernelParams = KernelParams(),
-    mode: str = "clip",
-) -> EvalReport:
-    """Score a policy against tutor hints.
+def hint_quality(model: GprModel, tutor_hints, policy_fn) -> EvalReport:
+    """Score a policy of a fitted model against tutor hints.
 
-    The model trains on all successful traces; every tutor-annotated state
-    is queried.  A hint matching any tutor edit for that state (serialized
-    equality) earns the mean rating of the matching tutor entries,
-    anything else earns zero.  The RMSE column is the raw edit distance
-    between the hinted state and the nearest tutor-hinted state, over the
-    states where a hint was produced.
+    Every tutor-annotated state is queried.  A hint matching any tutor edit
+    for that state (serialized equality) earns the mean rating of the
+    matching tutor entries, anything else earns zero.  The RMSE column is
+    the raw edit distance, under ``model.cost``, between the hinted state
+    and the nearest tutor-hinted state, over the states where a hint was
+    produced.
 
-    ``policy_fn(model, state)`` must return a
+    ``tutor_hints`` are a dataset's :class:`~edithints.traces.TutorHint`
+    entries; ``policy_fn(model, state)`` must return a
     :class:`~edithints.policies.HintResult`.
     """
-    if not dataset.tutor_hints:
+    if not tutor_hints:
         raise ValueError("dataset has no tutor hints")
-    model = fit_model(dataset, cost, canon, params, mode)
-
     grouped = {}
-    for hint in dataset.tutor_hints:
+    for hint in tutor_hints:
         grouped.setdefault((hint.trace_id, hint.step), []).append(hint)
 
     per_state = []
@@ -279,8 +271,8 @@ def hint_quality(
                 try:
                     tutor_state = apply_edit(state, entry.edit)
                 except EditError:
-                    continue  # tutor edit not applicable to the canonic form
-                dists.append(distance(hinted_state, tutor_state, cost))
+                    continue  # a tree edit may not apply to the canonic form
+                dists.append(distance(hinted_state, tutor_state, model.cost))
             if dists:
                 dist_to_tutor = float(min(dists))
                 sq_dists.append(dist_to_tutor**2)

@@ -200,10 +200,8 @@ class CorrectedSpace:
         """Corrected squared distances from the query to every training state."""
         return q.self_inner + np.diag(self.gram_corrected) - 2.0 * q.cross_gram
 
-    def extended_gram(self, q: QueryEmbedding = None) -> np.ndarray:
-        """Corrected Gram matrix, optionally bordered by the query column."""
-        if q is None:
-            return self.gram_corrected.copy()
+    def extended_gram(self, q: QueryEmbedding) -> np.ndarray:
+        """Corrected Gram matrix bordered by the query column."""
         m = self.size
         out = np.zeros((m + 1, m + 1))
         out[:m, :m] = self.gram_corrected

@@ -16,7 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .editdist import edit_from_dict, edit_to_dict
+from .editdist import EditError, TreeEdit, apply_edit, edit_from_dict, edit_to_dict
 from .states import (
     CanonConfig,
     EMPTY_CANON,
@@ -82,29 +82,37 @@ def _objects(raw: dict, key: str) -> list:
     return entries
 
 
+def read_json_object(source: str, what: str) -> tuple:
+    """The JSON object that ``source`` gives, and its text.  ``source`` is
+    inline JSON when it starts with ``{`` (after any whitespace) and a file
+    path otherwise; ``what`` names it in the :class:`DataError` of a failed
+    read."""
+    text = source
+    if not source.lstrip().startswith("{"):
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise DataError(f"cannot read {what} {source!r}: {exc}") from exc
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{what} must be a JSON object")
+    return obj, text
+
+
 def load_dataset(source, canon: CanonConfig = EMPTY_CANON) -> Dataset:
-    """Load a dataset from a JSON string, dict, or file path.
+    """Load a dataset from a dict, or from a JSON string or file path as
+    :func:`read_json_object` reads them.
 
     States are canonicalized on ingest and consecutive duplicates are
     collapsed.  Tutor hint steps index the trace's state list *as given in
-    the file* (1-based, before collapsing).
+    the file* (1-based, before collapsing).  A tutor hint's edit must be of
+    the dataset's kind, and a sequence edit must apply to its state.
     """
-    if isinstance(source, dict):
-        raw = source
-    else:
-        text = str(source)
-        if not text.lstrip().startswith("{"):  # a path, not JSON text
-            try:
-                with open(text, "r", encoding="utf-8") as handle:
-                    text = handle.read()
-            except OSError as exc:
-                raise DataError(f"cannot read dataset {source!r}: {exc}") from exc
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"dataset is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise DataError("dataset must be a JSON object")
+    raw = source if isinstance(source, dict) else read_json_object(str(source), "dataset")[0]
 
     kind = raw.get("kind")
     if kind not in ("sequence", "tree"):
@@ -156,11 +164,18 @@ def load_dataset(source, canon: CanonConfig = EMPTY_CANON) -> Dataset:
             raise DataError(f"tutor hint {hi} step {step} outside trace {tid!r}")
         if not 0 <= quality <= 1:  # checked before float(), which overflows on huge integers
             raise DataError(f"tutor hint {hi} quality {quality} outside [0, 1]")
+        state = originals[tid][step - 1]
         try:
             edit = edit_from_dict(entry["edit"])
+            if isinstance(edit, TreeEdit) != (kind == "tree"):
+                raise EditError(f"a {edit.kind} edit in a {kind} dataset")
+            # sequences are never canonicalized, so the edit must apply as
+            # given; a tree edit may address a node that canonicalization moved
+            if kind == "sequence":
+                apply_edit(state, edit)
         except (KeyError, ValueError) as exc:
             raise DataError(f"tutor hint {hi} has no usable edit: {exc}") from exc
-        hints.append(TutorHint(tid, step, originals[tid][step - 1], edit, float(quality)))
+        hints.append(TutorHint(tid, step, state, edit, float(quality)))
 
     return Dataset(kind, tuple(traces), tuple(hints))
 

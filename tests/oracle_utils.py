@@ -298,7 +298,7 @@ def combo_sqdist(space, a, b, query=None) -> float:
     matrix; tiny negative values from rounding are possible and bounded by
     -1e-8 times the Gram scale.
     """
-    gram = space.extended_gram(query)
+    gram = space.gram_corrected if query is None else space.extended_gram(query)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != (gram.shape[0],) or b.shape != (gram.shape[0],):

@@ -152,6 +152,52 @@ def test_model_bytes_match_recorded_digest(tmp_path, dataset, flags, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+SEARCH_CORPUS = dataset_to_dict(synthetic_corpus(5, 4, "abcde", min_missing=1, max_missing=3))
+QUALITY_CORPUS = {
+    **SEARCH_CORPUS,
+    "traces": SEARCH_CORPUS["traces"]
+    + [{"id": "err", "successful": False, "states": [["a", "b"], ["a", "c", "d"]]}],
+    "tutor_hints": [
+        {"trace": "err", "step": 1, "edit": {"kind": "insert", "position": 3, "label": "c"}, "quality": 1.0},
+        {"trace": "err", "step": 1, "edit": {"kind": "relabel", "position": 2, "label": "c"}, "quality": 0.5},
+        {"trace": "err", "step": 2, "edit": {"kind": "insert", "position": 2, "label": "b"}, "quality": 0.75},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "task, digest",
+    [
+        ("rmse", "bea3204d74a948436ac1771f0bec4105bb5cf0a35140c4b7a06954c6886dd024"),
+        ("quality", "5a32bc5437f67b7300bc04116cec8fb93ecce490ea5f1e99777580cf6efd3d03"),
+    ],
+)
+def test_eval_search_report_matches_recorded_digest(tmp_path, capsys, task, digest):
+    # recorded from the reports of an earlier version of the package, which
+    # prepared the training data once for the search and again for the task
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(QUALITY_CORPUS))
+    argv = ["eval", "--dataset", str(data), "--task", task, "--search", "--repeats", "3", "--seed", "7"]
+    assert run(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_dataset_and_model_take_inline_json(fig2_path, tmp_path, capsys):
+    inline = json.dumps(FIG2)
+    outputs = []
+    for dataset in (fig2_path, inline):
+        assert run(["dist", "--dataset", dataset]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    model = tmp_path / "model.json"
+    assert run(["fit", "--dataset", inline, "--out", str(model)]) == 0
+    for source in (str(model), model.read_text()):
+        assert run(["hint", "--model", source, "--state", '["a","b"]']) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[2] == outputs[3]
+    assert json.loads(outputs[2])["edit"] is not None
+
+
 def test_model_round_trip_preserves_behavior(fig2_path, tmp_path):
     model_path = tmp_path / "model.json"
     run(["fit", "--dataset", fig2_path, "--psi", "1.0", "--noise", "0.0", "--out", str(model_path)])
@@ -325,6 +371,8 @@ def _hint(**fields):
             _hint(edit={"kind": "insert_node", "path": [], "label": "c", "child_span": [1.0, 1]}),
             "child_span entry 1.0 is not an integer",
         ),
+        (_hint(edit={"kind": "delete_node", "path": [1]}), "a delete_node edit in a sequence dataset"),
+        (_hint(edit={"kind": "delete", "position": 9}), "delete position 9 > length 1"),
     ],
     ids=[
         "array", "string", "trace-not-object", "traces-not-list", "states-string", "state-string",
@@ -333,6 +381,7 @@ def _hint(**fields):
         "successful-string", "successful-int", "step-float", "step-bool", "quality-string",
         "quality-bool", "quality-huge-int", "position-float", "position-string", "position-bool",
         "path-float", "path-string-entry", "path-string", "child-span-float",
+        "tree-edit-in-sequences", "edit-off-its-state",
     ],
 )
 def test_malformed_dataset_structure_is_data_error(tmp_path, capsys, dataset, message):

@@ -170,7 +170,7 @@ def test_hint_quality_perfect_policy():
         edit = lookup[tuple(state)]
         return HintResult(edit, 0.0, ((edit, 0.0),))
 
-    report = hint_quality(ds, oracle_policy)
+    report = hint_quality(fit_model(ds), ds.tutor_hints, oracle_policy)
     assert report.hintable_fraction == 1.0
     assert report.rmse_to_tutor == pytest.approx(0.0)
     assert report.fraction_positive == 1.0
@@ -185,7 +185,7 @@ def test_hint_quality_silent_policy():
     def silent(model, state):
         return HintResult(None, None, (), reason="kernel-decay")
 
-    report = hint_quality(ds, silent)
+    report = hint_quality(fit_model(ds), ds.tutor_hints, silent)
     assert report.hintable_fraction == 0.0
     assert report.mean_quality == 0.0
     assert report.fraction_positive == 0.0
@@ -207,7 +207,7 @@ def test_hint_quality_partial_match_mean():
                 return HintResult(edit, 0.0, ((edit, 0.0),))
         raise AssertionError("unexpected state")
 
-    report = hint_quality(ds, policy)
+    report = hint_quality(fit_model(ds), ds.tutor_hints, policy)
     assert report.mean_quality == pytest.approx((0.9 + 0.7 + 0.0) / 3)
     assert report.fraction_positive == pytest.approx(2 / 3)
     assert report.hintable_fraction == 1.0
@@ -218,7 +218,7 @@ def test_hint_quality_partial_match_mean():
 def test_hint_quality_needs_hints():
     ds = load_dataset({"kind": "sequence", "traces": QUALITY_DATA["traces"]})
     with pytest.raises(ValueError):
-        hint_quality(ds, lambda model, state: HintResult(None, None, ()))
+        hint_quality(fit_model(ds), ds.tutor_hints, lambda model, state: HintResult(None, None, ()))
 
 
 def test_hyper_search_collapsed_ranges():
@@ -261,18 +261,30 @@ def test_distance_matrix_built_once_per_call(monkeypatch, tmp_path):
     ds = load_dataset(QUALITY_DATA)
     data, out = tmp_path / "data.json", tmp_path / "model.json"
     data.write_text(json.dumps(QUALITY_DATA))
-    fit_argv = ["fit", "--dataset", str(data), "--search", "--repeats", "2", "--out", str(out)]
     runs = {
         "hyper_search": lambda: hyper_search(ds, (0.5, 3.0), (0.01, 0.5), repeats=4, seed=1),
         "loo_rmse_multi": lambda: loo_rmse_multi(ds, PREDICTION_SCHEMES),
         "fit_model": lambda: fit_model(ds),
-        "hint_quality": lambda: hint_quality(ds, lambda model, state: HintResult(None, None, ())),
-        # the search and the final fit share one prepared matrix
-        "fit --search": lambda: cli.main(fit_argv),
+        "hint_quality": lambda: hint_quality(
+            fit_model(ds), ds.tutor_hints, lambda model, state: HintResult(None, None, ())
+        ),
     }
     for name, call in runs.items():
         calls.clear()
         call()
+        assert len(calls) == 1, name
+    # the search and the final fit or the evaluation share one prepared matrix
+    search = ["--dataset", str(data), "--search", "--repeats", "2"]
+    commands = {
+        "fit --search": ["fit", *search, "--out", str(out)],
+        "eval --search --task rmse": ["eval", *search, "--task", "rmse"],
+        "eval --search --task quality": ["eval", *search, "--task", "quality"],
+        "dist": ["dist", "--dataset", str(data)],
+        "mds": ["mds", "--dataset", str(data)],
+    }
+    for name, argv in commands.items():
+        calls.clear()
+        assert cli.main(argv) == 0, name
         assert len(calls) == 1, name
     assert out.exists()
 
