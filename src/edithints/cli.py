@@ -38,7 +38,7 @@ from .policies import (
     fit_model,
     hint_by_policy,
 )
-from .space import CorrectedSpace, NumericalError
+from .space import MODES, CorrectedSpace, NumericalError
 from .states import CanonConfig, StateError, parse_state, serialize_state
 from .traces import DataError, TracePairs, load_dataset, read_json_object
 from .traces import build_pairs  # uncalled; perfbench/tracing.py wraps this name
@@ -155,7 +155,7 @@ def _add_common(parser):
     parser.add_argument("--cost", help="cost model, JSON file or inline JSON")
     parser.add_argument("--canon", help="canonicalization config, JSON file or inline")
     parser.add_argument(
-        "--mode", default="clip", choices=("clip", "flip", "shift"),
+        "--mode", default="clip", choices=MODES,
         help="eigenvalue correction mode",
     )
 
@@ -278,6 +278,8 @@ def cmd_hint(args) -> int:
 
 def cmd_eval(args) -> int:
     dataset, cost, canon, _, prepared = _training_data(args)
+    if args.task == "quality" and not dataset.tutor_hints:
+        raise DataError("dataset has no tutor hints")  # before the search and the fit
     params, _ = _params_from_args(args, dataset, cost, canon, prepared)
     if args.task == "rmse":
         reports = loo_rmse_multi(dataset, (args.scheme,), params, cost, canon, args.mode, prepared)

@@ -263,9 +263,6 @@ class EditScript:
     def __post_init__(self):
         object.__setattr__(self, "edits", tuple(self.edits))
 
-    def __len__(self):
-        return len(self.edits)
-
     def apply(self, state):
         for edit in self.edits:
             state = apply_edit(state, edit)
@@ -391,35 +388,24 @@ def seq_distance(x: SequenceState, y: SequenceState, cost: CostModel = UNIT_COST
     m, n = len(x), len(y)
     dp = list(_lev_rows(x, y, cost))
 
-    # backtrace, then emit edits left to right tracking the evolving position
-    ops = []
+    # backtrace from the end; applied left to right, the edits before the
+    # one taken at (i, j) have made the state start with y[:j - 1] (insert,
+    # relabel) or y[:j] (delete), so it sits at position j or j + 1
+    edits = []
     i, j = m, n
     while i > 0 or j > 0:
         here = dp[i][j]
         if j > 0 and here == dp[i][j - 1] + cost.cost_insert(y[j - 1]):
-            ops.append(("insert", y[j - 1]))
+            edits.append(SeqEdit("insert", j, y[j - 1]))
             j -= 1
         elif i > 0 and j > 0 and here == dp[i - 1][j - 1] + cost.cost_relabel(x[i - 1], y[j - 1]):
-            ops.append(("match", y[j - 1]) if x[i - 1] == y[j - 1] else ("relabel", y[j - 1]))
+            if x[i - 1] != y[j - 1]:
+                edits.append(SeqEdit("relabel", j, y[j - 1]))
             i, j = i - 1, j - 1
         else:
-            ops.append(("delete", None))
+            edits.append(SeqEdit("delete", j + 1))
             i -= 1
-    ops.reverse()
-
-    edits = []
-    pos = 1
-    for op, label in ops:
-        if op == "match":
-            pos += 1
-        elif op == "relabel":
-            edits.append(SeqEdit("relabel", pos, label))
-            pos += 1
-        elif op == "delete":
-            edits.append(SeqEdit("delete", pos))
-        else:
-            edits.append(SeqEdit("insert", pos, label))
-            pos += 1
+    edits.reverse()
     return float(dp[m][n]), EditScript(tuple(edits), float(dp[m][n]))
 
 

@@ -374,8 +374,6 @@ def synthetic_corpus(
         drop = set(rng.sample(range(len(goal)), k))
         state = tuple(s for i, s in enumerate(goal) if i not in drop)
         for _ in range(rng.randint(0, 2)):
-            if not state:
-                break
             pos = rng.randrange(len(state))
             wrong = rng.choice([s for s in alphabet if s != state[pos]])
             state = state[:pos] + (wrong,) + state[pos + 1 :]
@@ -400,8 +398,6 @@ def synthetic_corpus(
                     if distance(nxt, goal) < d_here:
                         state = nxt
                         break
-                else:
-                    state = script.apply(state)
             states.append(state)
         traces.append(Trace(f"trace{t:02d}", tuple(states), True))
     return Dataset("sequence", tuple(traces))

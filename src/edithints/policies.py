@@ -390,16 +390,6 @@ def sparsify(
     if not allowed:
         return alpha.copy(), False
 
-    support = [int(i) for i in np.flatnonzero(np.abs(alpha) > 1e-12)]
-    if (
-        len(support) <= m_max
-        and set(support) <= set(allowed)
-        and float(alpha.sum()) > 1e-12
-    ):
-        out = np.zeros(m)
-        out[support] = alpha[support] / alpha[support].sum()
-        return out, True
-
     gram = model.space.extended_gram(query)
     target = np.append(alpha, 1.0)
     scale = max(1.0, float(np.max(np.abs(np.diag(gram)))))
@@ -464,14 +454,13 @@ def sparsify(
 # candidate extraction and pre-image selection
 
 
-def candidate_edits(x, positive_states, cost: CostModel = UNIT_COSTS, keep=None):
+def candidate_edits(x, positive_states, cost: CostModel = UNIT_COSTS):
     """Union of edits from the shortest edit scripts x -> state, one entry
     per serialized form, sorted for determinism.
 
     Later script edits may address positions that only exist after earlier
     edits were applied; those cannot be offered as a next step and are
-    dropped.  ``keep`` is an optional predicate on (edit, resulting_state)
-    for domain-specific filters such as syntax or unit-test checks."""
+    dropped."""
     seen = {}
     for state in positive_states:
         script = distance_and_script(x, state, cost)[1]
@@ -481,11 +470,10 @@ def candidate_edits(x, positive_states, cost: CostModel = UNIT_COSTS, keep=None)
     for key in sorted(seen):
         edit = seen[key]
         try:
-            result = apply_edit(x, edit)
+            apply_edit(x, edit)
         except EditError:
             continue
-        if keep is None or keep(edit, result):
-            out.append(edit)
+        out.append(edit)
     return out
 
 
@@ -551,7 +539,6 @@ def chf_hint(
     state,
     m_max: int = DEFAULT_M_MAX,
     scheme: str = "gpr",
-    candidate_filter=None,
 ) -> HintResult:
     """Full pipeline: canonicalize, embed, regress, convert weights,
     sparsify, extract candidates, select the pre-image edit.
@@ -580,9 +567,7 @@ def chf_hint(
             None, None, (), alpha_used=alpha_tilde, sparsified=applied,
             reason="no-positive-support",
         )
-    candidates = candidate_edits(
-        x, [model.pairs.states[i] for i in positives], model.cost, keep=candidate_filter
-    )
+    candidates = candidate_edits(x, [model.pairs.states[i] for i in positives], model.cost)
     result = preimage_select(x, alpha_tilde, candidates, model)
     return HintResult(
         result.edit,
@@ -630,6 +615,8 @@ def random_hint(model: GprModel, state, seed: int) -> HintResult:
 
 
 POLICY_NAMES = ("chf", "nwr", "nn", "zimmerman", "gross", "random")
+# the embedding policies and the weight scheme each regresses with
+_CHF_SCHEMES = {"chf": "gpr", "nwr": "nwr", "nn": "nn"}
 
 
 def hint_by_policy(
@@ -638,14 +625,9 @@ def hint_by_policy(
     policy: str,
     seed: int = None,
     m_max: int = DEFAULT_M_MAX,
-    candidate_filter=None,
 ) -> HintResult:
-    if policy == "chf":
-        return chf_hint(model, state, m_max, "gpr", candidate_filter)
-    if policy == "nwr":
-        return chf_hint(model, state, m_max, "nwr", candidate_filter)
-    if policy == "nn":
-        return chf_hint(model, state, m_max, "nn", candidate_filter)
+    if policy in _CHF_SCHEMES:
+        return chf_hint(model, state, m_max, _CHF_SCHEMES[policy])
     if policy == "zimmerman":
         return zimmerman_hint(model, state)
     if policy == "gross":

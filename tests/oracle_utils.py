@@ -367,16 +367,6 @@ def greedy_sparsify_oracle(model, alpha, query, allowed, m_max):
     if not allowed:
         return alpha.copy(), False
 
-    support = [int(i) for i in np.flatnonzero(np.abs(alpha) > 1e-12)]
-    if (
-        len(support) <= m_max
-        and set(support) <= set(allowed)
-        and float(alpha.sum()) > 1e-12
-    ):
-        out = np.zeros(m)
-        out[support] = alpha[support] / alpha[support].sum()
-        return out, True
-
     gram = model.space.extended_gram(query)
     target = np.append(alpha, 1.0)
     scale = max(1.0, float(np.max(np.abs(np.diag(gram)))))

@@ -331,6 +331,7 @@ def _hint(**fields):
         ("data.json", "must be a JSON object"),
         ({"kind": "sequence", "traces": [1]}, "'traces' must be a list of objects"),
         ({"kind": "sequence", "traces": 5}, "'traces' must be a list of objects"),
+        ({"kind": "sequence", "traces": [{**FIG2["traces"][0], "id": 7}]}, "no usable id"),
         (
             {"kind": "sequence", "traces": [{"id": "t", "successful": True, "states": "ab"}]},
             "no list of states",
@@ -375,7 +376,8 @@ def _hint(**fields):
         (_hint(edit={"kind": "delete", "position": 9}), "delete position 9 > length 1"),
     ],
     ids=[
-        "array", "string", "trace-not-object", "traces-not-list", "states-string", "state-string",
+        "array", "string", "trace-not-object", "traces-not-list", "trace-id-not-string",
+        "states-string", "state-string",
         "hint-not-object", "hint-trace-list", "step-list", "quality-list", "edit-not-object",
         "edit-no-position", "label-list", "child-span-int", "child-span-triple",
         "successful-string", "successful-int", "step-float", "step-bool", "quality-string",
@@ -533,6 +535,34 @@ def test_eval_quality_files(tmp_path, capsys):
     report = json.loads((tmp_path / "q.json").read_text())
     assert report["hintable_fraction"] == 1.0
     assert report["median_quality"] == 1.0
+
+
+def test_eval_quality_without_tutor_hints_fails_before_search(fig2_path, monkeypatch, capsys):
+    from edithints import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched or fitted a dataset without tutor hints")
+
+    monkeypatch.setattr(cli, "hyper_search", refuse)
+    monkeypatch.setattr(cli, "fit_model", refuse)
+    argv = ["eval", "--dataset", fig2_path, "--task", "quality", "--search", "--repeats", "20"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["edithints: data error: dataset has no tutor hints"]
+
+
+@pytest.mark.parametrize("command", ["mds", "fit"])
+def test_eigensolver_failure_is_numerical_exit(fig2_path, monkeypatch, capsys, command):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert run([command, "--dataset", fig2_path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("edithints: numerical failure:")
 
 
 def test_csv_quotes_trace_ids(tmp_path, capsys):

@@ -39,6 +39,25 @@ def test_do_nothing_on_static_traces_is_zero():
     assert report.mean_next == pytest.approx(0.0, abs=1e-9)
 
 
+def test_loo_on_single_state_traces_is_finite_for_every_scheme():
+    # no trace moves, so every fold's model has an empty kernel system
+    ds = load_dataset(
+        {
+            "kind": "sequence",
+            "traces": [
+                {"id": "t1", "successful": True, "states": [["a", "b"]]},
+                {"id": "t2", "successful": True, "states": [["a", "c", "d"]]},
+                {"id": "t3", "successful": True, "states": [["b"]]},
+            ],
+        }
+    )
+    reports = loo_rmse_multi(ds, PREDICTION_SCHEMES, KernelParams(1.0, 0.0))
+    assert sorted(reports) == sorted(PREDICTION_SCHEMES)
+    for report in reports.values():
+        assert not report.folds_skipped
+        assert math.isfinite(report.mean_next) and math.isfinite(report.mean_final)
+
+
 def test_duplicate_trace_gpr_interpolates():
     # the held-out trace has an identical twin in the training data; with a
     # short length scale and zero noise the prediction reproduces the twin's

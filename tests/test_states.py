@@ -22,6 +22,7 @@ def test_parse_basic_shapes():
     t = parse_tree("a(b,c)")
     assert t == tree("a", tree("b"), tree("c"))
     assert parse_tree("x") == tree("x")
+    assert parse_tree(" f ( a , b ) ") == parse_tree("f(a,b)")
 
 
 def test_parse_depth3():
@@ -48,6 +49,8 @@ def test_quoted_labels_round_trip():
         ("a(b,)", 4),
         ("a)b", 1),
         ('a("unterminated', 2),
+        ('f("a\\', 4),  # dangling escape
+        ('f("")', 2),  # empty quoted label
         ("a(b))", 4),
         # 101 levels: the 100th "(" opens the level beyond the limit
         pytest.param("a(" * 100 + "b" + ")" * 100, 199, id="too-deep"),
