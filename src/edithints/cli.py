@@ -208,7 +208,7 @@ def _training_data(args) -> tuple:
     return dataset, cost, canon, _sha256(text), prepared_traces(dataset, cost)
 
 
-def _params_from_args(args, dataset, cost, canon, prepared):
+def _params_from_args(args, dataset, cost, prepared):
     """Explicit kernel parameters, or the result of a random search on
     ``prepared``, the dataset's prepared traces."""
     if not args.search:
@@ -221,7 +221,6 @@ def _params_from_args(args, dataset, cost, canon, prepared):
         repeats=args.repeats,
         seed=seed,
         cost=cost,
-        canon=canon,
         mode=args.mode,
         prepared=prepared,
     )
@@ -258,7 +257,7 @@ def cmd_dist(args) -> int:
 
 def cmd_fit(args) -> int:
     dataset, cost, canon, digest, prepared = _training_data(args)
-    params, search_meta = _params_from_args(args, dataset, cost, canon, prepared)
+    params, search_meta = _params_from_args(args, dataset, cost, prepared)
     model = fit_model(dataset, cost, canon, params, args.mode, prepared)
     payload = model_to_dict(model, digest, search_meta)
     text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
@@ -280,9 +279,9 @@ def cmd_eval(args) -> int:
     dataset, cost, canon, _, prepared = _training_data(args)
     if args.task == "quality" and not dataset.tutor_hints:
         raise DataError("dataset has no tutor hints")  # before the search and the fit
-    params, _ = _params_from_args(args, dataset, cost, canon, prepared)
+    params, _ = _params_from_args(args, dataset, cost, prepared)
     if args.task == "rmse":
-        reports = loo_rmse_multi(dataset, (args.scheme,), params, cost, canon, args.mode, prepared)
+        reports = loo_rmse_multi(dataset, (args.scheme,), params, cost, args.mode, prepared)
         report = reports[args.scheme]
     else:
 

@@ -66,7 +66,9 @@ class CostModel:
 
     ``indel`` maps labels to their (positive) deletion/insertion cost,
     ``relabel`` maps sorted label pairs to a non-negative (possibly
-    infinite) replacement cost.  Unlisted labels fall back to the defaults.
+    infinite) replacement cost; its labels are non-empty and free of
+    ``|``, which separates the pair in :meth:`to_dict`.  Unlisted labels
+    fall back to the defaults.
     ``is_unit`` (derived, not a field) is true when every indel and every
     relabel of distinct labels costs 1.
     """
@@ -89,6 +91,8 @@ class CostModel:
         norm = {}
         for key, cost in self.relabel.items():
             a, b = key
+            if not (a and b) or "|" in a or "|" in b:
+                raise ValueError(f"relabel labels {key!r} must be non-empty and free of '|'")
             if not cost >= 0:
                 raise ValueError(f"relabel cost for {key!r} must be non-negative")
             norm[(a, b) if a <= b else (b, a)] = float(cost)
@@ -132,6 +136,9 @@ class CostModel:
                 raise ValueError(f"cost {c!r} is not a number")
             return INF if c == "inf" else float(c)
 
+        unknown = sorted(set(raw) - {"indel_default", "relabel_default", "indel", "relabel"})
+        if unknown:
+            raise ValueError(f"unknown cost model key {unknown[0]!r}")
         indel, pairs = raw.get("indel", {}), raw.get("relabel", {})
         if not (isinstance(indel, dict) and isinstance(pairs, dict)):
             raise ValueError("'indel' and 'relabel' costs must be JSON objects")
@@ -262,11 +269,6 @@ class EditScript:
 
     def __post_init__(self):
         object.__setattr__(self, "edits", tuple(self.edits))
-
-    def apply(self, state):
-        for edit in self.edits:
-            state = apply_edit(state, edit)
-        return state
 
 
 # ---------------------------------------------------------------------------
@@ -556,22 +558,23 @@ def _build_mut(t: _Annotated) -> _MutNode:
     return make(t.n - 1)
 
 
-def _path_of(root: _MutNode, key) -> tuple:
-    """Path of 1-based child indices to the node with ``key``."""
+def _find(root: _MutNode, key) -> tuple:
+    """Path of 1-based child indices to the node with ``key``, and the
+    nodes along that path from ``root`` down to the node itself."""
 
-    def search(node, acc):
+    def search(node):
         if node.key == key:
-            return acc
+            return (), [node]
         for i, c in enumerate(node.children, start=1):
-            found = search(c, acc + (i,))
+            found = search(c)
             if found is not None:
-                return found
+                return (i, *found[0]), [node, *found[1]]
         return None
 
-    path = search(root, ())
-    if path is None:
+    found = search(root)
+    if found is None:
         raise EditError(f"node {key} not present in working tree")
-    return path
+    return found
 
 
 def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping, cost: CostModel):
@@ -603,14 +606,10 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping, cost: CostMo
     for i in range(src.n):
         if i in map_st or i == root_s:
             continue
-        path = _path_of(work, ("s", i))
+        path, nodes = _find(work, ("s", i))
         emit(TreeEdit("delete_node", path), cost.cost_delete(src.labels[i]))
-        parent = work
-        for step in path[:-1]:
-            parent = parent.children[step - 1]
-        pos = path[-1]
-        node = parent.children[pos - 1]
-        parent.children[pos - 1 : pos] = node.children
+        parent, node = nodes[-2:]
+        parent.children[path[-1] - 1 : path[-1]] = node.children
 
     # relabelings of mapped nodes, pre-order over the working tree
     def walk_pre(node):
@@ -625,7 +624,7 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping, cost: CostMo
         j = map_st[idx]
         if src.labels[idx] != tgt.labels[j]:
             emit(
-                TreeEdit("relabel_node", _path_of(work, node.key), tgt.labels[j]),
+                TreeEdit("relabel_node", _find(work, node.key)[0], tgt.labels[j]),
                 cost.cost_relabel(src.labels[idx], tgt.labels[j]),
             )
             node.label = tgt.labels[j]
@@ -666,13 +665,11 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping, cost: CostMo
             work = _MutNode(tgt.labels[j], [work], ("t", j))
             continue
         if q == -1:
-            parent = work  # the deferred, unmapped source root adopts all
+            path, parent = (), work  # the deferred, unmapped source root adopts all
             first, count = 1, len(parent.children)
         else:
-            parent_key = ("s", map_ts[q]) if q in map_ts else ("t", q)
-            parent = work
-            for step in _path_of(work, parent_key):
-                parent = parent.children[step - 1]
+            path, nodes = _find(work, ("s", map_ts[q]) if q in map_ts else ("t", q))
+            parent = nodes[-1]
             # order of anchors within q's target child list decides where
             # the new node goes when it adopts nothing
             order = {c: rank for rank, c in enumerate(tgt.children[q])}
@@ -692,12 +689,7 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping, cost: CostMo
             if first is None:
                 first = before + 1
         emit(
-            TreeEdit(
-                "insert_node",
-                _path_of(work, parent.key) + (first,),
-                tgt.labels[j],
-                (first, count),
-            ),
+            TreeEdit("insert_node", path + (first,), tgt.labels[j], (first, count)),
             cost.cost_insert(tgt.labels[j]),
         )
         node = _MutNode(tgt.labels[j], parent.children[first - 1 : first - 1 + count], ("t", j))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .editdist import CostModel, EditError, UNIT_COSTS, apply_edit, distance, serialize_edit
 from .policies import FitError, GprModel, KernelParams, prepared_traces
-from .states import CanonConfig, EMPTY_CANON
+from .states import EMPTY_CANON
 from .traces import Dataset, Trace, TracePairs
 from .traces import build_pairs, goal_filter  # uncalled; perfbench/tracing.py wraps these names
 
@@ -37,6 +37,9 @@ PREDICTION_SCHEMES = (
 )
 
 _WEIGHT_SCHEME = {"gaussian_process": "gpr", "nwr": "nwr", "nn": "nn"}
+
+# synthetic_corpus records one state every 1 to this many steps of a walk
+CORPUS_MAX_STRIDE = 3
 
 
 @dataclass(frozen=True)
@@ -64,53 +67,33 @@ class EvalReport:
     hintable_fraction: float = None
 
     def to_dict(self) -> dict:
-        if self.kind == "rmse":
-            return {
-                "kind": self.kind,
-                "mean_next": self.mean_next,
-                "std_next": self.std_next,
-                "mean_final": self.mean_final,
-                "std_final": self.std_final,
-                "folds_skipped": list(self.folds_skipped),
-                "per_trace": [
-                    {
-                        "trace": t,
-                        "rmse_next": rn,
-                        "rmse_final": rf,
-                        "states": n,
-                    }
-                    for t, rn, rf, n in self.per_trace
-                ],
-            }
-        return {
-            "kind": self.kind,
-            "median_quality": self.median_quality,
-            "mean_quality": self.mean_quality,
-            "std_quality": self.std_quality,
-            "fraction_positive": self.fraction_positive,
-            "rmse_to_tutor": self.rmse_to_tutor,
-            "hintable_fraction": self.hintable_fraction,
-            "per_state": [
-                {
-                    "trace": t,
-                    "step": s,
-                    "hinted": h,
-                    "quality": q,
-                    "distance_to_tutor": d,
-                }
-                for t, s, h, q, d in self.per_state
-            ],
-        }
+        summary, rows, columns = _LAYOUT[self.kind]
+        out = {"kind": self.kind, **{name: getattr(self, name) for name in summary}}
+        out[rows] = [dict(zip(columns, row)) for row in getattr(self, rows)]
+        return out
 
     def csv_rows(self):
-        if self.kind == "rmse":
-            yield ("trace", "rmse_next", "rmse_final", "states")
-            for t, rn, rf, n in self.per_trace:
-                yield (t, repr(rn), repr(rf), n)
-        else:
-            yield ("trace", "step", "hinted", "quality", "distance_to_tutor")
-            for t, s, h, q, d in self.per_state:
-                yield (t, s, int(h), repr(q), "" if d is None else repr(d))
+        _, rows, columns = _LAYOUT[self.kind]
+        yield columns
+        for row in getattr(self, rows):
+            # csv writes floats by repr and None as an empty cell
+            yield tuple(int(v) if isinstance(v, bool) else v for v in row)
+
+
+# per report kind: its summary fields, its row field and the row's columns
+_LAYOUT = {
+    "rmse": (
+        ("mean_next", "std_next", "mean_final", "std_final", "folds_skipped"),
+        "per_trace",
+        ("trace", "rmse_next", "rmse_final", "states"),
+    ),
+    "quality": (
+        ("median_quality", "mean_quality", "std_quality", "fraction_positive",
+         "rmse_to_tutor", "hintable_fraction"),
+        "per_state",
+        ("trace", "step", "hinted", "quality", "distance_to_tutor"),
+    ),
+}
 
 
 def _predict_coords(model: GprModel, scheme: str, raw: np.ndarray, coords) -> np.ndarray:
@@ -131,16 +114,16 @@ def loo_rmse_multi(
     schemes,
     params: KernelParams = KernelParams(),
     cost: CostModel = UNIT_COSTS,
-    canon: CanonConfig = EMPTY_CANON,
     mode: str = "clip",
     prepared: tuple = None,
 ) -> dict:
     """Leave-one-trace-out RMSE for several prediction schemes at once.
 
     The fold models (distance submatrices, embeddings, kernel systems) are
-    fitted once per fold and shared across schemes.  ``prepared`` is
-    ``prepared_traces(dataset, cost)``, computed here when not given.
-    Returns a mapping scheme name -> :class:`EvalReport`.
+    fitted once per fold and shared across schemes.  The training states
+    are already canonical, so fold models canonicalize nothing.
+    ``prepared`` is ``prepared_traces(dataset, cost)``, computed here when
+    not given.  Returns a mapping scheme name -> :class:`EvalReport`.
     """
     schemes = tuple(schemes)
     for scheme in schemes:
@@ -164,7 +147,7 @@ def loo_rmse_multi(
                 [flat.states[g] for g in train_ids], ids[:held] + ids[held + 1 :], map(len, rest)
             )
             sub = matrix[np.ix_(train_ids, train_ids)]
-            model = GprModel(dataset.kind, pairs, cost, canon, params, mode, sub)
+            model = GprModel(dataset.kind, pairs, cost, EMPTY_CANON, params, mode, sub)
         except (FitError, ValueError) as exc:
             skipped.append((ids[held], str(exc)))
             continue
@@ -212,7 +195,6 @@ def loo_rmse(
     scheme: str,
     params: KernelParams = KernelParams(),
     cost: CostModel = UNIT_COSTS,
-    canon: CanonConfig = EMPTY_CANON,
     mode: str = "clip",
 ) -> EvalReport:
     """Leave-one-trace-out next-step and final-step RMSE of one prediction
@@ -225,7 +207,7 @@ def loo_rmse(
     the root.  The report carries the per-fold values and their mean and
     population standard deviation.
     """
-    return loo_rmse_multi(dataset, (scheme,), params, cost, canon, mode)[scheme]
+    return loo_rmse_multi(dataset, (scheme,), params, cost, mode)[scheme]
 
 
 def hint_quality(model: GprModel, tutor_hints, policy_fn) -> EvalReport:
@@ -307,7 +289,6 @@ def hyper_search(
     repeats: int = 10,
     seed: int = 0,
     cost: CostModel = UNIT_COSTS,
-    canon: CanonConfig = EMPTY_CANON,
     mode: str = "clip",
     prepared: tuple = None,
 ) -> KernelParams:
@@ -329,7 +310,7 @@ def hyper_search(
             noise_std=_log_uniform(rng, *noise_range),
         )
         scheme = "gaussian_process"
-        reports = loo_rmse_multi(dataset, (scheme,), params, cost, canon, mode, prepared)
+        reports = loo_rmse_multi(dataset, (scheme,), params, cost, mode, prepared)
         score = reports[scheme].mean_next
         if best is None or score < best[0]:
             best = (score, params)
@@ -343,7 +324,6 @@ def synthetic_corpus(
     goal_variants: bool = True,
     min_missing: int = 4,
     max_missing: int = 9,
-    max_stride: int = 3,
 ) -> Dataset:
     """Seeded corpus of noisy goal-directed sequence traces.
 
@@ -351,7 +331,7 @@ def synthetic_corpus(
     of a base solution (``goal_variants``), starts at a random corruption
     of that goal (symbols dropped, some substituted), and walks to it by
     applying, at each step, a random applicable edit of the current
-    shortest edit script.  Only every ``1..max_stride``-th state is
+    shortest edit script.  Only every ``1..CORPUS_MAX_STRIDE``-th state is
     recorded, like students whose states are saved sparsely.  Every
     recorded state is strictly closer to the goal than the previous one,
     so the traces are goal-directed but take varied paths through a mostly
@@ -383,7 +363,7 @@ def synthetic_corpus(
             guard += 1
             if guard > 20 * len(goal):
                 raise AssertionError("corpus walk failed to reach the goal")
-            stride = rng.randint(1, max_stride)
+            stride = rng.randint(1, CORPUS_MAX_STRIDE)
             for _ in range(stride):
                 if state == goal:
                     break

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -568,15 +568,7 @@ def chf_hint(
             reason="no-positive-support",
         )
     candidates = candidate_edits(x, [model.pairs.states[i] for i in positives], model.cost)
-    result = preimage_select(x, alpha_tilde, candidates, model)
-    return HintResult(
-        result.edit,
-        result.objective,
-        result.candidates,
-        alpha_used=alpha_tilde,
-        sparsified=applied,
-        reason=result.reason,
-    )
+    return replace(preimage_select(x, alpha_tilde, candidates, model), sparsified=applied)
 
 
 def _first_edit_toward(model: GprModel, x, ref_index: int, reason_when_equal: str) -> HintResult:
@@ -626,6 +618,8 @@ def hint_by_policy(
     seed: int = None,
     m_max: int = DEFAULT_M_MAX,
 ) -> HintResult:
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, got {m_max}")
     if policy in _CHF_SCHEMES:
         return chf_hint(model, state, m_max, _CHF_SCHEMES[policy])
     if policy == "zimmerman":

@@ -26,13 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 MODES = ("clip", "flip", "shift")
+# how far, relative to the largest entry, a squared distance matrix may
+# stray from symmetry, a zero diagonal and non-negativity
+SQDIST_TOL = 1e-8
 
 
 class NumericalError(RuntimeError):
     """Eigensolver failure or irreparably malformed numeric input."""
 
 
-def validate_sqdist(d2: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def validate_sqdist(d2: np.ndarray) -> np.ndarray:
     d2 = np.asarray(d2, dtype=float)
     if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
         raise ValueError(f"squared distance matrix must be square, got {d2.shape}")
@@ -40,12 +43,12 @@ def validate_sqdist(d2: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         return d2
     if not np.all(np.isfinite(d2)):
         raise ValueError("squared distances must be finite")
-    scale = max(1.0, float(np.max(np.abs(d2))))
-    if np.max(np.abs(d2 - d2.T)) > tol * scale:
+    limit = SQDIST_TOL * max(1.0, float(np.max(np.abs(d2))))
+    if np.max(np.abs(d2 - d2.T)) > limit:
         raise ValueError("squared distance matrix must be symmetric")
-    if np.max(np.abs(np.diag(d2))) > tol * scale:
+    if np.max(np.abs(np.diag(d2))) > limit:
         raise ValueError("squared distance matrix must have a zero diagonal")
-    if np.min(d2) < -tol * scale:
+    if np.min(d2) < -limit:
         raise ValueError("squared distances must be non-negative")
     return d2
 

@@ -70,9 +70,6 @@ class TreeState:
         check_label(self.label)
         object.__setattr__(self, "children", tuple(self.children))
 
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
-
     def node_at(self, path) -> "TreeState":
         """Return the node addressed by a list of 1-based child indices."""
         node = self
@@ -83,10 +80,6 @@ class TreeState:
                 )
             node = node.children[i - 1]
         return node
-
-
-def tree(label: Label, *children: TreeState) -> TreeState:
-    return TreeState(label, tuple(children))
 
 
 def _quote_label(label: Label) -> str:
@@ -248,8 +241,12 @@ class CanonConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CanonConfig":
+        names = ("variable_label_prefixes", "commutative_labels", "dead_labels")
+        unknown = sorted(set(raw) - set(names))
+        if unknown:
+            raise StateError(f"unknown canonicalization key {unknown[0]!r}")
         fields = {}
-        for name in ("variable_label_prefixes", "commutative_labels", "dead_labels"):
+        for name in names:
             labels = raw.get(name, [])
             if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
                 raise StateError(f"canonicalization field {name!r} must be a list of strings")

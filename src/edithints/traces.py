@@ -16,7 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .editdist import EditError, TreeEdit, apply_edit, edit_from_dict, edit_to_dict
+from .editdist import EditError, TreeEdit, apply_edit, edit_from_dict
 from .states import (
     CanonConfig,
     EMPTY_CANON,
@@ -24,7 +24,6 @@ from .states import (
     canonicalize_state,
     parse_tree,
     sequence,
-    serialize_state,
 )
 
 
@@ -178,34 +177,6 @@ def load_dataset(source, canon: CanonConfig = EMPTY_CANON) -> Dataset:
         hints.append(TutorHint(tid, step, state, edit, float(quality)))
 
     return Dataset(kind, tuple(traces), tuple(hints))
-
-
-def dataset_to_dict(dataset: Dataset) -> dict:
-    out = {
-        "kind": dataset.kind,
-        "traces": [
-            {
-                "id": t.id,
-                "successful": t.successful,
-                "states": [
-                    serialize_state(s) if dataset.kind == "tree" else list(s)
-                    for s in t.states
-                ],
-            }
-            for t in dataset.traces
-        ],
-    }
-    if dataset.tutor_hints:
-        out["tutor_hints"] = [
-            {
-                "trace": h.trace_id,
-                "step": h.step,
-                "edit": edit_to_dict(h.edit),
-                "quality": h.quality,
-            }
-            for h in dataset.tutor_hints
-        ]
-    return out
 
 
 def goal_filter(trace: Trace, metric) -> Trace:

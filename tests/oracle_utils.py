@@ -5,12 +5,14 @@ package: breadth-first search over the legal move graph for string
 distances, exhaustive enumeration of valid tree mappings for tree
 distances, numpy's eigensolver and exact characteristic polynomials for
 the embedding, direct coordinate geometry for planted configurations,
-the inverse of an edit for round trips,
+the inverse of an edit for round trips, replaying a script edit by edit,
 pair-by-pair accumulation for the state coefficients of pair weights,
 loop forms of the Nystrom projection and the prediction step,
 sparsification that refits every candidate at every greedy step, and a
 hyper-parameter search that scores each sample with a fresh public
-leave-one-out run.
+leave-one-out run.  It also holds the small builders and serializers
+that only tests use: tree construction and size, and a dataset's JSON
+object.
 """
 
 from __future__ import annotations
@@ -23,10 +25,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from edithints.editdist import INF, CostModel, EditError, SeqEdit, TreeEdit
+from edithints.editdist import (
+    INF,
+    CostModel,
+    EditError,
+    SeqEdit,
+    TreeEdit,
+    apply_edit,
+    edit_to_dict,
+)
 from edithints.evaluate import loo_rmse
 from edithints.policies import KernelParams
-from edithints.states import TreeState, tree
+from edithints.states import Label, TreeState, serialize_state
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +183,7 @@ def mapping_tree_distance(x: TreeState, y: TreeState, cost: CostModel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# edit inversion
+# edit inversion and replay
 
 
 def invert_edit(edit, state):
@@ -203,8 +213,24 @@ def invert_edit(edit, state):
     raise EditError(f"unknown edit type {type(edit).__name__}")
 
 
+def apply_script(script, state):
+    """The state that applying every edit of ``script`` in order to
+    ``state`` leaves."""
+    for edit in script.edits:
+        state = apply_edit(state, edit)
+    return state
+
+
 # ---------------------------------------------------------------------------
-# random state generators
+# state builders and generators
+
+
+def tree(label: Label, *children: TreeState) -> TreeState:
+    return TreeState(label, tuple(children))
+
+
+def tree_size(t: TreeState) -> int:
+    return 1 + sum(tree_size(c) for c in t.children)
 
 
 def random_sequence(rng: random.Random, alphabet="abc", max_len=6):
@@ -427,3 +453,35 @@ def hyper_search_oracle(dataset, psi_range, noise_range, repeats, seed, **option
     samples = [KernelParams(draw(*psi_range), draw(*noise_range)) for _ in range(repeats)]
     scores = [loo_rmse(dataset, "gaussian_process", p, **options).mean_next for p in samples]
     return samples[scores.index(min(scores))]
+
+
+# ---------------------------------------------------------------------------
+# dataset serialization, the inverse of traces.load_dataset
+
+
+def dataset_to_dict(dataset) -> dict:
+    out = {
+        "kind": dataset.kind,
+        "traces": [
+            {
+                "id": t.id,
+                "successful": t.successful,
+                "states": [
+                    serialize_state(s) if dataset.kind == "tree" else list(s)
+                    for s in t.states
+                ],
+            }
+            for t in dataset.traces
+        ],
+    }
+    if dataset.tutor_hints:
+        out["tutor_hints"] = [
+            {
+                "trace": h.trace_id,
+                "step": h.step,
+                "edit": edit_to_dict(h.edit),
+                "quality": h.quality,
+            }
+            for h in dataset.tutor_hints
+        ]
+    return out

@@ -14,7 +14,9 @@ from edithints.cli import load_model, main
 from edithints.evaluate import synthetic_corpus
 from edithints.policies import KernelParams, fit_model
 from edithints.states import sequence
-from edithints.traces import DataError, dataset_to_dict, load_dataset
+from edithints.traces import DataError, load_dataset
+
+from oracle_utils import dataset_to_dict
 
 FIG2 = {
     "kind": "sequence",
@@ -73,7 +75,6 @@ def test_dist_single_state(tmp_path, capsys):
 
 def test_dist_symmetric(tmp_path, capsys):
     from edithints.evaluate import synthetic_corpus
-    from edithints.traces import dataset_to_dict
 
     data = tmp_path / "corpus.json"
     data.write_text(json.dumps(dataset_to_dict(synthetic_corpus(3, 4, "abcde", min_missing=1, max_missing=3))))
@@ -319,6 +320,28 @@ def test_fit_malformed_cost_or_canon_is_data_error(fig2_path, capsys, flag, valu
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--cost", {"indel_defualt": 5}, "'indel_defualt'"),
+        ("--canon", {"dead_label": ["x"]}, "'dead_label'"),
+        # one label: the pair ("", "ab")
+        ("--cost", {"relabel": {"ab": 0.5}}, "'|'"),
+        # written back as "x|y|z", which reloads as ("x", "y|z")
+        ("--cost", {"relabel": {"z|x|y": 0.5}}, "'|'"),
+    ],
+    ids=["cost-key-typo", "canon-key-typo", "relabel-one-label", "relabel-bar-in-label"],
+)
+def test_fit_unknown_key_or_unsplittable_relabel_is_data_error(
+    fig2_path, tmp_path, capsys, flag, value, named
+):
+    out = tmp_path / "model.json"
+    assert run(["fit", "--dataset", fig2_path, flag, json.dumps(value), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("edithints: data error:") and named in err[0]
+    assert not out.exists()
+
+
 def _hint(**fields):
     return {**FIG2, "tutor_hints": [{"trace": "t1", "step": 1, "quality": 1.0,
                                      "edit": {"kind": "delete", "position": 1}, **fields}]}
@@ -423,6 +446,27 @@ def test_hint_far_state_kernel_decay(fig2_path, tmp_path, capsys):
     assert out["reason"] == "kernel-decay"
 
 
+@pytest.mark.parametrize("policy", ["chf", "zimmerman"])
+@pytest.mark.parametrize("state", ['["a","b"]', json.dumps(["z"] * 25)], ids=["near", "far"])
+def test_hint_m_max_below_one_is_data_error(fig2_path, tmp_path, capsys, policy, state):
+    model_path = tmp_path / "model.json"
+    run(["fit", "--dataset", fig2_path, "--out", str(model_path)])
+    argv = ["hint", "--model", str(model_path), "--state", state, "--policy", policy]
+    assert run([*argv, "--m-max", "0"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "m_max" in err[0]
+    assert run([*argv, "--m-max", "1"]) == 0
+
+
+def test_eval_quality_m_max_below_one_is_data_error(tmp_path, capsys):
+    data = tmp_path / "hinted.json"
+    data.write_text(json.dumps(_hint()))
+    argv = ["eval", "--dataset", str(data), "--task", "quality", "--policy", "zimmerman"]
+    assert run([*argv, "--m-max", "0"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "m_max" in err[0]
+
+
 def test_hint_malformed_state_is_data_error(fig2_path, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     run(["fit", "--dataset", fig2_path, "--psi", "1.0", "--noise", "0.0", "--out", str(model_path)])
@@ -463,7 +507,6 @@ def test_tree_depth_limit(tmp_path, capsys):
 
 def test_eval_rmse_files(tmp_path, capsys):
     from edithints.evaluate import synthetic_corpus
-    from edithints.traces import dataset_to_dict
 
     data = tmp_path / "corpus.json"
     data.write_text(json.dumps(dataset_to_dict(synthetic_corpus(5, 5, "abcde", min_missing=1, max_missing=3))))
@@ -820,7 +863,6 @@ def test_random_hint_deterministic_across_runs(fig2_path, tmp_path, capsys):
 
 def test_search_fit_deterministic(tmp_path):
     from edithints.evaluate import synthetic_corpus
-    from edithints.traces import dataset_to_dict
 
     data = tmp_path / "corpus.json"
     data.write_text(json.dumps(dataset_to_dict(synthetic_corpus(5, 4, "abcde", min_missing=1, max_missing=3))))

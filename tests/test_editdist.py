@@ -25,16 +25,18 @@ from edithints.editdist import (
     tree_distance,
     tree_distance_only,
 )
-from edithints.states import parse_tree, sequence, tree
+from edithints.states import parse_tree, sequence
 
 from oracle_utils import (
     all_strings,
     all_trees,
+    apply_script,
     bfs_string_distances,
     invert_edit,
     mapping_tree_distance,
     random_sequence,
     random_tree,
+    tree,
 )
 
 
@@ -178,7 +180,7 @@ def test_metric_and_script_properties(kind):
         d_back = distance(y, x)
         assert d == pytest.approx(d_back, abs=1e-12)
         assert distance(x, x) == 0
-        assert script.apply(x) == y
+        assert apply_script(script, x) == y
         assert script.total_cost == d
     for _ in range(300):
         x, y, z = (rng.choice(states) for _ in range(3))
@@ -196,7 +198,7 @@ def test_weighted_cost_model_scripts():
     for _ in range(200):
         x, y = random_tree(rng), random_tree(rng)
         d, script = tree_distance(x, y, cm)
-        assert script.apply(x) == y
+        assert apply_script(script, x) == y
         assert script.total_cost == pytest.approx(d, abs=1e-12)
         assert d == pytest.approx(tree_distance_only(y, x, cm), abs=1e-12)
 
@@ -205,9 +207,9 @@ def test_infinite_relabel_costs():
     cm = CostModel(relabel_default=INF)
     d, script = tree_distance(parse_tree("a"), parse_tree("b"), cm)
     assert d == 2  # delete + insert, relabel excluded
-    assert script.apply(parse_tree("a")) == parse_tree("b")
+    assert apply_script(script, parse_tree("a")) == parse_tree("b")
     d, script = tree_distance(parse_tree("r(a,b)"), parse_tree("f(a,g(b))"), cm)
-    assert script.apply(parse_tree("r(a,b)")) == parse_tree("f(a,g(b))")
+    assert apply_script(script, parse_tree("r(a,b)")) == parse_tree("f(a,g(b))")
     assert script.total_cost == d
     # distances stay finite: delete-all plus insert-all always connects
     assert np.isfinite(d)
@@ -249,6 +251,20 @@ def test_cost_model_json_round_trip():
     )
     back = CostModel.from_dict(cm.to_dict())
     assert back == cm
+
+
+@given(st.dictionaries(st.tuples(*[st.text("ab|", max_size=3)] * 2), st.sampled_from([0.5, 2.0])))
+def test_every_accepted_relabel_pair_survives_a_reload(relabel):
+    """A relabel label is non-empty and free of "|", so that the "a|b" key
+    of the model file splits back into the same pair."""
+    valid = all(a and b and "|" not in a + b for a, b in relabel)
+    try:
+        cm = CostModel(relabel=relabel)
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+    assert CostModel.from_dict(json.loads(json.dumps(cm.to_dict()))) == cm
 
 
 def test_pairwise_distances_symmetric():
@@ -326,7 +342,7 @@ def test_distance_only_equals_script_path_and_is_symmetric(pair, cost):
     d_script, script = distance_and_script(x, y, cost)
     assert d == d_script
     assert d == distance(y, x, cost)
-    assert script.apply(x) == y
+    assert apply_script(script, x) == y
 
 
 @settings(max_examples=100, deadline=None)

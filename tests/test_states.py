@@ -12,10 +12,9 @@ from edithints.states import (
     sequence,
     serialize_sequence,
     serialize_tree,
-    tree,
 )
 
-from oracle_utils import random_tree
+from oracle_utils import random_tree, tree, tree_size
 
 
 def test_parse_basic_shapes():
@@ -27,7 +26,7 @@ def test_parse_basic_shapes():
 
 def test_parse_depth3():
     t = parse_tree("if(cond(random,answer),say)")
-    assert t.size() == 5
+    assert tree_size(t) == 5
     assert t.label == "if"
     assert [c.label for c in t.children] == ["cond", "say"]
     assert serialize_tree(parse_tree(serialize_tree(t))) == serialize_tree(t)
@@ -131,7 +130,7 @@ def test_canonicalize_idempotent_and_shrinking():
         t = random_tree(rng, labels=labels, max_depth=4)
         once = canonicalize(t, cfg)
         assert canonicalize(once, cfg) == once
-        assert once.size() <= t.size()
+        assert tree_size(once) <= tree_size(t)
 
 
 def test_canonicalize_idempotent_with_interacting_rename_and_sort():

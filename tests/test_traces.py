@@ -12,12 +12,11 @@ from edithints.traces import (
     Trace,
     TracePairs,
     build_pairs,
-    dataset_to_dict,
     goal_filter,
     load_dataset,
 )
 
-from oracle_utils import combination_coefficients
+from oracle_utils import combination_coefficients, dataset_to_dict
 
 METRIC = lambda a, b: distance(a, b, UNIT_COSTS)
 
