@@ -277,8 +277,11 @@ def cmd_hint(args) -> int:
 
 def cmd_eval(args) -> int:
     dataset, cost, canon, _, prepared = _training_data(args)
-    if args.task == "quality" and not dataset.tutor_hints:
-        raise DataError("dataset has no tutor hints")  # before the search and the fit
+    if args.task == "quality":  # checked before the search and the fit
+        if not dataset.tutor_hints:
+            raise DataError("dataset has no tutor hints")
+        if args.m_max < 1:  # the message hint_by_policy gives
+            raise ValueError(f"m_max must be at least 1, got {args.m_max}")
     params, _ = _params_from_args(args, dataset, cost, prepared)
     if args.task == "rmse":
         reports = loo_rmse_multi(dataset, (args.scheme,), params, cost, args.mode, prepared)

@@ -416,58 +416,143 @@ def seq_distance(x: SequenceState, y: SequenceState, cost: CostModel = UNIT_COST
 
 
 class _Annotated:
-    """Postorder node labels, leftmost-leaf indices and keyroots of a tree."""
+    """Postorder node labels, leftmost-leaf indices, keyroots and the
+    cost-model quantities of a tree that every Zhang-Shasha call with it
+    reads.
 
-    def __init__(self, root: TreeState):
-        self.labels = []
-        self.lml = []  # leftmost leaf descendant, postorder index
-        self.parent = []  # postorder index of parent, -1 for root
-        self.children = []  # postorder indices of children
+    ``ids`` numbers each subtree by its structure: ``(label, child ids)``
+    is hash-consed through ``intern``, so trees annotated with one intern
+    table give equal subtrees equal ids.
+    """
+
+    def __init__(self, root: TreeState, cost: CostModel, intern: dict):
+        self.cost = cost
+        self.labels = labels = []
+        self.lml = lml = []  # leftmost leaf descendant, postorder index
+        self.parent = parent = []  # postorder index of parent, -1 for root
+        self.children = children = []  # postorder indices of children
+        self.ids = ids = []  # structural id of each node's subtree
 
         def walk(node: TreeState) -> int:
             kids = [walk(c) for c in node.children]
-            idx = len(self.labels)
-            self.labels.append(node.label)
-            self.lml.append(self.lml[kids[0]] if kids else idx)
-            self.children.append(kids)
-            self.parent.append(-1)
+            idx = len(labels)
+            labels.append(node.label)
+            lml.append(lml[kids[0]] if kids else idx)
+            children.append(kids)
+            parent.append(-1)
             for k in kids:
-                self.parent[k] = idx
+                parent[k] = idx
+            key = node.label, tuple([ids[k] for k in kids])
+            ids.append(intern.setdefault(key, len(intern)))
             return idx
 
         walk(root)
-        self.n = len(self.labels)
+        self.n = len(labels)
         last_for_lml = {}
-        for i in range(self.n):
-            last_for_lml[self.lml[i]] = i
+        for i, leaf in enumerate(lml):
+            last_for_lml[leaf] = i
         self.keyroots = sorted(last_for_lml.values())
-        self.keyroot_of = [last_for_lml[self.lml[i]] for i in range(self.n)]
+        self.keyroot_of = [last_for_lml[leaf] for leaf in lml]
+        # the nodes that share a keyroot's leftmost leaf form its leftmost
+        # path, listed from the leaf up
+        self.paths = {k: [] for k in self.keyroots}
+        for i, k in enumerate(self.keyroot_of):
+            self.paths[k].append(i)
+        # deletion and insertion cost the same
+        self.indel = [cost.cost_delete(lab) for lab in labels]
+        self._columns = None
+        self._relabel = {}
+
+    def columns(self) -> dict:
+        """Per keyroot, the columns of the forest tables that have this
+        tree as the target: for each column its node, insert cost and the
+        column where the node's subtree starts; and the all-insert row."""
+        if self._columns is None:
+            self._columns = {}
+            for k in self.keyroots:
+                lk = self.lml[k]
+                costs = self.indel[lk : k + 1]
+                starts = [start - lk for start in self.lml[lk : k + 1]]
+                self._columns[k] = (
+                    list(zip(range(lk, k + 1), costs, starts)),
+                    list(accumulate(costs, initial=0.0)),
+                )
+        return self._columns
+
+    def relabel_row(self, label: Label) -> list:
+        """The cost of relabeling ``label`` to each node of this tree."""
+        row = self._relabel.get(label)
+        if row is None:
+            relabel = self.cost.cost_relabel
+            row = self._relabel[label] = [relabel(label, b) for b in self.labels]
+        return row
 
 
-def _zss_tables(t1: _Annotated, t2: _Annotated, cost: CostModel, keep_tables: bool):
+class DistanceMemo:
+    """What the distance-only tree calls of one batch share.
+
+    A Zhang-Shasha keyroot pair's forest table reads only cells inside its
+    two subtrees, and each cell is a minimum of single additions of such
+    cells, so equal subtree pairs fill equal tables bit for bit, in
+    whatever order the calls come.  The memo keeps, per pair of structural
+    subtree ids, the values a table writes along the two leftmost paths;
+    a later keyroot pair with the same ids writes them back and fills no
+    table.  It also annotates each tree once.
+
+    A memo serves one cost model, the one its first call passes.  It holds
+    every tree it annotated, so no tree's ``id`` is reused while it lives.
+    Sequence distances ignore it.
+    """
+
+    def __init__(self):
+        self.cost = None
+        # source subtree id -> target subtree id -> the values a forest table
+        # wrote along the two leftmost paths, row by row
+        self.blocks = {}
+        self._intern = {}  # (label, child ids) -> subtree id
+        self._trees = {}  # id(tree) -> (tree, its _Annotated)
+
+    def annotate(self, tree: TreeState, cost: CostModel) -> _Annotated:
+        if self.cost is None:
+            self.cost = cost
+        elif cost is not self.cost and cost != self.cost:
+            raise ValueError("a DistanceMemo serves the one cost model it was first used with")
+        entry = self._trees.get(id(tree))
+        if entry is None:
+            entry = self._trees[id(tree)] = (tree, _Annotated(tree, cost, self._intern))
+        return entry[1]
+
+
+def _zss_tables(t1: _Annotated, t2: _Annotated, blocks):
     """Zhang-Shasha forest dynamic program.
 
-    Returns the matrix of subtree-pair distances and, when requested, the
-    per-keyroot-pair forest tables needed to backtrace a node mapping.
+    Returns the matrix of subtree-pair distances and, when ``blocks`` is
+    None, every per-keyroot-pair forest table, which the backtrace of a
+    node mapping needs.  Otherwise ``blocks`` is :attr:`DistanceMemo.blocks`:
+    a keyroot pair whose subtree pair it holds takes its leftmost-path
+    values from it and fills no table, and every other pair adds its own.
     """
-    cd = [cost.cost_delete(lab) for lab in t1.labels]
-    ci = [cost.cost_insert(lab) for lab in t2.labels]
-    rows = {lab: [cost.cost_relabel(lab, other) for other in t2.labels] for lab in set(t1.labels)}
-    relabel = [rows[lab] for lab in t1.labels]
+    cd = t1.indel
+    relabel = [t2.relabel_row(lab) for lab in t1.labels]
     td = [[0.0] * t2.n for _ in range(t1.n)]
-    tables = {} if keep_tables else None
-    # per target keyroot: for each forest column its node, insert cost and
-    # the column where the node's subtree starts; and the all-insert row
-    columns = {}
-    for j in t2.keyroots:
-        lj = t2.lml[j]
-        cols = [(nj, ci[nj], t2.lml[nj] - lj) for nj in range(lj, j + 1)]
-        columns[j] = cols, list(accumulate((c for _, c, _ in cols), initial=0.0))
+    columns = t2.columns()
+    tables = {} if blocks is None else None
     for i in t1.keyroots:
-        li = t1.lml[i]
+        li, path_i = t1.lml[i], t1.paths[i]
+        known = None if blocks is None else blocks.setdefault(t1.ids[i], {})
         for j in t2.keyroots:
+            if known is not None:
+                block = known.get(t2.ids[j])
+                if block is not None:
+                    values = iter(block)
+                    for ni in path_i:
+                        td_i = td[ni]
+                        for nj, value in zip(t2.paths[j], values):
+                            td_i[nj] = value
+                    continue
             cols, row = columns[j]
             fd = [row]
+            written = []  # the values written along both leftmost paths
             for ni in range(li, i + 1):
                 prev, c_del, td_i, rel_i = row, cd[ni], td[ni], relabel[ni]
                 a = t1.lml[ni] - li
@@ -489,10 +574,13 @@ def _zss_tables(t1: _Annotated, t2: _Annotated, cost: CostModel, keep_tables: bo
                         if diag < left:
                             left = diag
                         td_i[nj] = left
+                        written.append(left)
                     row.append(left)
                 fd.append(row)
-            if keep_tables:
+            if known is None:
                 tables[(i, j)] = fd
+            else:
+                known[t2.ids[j]] = tuple(written)
     return td, tables
 
 
@@ -502,8 +590,7 @@ def _zss_mapping(t1: _Annotated, t2: _Annotated, cost: CostModel, td, tables):
     Tie preference mirrors the sequence backtrace: insert first, then
     match/relabel, then delete.
     """
-    cd = [cost.cost_delete(lab) for lab in t1.labels]
-    ci = [cost.cost_insert(lab) for lab in t2.labels]
+    ci = t2.indel
     mapping = []
     stack = [(t1.n - 1, t2.n - 1)]
     while stack:
@@ -706,8 +793,9 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping, cost: CostMo
 
 def tree_distance(x: TreeState, y: TreeState, cost: CostModel = UNIT_COSTS):
     """Zhang-Shasha tree edit distance with a realizing edit script."""
-    t1, t2 = _Annotated(x), _Annotated(y)
-    td, tables = _zss_tables(t1, t2, cost, keep_tables=True)
+    intern = {}
+    t1, t2 = _Annotated(x, cost, intern), _Annotated(y, cost, intern)
+    td, tables = _zss_tables(t1, t2, None)
     dist = float(td[-1][-1])
     mapping = _zss_mapping(t1, t2, cost, td, tables)
     script = _script_from_mapping(t1, t2, mapping, cost)
@@ -718,9 +806,13 @@ def tree_distance(x: TreeState, y: TreeState, cost: CostModel = UNIT_COSTS):
     return dist, EditScript(script.edits, dist)
 
 
-def tree_distance_only(x: TreeState, y: TreeState, cost: CostModel = UNIT_COSTS) -> float:
-    t1, t2 = _Annotated(x), _Annotated(y)
-    td, _ = _zss_tables(t1, t2, cost, keep_tables=False)
+def tree_distance_only(
+    x: TreeState, y: TreeState, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None
+) -> float:
+    """The Zhang-Shasha distance alone; ``memo`` shares subtree-pair
+    results with the other calls of its batch (None: a fresh memo)."""
+    memo = DistanceMemo() if memo is None else memo
+    td, _ = _zss_tables(memo.annotate(x, cost), memo.annotate(y, cost), memo.blocks)
     return float(td[-1][-1])
 
 
@@ -734,8 +826,11 @@ def distance_and_script(x, y, cost: CostModel = UNIT_COSTS):
     return seq_distance(x, y, cost)
 
 
-def distance(x, y, cost: CostModel = UNIT_COSTS) -> float:
+def distance(x, y, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> float:
     """The edit distance of two states, without a script.
+
+    Tree calls that pass one :class:`DistanceMemo` share their subtree-pair
+    results; None gives the call a fresh memo.  Sequences ignore it.
 
     Under unit costs a sequence distance runs the bit-parallel recurrence
     of Myers (1999) in the global form of Hyyrö (2003): bit ``i`` of
@@ -745,7 +840,7 @@ def distance(x, y, cost: CostModel = UNIT_COSTS) -> float:
     the dynamic program's value exactly.
     """
     if isinstance(x, TreeState):
-        return tree_distance_only(x, y, cost)
+        return tree_distance_only(x, y, cost, memo)
     if not cost.is_unit:
         for row in _lev_rows(x, y, cost):
             pass
@@ -773,7 +868,8 @@ def pairwise_distances(states, cost: CostModel = UNIT_COSTS) -> np.ndarray:
 
     Each unordered pair of distinct states is computed once; repeated
     states (equal serialized forms) share one row and column.  This is
-    exact because distances are bitwise symmetric.
+    exact because distances are bitwise symmetric.  The calls of one
+    source row share their subtree-pair results (see :class:`DistanceMemo`).
     """
     index, unique, ids = {}, [], []
     for s in states:
@@ -783,7 +879,11 @@ def pairwise_distances(states, cost: CostModel = UNIT_COSTS) -> np.ndarray:
             unique.append(s)
         ids.append(index[key])
     out = np.zeros((len(unique), len(unique)))
+    memo = DistanceMemo()
     for i in range(len(unique)):
+        # each tree is annotated once for the matrix, but subtree-pair
+        # results are kept for one source row only, which bounds their memory
+        memo.blocks.clear()
         for j in range(i + 1, len(unique)):
-            out[i, j] = out[j, i] = distance(unique[i], unique[j], cost)
+            out[i, j] = out[j, i] = distance(unique[i], unique[j], cost, memo)
     return out[np.ix_(ids, ids)]

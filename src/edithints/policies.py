@@ -41,6 +41,7 @@ import numpy as np
 
 from .editdist import (
     CostModel,
+    DistanceMemo,
     EditError,
     UNIT_COSTS,
     apply_edit,
@@ -173,7 +174,8 @@ class GprModel:
     # -- query-side quantities ---------------------------------------------
 
     def query_raw_distances(self, state) -> np.ndarray:
-        return np.array([distance(state, s, self.cost) for s in self.pairs.states])
+        memo = DistanceMemo()
+        return np.array([distance(state, s, self.cost, memo) for s in self.pairs.states])
 
     def embed_query(self, raw_distances: np.ndarray) -> QueryEmbedding:
         return self.space.extend(raw_distances**2)
@@ -498,11 +500,12 @@ def score_candidates(x, candidates, support_states, weights, cost: CostModel = U
     """Score each candidate edit by d(e(x), x)^2 + sum_i w_i d(e(x), s_i)^2
     using raw edit distances."""
     weights = np.asarray(weights, dtype=float)
+    memo = DistanceMemo()
     scored = []
     for edit in candidates:
         result = apply_edit(x, edit)
-        sq_support = [distance(result, s, cost) ** 2 for s in support_states]
-        value = preimage_objective(distance(result, x, cost) ** 2, sq_support, weights)
+        sq_support = [distance(result, s, cost, memo) ** 2 for s in support_states]
+        value = preimage_objective(distance(result, x, cost, memo) ** 2, sq_support, weights)
         scored.append((edit, value))
     return scored
 

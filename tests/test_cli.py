@@ -458,13 +458,24 @@ def test_hint_m_max_below_one_is_data_error(fig2_path, tmp_path, capsys, policy,
     assert run([*argv, "--m-max", "1"]) == 0
 
 
-def test_eval_quality_m_max_below_one_is_data_error(tmp_path, capsys):
+def test_eval_quality_m_max_below_one_is_data_error(tmp_path, capsys, monkeypatch):
+    from edithints import cli
+
     data = tmp_path / "hinted.json"
     data.write_text(json.dumps(_hint()))
     argv = ["eval", "--dataset", str(data), "--task", "quality", "--policy", "zimmerman"]
     assert run([*argv, "--m-max", "0"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "m_max" in err[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched before rejecting m_max")
+
+    monkeypatch.setattr(cli, "hyper_search", refuse)
+    assert run([*argv, "--m-max", "0", "--search", "--repeats", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["edithints: data error: m_max must be at least 1, got 0"]
 
 
 def test_hint_malformed_state_is_data_error(fig2_path, tmp_path, capsys):

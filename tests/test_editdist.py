@@ -9,6 +9,7 @@ from edithints import editdist
 from edithints.editdist import (
     INF,
     CostModel,
+    DistanceMemo,
     EditError,
     SeqEdit,
     TreeEdit,
@@ -368,6 +369,34 @@ def test_pairwise_distances_with_repeats_equals_double_loop(base, cost, rng):
     rng.shuffle(states)
     want = np.array([[distance(a, b, cost) for b in states] for a in states])
     assert np.array_equal(pairwise_distances(states, cost), want)
+
+
+# three labels and up to a dozen leaves, so that subtrees repeat within and
+# across the trees of a batch and the memo replays many of its blocks
+@settings(max_examples=100, deadline=None)
+@given(st.lists(trees(12), min_size=2, max_size=5), cost_models)
+def test_distances_sharing_a_memo_equal_fresh_calls(states, cost):
+    memo = DistanceMemo()
+    for x in states:
+        for y in states:
+            d = distance(x, y, cost, memo)
+            assert d == distance(x, y, cost)
+            assert d == tree_distance(x, y, cost)[0]
+    want = np.array([[distance(a, b, cost) for b in states] for a in states])
+    got = pairwise_distances(states, cost)
+    assert all(g == w for g, w in zip(got.flat, want.flat))
+
+
+def test_memo_serves_one_cost_model_and_keeps_its_trees():
+    memo = DistanceMemo()
+    y = parse_tree("a(b,c(a,b))")
+    # trees made and dropped during a batch: had the memo not held them, a
+    # later tree could take a dropped one's id and its annotation
+    for text in ["a(b)", "c(a,b,c)", "b(c(a))", "a(c,b)", "c", "b(a,a,a)"] * 3:
+        assert distance(parse_tree(text), y, UNIT_COSTS, memo) == distance(parse_tree(text), y)
+    assert distance(y, y, CostModel(), memo) == 0.0  # an equal model is the same model
+    with pytest.raises(ValueError, match="cost model"):
+        distance(y, y, CostModel(indel_default=2.0), memo)
 
 
 # ---------------------------------------------------------------------------
