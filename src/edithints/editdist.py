@@ -489,7 +489,7 @@ class _Annotated:
 
 
 class DistanceMemo:
-    """What the distance-only tree calls of one batch share.
+    """What the tree distance calls of one batch share.
 
     A Zhang-Shasha keyroot pair's forest table reads only cells inside its
     two subtrees, and each cell is a minimum of single additions of such
@@ -497,7 +497,8 @@ class DistanceMemo:
     whatever order the calls come.  The memo keeps, per pair of structural
     subtree ids, the values a table writes along the two leftmost paths;
     a later keyroot pair with the same ids writes them back and fills no
-    table.  It also annotates each tree once.
+    table.  It also annotates each tree once.  A script call shares the
+    fill with a fresh memo of its own (see :func:`tree_distance`).
 
     A memo serves one cost model, the one its first call passes.  It holds
     every tree it annotated, so no tree's ``id`` is reused while it lives.
@@ -524,32 +525,31 @@ class DistanceMemo:
 
 
 def _zss_tables(t1: _Annotated, t2: _Annotated, blocks):
-    """Zhang-Shasha forest dynamic program.
+    """Zhang-Shasha forest dynamic program through :attr:`DistanceMemo.blocks`.
 
-    Returns the matrix of subtree-pair distances and, when ``blocks`` is
-    None, every per-keyroot-pair forest table, which the backtrace of a
-    node mapping needs.  Otherwise ``blocks`` is :attr:`DistanceMemo.blocks`:
-    a keyroot pair whose subtree pair it holds takes its leftmost-path
-    values from it and fills no table, and every other pair adds its own.
+    A keyroot pair whose subtree pair ``blocks`` holds takes its
+    leftmost-path values from it and fills no table; every other pair fills
+    its table, adds its values and keeps the table under its subtree ids.
+    Returns the subtree-pair distances and those tables, which with a fresh
+    memo, as a script call has, cover every keyroot pair of the call.
     """
     cd = t1.indel
     relabel = [t2.relabel_row(lab) for lab in t1.labels]
     td = [[0.0] * t2.n for _ in range(t1.n)]
     columns = t2.columns()
-    tables = {} if blocks is None else None
+    tables = {}
     for i in t1.keyroots:
         li, path_i = t1.lml[i], t1.paths[i]
-        known = None if blocks is None else blocks.setdefault(t1.ids[i], {})
+        known = blocks.setdefault(t1.ids[i], {})
         for j in t2.keyroots:
-            if known is not None:
-                block = known.get(t2.ids[j])
-                if block is not None:
-                    values = iter(block)
-                    for ni in path_i:
-                        td_i = td[ni]
-                        for nj, value in zip(t2.paths[j], values):
-                            td_i[nj] = value
-                    continue
+            block = known.get(t2.ids[j])
+            if block is not None:
+                values = iter(block)
+                for ni in path_i:
+                    td_i = td[ni]
+                    for nj, value in zip(t2.paths[j], values):
+                        td_i[nj] = value
+                continue
             cols, row = columns[j]
             fd = [row]
             written = []  # the values written along both leftmost paths
@@ -577,18 +577,17 @@ def _zss_tables(t1: _Annotated, t2: _Annotated, blocks):
                         written.append(left)
                     row.append(left)
                 fd.append(row)
-            if known is None:
-                tables[(i, j)] = fd
-            else:
-                known[t2.ids[j]] = tuple(written)
+            tables[t1.ids[i], t2.ids[j]] = fd
+            known[t2.ids[j]] = tuple(written)
     return td, tables
 
 
-def _zss_mapping(t1: _Annotated, t2: _Annotated, cost: CostModel, td, tables):
+def _zss_mapping(t1: _Annotated, t2: _Annotated, td, tables):
     """Backtrace one optimal node mapping.
 
     Tie preference mirrors the sequence backtrace: insert first, then
-    match/relabel, then delete.
+    match/relabel, then delete.  A table is read relative to its
+    keyroots' leftmost leaves, so an isomorphic pair's table serves.
     """
     ci = t2.indel
     mapping = []
@@ -597,7 +596,7 @@ def _zss_mapping(t1: _Annotated, t2: _Annotated, cost: CostModel, td, tables):
         ri, rj = stack.pop()
         ki, kj = t1.keyroot_of[ri], t2.keyroot_of[rj]
         li, lj = t1.lml[ki], t2.lml[kj]
-        fd = tables[(ki, kj)]
+        fd = tables[t1.ids[ki], t2.ids[kj]]
         x, y = ri - li + 1, rj - lj + 1
         while x > 0 or y > 0:
             ni = li + x - 1
@@ -608,9 +607,7 @@ def _zss_mapping(t1: _Annotated, t2: _Annotated, cost: CostModel, td, tables):
                 continue
             if x > 0 and y > 0:
                 if t1.lml[ni] == li and t2.lml[nj] == lj:
-                    if here == fd[x - 1][y - 1] + cost.cost_relabel(
-                        t1.labels[ni], t2.labels[nj]
-                    ):
+                    if here == fd[x - 1][y - 1] + t2.relabel_row(t1.labels[ni])[nj]:
                         mapping.append((ni, nj))
                         x, y = x - 1, y - 1
                         continue
@@ -664,7 +661,7 @@ def _find(root: _MutNode, key) -> tuple:
     return found
 
 
-def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping, cost: CostModel):
+def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping):
     """Turn a Zhang-Shasha node mapping into an applicable edit script.
 
     Order: deletions of unmapped source nodes (postorder, root deferred),
@@ -694,7 +691,7 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping, cost: CostMo
         if i in map_st or i == root_s:
             continue
         path, nodes = _find(work, ("s", i))
-        emit(TreeEdit("delete_node", path), cost.cost_delete(src.labels[i]))
+        emit(TreeEdit("delete_node", path), src.indel[i])
         parent, node = nodes[-2:]
         parent.children[path[-1] - 1 : path[-1]] = node.children
 
@@ -712,7 +709,7 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping, cost: CostMo
         if src.labels[idx] != tgt.labels[j]:
             emit(
                 TreeEdit("relabel_node", _find(work, node.key)[0], tgt.labels[j]),
-                cost.cost_relabel(src.labels[idx], tgt.labels[j]),
+                tgt.relabel_row(src.labels[idx])[j],
             )
             node.label = tgt.labels[j]
 
@@ -747,7 +744,7 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping, cost: CostMo
             # new root above the mapped source root
             emit(
                 TreeEdit("insert_node", (), tgt.labels[j], (1, 1)),
-                cost.cost_insert(tgt.labels[j]),
+                tgt.indel[j],
             )
             work = _MutNode(tgt.labels[j], [work], ("t", j))
             continue
@@ -777,7 +774,7 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping, cost: CostMo
                 first = before + 1
         emit(
             TreeEdit("insert_node", path + (first,), tgt.labels[j], (first, count)),
-            cost.cost_insert(tgt.labels[j]),
+            tgt.indel[j],
         )
         node = _MutNode(tgt.labels[j], parent.children[first - 1 : first - 1 + count], ("t", j))
         parent.children[first - 1 : first - 1 + count] = [node]
@@ -785,20 +782,21 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping, cost: CostMo
     if root_unmapped:
         if len(work.children) != 1:
             raise AssertionError("deferred root deletion requires a single child")
-        emit(TreeEdit("delete_node", ()), cost.cost_delete(src.labels[root_s]))
+        emit(TreeEdit("delete_node", ()), src.indel[root_s])
         work = work.children[0]
 
     return EditScript(tuple(edits), total)
 
 
 def tree_distance(x: TreeState, y: TreeState, cost: CostModel = UNIT_COSTS):
-    """Zhang-Shasha tree edit distance with a realizing edit script."""
-    intern = {}
-    t1, t2 = _Annotated(x, cost, intern), _Annotated(y, cost, intern)
-    td, tables = _zss_tables(t1, t2, None)
+    """Zhang-Shasha tree edit distance with a realizing edit script; the
+    tables are filled through a fresh :class:`DistanceMemo`."""
+    memo = DistanceMemo()
+    t1, t2 = memo.annotate(x, cost), memo.annotate(y, cost)
+    td, tables = _zss_tables(t1, t2, memo.blocks)
     dist = float(td[-1][-1])
-    mapping = _zss_mapping(t1, t2, cost, td, tables)
-    script = _script_from_mapping(t1, t2, mapping, cost)
+    mapping = _zss_mapping(t1, t2, td, tables)
+    script = _script_from_mapping(t1, t2, mapping)
     if not math.isclose(script.total_cost, dist, rel_tol=1e-12, abs_tol=1e-12):
         raise AssertionError(
             f"script cost {script.total_cost} does not realize distance {dist}"

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .editdist import CostModel, EditError, UNIT_COSTS, apply_edit, distance, serialize_edit
+from .editdist import CostModel, DistanceMemo, EditError, UNIT_COSTS
+from .editdist import apply_edit, distance, serialize_edit
 from .policies import FitError, GprModel, KernelParams, prepared_traces
 from .states import EMPTY_CANON
 from .traces import Dataset, Trace, TracePairs
@@ -175,7 +176,8 @@ def loo_rmse_multi(
     for scheme in schemes:
         rows = per_trace[scheme]
         if not rows:
-            raise FitError("every fold was unfittable")
+            held, reason = skipped[0]
+            raise FitError(f"every fold was unfittable; the first, trace {held!r}: {reason}")
         nexts = np.array([r[1] for r in rows])
         finals = np.array([r[2] for r in rows])
         reports[scheme] = EvalReport(
@@ -248,13 +250,14 @@ def hint_quality(model: GprModel, tutor_hints, policy_fn) -> EvalReport:
             if matching:
                 quality = float(np.mean(matching))
             hinted_state = apply_edit(state, result.edit)
+            memo = DistanceMemo()  # the tutor distances of one state form a batch
             dists = []
             for entry in entries:
                 try:
                     tutor_state = apply_edit(state, entry.edit)
                 except EditError:
                     continue  # a tree edit may not apply to the canonic form
-                dists.append(distance(hinted_state, tutor_state, model.cost))
+                dists.append(distance(hinted_state, tutor_state, model.cost, memo))
             if dists:
                 dist_to_tutor = float(min(dists))
                 sq_dists.append(dist_to_tutor**2)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -257,8 +258,10 @@ def prepared_traces(dataset: Dataset, cost: CostModel = UNIT_COSTS) -> tuple:
     successful = dataset.successful_traces()
     if not successful:
         raise FitError("dataset has no successful traces to learn from")
-    metric = lambda a, b: distance(a, b, cost)
-    pairs = build_pairs(goal_filter(t, metric) for t in successful)
+    # the goal-filter calls of one trace share its goal state, so they share a memo
+    pairs = build_pairs(
+        goal_filter(t, partial(distance, cost=cost, memo=DistanceMemo())) for t in successful
+    )
     return pairs, pairwise_distances(pairs.states, cost)
 
 
@@ -565,11 +568,6 @@ def chf_hint(
     ]
     alpha_tilde, applied = sparsify(model, alpha, query, allowed, m_max)
     positives = [int(i) for i in np.flatnonzero(alpha_tilde > 1e-12)]
-    if not positives:
-        return HintResult(
-            None, None, (), alpha_used=alpha_tilde, sparsified=applied,
-            reason="no-positive-support",
-        )
     candidates = candidate_edits(x, [model.pairs.states[i] for i in positives], model.cost)
     return replace(preimage_select(x, alpha_tilde, candidates, model), sparsified=applied)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -224,6 +225,29 @@ def test_infinite_relabel_matches_oracle():
             assert tree_distance_only(x, y, cm) == mapping_tree_distance(x, y, cm)
 
 
+SCRIPT_DIGEST_COSTS = (
+    UNIT_COSTS,
+    CostModel(relabel_default=INF, relabel={("f", "g"): 1.0}),
+    CostModel(indel={"f": 0.5, "h": 2.0}, relabel_default=1.5, relabel={("g", "h"): 0.25}),
+)
+
+
+def test_tree_scripts_match_recorded_digest():
+    # each pair of trees is assembled from one pool of three small subtrees,
+    # so keyroot pairs repeat within a call; the digest was recorded from a
+    # version that filled every forest table of a script call
+    rng = random.Random(2017)
+    lines = []
+    for _ in range(60):
+        pool = [random_tree(rng, max_depth=2) for _ in range(3)]
+        x, y = (tree(rng.choice("fgh"), *rng.choices(pool, k=rng.randint(1, 4))) for _ in "xy")
+        for cost in SCRIPT_DIGEST_COSTS:
+            d, script = tree_distance(x, y, cost)
+            lines.append(json.dumps([d.hex(), [serialize_edit(e) for e in script.edits]]))
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == "0509ffafb099a40004c3624789a2aae0065864c5daf5eee3dd2ca169d8c30278"
+
+
 def test_cost_model_validation():
     for bad in (
         dict(indel_default=0.0),
@@ -381,7 +405,9 @@ def test_distances_sharing_a_memo_equal_fresh_calls(states, cost):
         for y in states:
             d = distance(x, y, cost, memo)
             assert d == distance(x, y, cost)
-            assert d == tree_distance(x, y, cost)[0]
+            d_script, script = tree_distance(x, y, cost)
+            assert d == d_script == script.total_cost
+            assert apply_script(script, x) == y
     want = np.array([[distance(a, b, cost) for b in states] for a in states])
     got = pairwise_distances(states, cost)
     assert all(g == w for g, w in zip(got.flat, want.flat))

@@ -145,6 +145,18 @@ def test_loo_requires_two_traces():
         loo_rmse(small_corpus(), "not_a_scheme")
 
 
+@pytest.mark.parametrize("search", [False, True])
+def test_unfittable_folds_report_the_first_fold_and_its_reason(search):
+    ds = small_corpus()
+    if search:
+        call = lambda: hyper_search(ds, (1.0, 1.0), (0.1, 0.1), repeats=1, mode="bogus")
+    else:
+        call = lambda: loo_rmse_multi(ds, ("nn", "do_nothing"), mode="bogus")
+    # every fold fails in the model fit, which names the mode it rejects
+    with pytest.raises(FitError, match=r"every fold was unfittable.*'trace00'.*'bogus'"):
+        call()
+
+
 def test_report_serialization_round_trip():
     report = loo_rmse(small_corpus(), "do_nothing")
     out = report.to_dict()
