@@ -497,8 +497,9 @@ class DistanceMemo:
     whatever order the calls come.  The memo keeps, per pair of structural
     subtree ids, the values a table writes along the two leftmost paths;
     a later keyroot pair with the same ids writes them back and fills no
-    table.  It also annotates each tree once.  A script call shares the
-    fill with a fresh memo of its own (see :func:`tree_distance`).
+    table.  No table outlives its fill.  The memo also annotates each tree
+    once.  A script call fills through a fresh memo of its own (see
+    :func:`tree_distance`).
 
     A memo serves one cost model, the one its first call passes.  It holds
     every tree it annotated, so no tree's ``id`` is reused while it lives.
@@ -524,22 +525,53 @@ class DistanceMemo:
         return entry[1]
 
 
-def _zss_tables(t1: _Annotated, t2: _Annotated, blocks):
-    """Zhang-Shasha forest dynamic program through :attr:`DistanceMemo.blocks`.
+def _forest_table(t1: _Annotated, t2: _Annotated, i: int, j: int, td, relabel):
+    """Fill the forest table of keyroot pair ``(i, j)``: cell ``[x][y]`` is
+    the distance between the first ``x`` and ``y`` postorder nodes of their
+    subtrees.  Reads ``td`` inside the subtrees only, writes the distances
+    of the subtree pairs on the two leftmost paths into it, and returns the
+    table and those values, row by row.  ``relabel[ni]`` is the relabel row
+    of node ``ni`` of ``t1`` in ``t2``."""
+    cd, li = t1.indel, t1.lml[i]
+    cols, row = t2.columns()[j]
+    fd = [row]
+    written = []
+    for ni in range(li, i + 1):
+        prev, c_del, td_i, rel_i = row, cd[ni], td[ni], relabel[ni]
+        a = t1.lml[ni] - li
+        fd_a = fd[a]
+        left = prev[0] + c_del
+        row = [left]
+        for diag, up, (nj, c_ins, b) in zip(prev, prev[1:], cols):
+            # min(delete, insert, match) by comparisons, faster than min()
+            up += c_del
+            left += c_ins
+            if up < left:
+                left = up
+            if a or b:
+                diag = fd_a[b] + td_i[nj]
+                if diag < left:
+                    left = diag
+            else:  # both forests are whole trees
+                diag += rel_i[nj]
+                if diag < left:
+                    left = diag
+                td_i[nj] = left
+                written.append(left)
+            row.append(left)
+        fd.append(row)
+    return fd, written
 
-    A keyroot pair whose subtree pair ``blocks`` holds takes its
-    leftmost-path values from it and fills no table; every other pair fills
-    its table, adds its values and keeps the table under its subtree ids.
-    Returns the subtree-pair distances and those tables, which with a fresh
-    memo, as a script call has, cover every keyroot pair of the call.
-    """
-    cd = t1.indel
+
+def _zss_distances(t1: _Annotated, t2: _Annotated, blocks):
+    """Zhang-Shasha subtree-pair distances.  A keyroot pair whose subtree
+    ids ``blocks`` (:attr:`DistanceMemo.blocks`) holds takes the values kept
+    there; any other pair fills its forest table, keeps the values the
+    table wrote and drops the table."""
     relabel = [t2.relabel_row(lab) for lab in t1.labels]
     td = [[0.0] * t2.n for _ in range(t1.n)]
-    columns = t2.columns()
-    tables = {}
     for i in t1.keyroots:
-        li, path_i = t1.lml[i], t1.paths[i]
+        path_i = t1.paths[i]
         known = blocks.setdefault(t1.ids[i], {})
         for j in t2.keyroots:
             block = known.get(t2.ids[j])
@@ -550,53 +582,24 @@ def _zss_tables(t1: _Annotated, t2: _Annotated, blocks):
                     for nj, value in zip(t2.paths[j], values):
                         td_i[nj] = value
                 continue
-            cols, row = columns[j]
-            fd = [row]
-            written = []  # the values written along both leftmost paths
-            for ni in range(li, i + 1):
-                prev, c_del, td_i, rel_i = row, cd[ni], td[ni], relabel[ni]
-                a = t1.lml[ni] - li
-                fd_a = fd[a]
-                left = prev[0] + c_del
-                row = [left]
-                for diag, up, (nj, c_ins, b) in zip(prev, prev[1:], cols):
-                    # min(delete, insert, match) by comparisons, faster than min()
-                    up += c_del
-                    left += c_ins
-                    if up < left:
-                        left = up
-                    if a or b:
-                        diag = fd_a[b] + td_i[nj]
-                        if diag < left:
-                            left = diag
-                    else:  # both forests are whole trees
-                        diag += rel_i[nj]
-                        if diag < left:
-                            left = diag
-                        td_i[nj] = left
-                        written.append(left)
-                    row.append(left)
-                fd.append(row)
-            tables[t1.ids[i], t2.ids[j]] = fd
-            known[t2.ids[j]] = tuple(written)
-    return td, tables
+            known[t2.ids[j]] = _forest_table(t1, t2, i, j, td, relabel)[1]
+    return td
 
 
-def _zss_mapping(t1: _Annotated, t2: _Annotated, td, tables):
-    """Backtrace one optimal node mapping.
-
-    Tie preference mirrors the sequence backtrace: insert first, then
-    match/relabel, then delete.  A table is read relative to its
-    keyroots' leftmost leaves, so an isomorphic pair's table serves.
-    """
+def _zss_mapping(t1: _Annotated, t2: _Annotated, td):
+    """Backtrace one optimal node mapping from the finished ``td``, filling
+    again the forest table of each keyroot pair it visits (which writes
+    back the values ``td`` holds).  Ties prefer insert, then match/relabel,
+    then delete, as in the sequence backtrace."""
     ci = t2.indel
+    relabel = [t2.relabel_row(lab) for lab in t1.labels]
     mapping = []
     stack = [(t1.n - 1, t2.n - 1)]
     while stack:
         ri, rj = stack.pop()
         ki, kj = t1.keyroot_of[ri], t2.keyroot_of[rj]
         li, lj = t1.lml[ki], t2.lml[kj]
-        fd = tables[t1.ids[ki], t2.ids[kj]]
+        fd = _forest_table(t1, t2, ki, kj, td, relabel)[0]
         x, y = ri - li + 1, rj - lj + 1
         while x > 0 or y > 0:
             ni = li + x - 1
@@ -607,7 +610,7 @@ def _zss_mapping(t1: _Annotated, t2: _Annotated, td, tables):
                 continue
             if x > 0 and y > 0:
                 if t1.lml[ni] == li and t2.lml[nj] == lj:
-                    if here == fd[x - 1][y - 1] + t2.relabel_row(t1.labels[ni])[nj]:
+                    if here == fd[x - 1][y - 1] + relabel[ni][nj]:
                         mapping.append((ni, nj))
                         x, y = x - 1, y - 1
                         continue
@@ -695,20 +698,21 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping):
         parent, node = nodes[-2:]
         parent.children[path[-1] - 1 : path[-1]] = node.children
 
-    # relabelings of mapped nodes, pre-order over the working tree
-    def walk_pre(node):
-        yield node
-        for c in node.children:
-            yield from walk_pre(c)
+    # relabelings of mapped nodes, pre-order over the working tree, which
+    # holds only source nodes until the insertions
+    def walk_pre(node, path):
+        yield node, path
+        for k, c in enumerate(node.children, start=1):
+            yield from walk_pre(c, path + (k,))
 
-    for node in list(walk_pre(work)):
-        kind, idx = node.key
-        if kind != "s" or idx not in map_st:
+    for node, path in walk_pre(work, ()):
+        idx = node.key[1]
+        if idx not in map_st:
             continue
         j = map_st[idx]
         if src.labels[idx] != tgt.labels[j]:
             emit(
-                TreeEdit("relabel_node", _find(work, node.key)[0], tgt.labels[j]),
+                TreeEdit("relabel_node", path, tgt.labels[j]),
                 tgt.relabel_row(src.labels[idx])[j],
             )
             node.label = tgt.labels[j]
@@ -727,16 +731,9 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping):
             node = tgt.parent[node]
         return node
 
-    tgt_pre = []
-
-    def walk_tgt(j: int):
-        tgt_pre.append(j)
-        for k in tgt.children[j]:
-            walk_tgt(k)
-
-    walk_tgt(tgt.n - 1)
-
-    for j in tgt_pre:
+    # target pre-order: subtree j spans postorder indices lml[j]..j, so this
+    # key puts each node after the subtrees left of it and before its own
+    for j in sorted(range(tgt.n), key=lambda j: (tgt.lml[j], -j)):
         if j in map_ts:
             continue
         q = tgt.parent[j]  # -1 when j is the target root
@@ -754,24 +751,15 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping):
         else:
             path, nodes = _find(work, ("s", map_ts[q]) if q in map_ts else ("t", q))
             parent = nodes[-1]
-            # order of anchors within q's target child list decides where
-            # the new node goes when it adopts nothing
+            # rank each working child by the child of q it lies below in the
+            # target; a Zhang-Shasha mapping keeps sibling order, so the ranks
+            # ascend, and j goes after those below its rank and adopts its own
             order = {c: rank for rank, c in enumerate(tgt.children[q])}
-            first = None
-            count = 0
-            before = 0
-            for pos, child in enumerate(parent.children, start=1):
-                anchor = child_toward(q, counterpart(child))
-                if anchor == j:
-                    if first is not None and first + count != pos:
-                        raise AssertionError("adopted children are not contiguous")
-                    if first is None:
-                        first = pos
-                    count += 1
-                elif order[anchor] < order[j]:
-                    before += 1
-            if first is None:
-                first = before + 1
+            ranks = [order[child_toward(q, counterpart(child))] for child in parent.children]
+            if ranks != sorted(ranks):
+                raise AssertionError("working children are out of target sibling order")
+            first = 1 + sum(rank < order[j] for rank in ranks)
+            count = ranks.count(order[j])
         emit(
             TreeEdit("insert_node", path + (first,), tgt.labels[j], (first, count)),
             tgt.indel[j],
@@ -789,13 +777,17 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping):
 
 
 def tree_distance(x: TreeState, y: TreeState, cost: CostModel = UNIT_COSTS):
-    """Zhang-Shasha tree edit distance with a realizing edit script; the
-    tables are filled through a fresh :class:`DistanceMemo`."""
+    """Zhang-Shasha tree edit distance with a realizing edit script.
+
+    The distances fill through a fresh :class:`DistanceMemo`; the mapping
+    backtrace then fills again the forest table of each keyroot pair it
+    visits.
+    """
     memo = DistanceMemo()
     t1, t2 = memo.annotate(x, cost), memo.annotate(y, cost)
-    td, tables = _zss_tables(t1, t2, memo.blocks)
+    td = _zss_distances(t1, t2, memo.blocks)
     dist = float(td[-1][-1])
-    mapping = _zss_mapping(t1, t2, td, tables)
+    mapping = _zss_mapping(t1, t2, td)
     script = _script_from_mapping(t1, t2, mapping)
     if not math.isclose(script.total_cost, dist, rel_tol=1e-12, abs_tol=1e-12):
         raise AssertionError(
@@ -810,7 +802,7 @@ def tree_distance_only(
     """The Zhang-Shasha distance alone; ``memo`` shares subtree-pair
     results with the other calls of its batch (None: a fresh memo)."""
     memo = DistanceMemo() if memo is None else memo
-    td, _ = _zss_tables(memo.annotate(x, cost), memo.annotate(y, cost), memo.blocks)
+    td = _zss_distances(memo.annotate(x, cost), memo.annotate(y, cost), memo.blocks)
     return float(td[-1][-1])
 
 

@@ -303,6 +303,15 @@ def alpha_from_gamma(gamma: np.ndarray, pairs: TracePairs) -> np.ndarray:
 # sparsification
 
 
+def _bordered(block: np.ndarray) -> np.ndarray:
+    """The bordered KKT matrix ``[[G_AA, 1], [1^T, 0]]`` of a Gram block."""
+    k = len(block)
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = block
+    kkt[k, k] = 0.0
+    return kkt
+
+
 def _affine_ls(gram: np.ndarray, target: np.ndarray, cols) -> tuple:
     """Least squares over ``cols`` with coefficients summing to one.
 
@@ -312,13 +321,8 @@ def _affine_ls(gram: np.ndarray, target: np.ndarray, cols) -> tuple:
     k = len(cols)
     sub = gram[np.ix_(cols, cols)]
     rhs = gram[cols, :] @ target
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = sub
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    vec = np.zeros(k + 1)
-    vec[:k] = rhs
-    vec[k] = 1.0
+    kkt = _bordered(sub)
+    vec = np.append(rhs, 1.0)
     sol = np.linalg.lstsq(kkt, vec, rcond=None)[0]
     coef = sol[:k]
     err = float(coef @ sub @ coef - 2.0 * coef @ rhs + target @ gram @ target)
@@ -339,9 +343,7 @@ def _screen(gram, pull, offset, active, cols, best_err, flat_tol):
     if not active:  # one state takes the whole weight
         return diag - 2.0 * pull[cols] + offset
     k = len(active)
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = gram[np.ix_(active, active)]
-    kkt[:k, k] = kkt[k, :k] = 1.0
+    kkt = _bordered(gram[np.ix_(active, active)])
     border = np.ones((k + 1, len(cols) + 1))  # candidate columns, then the fit's right side
     border[:k, :-1] = gram[np.ix_(active, cols)]
     border[:k, -1] = pull[active]

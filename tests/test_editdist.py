@@ -67,6 +67,23 @@ def test_canonical_scripts_match_worked_examples():
     assert script("ab", "abc") == [("insert", 3, "c")]
     assert script("ab", "abcd") == [("insert", 3, "c"), ("insert", 4, "d")]
 
+    def tree_script(a, b, cost=UNIT_COSTS):
+        edits = tree_distance(parse_tree(a), parse_tree(b), cost)[1].edits
+        return [(e.kind, e.path, e.label, e.child_span) for e in edits]
+
+    # an insert that adopts a middle run of siblings
+    assert tree_script("a(b,c,d,e)", "a(b,x(c,d),e)") == [("insert_node", (2,), "x", (2, 2))]
+    # an insert that adopts nothing, between two siblings
+    assert tree_script("a(b,c)", "a(b,x,c)") == [("insert_node", (2,), "x", (2, 0))]
+    # a new root above the mapped root
+    assert tree_script("a(b)", "x(a(b))") == [("insert_node", (), "x", (1, 1))]
+    # the unmapped source root is deleted last, once the inserted target
+    # root has gathered its children
+    assert tree_script("r(a,b)", "f(a,b)", CostModel(relabel_default=INF)) == [
+        ("insert_node", (1,), "f", (1, 2)),
+        ("delete_node", (), None, None),
+    ]
+
 
 def test_apply_edit_examples():
     assert apply_edit(seq_of("ab"), SeqEdit("insert", 3, "c")) == seq_of("abc")
@@ -232,20 +249,40 @@ SCRIPT_DIGEST_COSTS = (
 )
 
 
+# relabels only within the label groups {f, g} and {h, k}
+GROUPED_COSTS = CostModel(
+    indel={"f": 0.75, "k": 1.25}, relabel_default=INF, relabel={("f", "g"): 0.5, ("h", "k"): 0.75}
+)
+
+
 def test_tree_scripts_match_recorded_digest():
+    def digest(pairs, costs):
+        lines = []
+        for x, y in pairs:
+            for cost in costs:
+                d, script = tree_distance(x, y, cost)
+                lines.append(json.dumps([d.hex(), [serialize_edit(e) for e in script.edits]]))
+        return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
     # each pair of trees is assembled from one pool of three small subtrees,
     # so keyroot pairs repeat within a call; the digest was recorded from a
     # version that filled every forest table of a script call
     rng = random.Random(2017)
-    lines = []
+    pooled = []
     for _ in range(60):
         pool = [random_tree(rng, max_depth=2) for _ in range(3)]
         x, y = (tree(rng.choice("fgh"), *rng.choices(pool, k=rng.randint(1, 4))) for _ in "xy")
-        for cost in SCRIPT_DIGEST_COSTS:
-            d, script = tree_distance(x, y, cost)
-            lines.append(json.dumps([d.hex(), [serialize_edit(e) for e in script.edits]]))
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    assert digest == "0509ffafb099a40004c3624789a2aae0065864c5daf5eee3dd2ca169d8c30278"
+        pooled.append((x, y))
+    assert digest(pooled, SCRIPT_DIGEST_COSTS) == (
+        "0509ffafb099a40004c3624789a2aae0065864c5daf5eee3dd2ca169d8c30278"
+    )
+    # independent trees of depth up to 4 and fan-out up to 3; the digest was
+    # recorded from a version that kept every forest table of the call
+    rng = random.Random(1989)
+    pairs = [[random_tree(rng, "fghk", max_depth=4, max_kids=4) for _ in "xy"] for _ in range(100)]
+    assert digest(pairs, SCRIPT_DIGEST_COSTS + (GROUPED_COSTS,)) == (
+        "bb6a73d7398b73ca006ee69e1fb5ac683fb57bd6477f791fda07c45dbbae7566"
+    )
 
 
 def test_cost_model_validation():
