@@ -461,7 +461,8 @@ class _Annotated:
         # deletion and insertion cost the same
         self.indel = [cost.cost_delete(lab) for lab in labels]
         self._columns = None
-        self._relabel = {}
+        self.rows = {}  # label -> its relabel row, see DistanceMemo.relabel_rows
+        self.kept = None  # on a sealed tree, the labels whose rows it keeps
 
     def columns(self) -> dict:
         """Per keyroot, the columns of the forest tables that have this
@@ -479,14 +480,6 @@ class _Annotated:
                 )
         return self._columns
 
-    def relabel_row(self, label: Label) -> list:
-        """The cost of relabeling ``label`` to each node of this tree."""
-        row = self._relabel.get(label)
-        if row is None:
-            relabel = self.cost.cost_relabel
-            row = self._relabel[label] = [relabel(label, b) for b in self.labels]
-        return row
-
 
 class DistanceMemo:
     """What the tree distance calls of one batch share.
@@ -498,21 +491,27 @@ class DistanceMemo:
     subtree ids, the values a table writes along the two leftmost paths;
     a later keyroot pair with the same ids writes them back and fills no
     table.  No table outlives its fill.  The memo also annotates each tree
-    once.  A script call fills through a fresh memo of its own (see
-    :func:`tree_distance`).
+    once.
 
-    A memo serves one cost model, the one its first call passes.  It holds
-    every tree it annotated, so no tree's ``id`` is reused while it lives.
-    Sequence distances ignore it.
+    A memo started from a ``base`` memo copies the base's intern table and
+    annotated trees, so its subtree ids agree with the base's and the
+    base's trees are not annotated again; its blocks and the trees it
+    annotates stay its own.  A model's base memo is :meth:`seal`-ed, so
+    the memos started from it add nothing to it (see :meth:`relabel_rows`).
+
+    A memo serves one cost model, the one its first call (or its base)
+    passes.  It holds every tree it annotated, so no tree's ``id`` is
+    reused while it lives.  Sequence distances ignore it.
     """
 
-    def __init__(self):
-        self.cost = None
+    def __init__(self, base: DistanceMemo = None):
         # source subtree id -> target subtree id -> the values a forest table
         # wrote along the two leftmost paths, row by row
         self.blocks = {}
-        self._intern = {}  # (label, child ids) -> subtree id
-        self._trees = {}  # id(tree) -> (tree, its _Annotated)
+        self._spilled = {}  # id(sealed annotation) -> label -> relabel row
+        self.cost = base.cost if base else None
+        self._intern = dict(base._intern) if base else {}  # (label, child ids) -> subtree id
+        self._trees = dict(base._trees) if base else {}  # id(tree) -> (tree, its _Annotated)
 
     def annotate(self, tree: TreeState, cost: CostModel) -> _Annotated:
         if self.cost is None:
@@ -523,6 +522,31 @@ class DistanceMemo:
         if entry is None:
             entry = self._trees[id(tree)] = (tree, _Annotated(tree, cost, self._intern))
         return entry[1]
+
+    def seal(self):
+        """Limit the relabel rows that the trees annotated so far keep to
+        the labels that occur in them."""
+        kept = frozenset(lab for _, t in self._trees.values() for lab in t.labels)
+        for _, t in self._trees.values():
+            t.kept = kept
+
+    def relabel_rows(self, t1: _Annotated, t2: _Annotated) -> list:
+        """Per node of ``t1``, the costs of relabeling its label to each
+        node of ``t2``.  Each row is cached on ``t2``, except the row of a
+        label that a sealed ``t2`` does not keep: this memo caches it."""
+        rows = []
+        for lab in t1.labels:
+            row = t2.rows.get(lab)
+            if row is None:
+                cache = t2.rows
+                if t2.kept is not None and lab not in t2.kept:
+                    cache = self._spilled.setdefault(id(t2), {})
+                row = cache.get(lab)
+                if row is None:
+                    relabel = t2.cost.cost_relabel
+                    row = cache[lab] = [relabel(lab, b) for b in t2.labels]
+            rows.append(row)
+        return rows
 
 
 def _forest_table(t1: _Annotated, t2: _Annotated, i: int, j: int, td, relabel):
@@ -563,12 +587,12 @@ def _forest_table(t1: _Annotated, t2: _Annotated, i: int, j: int, td, relabel):
     return fd, written
 
 
-def _zss_distances(t1: _Annotated, t2: _Annotated, blocks):
+def _zss_distances(t1: _Annotated, t2: _Annotated, blocks, relabel):
     """Zhang-Shasha subtree-pair distances.  A keyroot pair whose subtree
     ids ``blocks`` (:attr:`DistanceMemo.blocks`) holds takes the values kept
     there; any other pair fills its forest table, keeps the values the
-    table wrote and drops the table."""
-    relabel = [t2.relabel_row(lab) for lab in t1.labels]
+    table wrote and drops the table.  ``relabel`` is
+    :meth:`DistanceMemo.relabel_rows` of the two trees."""
     td = [[0.0] * t2.n for _ in range(t1.n)]
     for i in t1.keyroots:
         path_i = t1.paths[i]
@@ -586,13 +610,12 @@ def _zss_distances(t1: _Annotated, t2: _Annotated, blocks):
     return td
 
 
-def _zss_mapping(t1: _Annotated, t2: _Annotated, td):
+def _zss_mapping(t1: _Annotated, t2: _Annotated, td, relabel):
     """Backtrace one optimal node mapping from the finished ``td``, filling
     again the forest table of each keyroot pair it visits (which writes
     back the values ``td`` holds).  Ties prefer insert, then match/relabel,
     then delete, as in the sequence backtrace."""
     ci = t2.indel
-    relabel = [t2.relabel_row(lab) for lab in t1.labels]
     mapping = []
     stack = [(t1.n - 1, t2.n - 1)]
     while stack:
@@ -713,7 +736,7 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping):
         if src.labels[idx] != tgt.labels[j]:
             emit(
                 TreeEdit("relabel_node", path, tgt.labels[j]),
-                tgt.relabel_row(src.labels[idx])[j],
+                tgt.cost.cost_relabel(src.labels[idx], tgt.labels[j]),
             )
             node.label = tgt.labels[j]
 
@@ -776,18 +799,22 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping):
     return EditScript(tuple(edits), total)
 
 
-def tree_distance(x: TreeState, y: TreeState, cost: CostModel = UNIT_COSTS):
+def tree_distance(
+    x: TreeState, y: TreeState, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None
+):
     """Zhang-Shasha tree edit distance with a realizing edit script.
 
-    The distances fill through a fresh :class:`DistanceMemo`; the mapping
-    backtrace then fills again the forest table of each keyroot pair it
-    visits.
+    The distances fill through ``memo`` as in :func:`tree_distance_only`,
+    so a call replays the subtree pairs its batch already filled; the
+    mapping backtrace then fills again the forest table of each keyroot
+    pair it visits.
     """
-    memo = DistanceMemo()
+    memo = DistanceMemo() if memo is None else memo
     t1, t2 = memo.annotate(x, cost), memo.annotate(y, cost)
-    td = _zss_distances(t1, t2, memo.blocks)
+    relabel = memo.relabel_rows(t1, t2)
+    td = _zss_distances(t1, t2, memo.blocks, relabel)
     dist = float(td[-1][-1])
-    mapping = _zss_mapping(t1, t2, td)
+    mapping = _zss_mapping(t1, t2, td, relabel)
     script = _script_from_mapping(t1, t2, mapping)
     if not math.isclose(script.total_cost, dist, rel_tol=1e-12, abs_tol=1e-12):
         raise AssertionError(
@@ -802,17 +829,19 @@ def tree_distance_only(
     """The Zhang-Shasha distance alone; ``memo`` shares subtree-pair
     results with the other calls of its batch (None: a fresh memo)."""
     memo = DistanceMemo() if memo is None else memo
-    td = _zss_distances(memo.annotate(x, cost), memo.annotate(y, cost), memo.blocks)
-    return float(td[-1][-1])
+    t1, t2 = memo.annotate(x, cost), memo.annotate(y, cost)
+    return float(_zss_distances(t1, t2, memo.blocks, memo.relabel_rows(t1, t2))[-1][-1])
 
 
 # ---------------------------------------------------------------------------
 # dispatch helpers
 
 
-def distance_and_script(x, y, cost: CostModel = UNIT_COSTS):
+def distance_and_script(x, y, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None):
+    """The edit distance of two states and a script realizing it; ``memo``
+    as in :func:`distance`."""
     if isinstance(x, TreeState):
-        return tree_distance(x, y, cost)
+        return tree_distance(x, y, cost, memo)
     return seq_distance(x, y, cost)
 
 

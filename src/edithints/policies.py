@@ -29,6 +29,8 @@ successor-of-closest (first edit toward the closest state's successor in
 its trace), and a seeded random-reference policy.
 
 Fitted models are immutable; every hint query is pure and reproducible.
+A tree model annotates its training states for the edit distances once,
+at its first hint, and never adds to them.
 """
 
 from __future__ import annotations
@@ -152,6 +154,7 @@ class GprModel:
         self.kernel_matrix = rbf(self.kernel_space.corrected_sqdist(), params.length_scale)
         self.used_pseudo_inverse = False
         self._prepare_solver()
+        self._base_memo = None  # the annotated training states, built at the first hint
 
     def _prepare_solver(self):
         """The operator (K + noise^2 I)^-1 that every GPR query multiplies
@@ -174,8 +177,25 @@ class GprModel:
 
     # -- query-side quantities ---------------------------------------------
 
-    def query_raw_distances(self, state) -> np.ndarray:
-        memo = DistanceMemo()
+    def hint_memo(self) -> DistanceMemo:
+        """A memo for the distances of one hint.  A tree model annotates
+        its training states once, at its first hint, and starts each hint's
+        memo from them; the hint's subtree-pair results and the trees it
+        annotates go when the memo does."""
+        if self.kind != "tree":
+            return DistanceMemo()
+        if self._base_memo is None:
+            base = DistanceMemo()
+            for s in self.pairs.states:
+                base.annotate(s, self.cost)
+            base.seal()
+            self._base_memo = base
+        return DistanceMemo(self._base_memo)
+
+    def query_raw_distances(self, state, memo: DistanceMemo = None) -> np.ndarray:
+        """Raw edit distances from ``state`` to every training state,
+        through ``memo`` (None: a fresh :meth:`hint_memo`)."""
+        memo = self.hint_memo() if memo is None else memo
         return np.array([distance(state, s, self.cost, memo) for s in self.pairs.states])
 
     def embed_query(self, raw_distances: np.ndarray) -> QueryEmbedding:
@@ -386,8 +406,8 @@ def sparsify(
     support, the coefficients and the stop are those of refitting every
     candidate at every step.
 
-    Returns ``(alpha_tilde, applied)``; ``applied`` is False when the
-    allowed support is empty and sparsification was skipped.
+    Returns the coefficients ``alpha_tilde``; raises ``ValueError`` when
+    ``allowed`` is empty.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -395,7 +415,7 @@ def sparsify(
     m = len(model.pairs)
     allowed = sorted(set(int(i) for i in allowed))
     if not allowed:
-        return alpha.copy(), False
+        raise ValueError("sparsify needs a non-empty allowed support")
 
     gram = model.space.extended_gram(query)
     target = np.append(alpha, 1.0)
@@ -453,24 +473,25 @@ def sparsify(
             top_err = float(v @ gram @ v)
 
     if top is not None and top_err < best_err:
-        return top, True
-    return greedy, True
+        return top
+    return greedy
 
 
 # ---------------------------------------------------------------------------
 # candidate extraction and pre-image selection
 
 
-def candidate_edits(x, positive_states, cost: CostModel = UNIT_COSTS):
+def candidate_edits(x, positive_states, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None):
     """Union of edits from the shortest edit scripts x -> state, one entry
-    per serialized form, sorted for determinism.
+    per serialized form, sorted for determinism.  The scripts' distances
+    go through ``memo`` (None: a fresh memo per script).
 
     Later script edits may address positions that only exist after earlier
     edits were applied; those cannot be offered as a next step and are
     dropped."""
     seen = {}
     for state in positive_states:
-        script = distance_and_script(x, state, cost)[1]
+        script = distance_and_script(x, state, cost, memo)[1]
         for edit in script.edits:
             seen.setdefault(serialize_edit(edit), edit)
     out = []
@@ -501,11 +522,13 @@ def preimage_objective(sq_to_x: float, sq_to_support, weights) -> float:
     return float(sq_to_x + np.dot(weights, sq_to_support))
 
 
-def score_candidates(x, candidates, support_states, weights, cost: CostModel = UNIT_COSTS):
+def score_candidates(
+    x, candidates, support_states, weights, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None
+):
     """Score each candidate edit by d(e(x), x)^2 + sum_i w_i d(e(x), s_i)^2
-    using raw edit distances."""
+    using raw edit distances, all through ``memo`` (None: a fresh memo)."""
     weights = np.asarray(weights, dtype=float)
-    memo = DistanceMemo()
+    memo = DistanceMemo() if memo is None else memo
     scored = []
     for edit in candidates:
         result = apply_edit(x, edit)
@@ -515,8 +538,11 @@ def score_candidates(x, candidates, support_states, weights, cost: CostModel = U
     return scored
 
 
-def preimage_select(x, alpha, candidates, model: GprModel) -> HintResult:
-    """Pick the candidate edit minimizing the pre-image objective.
+def preimage_select(
+    x, alpha, candidates, model: GprModel, memo: DistanceMemo = None
+) -> HintResult:
+    """Pick the candidate edit minimizing the pre-image objective, scored
+    through ``memo`` (see :func:`score_candidates`).
 
     Scores within a relative ``_TIE_EPS`` of the lowest tie, so rounding
     in the embedding cannot decide; ties break toward the edit closest to
@@ -528,7 +554,7 @@ def preimage_select(x, alpha, candidates, model: GprModel) -> HintResult:
         return HintResult(None, None, (), alpha_used=alpha, reason="no-candidates")
     nz = [int(i) for i in np.flatnonzero(np.abs(alpha) > 1e-12)]
     scored = score_candidates(
-        x, candidates, [model.pairs.states[i] for i in nz], alpha[nz], model.cost
+        x, candidates, [model.pairs.states[i] for i in nz], alpha[nz], model.cost, memo
     )
     lowest = min(score for _, score in scored)
     limit = lowest + _TIE_EPS * (1.0 + abs(lowest))
@@ -552,10 +578,13 @@ def chf_hint(
     sparsify, extract candidates, select the pre-image edit.
 
     Declines (edit None, reason "kernel-decay") when the query is so far
-    from all training data that the regression weights vanish.
+    from all training data that the regression weights vanish.  The query
+    row, the candidate scripts and the scoring share one
+    :meth:`GprModel.hint_memo`.
     """
     x = canonicalize_state(state, model.canon)
-    raw = model.query_raw_distances(x)
+    memo = model.hint_memo()
+    raw = model.query_raw_distances(x, memo)
     gamma = model.weights(raw, scheme)
     if float(np.linalg.norm(gamma)) < KERNEL_DECAY_NORM:
         return HintResult(None, None, (), reason="kernel-decay")
@@ -568,19 +597,22 @@ def chf_hint(
         for i in range(len(model.pairs))
         if raw[i] <= limit and model.dist_raw[i, star] <= limit
     ]
-    alpha_tilde, applied = sparsify(model, alpha, query, allowed, m_max)
+    # allowed holds star: raw[star] <= limit and dist_raw[star, star] = 0
+    alpha_tilde = sparsify(model, alpha, query, allowed, m_max)
     positives = [int(i) for i in np.flatnonzero(alpha_tilde > 1e-12)]
-    candidates = candidate_edits(x, [model.pairs.states[i] for i in positives], model.cost)
-    return replace(preimage_select(x, alpha_tilde, candidates, model), sparsified=applied)
+    candidates = candidate_edits(x, [model.pairs.states[i] for i in positives], model.cost, memo)
+    return replace(preimage_select(x, alpha_tilde, candidates, model, memo), sparsified=True)
 
 
-def _first_edit_toward(model: GprModel, x, ref_index: int, reason_when_equal: str) -> HintResult:
+def _first_edit_toward(
+    model: GprModel, x, ref_index: int, reason_when_equal: str, memo: DistanceMemo
+) -> HintResult:
     ref = model.pairs.states[ref_index]
-    dist_value, script = distance_and_script(x, ref, model.cost)
+    script = distance_and_script(x, ref, model.cost, memo)[1]
     if not script.edits:
         return HintResult(None, None, (), reason=reason_when_equal)
     edit = script.edits[0]
-    after = distance(apply_edit(x, edit), ref, model.cost)
+    after = distance(apply_edit(x, edit), ref, model.cost, memo)
     return HintResult(edit, float(after), ((edit, float(after)),))
 
 
@@ -588,16 +620,18 @@ def zimmerman_hint(model: GprModel, state) -> HintResult:
     """First edit on the shortest script toward the closest correct
     solution (raw edit distance; ties toward the lowest trace id)."""
     x = canonicalize_state(state, model.canon)
-    star = model.closest_correct_raw_index(model.query_raw_distances(x))
-    return _first_edit_toward(model, x, star, "at-solution")
+    memo = model.hint_memo()
+    star = model.closest_correct_raw_index(model.query_raw_distances(x, memo))
+    return _first_edit_toward(model, x, star, "at-solution", memo)
 
 
 def gross_hint(model: GprModel, state) -> HintResult:
     """First edit toward the successor-in-trace of the closest training
     state (the state itself when it is final)."""
     x = canonicalize_state(state, model.canon)
-    successor = model.closest_successor_raw_index(model.query_raw_distances(x))
-    return _first_edit_toward(model, x, successor, "at-reference")
+    memo = model.hint_memo()
+    successor = model.closest_successor_raw_index(model.query_raw_distances(x, memo))
+    return _first_edit_toward(model, x, successor, "at-reference", memo)
 
 
 def random_hint(model: GprModel, state, seed: int) -> HintResult:
@@ -606,7 +640,7 @@ def random_hint(model: GprModel, state, seed: int) -> HintResult:
     x = canonicalize_state(state, model.canon)
     rng = random.Random(seed)
     ref = rng.randrange(len(model.pairs))
-    return _first_edit_toward(model, x, ref, "at-reference")
+    return _first_edit_toward(model, x, ref, "at-reference", model.hint_memo())
 
 
 POLICY_NAMES = ("chf", "nwr", "nn", "zimmerman", "gross", "random")

@@ -391,7 +391,7 @@ def greedy_sparsify_oracle(model, alpha, query, allowed, m_max):
     m = len(model.pairs)
     allowed = sorted(set(int(i) for i in allowed))
     if not allowed:
-        return alpha.copy(), False
+        raise ValueError("sparsify needs a non-empty allowed support")
 
     gram = model.space.extended_gram(query)
     target = np.append(alpha, 1.0)
@@ -433,8 +433,8 @@ def greedy_sparsify_oracle(model, alpha, query, allowed, m_max):
             top_err = float(v @ gram @ v)
 
     if top is not None and top_err < best_err:
-        return top, True
-    return greedy, True
+        return top
+    return greedy
 
 
 # ---------------------------------------------------------------------------

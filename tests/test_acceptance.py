@@ -120,8 +120,7 @@ def test_criterion_2_sparsification_reproduction():
             for i in range(6)
             if raw[i] <= limit and model.dist_raw[i, star] <= limit
         ]
-        tilde, applied = sparsify(model, alpha, query, allowed, m_max=3)
-        assert applied
+        tilde = sparsify(model, alpha, query, allowed, m_max=3)
         assert abs(tilde[index[("a", "a", "c")]] - 0.3043) < 0.01
         assert abs(tilde[index[("b", "b", "c")]] - 0.3043) < 0.01
         assert abs(tilde[index[("a", "b", "c", "d")]] - 0.3914) < 0.01

@@ -450,6 +450,28 @@ def test_distances_sharing_a_memo_equal_fresh_calls(states, cost):
     assert all(g == w for g, w in zip(got.flat, want.flat))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(trees(12), min_size=2, max_size=5), cost_models)
+def test_memo_started_from_a_sealed_base_equals_fresh_calls(states, cost):
+    # the base annotates the first tree and is sealed, as a model's training
+    # states are; the batch memo shares its subtree ids and adds nothing to it
+    base = DistanceMemo()
+    kept = base.annotate(states[0], cost)
+    base.seal()
+    intern = dict(base._intern)
+    memo = DistanceMemo(base)
+    for x in states:
+        for y in states:
+            d = distance(x, y, cost, memo)
+            assert d == distance(x, y, cost)
+            d_script, script = tree_distance(x, y, cost, memo)
+            assert (d_script, script) == tree_distance(x, y, cost)
+            assert apply_script(script, x) == y
+    assert memo.annotate(states[0], cost) is kept
+    assert base._intern == intern and len(base._trees) == 1
+    assert set(kept.rows) <= kept.kept == set(kept.labels)
+
+
 def test_memo_serves_one_cost_model_and_keeps_its_trees():
     memo = DistanceMemo()
     y = parse_tree("a(b,c(a,b))")

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from edithints import policies
 from edithints.editdist import (
+    UNIT_COSTS,
+    CostModel,
     SeqEdit,
     apply_edit,
     distance,
@@ -16,6 +18,7 @@ from edithints.editdist import (
 )
 from edithints.evaluate import synthetic_corpus
 from edithints.policies import (
+    POLICY_NAMES,
     FitError,
     KernelParams,
     alpha_from_gamma,
@@ -287,8 +290,7 @@ def test_sparsify_fig7_coefficients(fig7_model):
     assert sorted(model.pairs.states[i] for i in allowed) == sorted(
         [sequence("aac"), sequence("bbc"), sequence("ab"), sequence("abcd")]
     )
-    tilde, applied = sparsify(model, alpha, query, allowed, m_max=3)
-    assert applied
+    tilde = sparsify(model, alpha, query, allowed, m_max=3)
     assert tilde[state_index(model, "aac")] == pytest.approx(0.3043, abs=0.01)
     assert tilde[state_index(model, "bbc")] == pytest.approx(0.3043, abs=0.01)
     assert tilde[state_index(model, "abcd")] == pytest.approx(0.3914, abs=0.01)
@@ -308,7 +310,7 @@ def test_sparsify_fig7_hint_still_insert_c(fig7_model):
     allowed = [
         i for i in range(6) if raw[i] <= limit + 1e-9 and model.dist_raw[i, star] <= limit + 1e-9
     ]
-    tilde, _ = sparsify(model, alpha, query, allowed, m_max=3)
+    tilde = sparsify(model, alpha, query, allowed, m_max=3)
     positives = [model.pairs.states[i] for i in np.flatnonzero(tilde > 1e-12)]
     cands = candidate_edits(sequence("ab"), positives, model.cost)
     result = preimage_select(sequence("ab"), tilde, cands, model)
@@ -325,7 +327,7 @@ def test_sparsify_m1_matches_exhaustive_scan(fig7_model):
     for _ in range(20):
         alpha = rng.normal(size=6)
         alpha -= alpha.mean()  # sum zero like a real coefficient vector
-        tilde, _ = sparsify(model, alpha, query, allowed, m_max=1)
+        tilde = sparsify(model, alpha, query, allowed, m_max=1)
         support = np.flatnonzero(np.abs(tilde) > 1e-12)
         assert len(support) == 1 and tilde[support[0]] == pytest.approx(1.0)
         target = np.append(alpha, 1.0)
@@ -338,11 +340,10 @@ def test_sparsify_m1_matches_exhaustive_scan(fig7_model):
         assert errs[support[0]] == pytest.approx(min(errs), abs=1e-9)
 
 
-def test_sparsify_empty_support_skipped(fig7_model):
-    alpha = np.full(6, 0.1)
-    tilde, applied = sparsify(fig7_model, alpha, None, allowed=[], m_max=3)
-    assert not applied
-    assert np.array_equal(tilde, alpha)
+def test_sparsify_empty_support_raises(fig7_model):
+    # chf_hint's allowed support always holds the closest correct state
+    with pytest.raises(ValueError, match="non-empty allowed support"):
+        sparsify(fig7_model, np.full(6, 0.1), None, allowed=[], m_max=3)
 
 
 def _tree_walks(seed: int, n_traces: int) -> dict:
@@ -376,9 +377,13 @@ def _sparsify_inputs(model, x, scheme):
 
 
 def _assert_matches_oracle(model, alpha, query, allowed, m_max):
-    got, applied = sparsify(model, alpha, query, allowed, m_max)
-    want, want_applied = greedy_sparsify_oracle(model, alpha, query, allowed, m_max)
-    assert applied == want_applied
+    if not allowed:  # both refuse an empty support
+        for fn in (sparsify, greedy_sparsify_oracle):
+            with pytest.raises(ValueError, match="non-empty allowed support"):
+                fn(model, alpha, query, allowed, m_max)
+        return
+    got = sparsify(model, alpha, query, allowed, m_max)
+    want = greedy_sparsify_oracle(model, alpha, query, allowed, m_max)
     assert np.array_equal(got, want), (allowed, m_max)
 
 
@@ -663,6 +668,57 @@ def test_hint_by_policy_dispatch(fig2_model):
     assert hint_by_policy(fig2_model, sequence("ab"), "random", seed=1).edit is not None
     with pytest.raises(ValueError):
         hint_by_policy(fig2_model, sequence("ab"), "unknown")
+
+
+# infinite relabels between {f, g} and {h, k}, so some scripts must delete
+# and insert where a relabel would be cheaper
+_GROUPED = CostModel(
+    indel={"h": 0.7}, relabel_default=math.inf, relabel={("f", "g"): 0.5, ("h", "k"): 0.4}
+)
+
+
+def _all_hints(model, queries) -> list:
+    return [
+        hint_by_policy(model, x, policy, seed=k).to_dict()
+        for k, x in enumerate(queries)
+        for policy in POLICY_NAMES
+    ]
+
+
+@pytest.mark.parametrize("cost", [UNIT_COSTS, _GROUPED], ids=["unit", "grouped"])
+@pytest.mark.parametrize("seed", [71, 72, 73])
+def test_hint_memo_gives_the_hints_of_fresh_memos(monkeypatch, seed, cost):
+    # one memo per hint serves its query row, scripts and scoring; a fresh
+    # memo per call must give every policy the same hint, bit for bit
+    model = fit_model(load_dataset(_tree_walks(seed, 6)), cost, params=KernelParams(2.0, 0.3))
+    rng = random.Random(seed)
+    queries = [random_tree(rng, labels="fghk") for _ in range(6)]
+    shared = _all_hints(model, queries)
+    assert sum(h["edit"] is not None and h["alpha"] is not None for h in shared) >= 3
+    monkeypatch.setattr(policies, "distance", lambda x, y, c, memo=None: distance(x, y, c))
+    monkeypatch.setattr(
+        policies, "distance_and_script", lambda x, y, c, memo=None: distance_and_script(x, y, c)
+    )
+    assert _all_hints(model, queries) == shared
+
+
+def test_hints_add_nothing_to_the_model_memo():
+    model = fit_model(load_dataset(_tree_walks(74, 6)), params=KernelParams(2.0, 0.3))
+    for x in model.pairs.states:  # each training label against each training state
+        chf_hint(model, x)
+    base = model._base_memo
+    annotated = [t for _, t in base._trees.values()]
+    labels = {lab for t in annotated for lab in t.labels}
+    assert all(set(t.rows) == labels for t in annotated)
+
+    def snapshot():
+        return dict(base._intern), len(base._trees), [set(t.rows) for t in annotated]
+
+    before = snapshot()
+    rng = random.Random(75)
+    # labels x, y and z occur in no training state
+    _all_hints(model, [random_tree(rng, labels="fgxyz") for _ in range(12)])
+    assert model._base_memo is base and snapshot() == before
 
 
 def test_fit_requires_successful_traces():
