@@ -482,7 +482,7 @@ class _Annotated:
 
 
 class DistanceMemo:
-    """What the tree distance calls of one batch share.
+    """What the distance calls of one batch share.
 
     A Zhang-Shasha keyroot pair's forest table reads only cells inside its
     two subtrees, and each cell is a minimum of single additions of such
@@ -501,7 +501,8 @@ class DistanceMemo:
 
     A memo serves one cost model, the one its first call (or its base)
     passes.  It holds every tree it annotated, so no tree's ``id`` is
-    reused while it lives.  Sequence distances ignore it.
+    reused while it lives.  Unit-cost sequence distances keep the bit
+    masks of each pattern in it, with the pattern (see :func:`distance`).
     """
 
     def __init__(self, base: DistanceMemo = None):
@@ -512,6 +513,7 @@ class DistanceMemo:
         self.cost = base.cost if base else None
         self._intern = dict(base._intern) if base else {}  # (label, child ids) -> subtree id
         self._trees = dict(base._trees) if base else {}  # id(tree) -> (tree, its _Annotated)
+        self.patterns = {}  # id(sequence) -> (sequence, its bit masks), see distance()
 
     def annotate(self, tree: TreeState, cost: CostModel) -> _Annotated:
         if self.cost is None:
@@ -849,7 +851,8 @@ def distance(x, y, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> f
     """The edit distance of two states, without a script.
 
     Tree calls that pass one :class:`DistanceMemo` share their subtree-pair
-    results; None gives the call a fresh memo.  Sequences ignore it.
+    results; None gives the call a fresh memo.  Unit-cost sequence calls
+    that pass one share the bit masks of their pattern ``x``.
 
     Under unit costs a sequence distance runs the bit-parallel recurrence
     of Myers (1999) in the global form of Hyyrö (2003): bit ``i`` of
@@ -864,10 +867,15 @@ def distance(x, y, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> f
         for row in _lev_rows(x, y, cost):
             pass
         return float(row[-1])
-    peq = {}  # label -> bit mask of its positions in x
-    for i, a in enumerate(x):
-        peq[a] = peq.get(a, 0) | 1 << i
-    mask = (1 << len(x)) - 1
+    entry = None if memo is None else memo.patterns.get(id(x))
+    if entry is None:  # per label, the bit mask of its positions in x
+        peq = {}
+        for i, a in enumerate(x):
+            peq[a] = peq.get(a, 0) | 1 << i
+        entry = x, peq, (1 << len(x)) - 1
+        if memo is not None:
+            memo.patterns[id(x)] = entry
+    _, peq, mask = entry
     vp, vn = mask, 0  # column 0: D[i][0] = i
     for b in y:
         eq = peq.get(b, 0)

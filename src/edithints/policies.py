@@ -363,9 +363,9 @@ def _screen(gram, pull, offset, active, cols, best_err, flat_tol):
     if not active:  # one state takes the whole weight
         return diag - 2.0 * pull[cols] + offset
     k = len(active)
-    kkt = _bordered(gram[np.ix_(active, active)])
+    kkt = _bordered(gram[active][:, active])
     border = np.ones((k + 1, len(cols) + 1))  # candidate columns, then the fit's right side
-    border[:k, :-1] = gram[np.ix_(active, cols)]
+    border[:k, :-1] = gram[active][:, cols]
     border[:k, -1] = pull[active]
     est = np.full(len(cols), np.nan)
     try:
@@ -379,6 +379,59 @@ def _screen(gram, pull, offset, active, cols, best_err, flat_tol):
     ok = schur > flat_tol
     est[ok] = best_err - gap[ok] ** 2 / schur[ok]
     return est
+
+
+class _ScreenMiss(Exception):
+    """A refit missed its screened estimate by more than one slack."""
+
+
+def _greedy(gram, target, allowed, m_max, scale, screened):
+    """The greedy run of :func:`sparsify`: its states, coefficients and error."""
+    pull = gram @ target
+    offset = float(target @ pull)
+    slack = _SCREEN_SLACK * scale
+
+    def refit(cols, estimate):
+        coef, err = _affine_ls(gram, target, cols)
+        if abs(err - estimate) > slack:  # never for a NaN estimate
+            raise _ScreenMiss
+        return coef, err
+
+    active, remaining = [], list(allowed)
+    best_err, best_coef = math.inf, None  # best_coef None: best_err is an estimate
+    for _ in range(min(m_max, len(allowed))):
+        if screened:
+            est = _screen(gram, pull, offset, active, remaining, best_err, slack)
+        else:
+            est = np.full(len(remaining), np.nan)
+        known = ~np.isnan(est)
+        low = float(np.min(est[known])) if known.any() else math.inf
+        # with every estimate within one slack of its exact error, those
+        # left out lie more than two slacks above the lowest exact error;
+        # a candidate with no estimate (NaN) is never left out
+        picks = [(j, e) for j, e in zip(remaining, est) if not e > low + 4.0 * slack]
+        if len(picks) == 1 and known.any():  # a clear winner, taken on its estimate
+            fits = {picks[0][0]: (None, low)}
+        else:
+            fits = {j: refit(active + [j], e) for j, e in picks}
+        step_best = None
+        for j, (coef, err) in fits.items():
+            if step_best is None or err < step_best[1] - 1e-15:
+                step_best = (j, err, coef)
+        j, err, coef = step_best
+        if err >= best_err - 1e-12 * scale - 2.0 * slack:  # near the stop margin
+            if best_coef is None and active:
+                best_coef, best_err = refit(active, best_err)
+            if coef is None:
+                coef, err = refit(active + [j], err)
+            if err >= best_err - 1e-12 * scale:
+                break
+        active.append(j)
+        remaining.remove(j)
+        best_err, best_coef = err, coef
+    if best_coef is None and active:
+        best_coef, best_err = refit(active, best_err)
+    return active, best_coef, best_err
 
 
 def sparsify(
@@ -397,12 +450,16 @@ def sparsify(
     ``m_max`` largest coefficients of ``alpha`` inside the support;
     whichever lands closer to the target is returned.
 
-    Each greedy step screens every candidate with one bordered solve
-    (:func:`_screen`) and refits by least squares only those whose
-    estimate is within four slacks (``_SCREEN_SLACK`` times the Gram
-    scale) of the lowest, or that have no estimate.  The others cannot
-    decide the step's ``1e-15`` tie rule; when a refit misses its estimate
-    by more than one slack, the step refits every candidate.  So the
+    Each greedy step screens every candidate (:func:`_screen`) and trusts
+    each estimate to within one slack (``_SCREEN_SLACK`` times the Gram
+    scale) of its least-squares refit.  It refits only where a decision
+    lies within that trust: the candidates within four slacks of the
+    lowest estimate, unless one stands alone, and those with no estimate;
+    and at a stop test within two slacks of its ``1e-12`` margin, the
+    winner and the accepted states.  The final coefficients are one refit
+    of the final support, the input of the refit that accepted its last
+    state.  A refit that misses its estimate by more than one slack reruns
+    the greedy run refitting every candidate at every step.  So the
     support, the coefficients and the stop are those of refitting every
     candidate at every step.
 
@@ -422,38 +479,10 @@ def sparsify(
     scale = max(1.0, float(np.max(np.abs(np.diag(gram)))))
 
     # heuristic 1: greedy forward selection with affine refit
-    pull = gram @ target
-    offset = float(target @ pull)
-    slack = _SCREEN_SLACK * scale
-    active = []
-    best_err = math.inf
-    best_coef = None
-    remaining = list(allowed)
-    for _ in range(min(m_max, len(allowed))):
-        est = _screen(gram, pull, offset, active, remaining, best_err, slack)
-        known = ~np.isnan(est)
-        low = float(np.min(est[known])) if known.any() else math.inf
-        # with every estimate within one slack of its exact error, those
-        # left out lie more than two slacks above the lowest exact error
-        picks = [j for j, e, ok in zip(remaining, est, known) if not ok or e <= low + 4.0 * slack]
-        fits = {j: _affine_ls(gram, target, active + [j]) for j in picks}
-        if any(ok and j in fits and abs(fits[j][1] - e) > slack
-               for j, e, ok in zip(remaining, est, known)):
-            for j in set(remaining) - set(fits):
-                fits[j] = _affine_ls(gram, target, active + [j])
-        step_best = None
-        for j in remaining:
-            if j not in fits:
-                continue
-            coef, err = fits[j]
-            if step_best is None or err < step_best[1] - 1e-15:
-                step_best = (j, err, coef)
-        j, err, coef = step_best
-        if err >= best_err - 1e-12 * scale:
-            break
-        active.append(j)
-        remaining.remove(j)
-        best_err, best_coef = err, coef
+    try:
+        active, best_coef, best_err = _greedy(gram, target, allowed, m_max, scale, True)
+    except _ScreenMiss:
+        active, best_coef, best_err = _greedy(gram, target, allowed, m_max, scale, False)
     greedy = np.zeros(m)
     greedy[active] = best_coef
 
@@ -489,14 +518,12 @@ def candidate_edits(x, positive_states, cost: CostModel = UNIT_COSTS, memo: Dist
     Later script edits may address positions that only exist after earlier
     edits were applied; those cannot be offered as a next step and are
     dropped."""
+    # equal edits serialize equally, so each distinct edit is serialized once
     seen = {}
     for state in positive_states:
-        script = distance_and_script(x, state, cost, memo)[1]
-        for edit in script.edits:
-            seen.setdefault(serialize_edit(edit), edit)
+        seen.update(dict.fromkeys(distance_and_script(x, state, cost, memo)[1].edits))
     out = []
-    for key in sorted(seen):
-        edit = seen[key]
+    for edit in sorted(seen, key=serialize_edit):
         try:
             apply_edit(x, edit)
         except EditError:

@@ -556,3 +556,36 @@ def test_distance_equals_dynamic_program_and_bfs(case):
         alphabet = sorted(set(x) | set(y))  # an optimal path uses no other symbol
         source, target = "".join(x), "".join(y)
         assert d == bfs_string_distances(source, [target], alphabet)[target]
+
+
+@st.composite
+def sequence_batches(draw):
+    """A few sequences over one alphabet, lengths up to 140, and the calls of
+    one batch as (pattern index, text index, rebuild the pattern) in a drawn
+    order, under a unit or near-unit cost model."""
+    alphabet = [chr(ord("a") + i) for i in range(draw(st.integers(1, 12)))]
+    size = st.integers(0, 4) | st.integers(0, 140)
+    states = draw(
+        st.lists(
+            size.flatmap(lambda n: st.lists(st.sampled_from(alphabet + ["Z"]), min_size=n, max_size=n)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    index = st.integers(0, len(states) - 1)
+    calls = draw(st.lists(st.tuples(index, index, st.booleans()), min_size=1, max_size=25))
+    return [tuple(s) for s in states], calls, draw(st.sampled_from(UNIT_MODELS + NEAR_UNIT_MODELS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequence_batches())
+def test_sequence_distances_sharing_a_memo_equal_fresh_calls(batch):
+    # a rebuilt pattern is a new tuple that dies after its call, so the next
+    # one may take its id; the memo holds each pattern it keeps masks for
+    states, calls, cost = batch
+    memo = DistanceMemo()
+    for i, j, rebuild in calls:
+        x = tuple(list(states[i])) if rebuild else states[i]
+        d = distance(x, states[j], cost, memo)
+        assert d.hex() == distance(x, states[j], cost).hex()
+        assert d.hex() == lev_rows_distance(x, states[j], cost).hex()

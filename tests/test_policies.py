@@ -433,6 +433,72 @@ def test_sparsify_refits_every_candidate_when_the_screen_fails(fig7_model, monke
             _assert_matches_oracle(model, alpha, query, range(6), m_max)
 
 
+def _sequence_sparsify_inputs(goal_variants: bool):
+    """``sparsify`` arguments on sequence inputs built as those of
+    test_sparsify_matches_full_refit_oracle, whose traces share one goal;
+    with ``goal_variants`` each trace heads for a goal of its own, as in
+    the benchmark's sequence corpora."""
+    corpus = synthetic_corpus(seed=41, n_traces=10, goal_variants=goal_variants)
+    model = fit_model(corpus, params=KernelParams(3.0, 0.3))
+    for t in synthetic_corpus(seed=42, n_traces=3).traces:
+        for x in t.states:
+            for scheme in ("gpr", "nwr", "nn"):
+                alpha, query, allowed = _sparsify_inputs(model, x, scheme)
+                for m_max in (1, 3, 11):
+                    yield model, alpha, query, allowed, m_max
+                    yield model, alpha, query, range(len(model.pairs)), m_max
+
+
+def test_sparsify_refits_about_once_per_call(monkeypatch):
+    # clear picks are taken on their estimates, so a call refits its final
+    # support and only close picks and stop tests besides.  One shared goal
+    # would make ten copies of a state: the tie rule refits every copy that
+    # ties for a pick, and copies of an accepted state, which the screen
+    # cannot estimate, are refitted at every step
+    lstsq, calls = np.linalg.lstsq, []
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    counts = []
+    for args in _sequence_sparsify_inputs(goal_variants=True):
+        before = len(calls)
+        sparsify(*args)
+        counts.append(len(calls) - before)
+    assert len(counts) >= 200 and sum(counts) <= 2 * len(counts)
+
+
+@pytest.mark.parametrize("fault", ["close-race", "false-stop"])
+def test_sparsify_reruns_when_a_trusted_winner_was_misestimated(monkeypatch, fault):
+    # close-race: in each close race the last contender's estimate drops a
+    # few slacks below the lowest, so that it wins alone.  false-stop: at the
+    # second step the estimates rise together until the clear winner's leaves
+    # the error as it was.  Neither is refitted when it is decided; the later
+    # refits' checks catch both, and the run is redone refitting every candidate
+    screen, greedy, faults, reruns = policies._screen, policies._greedy, [], []
+
+    def misestimated(gram, pull, offset, active, cols, best_err, slack):
+        est = screen(gram, pull, offset, active, cols, best_err, slack)
+        if np.isnan(est).all():
+            return est
+        low = np.nanmin(est)
+        close = np.flatnonzero(est <= low + 4.0 * slack)
+        if fault == "close-race" and len(close) > 1:
+            est[close[-1]] = low - 5.0 * slack
+            faults.append(1)
+        elif fault == "false-stop" and len(active) == 1 and len(close) == 1:
+            est += best_err - low
+            faults.append(1)
+        return est
+
+    def counted(*args):
+        reruns.append(not args[-1])
+        return greedy(*args)
+
+    monkeypatch.setattr(policies, "_screen", misestimated)
+    monkeypatch.setattr(policies, "_greedy", counted)
+    for args in _sequence_sparsify_inputs(goal_variants=False):
+        _assert_matches_oracle(*args)
+    assert len(faults) >= 20 and sum(reruns) >= 20
+
+
 # integer points in the plane repeat and line up often; the extra points
 # are exact duplicates and points on lines through two others
 _POINT = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
