@@ -7,9 +7,9 @@ Distances are shortest-path costs in the resulting move graph, computed
 with the standard dynamic programs: Levenshtein for sequences, Zhang-Shasha
 for ordered trees.  Both return an :class:`EditScript` realizing the
 distance; replaying the script on the source state yields the target state
-and the script cost equals the distance exactly.  Without a script, a
-sequence distance under unit costs runs bit-parallel (see :func:`distance`)
-and returns the same value.
+and the script cost equals the distance exactly.  Without a script, the
+unit-cost sequence distances of a row run bit-parallel over a pack of many
+sequences in one integer (see :func:`distance_row`), to the same values.
 
 Position conventions
 --------------------
@@ -493,16 +493,16 @@ class DistanceMemo:
     table.  No table outlives its fill.  The memo also annotates each tree
     once.
 
-    A memo started from a ``base`` memo copies the base's intern table and
-    annotated trees, so its subtree ids agree with the base's and the
-    base's trees are not annotated again; its blocks and the trees it
-    annotates stay its own.  A model's base memo is :meth:`seal`-ed, so
+    A memo started from a ``base`` memo copies the base's intern table,
+    annotated trees and packs, so its subtree ids agree with the base's and
+    it annotates no tree, and packs no list, that the base already has;
+    what it adds stays its own.  A model's base memo is :meth:`seal`-ed, so
     the memos started from it add nothing to it (see :meth:`relabel_rows`).
 
     A memo serves one cost model, the one its first call (or its base)
     passes.  It holds every tree it annotated, so no tree's ``id`` is
-    reused while it lives.  Unit-cost sequence distances keep the bit
-    masks of each pattern in it, with the pattern (see :func:`distance`).
+    reused while it lives.  A unit-cost sequence row keeps the pack of its
+    targets in it, with the target list (see :func:`distance_row`).
     """
 
     def __init__(self, base: DistanceMemo = None):
@@ -513,7 +513,7 @@ class DistanceMemo:
         self.cost = base.cost if base else None
         self._intern = dict(base._intern) if base else {}  # (label, child ids) -> subtree id
         self._trees = dict(base._trees) if base else {}  # id(tree) -> (tree, its _Annotated)
-        self.patterns = {}  # id(sequence) -> (sequence, its bit masks), see distance()
+        self._packs = dict(base._packs) if base else {}  # id(targets) -> (targets, their pack)
 
     def annotate(self, tree: TreeState, cost: CostModel) -> _Annotated:
         if self.cost is None:
@@ -524,6 +524,12 @@ class DistanceMemo:
         if entry is None:
             entry = self._trees[id(tree)] = (tree, _Annotated(tree, cost, self._intern))
         return entry[1]
+
+    def pack(self, targets) -> tuple:
+        """The pack of a list of sequences (see :func:`_pack`), kept with it."""
+        if id(targets) not in self._packs:
+            self._packs[id(targets)] = targets, _pack(targets)
+        return self._packs[id(targets)][1]
 
     def seal(self):
         """Limit the relabel rows that the trees annotated so far keep to
@@ -847,35 +853,32 @@ def distance_and_script(x, y, cost: CostModel = UNIT_COSTS, memo: DistanceMemo =
     return seq_distance(x, y, cost)
 
 
-def distance(x, y, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> float:
-    """The edit distance of two states, without a script.
-
-    Tree calls that pass one :class:`DistanceMemo` share their subtree-pair
-    results; None gives the call a fresh memo.  Unit-cost sequence calls
-    that pass one share the bit masks of their pattern ``x``.
-
-    Under unit costs a sequence distance runs the bit-parallel recurrence
-    of Myers (1999) in the global form of Hyyrö (2003): bit ``i`` of
-    ``vp`` (``vn``) is set when ``D[i + 1][j] - D[i][j]`` is +1 (-1) in
-    column ``j`` of the table of ``x`` against ``y``, so the last column
-    sums to ``D[m][n]``.  The result is the table's integer, so it equals
-    the dynamic program's value exactly.
-    """
-    if isinstance(x, TreeState):
-        return tree_distance_only(x, y, cost, memo)
-    if not cost.is_unit:
-        for row in _lev_rows(x, y, cost):
-            pass
-        return float(row[-1])
-    entry = None if memo is None else memo.patterns.get(id(x))
-    if entry is None:  # per label, the bit mask of its positions in x
-        peq = {}
-        for i, a in enumerate(x):
+def _pack(patterns) -> tuple:
+    """Many sequences' bit masks in one integer: each pattern owns a field of
+    ``len(p)`` bits and the zero guard bit above it.  Returns, per label, its
+    positions in every field; the union of the fields; bit 0 of each
+    non-empty field; and each field's mask."""
+    peq, fields, offset = {}, [], 0
+    for p in patterns:
+        for i, a in enumerate(p, offset):
             peq[a] = peq.get(a, 0) | 1 << i
-        entry = x, peq, (1 << len(x)) - 1
-        if memo is not None:
-            memo.patterns[id(x)] = entry
-    _, peq, mask = entry
+        fields.append(((1 << len(p)) - 1) << offset)
+        offset += len(p) + 1
+    mask = sum(fields)
+    return peq, mask, mask & ~(mask << 1), fields  # lows: the lowest bit of each run
+
+
+def _scan(y, pack) -> list:
+    """The unit-cost distances from ``y`` to each pattern of ``pack``: the
+    recurrence of Myers (1999) in the global form of Hyyrö (2003), run on
+    every field in one pass (Hyyrö, Fredriksson & Navarro 2005)."""
+    peq, mask, lows, fields = pack
+    # bit i of a field of vp (vn) is set when D[i + 1][j] - D[i][j] is +1 (-1)
+    # in column j of its pattern's table, so the field sums to D[m][n] - n.
+    # Guard bits: eq, vp, vn and hn hold none, so the sum's carry out of a
+    # field stops in its guard, and a shift moves a field's top bit into the
+    # guard (masked off) and the guard into the next field's bit 0, which
+    # lows sets: no bit of one field reaches another
     vp, vn = mask, 0  # column 0: D[i][0] = i
     for b in y:
         eq = peq.get(b, 0)
@@ -884,19 +887,45 @@ def distance(x, y, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> f
         hp = vn | ~(xh | vp)
         hn = vp & xh
         # the carry-in 1 is the top row's step D[0][j + 1] - D[0][j]
-        hp = hp << 1 | 1
+        hp = hp << 1 | lows
         vp = (hn << 1 | ~(xv | hp)) & mask
         vn = hp & xv
-    return float(len(y) + vp.bit_count() - vn.bit_count())
+    return [float(len(y) + (vp & f).bit_count() - (vn & f).bit_count()) for f in fields]
+
+
+def distance(x, y, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> float:
+    """The edit distance of two states, without a script.  Tree calls that
+    pass one :class:`DistanceMemo` share their subtree-pair results (None: a
+    fresh memo); a unit-cost sequence call scans ``y`` over a pack of ``x``
+    alone (see :func:`distance_row`)."""
+    if isinstance(x, TreeState):
+        return tree_distance_only(x, y, cost, memo)
+    if not cost.is_unit:
+        for row in _lev_rows(x, y, cost):
+            pass
+        return float(row[-1])
+    return _scan(y, _pack((x,)))[0]
+
+
+def distance_row(x, targets, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> list:
+    """The edit distances from ``x`` to each of ``targets``, in order.  A
+    unit-cost sequence row is one pass of ``x`` over the pack of ``targets``
+    (see :func:`_scan`), which ``memo`` keeps; any other row makes one
+    :func:`distance` call per target through ``memo`` (None: a fresh memo)."""
+    if isinstance(x, TreeState) or not cost.is_unit:
+        memo = DistanceMemo() if memo is None else memo
+        return [distance(x, y, cost, memo) for y in targets]
+    return _scan(x, _pack(targets) if memo is None else memo.pack(targets))
 
 
 def pairwise_distances(states, cost: CostModel = UNIT_COSTS) -> np.ndarray:
     """Symmetric matrix of raw edit distances over a state list.
 
-    Each unordered pair of distinct states is computed once; repeated
-    states (equal serialized forms) share one row and column.  This is
-    exact because distances are bitwise symmetric.  The calls of one
-    source row share their subtree-pair results (see :class:`DistanceMemo`).
+    Repeated states (equal serialized forms) share one row and column.  A
+    unit-cost sequence row is one pass over the pack of the unique states;
+    otherwise each pair of distinct states is computed once, its source
+    row's calls sharing their subtree-pair results (see :class:`DistanceMemo`).
+    Both are exact because distances are bitwise symmetric.
     """
     index, unique, ids = {}, [], []
     for s in states:
@@ -908,6 +937,9 @@ def pairwise_distances(states, cost: CostModel = UNIT_COSTS) -> np.ndarray:
     out = np.zeros((len(unique), len(unique)))
     memo = DistanceMemo()
     for i in range(len(unique)):
+        if cost.is_unit and not isinstance(unique[i], TreeState):
+            out[i] = distance_row(unique[i], unique, cost, memo)
+            continue
         # each tree is annotated once for the matrix, but subtree-pair
         # results are kept for one source row only, which bounds their memory
         memo.blocks.clear()

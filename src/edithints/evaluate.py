@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .editdist import CostModel, DistanceMemo, EditError, UNIT_COSTS
-from .editdist import apply_edit, distance, serialize_edit
+from .editdist import CostModel, EditError, UNIT_COSTS
+from .editdist import apply_edit, distance, distance_row, serialize_edit
 from .policies import FitError, GprModel, KernelParams, prepared_traces
 from .states import EMPTY_CANON
 from .traces import Dataset, Trace, TracePairs
@@ -249,15 +249,13 @@ def hint_quality(model: GprModel, tutor_hints, policy_fn) -> EvalReport:
             matching = [e.quality for e in entries if serialize_edit(e.edit) == key]
             if matching:
                 quality = float(np.mean(matching))
-            hinted_state = apply_edit(state, result.edit)
-            memo = DistanceMemo()  # the tutor distances of one state form a batch
-            dists = []
+            tutor_states = []
             for entry in entries:
                 try:
-                    tutor_state = apply_edit(state, entry.edit)
+                    tutor_states.append(apply_edit(state, entry.edit))
                 except EditError:
                     continue  # a tree edit may not apply to the canonic form
-                dists.append(distance(hinted_state, tutor_state, model.cost, memo))
+            dists = distance_row(apply_edit(state, result.edit), tutor_states, model.cost)
             if dists:
                 dist_to_tutor = float(min(dists))
                 sq_dists.append(dist_to_tutor**2)

@@ -29,8 +29,8 @@ successor-of-closest (first edit toward the closest state's successor in
 its trace), and a seeded random-reference policy.
 
 Fitted models are immutable; every hint query is pure and reproducible.
-A tree model annotates its training states for the edit distances once,
-at its first hint, and never adds to them.
+At its first hint a model annotates (trees) or packs (unit-cost
+sequences) its training states for the edit distances, once.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .editdist import (
     apply_edit,
     distance,
     distance_and_script,
+    distance_row,
     pairwise_distances,
     serialize_edit,
     edit_to_dict,
@@ -154,7 +155,7 @@ class GprModel:
         self.kernel_matrix = rbf(self.kernel_space.corrected_sqdist(), params.length_scale)
         self.used_pseudo_inverse = False
         self._prepare_solver()
-        self._base_memo = None  # the annotated training states, built at the first hint
+        self._base_memo = None  # the training states annotated or packed, at the first hint
 
     def _prepare_solver(self):
         """The operator (K + noise^2 I)^-1 that every GPR query multiplies
@@ -178,17 +179,17 @@ class GprModel:
     # -- query-side quantities ---------------------------------------------
 
     def hint_memo(self) -> DistanceMemo:
-        """A memo for the distances of one hint.  A tree model annotates
-        its training states once, at its first hint, and starts each hint's
-        memo from them; the hint's subtree-pair results and the trees it
-        annotates go when the memo does."""
-        if self.kind != "tree":
-            return DistanceMemo()
+        """A memo for the distances of one hint, started from the base memo
+        that annotates (trees) or packs (unit-cost sequences) the training
+        states at the first hint; what the hint adds goes with its memo."""
         if self._base_memo is None:
             base = DistanceMemo()
-            for s in self.pairs.states:
-                base.annotate(s, self.cost)
-            base.seal()
+            if self.kind == "tree":
+                for s in self.pairs.states:
+                    base.annotate(s, self.cost)
+                base.seal()
+            elif self.cost.is_unit:
+                base.pack(self.pairs.states)
             self._base_memo = base
         return DistanceMemo(self._base_memo)
 
@@ -196,7 +197,7 @@ class GprModel:
         """Raw edit distances from ``state`` to every training state,
         through ``memo`` (None: a fresh :meth:`hint_memo`)."""
         memo = self.hint_memo() if memo is None else memo
-        return np.array([distance(state, s, self.cost, memo) for s in self.pairs.states])
+        return np.array(distance_row(state, self.pairs.states, self.cost, memo))
 
     def embed_query(self, raw_distances: np.ndarray) -> QueryEmbedding:
         return self.space.extend(raw_distances**2)
@@ -556,12 +557,11 @@ def score_candidates(
     using raw edit distances, all through ``memo`` (None: a fresh memo)."""
     weights = np.asarray(weights, dtype=float)
     memo = DistanceMemo() if memo is None else memo
+    targets = list(support_states) + [x]
     scored = []
     for edit in candidates:
-        result = apply_edit(x, edit)
-        sq_support = [distance(result, s, cost, memo) ** 2 for s in support_states]
-        value = preimage_objective(distance(result, x, cost, memo) ** 2, sq_support, weights)
-        scored.append((edit, value))
+        sq = [d**2 for d in distance_row(apply_edit(x, edit), targets, cost, memo)]
+        scored.append((edit, preimage_objective(sq[-1], sq[:-1], weights)))
     return scored
 
 

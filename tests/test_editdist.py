@@ -19,6 +19,7 @@ from edithints.editdist import (
     apply_edit,
     distance,
     distance_and_script,
+    distance_row,
     edit_from_dict,
     edit_to_dict,
     pairwise_distances,
@@ -589,3 +590,74 @@ def test_sequence_distances_sharing_a_memo_equal_fresh_calls(batch):
         d = distance(x, states[j], cost, memo)
         assert d.hex() == distance(x, states[j], cost).hex()
         assert d.hex() == lev_rows_distance(x, states[j], cost).hex()
+
+
+# ---------------------------------------------------------------------------
+# distance rows: many unit-cost patterns packed into one integer
+
+
+@st.composite
+def packed_rows(draw):
+    """A query and 1 to 12 targets over an alphabet of 1 to 12 symbols, with
+    lengths up to 140: empty targets and queries, repeated targets, packs
+    of up to a few thousand bits, and query labels that no target holds."""
+    alphabet = [chr(ord("a") + i) for i in range(draw(st.integers(1, 12)))]
+
+    def symbols(pool):
+        size = draw(st.integers(0, 4) | st.integers(0, 140))
+        return tuple(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+
+    targets = [symbols(alphabet) for _ in range(draw(st.integers(1, 12)))]
+    targets += draw(st.lists(st.sampled_from(targets), max_size=3))
+    return symbols(alphabet + ["Y", "Z"]), draw(st.permutations(targets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_rows())
+@example(((), [(), ("a",), ()]))
+@example((tuple("YZ" * 40), [tuple("ab" * 70), (), tuple("ab" * 70)]))
+@example((tuple("abc" * 30), [tuple("acb" * 45), (), tuple("b" * 65), ("c",)] * 5))
+def test_distance_row_equals_dynamic_program(case):
+    x, targets = case
+    row = distance_row(x, targets)
+    assert [d.hex() for d in row] == [lev_rows_distance(x, y, UNIT_COSTS).hex() for y in targets]
+    memo = DistanceMemo()  # the second row reads the pack the first one kept
+    for _ in range(2):
+        assert [d.hex() for d in distance_row(x, targets, UNIT_COSTS, memo)] == [d.hex() for d in row]
+    for y, d in zip(targets, row):
+        assert distance_row(y, [x]) == distance_row(x, [y]) == [d]
+
+
+def test_packs_span_many_machine_words():
+    # the widest example above: 20 fields over 1,024 bits, 16 machine words
+    targets = [tuple("acb" * 45), (), tuple("b" * 65), ("c",)] * 5
+    _, mask, lows, fields = editdist._pack(targets)
+    assert mask.bit_length() == 1024 and len(fields) == 20
+    assert lows.bit_count() == 15 and not any(f & g for f in fields for g in fields if f is not g)
+
+
+def test_weighted_rows_take_the_per_target_path(monkeypatch):
+    x, targets = seq_of("abcab"), [seq_of("bca"), (), seq_of("abcab"), seq_of("cc"), seq_of("bca")]
+    want = [[lev_rows_distance(x, y, cost) for y in targets] for cost in NEAR_UNIT_MODELS]
+    trees = [parse_tree(t) for t in ("a(b,c)", "c(a)", "a(b,c)", "b")]
+
+    def packed(*args):
+        raise AssertionError("the packed kernel ran")
+
+    monkeypatch.setattr(editdist, "_scan", packed)
+    for cost, row in zip(NEAR_UNIT_MODELS, want):
+        assert distance_row(x, targets, cost) == row
+        assert distance_row(x, targets, cost, DistanceMemo()) == row
+        assert distance_row(trees[0], trees, cost) == [distance(trees[0], t, cost) for t in trees]
+    with pytest.raises(AssertionError, match="packed kernel"):
+        distance_row(x, targets, UNIT_COSTS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_rows(), st.randoms())
+def test_unit_sequence_matrix_with_repeats_equals_dynamic_program(case, rng):
+    x, targets = case
+    states = targets + [x] + [rng.choice(targets) for _ in range(3)]
+    rng.shuffle(states)
+    want = np.array([[lev_rows_distance(a, b, UNIT_COSTS) for b in states] for a in states])
+    assert pairwise_distances(states).tobytes() == want.tobytes()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edithints import policies
+from edithints import editdist, policies
 from edithints.editdist import (
     UNIT_COSTS,
     CostModel,
@@ -14,6 +14,7 @@ from edithints.editdist import (
     apply_edit,
     distance,
     distance_and_script,
+    seq_distance,
     serialize_edit,
 )
 from edithints.evaluate import synthetic_corpus
@@ -763,8 +764,32 @@ def test_hint_memo_gives_the_hints_of_fresh_memos(monkeypatch, seed, cost):
     assert sum(h["edit"] is not None and h["alpha"] is not None for h in shared) >= 3
     monkeypatch.setattr(policies, "distance", lambda x, y, c, memo=None: distance(x, y, c))
     monkeypatch.setattr(
+        policies, "distance_row", lambda x, ys, c, memo=None: [distance(x, y, c) for y in ys]
+    )
+    monkeypatch.setattr(
         policies, "distance_and_script", lambda x, y, c, memo=None: distance_and_script(x, y, c)
     )
+    assert _all_hints(model, queries) == shared
+
+
+def test_sequence_hints_pack_the_training_states_once(monkeypatch):
+    # the first hint packs the training states into the model's base memo;
+    # each chf hint then packs its scoring targets once, whatever its
+    # candidate count, and every policy gives the hints of per-pair tables
+    model = fit_model(synthetic_corpus(seed=43, n_traces=6), params=KernelParams(2.0, 0.3))
+    queries = [s for t in synthetic_corpus(seed=44, n_traces=2).traces for s in t.states]
+    packed, pack = [], editdist._pack
+    monkeypatch.setattr(editdist, "_pack", lambda targets: packed.append(targets) or pack(targets))
+    hints = [chf_hint(model, x) for x in queries[:2]]
+    assert all(len(h.candidates) > 1 for h in hints)
+    assert [t is model.pairs.states for t in packed] == [True, False, False]
+    shared = _all_hints(model, queries)
+    assert sum(t is model.pairs.states for t in packed) == 1
+
+    def dynamic_program(x, ys, cost, memo=None):
+        return [seq_distance(x, y, cost)[0] for y in ys]
+
+    monkeypatch.setattr(policies, "distance_row", dynamic_program)
     assert _all_hints(model, queries) == shared
 
 
