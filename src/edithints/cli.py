@@ -32,6 +32,7 @@ from .evaluate import PREDICTION_SCHEMES, hint_quality, hyper_search, loo_rmse_m
 from .policies import (
     DEFAULT_M_MAX,
     FitError,
+    Geometry,
     GprModel,
     KernelParams,
     POLICY_NAMES,
@@ -137,7 +138,7 @@ def model_from_dict(raw: dict) -> GprModel:
         mode = raw["mode"]
     except (KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"model file has a missing or malformed field: {exc!r}") from exc
-    return GprModel(kind, pairs, cost, canon, params, mode, dist_raw)
+    return GprModel(kind, Geometry(pairs, dist_raw, mode), cost, canon, params)
 
 
 def load_model(source: str) -> GprModel:

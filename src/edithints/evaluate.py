@@ -23,7 +23,7 @@ import numpy as np
 
 from .editdist import CostModel, EditError, UNIT_COSTS
 from .editdist import apply_edit, distance, distance_row, serialize_edit
-from .policies import FitError, GprModel, KernelParams, prepared_traces
+from .policies import FitError, Geometry, GprModel, KernelParams, prepared_traces
 from .states import EMPTY_CANON
 from .traces import Dataset, Trace, TracePairs
 from .traces import build_pairs, goal_filter  # uncalled; perfbench/tracing.py wraps these names
@@ -97,15 +97,16 @@ _LAYOUT = {
 }
 
 
-def _predict_coords(model: GprModel, scheme: str, raw: np.ndarray, coords) -> np.ndarray:
-    """Predicted next-state coordinates for one query under a scheme."""
+def _predict_coords(model: GprModel, scheme: str, raw: np.ndarray, coords, sqdist=None) -> np.ndarray:
+    """Predicted next-state coordinates for one query under a scheme;
+    ``sqdist`` is the query's :meth:`GprModel.kernel_query_sqdist`, or None."""
     if scheme == "do_nothing":
         return coords
     if scheme == "successor_of_closest":
         return model.space.coordinates[model.closest_successor_raw_index(raw)]
     if scheme == "closest_correct":
         return model.space.coordinates[model.closest_correct_raw_index(raw)]
-    gamma = model.weights(raw, _WEIGHT_SCHEME[scheme])
+    gamma = model.weights(raw, _WEIGHT_SCHEME[scheme], sqdist)
     points = model.space.coordinates
     return coords + gamma @ (points[model.pairs.successor] - points)
 
@@ -120,11 +121,13 @@ def loo_rmse_multi(
 ) -> dict:
     """Leave-one-trace-out RMSE for several prediction schemes at once.
 
-    The fold models (distance submatrices, embeddings, kernel systems) are
-    fitted once per fold and shared across schemes.  The training states
-    are already canonical, so fold models canonicalize nothing.
-    ``prepared`` is ``prepared_traces(dataset, cost)``, computed here when
-    not given.  Returns a mapping scheme name -> :class:`EvalReport`.
+    Each fold's model is fitted once and shared across schemes, and so is
+    each held-out state's kernel query.  ``prepared`` is
+    ``prepared_traces(dataset, cost)``, computed here when not given; its
+    fold records keep each fold's geometry and held-out queries, so every
+    later call on it fits only the kernel systems.  The training states
+    are already canonical, so fold models canonicalize nothing.  Returns a
+    mapping scheme name -> :class:`EvalReport`.
     """
     schemes = tuple(schemes)
     for scheme in schemes:
@@ -132,7 +135,10 @@ def loo_rmse_multi(
             raise ValueError(
                 f"unknown scheme {scheme!r}; expected one of {PREDICTION_SCHEMES}"
             )
-    flat, matrix = prepared_traces(dataset, cost) if prepared is None else prepared
+    if prepared is None:
+        prepared = prepared_traces(dataset, cost)
+    flat, matrix = prepared
+    folds = prepared.folds.setdefault(mode, {})
     ids = flat.trace_ids
     if len(ids) < 2:
         raise FitError("leave-one-out needs at least two successful traces")
@@ -141,26 +147,31 @@ def loo_rmse_multi(
     per_trace = {scheme: [] for scheme in schemes}
     skipped = []
     for held, held_ids in enumerate(spans):
-        rest = spans[:held] + spans[held + 1 :]
-        train_ids = [g for span in rest for g in span]
-        try:
+        if held not in folds:
+            rest = spans[:held] + spans[held + 1 :]
+            train_ids = [g for span in rest for g in span]
             pairs = TracePairs.from_lengths(
                 [flat.states[g] for g in train_ids], ids[:held] + ids[held + 1 :], map(len, rest)
             )
             sub = matrix[np.ix_(train_ids, train_ids)]
-            model = GprModel(dataset.kind, pairs, cost, EMPTY_CANON, params, mode, sub)
+            folds[held] = (train_ids, Geometry(pairs, sub, mode), [])
+        train_ids, geometry, queries = folds[held]
+        try:  # the first call builds the geometry
+            model = GprModel(dataset.kind, geometry, cost, EMPTY_CANON, params)
         except (FitError, ValueError) as exc:
             skipped.append((ids[held], str(exc)))
             continue
         raw_rows = [matrix[g][train_ids] for g in held_ids]
-        coords = [model.embed_query(row).coords for row in raw_rows]
+        if not queries:  # each held-out state's embedding and kernel query
+            queries += [(model.embed_query(r).coords, model.kernel_query_sqdist(r)) for r in raw_rows]
+        coords = [c for c, _ in queries]
         nexts = flat.successor[held_ids] - held_ids.start
         n = len(held_ids)
         for scheme in schemes:
             errs_next = []
             errs_final = []
             for t in range(n):
-                pred = _predict_coords(model, scheme, raw_rows[t], coords[t])
+                pred = _predict_coords(model, scheme, raw_rows[t], coords[t], queries[t][1])
                 errs_next.append(float(np.sum((pred - coords[nexts[t]]) ** 2)))
                 errs_final.append(float(np.sum((pred - coords[-1]) ** 2)))
             per_trace[scheme].append(
@@ -297,8 +308,9 @@ def hyper_search(
     and keep the sample with the lowest mean next-step RMSE of the
     Gaussian-process scheme under leave-one-out cross-validation.
     Deterministic for a fixed seed; ties keep the earlier sample.  Every
-    sample's folds slice one prepared distance matrix: ``prepared`` is
-    ``prepared_traces(dataset, cost)``, computed here when not given."""
+    sample reuses the fold records of one prepared data, so each fold's
+    geometry is built once: ``prepared`` is ``prepared_traces(dataset,
+    cost)``, computed here when not given."""
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     if prepared is None:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -55,7 +54,7 @@ from .editdist import (
     serialize_edit,
     edit_to_dict,
 )
-from .space import CorrectedSpace, QueryEmbedding
+from .space import CorrectedSpace, NumericalError, QueryEmbedding
 from .states import CanonConfig, EMPTY_CANON, canonicalize_state
 from .traces import Dataset, TracePairs, build_pairs, goal_filter
 
@@ -120,39 +119,52 @@ class HintResult:
         }
 
 
-class GprModel:
-    """A fitted hint model over goal-filtered successful traces.
+class Geometry:
+    """What a model fits before any kernel parameter: the training pairs,
+    their raw pairwise edit distances and the correction mode.  The first
+    :meth:`spaces` call builds the corrected embedding over all trace
+    states and the kernel's own corrected space over the regression inputs
+    (the moving pairs' source states), so that the kernel matrix is a
+    Gaussian kernel on genuine Euclidean points.  Every model of one
+    geometry shares that build; a failed build raises its error again at
+    every later call, without a second attempt."""
 
-    Holds the flattened training pairs, the raw pairwise edit distances,
-    the corrected embedding over all trace states, and the kernel system
-    ``(K + noise^2 I)`` over the pairs with actual movement.  The kernel
-    has its own corrected space spanning only those regression inputs, so
-    the kernel matrix is a Gaussian kernel on genuine Euclidean points.
-    """
-
-    def __init__(
-        self,
-        kind: str,
-        pairs: TracePairs,
-        cost: CostModel,
-        canon: CanonConfig,
-        params: KernelParams,
-        mode: str,
-        dist_raw: np.ndarray,
-    ):
-        self.kind = kind
-        self.pairs = pairs
-        self.cost = cost
-        self.canon = canon
-        self.params = params
-        self.mode = mode
+    def __init__(self, pairs: TracePairs, dist_raw: np.ndarray, mode: str):
         if dist_raw.shape != (len(pairs), len(pairs)):
             raise ValueError(f"expected {len(pairs)}x{len(pairs)} distances, got {dist_raw.shape}")
-        self.dist_raw = dist_raw
-        self.space = CorrectedSpace(dist_raw**2, mode)
-        idx = self.kernel_indices = pairs.moving_indices.tolist()
-        self.kernel_space = CorrectedSpace(dist_raw[np.ix_(idx, idx)] ** 2, mode)
-        self.kernel_matrix = rbf(self.kernel_space.corrected_sqdist(), params.length_scale)
+        self.pairs, self.dist_raw, self.mode = pairs, dist_raw, mode
+        self.kernel_indices = pairs.moving_indices.tolist()
+        self._built = None  # the built spaces, or the error of their build
+
+    def spaces(self) -> tuple:
+        """``(space, kernel_space, kernel_sqdist)``: both corrected spaces
+        and the kernel space's corrected squared distances."""
+        if self._built is None:
+            idx = self.kernel_indices
+            try:
+                space = CorrectedSpace(self.dist_raw**2, self.mode)
+                kernel = CorrectedSpace(self.dist_raw[np.ix_(idx, idx)] ** 2, self.mode)
+                self._built = (space, kernel, kernel.corrected_sqdist())
+            except (ValueError, NumericalError) as exc:
+                self._built = exc
+        if isinstance(self._built, Exception):  # a fresh traceback at every raise
+            raise self._built.with_traceback(None)
+        return self._built
+
+
+class GprModel:
+    """A fitted hint model over goal-filtered successful traces: a
+    :class:`Geometry` and, from the kernel parameters, the kernel system
+    ``(K + noise^2 I)`` over the pairs with actual movement."""
+
+    def __init__(
+        self, kind: str, geometry: Geometry, cost: CostModel, canon: CanonConfig, params: KernelParams
+    ):
+        self.kind, self.cost, self.canon, self.params = kind, cost, canon, params
+        self.pairs, self.dist_raw, self.mode = geometry.pairs, geometry.dist_raw, geometry.mode
+        self.kernel_indices = geometry.kernel_indices
+        self.space, self.kernel_space, kernel_sqdist = geometry.spaces()
+        self.kernel_matrix = rbf(kernel_sqdist, params.length_scale)
         self.used_pseudo_inverse = False
         self._prepare_solver()
         self._base_memo = None  # the training states annotated or packed, at the first hint
@@ -208,9 +220,10 @@ class GprModel:
         q = self.kernel_space.extend(raw_distances[self.kernel_indices] ** 2)
         return np.maximum(self.kernel_space.query_sqdist(q), 0.0)
 
-    def weights(self, raw_distances: np.ndarray, scheme: str) -> np.ndarray:
+    def weights(self, raw_distances: np.ndarray, scheme: str, sqdist: np.ndarray = None) -> np.ndarray:
         """Regression weights ``gamma`` over the pairs, zero at the final
-        self-pairs, from one kernel query.
+        self-pairs, from one kernel query: ``sqdist``, the query's
+        :meth:`kernel_query_sqdist`, computed here when not given.
 
         ``gpr``: the Gaussian-process weights k(x) (K + noise^2 I)^-1.
         ``nwr``: the kernel values normalized to sum to one; all zeros when
@@ -224,7 +237,7 @@ class GprModel:
         gamma = np.zeros(len(self.pairs))
         if not idx:
             return gamma
-        d = self.kernel_query_sqdist(raw_distances)
+        d = self.kernel_query_sqdist(raw_distances) if sqdist is None else sqdist
         if scheme == "nn":
             best = float(np.min(d))
             for pos, i in enumerate(idx):  # ties: lowest pair index wins
@@ -272,18 +285,30 @@ class GprModel:
         )[1]
 
 
-def prepared_traces(dataset: Dataset, cost: CostModel = UNIT_COSTS) -> tuple:
+class Prepared(tuple):
+    """``(pairs, dist_raw)`` of :func:`prepared_traces`.  ``folds`` maps a
+    correction mode to the leave-one-out fold records that evaluations on
+    this data fill at first use and share, ``{held-out trace index:
+    (train ids, Geometry, held-out queries)}``; they live as long as it."""
+
+    def __new__(cls, pairs: TracePairs, dist_raw: np.ndarray):
+        out = super().__new__(cls, (pairs, dist_raw))
+        out.folds = {}
+        return out
+
+
+def prepared_traces(dataset: Dataset, cost: CostModel = UNIT_COSTS) -> Prepared:
     """The training data that fitting and evaluation share: the
     goal-filtered successful traces as pairs, and the raw edit distances
-    between their states.  Returns ``(pairs, dist_raw)``."""
+    between their states.  Each trace's distances to its goal are one
+    :func:`distance_row`."""
     successful = dataset.successful_traces()
     if not successful:
         raise FitError("dataset has no successful traces to learn from")
-    # the goal-filter calls of one trace share its goal state, so they share a memo
     pairs = build_pairs(
-        goal_filter(t, partial(distance, cost=cost, memo=DistanceMemo())) for t in successful
+        goal_filter(t, distance_row(t.states[-1], t.states[:-1], cost)) for t in successful
     )
-    return pairs, pairwise_distances(pairs.states, cost)
+    return Prepared(pairs, pairwise_distances(pairs.states, cost))
 
 
 def fit_model(
@@ -298,7 +323,7 @@ def fit_model(
     the kernel system.  ``prepared`` is ``prepared_traces(dataset, cost)``,
     computed here when not given."""
     pairs, dist_raw = prepared_traces(dataset, cost) if prepared is None else prepared
-    return GprModel(dataset.kind, pairs, cost, canon, params, mode, dist_raw)
+    return GprModel(dataset.kind, Geometry(pairs, dist_raw, mode), cost, canon, params)
 
 
 def alpha_from_gamma(gamma: np.ndarray, pairs: TracePairs) -> np.ndarray:

@@ -133,16 +133,13 @@ class CorrectedSpace:
     """
 
     def __init__(self, sqdist: np.ndarray, mode: str = "clip"):
-        self.sqdist_raw = validate_sqdist(sqdist)
+        d2 = validate_sqdist(sqdist)  # not kept: extend reads only its means
         self.mode = mode
-        m = self.sqdist_raw.shape[0]
-        self.size = m
-        self.eigenvalues, self.eigenvectors = jacobi_eigh(center(self.sqdist_raw))
+        m = self.size = d2.shape[0]
+        self.eigenvalues, self.eigenvectors = jacobi_eigh(center(d2))
         self.corrected_eigenvalues = correct_eigenvalues(self.eigenvalues, mode)
-        self.col_means = (
-            self.sqdist_raw.mean(axis=0) if m else np.zeros(0)
-        )
-        self.grand_mean = float(self.sqdist_raw.mean()) if m else 0.0
+        self.col_means = d2.mean(axis=0) if m else np.zeros(0)
+        self.grand_mean = float(d2.mean()) if m else 0.0
         root = np.sqrt(self.corrected_eigenvalues)
         self.coordinates = self.eigenvectors * root[np.newaxis, :]
         self.gram_corrected = self.coordinates @ self.coordinates.T

@@ -179,9 +179,10 @@ def load_dataset(source, canon: CanonConfig = EMPTY_CANON) -> Dataset:
     return Dataset(kind, tuple(traces), tuple(hints))
 
 
-def goal_filter(trace: Trace, metric) -> Trace:
+def goal_filter(trace: Trace, to_goal) -> Trace:
     """Drop intermediate states that do not get strictly closer to the
-    trace's final state.
+    trace's final state; ``to_goal[i]`` is the distance of state ``i`` to
+    the final state, whose own entry may be left out.
 
     "Closer" compares against the last retained state, so the retained
     distances to the goal are strictly decreasing.  The first and final
@@ -190,15 +191,13 @@ def goal_filter(trace: Trace, metric) -> Trace:
     states = trace.states
     if len(states) <= 1:
         return trace
-    goal = states[-1]
     kept = [states[0]]
-    last_d = metric(states[0], goal)
-    for s in states[1:-1]:
-        d = metric(s, goal)
+    last_d = to_goal[0]
+    for s, d in zip(states[1:-1], to_goal[1:]):
         if d < last_d:
             kept.append(s)
             last_d = d
-    kept.append(goal)
+    kept.append(states[-1])
     return Trace(trace.id, _collapse(kept), trace.successful)
 
 

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from edithints.editdist import SeqEdit, UNIT_COSTS
+from edithints import cli, evaluate, space
+from edithints.editdist import CostModel, SeqEdit, UNIT_COSTS
 from edithints.evaluate import (
     PREDICTION_SCHEMES,
     _predict_coords,
@@ -18,7 +19,7 @@ from edithints.evaluate import (
 from edithints.policies import FitError, HintResult, KernelParams, fit_model
 from edithints.traces import load_dataset
 
-from oracle_utils import hyper_search_oracle, predict_move_loop
+from oracle_utils import dataset_to_dict, hyper_search_oracle, predict_move_loop
 
 
 def small_corpus():
@@ -85,7 +86,7 @@ def test_do_nothing_final_rmse_closed_form():
     # closed form: root mean squared corrected distance from each held-out
     # state to its trace's final state, recomputed through the embedding
     from edithints.editdist import pairwise_distances
-    from edithints.policies import GprModel
+    from edithints.policies import Geometry, GprModel
     from edithints.traces import Trace, build_pairs
 
     pairs, _ = prepared_traces(ds)
@@ -99,12 +100,10 @@ def test_do_nothing_final_rmse_closed_form():
         train_ids = [g for k, span in enumerate(spans) if k != held for g in span]
         model = GprModel(
             "sequence",
-            build_pairs(train),
+            Geometry(build_pairs(train), matrix[np.ix_(train_ids, train_ids)], "clip"),
             UNIT_COSTS,
             None,
             KernelParams(),
-            "clip",
-            dist_raw=matrix[np.ix_(train_ids, train_ids)],
         )
         coords = [model.embed_query(matrix[g][train_ids]).coords for g in spans[held]]
         want = math.sqrt(
@@ -130,6 +129,122 @@ def test_loo_multi_with_prepared_data_is_bitwise_the_same(mode):
     alone = loo_rmse_multi(ds, PREDICTION_SCHEMES, params, mode=mode)
     shared = loo_rmse_multi(ds, PREDICTION_SCHEMES, params, mode=mode, prepared=prepared_traces(ds))
     assert shared == alone
+
+
+def _counted(monkeypatch, module, name) -> list:
+    """Patch ``module.name`` to log each call; returns the log."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("repeats", [1, 3])
+def test_search_builds_each_fold_geometry_once(monkeypatch, repeats):
+    eigh = _counted(monkeypatch, space, "jacobi_eigh")
+    ds = small_corpus()
+    hyper_search(ds, (0.5, 3.0), (0.01, 0.5), repeats=repeats, seed=2)
+    # two corrected spaces per fold, shared by every sample
+    assert len(eigh) == 2 * len(ds.successful_traces())
+
+
+def test_eval_search_task_reuses_the_search_geometry(monkeypatch, tmp_path):
+    ds = small_corpus()
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(dataset_to_dict(ds)))
+    eigh = _counted(monkeypatch, space, "jacobi_eigh")
+    argv = ["eval", "--dataset", str(data), "--task", "rmse", "--search", "--repeats", "3"]
+    assert cli.main(argv) == 0
+    assert len(eigh) == 2 * len(ds.successful_traces())
+
+
+TREE_CORPUS = {
+    "kind": "tree",
+    "traces": [
+        {"id": "t1", "successful": True, "states": ["start", "start(ask)", "start(ask,loop(guess))"]},
+        {"id": "t2", "successful": True, "states": ["start", "start(say)", "start(say,loop(guess))"]},
+        {"id": "t3", "successful": True, "states": ["start(ask)", "start(ask,loop)", "start(ask,loop(guess,say))"]},
+        {"id": "t4", "successful": True, "states": ["start(loop)", "start(loop(guess))", "start(ask,loop(guess))"]},
+    ],
+}
+WEIGHTED = CostModel(indel_default=1.5, relabel_default=0.7, indel={"a": 0.3})
+
+
+@pytest.mark.parametrize(
+    "case, mode",
+    [("unit", "clip"), ("unit", "flip"), ("weighted", "shift"), ("tree", "clip")],
+)
+def test_shared_fold_records_match_a_fresh_preparation_per_sample(monkeypatch, case, mode):
+    ds, cost = {
+        "unit": (small_corpus(), UNIT_COSTS),
+        "weighted": (small_corpus(), WEIGHTED),
+        "tree": (load_dataset(TREE_CORPUS), UNIT_COSTS),
+    }[case]
+    original = evaluate.loo_rmse_multi
+
+    def checked(dataset, schemes, params, cost, mode, prepared=None):
+        reports = original(dataset, schemes, params, cost, mode, prepared)
+        if prepared is not None:  # a search sample, or a final pass
+            assert reports == original(dataset, schemes, params, cost, mode)
+            checked.samples += 1
+        return reports
+
+    checked.samples = 0
+    monkeypatch.setattr(evaluate, "loo_rmse_multi", checked)
+    prepared = prepared_traces(ds, cost)
+    got = hyper_search(ds, (0.3, 6.0), (1e-3, 1.0), 4, 5, cost, mode, prepared)
+    want = hyper_search_oracle(ds, (0.3, 6.0), (1e-3, 1.0), 4, 5, cost=cost, mode=mode)
+    assert checked.samples == 4
+    assert (got.length_scale.hex(), got.noise_std.hex()) == (
+        want.length_scale.hex(),
+        want.noise_std.hex(),
+    )
+    for params in (got, KernelParams(0.2, 0.0), KernelParams(4.0, 0.5)):
+        checked(ds, PREDICTION_SCHEMES, params, cost, mode, prepared)
+
+
+# the fittable fold's held-out distances overflow too when squared, so its
+# predictions are not finite; only the skipped folds are checked
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unfittable_fold_is_attempted_once_and_skipped_alike_in_every_pass(monkeypatch):
+    # a "z" costs so much to insert, delete or relabel that squared
+    # distances between states with and without one overflow: only the
+    # fold that holds out t1 is fittable
+    cost = CostModel(relabel_default=1e200, indel={"z": 1e200})
+    ds = load_dataset(
+        {
+            "kind": "sequence",
+            "traces": [
+                {"id": "t1", "successful": True, "states": [["z"], ["z", "a"], ["z", "a", "b"]]},
+                {"id": "t2", "successful": True, "states": [["a"], ["a", "b"]]},
+                {"id": "t3", "successful": True, "states": [["b"], ["a", "b"], ["a", "b", "c"]]},
+            ],
+        }
+    )
+    spaces = _counted(monkeypatch, space, "validate_sqdist")
+    passes, original = [], evaluate.loo_rmse_multi
+
+    def recorded(*args):
+        passes.append(original(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(evaluate, "loo_rmse_multi", recorded)
+    prepared = prepared_traces(ds, cost)
+    params = hyper_search(ds, (0.5, 3.0), (0.01, 0.5), 3, 1, cost, prepared=prepared)
+    recorded(ds, PREDICTION_SCHEMES, params, cost, "clip", prepared)
+    assert len(passes) == 4  # three samples and the final pass
+    reason = "squared distances must be finite"
+    for reports in passes:
+        for report in reports.values():
+            assert report.folds_skipped == (("t2", reason), ("t3", reason))
+            assert [row[0] for row in report.per_trace] == ["t1"]
+    # the fittable fold builds its two spaces once; each other fold's first
+    # space fails once, and later passes repeat its reason without a build
+    assert len(spaces) == 2 + 1 + 1
 
 
 def test_loo_requires_two_traces():

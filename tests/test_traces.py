@@ -19,6 +19,7 @@ from edithints.traces import (
 from oracle_utils import combination_coefficients, dataset_to_dict
 
 METRIC = lambda a, b: distance(a, b, UNIT_COSTS)
+TO_GOAL = lambda t: [METRIC(s, t.states[-1]) for s in t.states]
 
 
 def make_trace(*texts, id="t", successful=True):
@@ -29,23 +30,23 @@ def test_goal_filter_worked_example():
     # distances to the goal "aac": a -> 2, ab -> 2, a -> 2; only strictly
     # decreasing states survive, so both middle states drop
     t = make_trace("a", "ab", "a", "aac")
-    got = goal_filter(t, METRIC)
+    got = goal_filter(t, TO_GOAL(t))
     assert got.states == (sequence("a"), sequence("aac"))
 
 
 def test_goal_filter_monotone_unchanged():
     t = make_trace("a", "ab", "abc")
-    assert goal_filter(t, METRIC).states == t.states
+    assert goal_filter(t, TO_GOAL(t)).states == t.states
 
 
 def test_goal_filter_single_state():
     t = make_trace("a")
-    assert goal_filter(t, METRIC) is t
+    assert goal_filter(t, TO_GOAL(t)) is t
 
 
 def test_goal_filter_distances_strictly_decrease():
     t = make_trace("x", "ab", "zq", "abc", "ab", "abcd")
-    got = goal_filter(t, METRIC)
+    got = goal_filter(t, TO_GOAL(t))
     goal = got.states[-1]
     ds = [METRIC(s, goal) for s in got.states]
     assert all(a > b for a, b in zip(ds, ds[1:]))
