@@ -308,8 +308,8 @@ def hyper_search(
     and keep the sample with the lowest mean next-step RMSE of the
     Gaussian-process scheme under leave-one-out cross-validation.
     Deterministic for a fixed seed; ties keep the earlier sample.  Every
-    sample reuses the fold records of one prepared data, so each fold's
-    geometry is built once: ``prepared`` is ``prepared_traces(dataset,
+    sample reuses the fold records of the same prepared data, so each
+    fold's geometry is built once: ``prepared`` is ``prepared_traces(dataset,
     cost)``, computed here when not given."""
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
