@@ -39,7 +39,7 @@ from .policies import (
     fit_model,
     hint_by_policy,
 )
-from .space import MODES, CorrectedSpace, NumericalError
+from .space import MODES, CorrectedSpace, NumericalError, squared
 from .states import CanonConfig, StateError, parse_state, serialize_state
 from .traces import DataError, TracePairs, load_dataset, read_json_object
 from .traces import build_pairs  # uncalled; perfbench/tracing.py wraps this name
@@ -305,7 +305,7 @@ def cmd_eval(args) -> int:
 
 def cmd_mds(args) -> int:
     pairs, matrix = _training_data(args)[-1]
-    coords = CorrectedSpace(matrix**2, args.mode).mds_coordinates(2)
+    coords = CorrectedSpace(squared(matrix), args.mode).mds_coordinates(2)
     rows = [("id", "trace", "step", "x", "y")]
     rows += [(*state, repr(x), repr(y)) for state, (x, y) in zip(_state_ids(pairs), coords.tolist())]
     _write_text(args.out, _csv_text(rows))

@@ -9,7 +9,9 @@ for ordered trees.  Both return an :class:`EditScript` realizing the
 distance; replaying the script on the source state yields the target state
 and the script cost equals the distance exactly.  Without a script, the
 unit-cost sequence distances of a row run bit-parallel over a pack of many
-sequences in one integer (see :func:`distance_row`), to the same values.
+sequences in one integer, and the tree distances of a row fill Zhang-Shasha's
+tables column by column over a trie of the targets' keyroots, whose shared
+prefixes fill once (see :func:`distance_row`), both to the same bits.
 
 Position conventions
 --------------------
@@ -43,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -161,8 +164,14 @@ UNIT_COSTS = CostModel()
 # edits
 
 
+class _Edit:
+    @cached_property
+    def serialized(self) -> str:  # see serialize_edit; made once per edit
+        return json.dumps(edit_to_dict(self), sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
-class SeqEdit:
+class SeqEdit(_Edit):
     kind: str  # delete | insert | relabel
     position: int
     label: Label = None
@@ -177,7 +186,7 @@ class SeqEdit:
 
 
 @dataclass(frozen=True)
-class TreeEdit:
+class TreeEdit(_Edit):
     kind: str  # delete_node | insert_node | relabel_node
     path: tuple
     label: Label = None
@@ -252,7 +261,7 @@ def edit_from_dict(raw: dict):
 
 def serialize_edit(edit) -> str:
     """Canonical JSON form; used for deduplication and equality checks."""
-    return json.dumps(edit_to_dict(edit), sort_keys=True, separators=(",", ":"))
+    return edit.serialized
 
 
 @dataclass(frozen=True)
@@ -453,67 +462,146 @@ class _Annotated:
             last_for_lml[leaf] = i
         self.keyroots = sorted(last_for_lml.values())
         self.keyroot_of = [last_for_lml[leaf] for leaf in lml]
-        # the nodes that share a keyroot's leftmost leaf form its leftmost
-        # path, listed from the leaf up
-        self.paths = {k: [] for k in self.keyroots}
-        for i, k in enumerate(self.keyroot_of):
-            self.paths[k].append(i)
         # deletion and insertion cost the same
         self.indel = [cost.cost_delete(lab) for lab in labels]
-        self._columns = None
-        self.rows = {}  # label -> its relabel row, see DistanceMemo.relabel_rows
-        self.kept = None  # on a sealed tree, the labels whose rows it keeps
+        self._forests = {}
 
-    def columns(self) -> dict:
-        """Per keyroot, the columns of the forest tables that have this
-        tree as the target: for each column its node, insert cost and the
-        column where the node's subtree starts; and the all-insert row."""
-        if self._columns is None:
-            self._columns = {}
-            for k in self.keyroots:
-                lk = self.lml[k]
-                costs = self.indel[lk : k + 1]
-                starts = [start - lk for start in self.lml[lk : k + 1]]
-                self._columns[k] = (
-                    list(zip(range(lk, k + 1), costs, starts)),
-                    list(accumulate(costs, initial=0.0)),
-                )
-        return self._columns
+    def forest(self, k: int) -> tuple:
+        """Keyroot ``k``'s subtree in postorder, per node its subtree id,
+        indel cost, the offset where its subtree starts and, on the leftmost
+        path (offset 0), its label; and the running sums of the indel costs."""
+        if k not in self._forests:
+            lk, ids, lml, labels = self.lml[k], self.ids, self.lml, self.labels
+            nodes = range(lk, k + 1)
+            self._forests[k] = (
+                [(ids[n], self.indel[n], lml[n] - lk, labels[n] if lml[n] == lk else None) for n in nodes],
+                list(accumulate(self.indel[lk : k + 1], initial=0.0)),
+            )
+        return self._forests[k]
+
+
+class _Trie:
+    """The forest-table columns of a list of target trees, shared.  A
+    keyroot's columns are its subtree's nodes in postorder, and a column's
+    cells depend only on earlier columns, so target keyroots whose node
+    sequences share a prefix (by subtree id) share those columns exactly.
+    Each trie node is one column.  ``order`` lists them as the keyroots first
+    reach them, a tree's keyroots in postorder: so the column that ends the
+    sequence of a subtree, and writes its distances, comes before any column
+    that reads them, as :func:`_fill` needs."""
+
+    def __init__(self, trees):
+        children, order, seen = [{}], [], set()
+        for t in trees:
+            for k in t.keyroots:
+                if t.ids[k] in seen:  # an equal subtree has the same columns
+                    continue
+                seen.add(t.ids[k])
+                path = [0]
+                for node in t.forest(k)[0]:
+                    v = children[path[-1]].get(node[0])
+                    if v is None:
+                        v = children[path[-1]][node[0]] = len(children)
+                        children.append({})
+                        order.append((v, path[-1], path[node[2]], node))
+                    path.append(v)
+        self.size = len(children)
+        last = {v: p for p, (v, *_) in enumerate(order)}  # a column no other reads goes at once
+        for p, (_, parent, begin, _) in enumerate(order):
+            last[parent] = last[begin] = p
+        drops = [[] for _ in order]
+        for v, p in last.items():
+            drops[p].append(v)
+        self.order = [(*entry, drop) for entry, drop in zip(order, drops)]
+
+
+# row 0 of each source keyroot's table in a column of _fill: its cell is the
+# column's insert alone, as deleting costs INF and every known dict maps the
+# source id -1 to INF
+_ROW0 = (-1, INF, 0, None)
+
+
+def _fill(rows, first, order, size, table, relabel) -> list:
+    """Fill Zhang-Shasha forest tables column by column; returns the columns.
+    ``order`` gives per column its index, its previous column's, the column
+    where its node's subtree starts, its node (see :meth:`_Annotated.forest`)
+    and the columns no later one reads.  A column holds the tables of one or
+    more source keyroots, one below the other: ``rows`` has a :data:`_ROW0` or
+    a node per cell after the first.  A cell reads cells above it, earlier
+    columns and ``table[target id][source id]``, the subtree-pair distances
+    that cells where both forests are whole trees write."""
+    cols = [first] * size
+    labs = {lab for *_, lab in rows if lab is not None}
+    costs_of = {}  # target label -> source label -> its relabel cost
+    for v, parent, begin, (tid, c_ins, b, label), drop in order:
+        prev, start = cols[parent], cols[begin]
+        known = table.get(tid)
+        if known is None:
+            known = table[tid] = {-1: INF}
+        up = INF
+        cols[v] = col = [up]
+        # each cell is min(delete, insert, match), by comparisons, faster than min()
+        if b:  # the column's forest is no whole tree
+            for left, (sid, c_del, a, _) in zip(prev[1:], rows):
+                up += c_del
+                left += c_ins
+                if up < left:
+                    left = up
+                up = start[a] + known[sid]
+                if up > left:
+                    up = left
+                col.append(up)
+        else:
+            if label not in costs_of:
+                costs_of[label] = {lab: relabel(lab, label) for lab in labs}
+            costs = costs_of[label]
+            for diag, left, (sid, c_del, a, lab) in zip(prev, prev[1:], rows):
+                up += c_del
+                left += c_ins
+                if up < left:
+                    left = up
+                if lab is None:
+                    up = start[a] + known[sid]
+                    if up > left:
+                        up = left
+                else:  # both forests are whole trees
+                    up = diag + costs[lab]
+                    if up > left:
+                        up = left
+                    known[sid] = up
+                col.append(up)
+        for u in drop:
+            cols[u] = None
+    return cols
 
 
 class DistanceMemo:
-    """What the distance calls of one batch share.
+    """What the distance calls of one batch share.  ``table[target id][source
+    id]`` keeps the subtree-pair distances that forest tables wrote, by
+    structural subtree id: a cell is a minimum of single additions of cells
+    inside its two subtrees, so equal subtree pairs get equal bits in any
+    call order.  A tree row is one pass of the source's keyroots over the
+    :class:`_Trie` of its targets, kept per target list; a source keyroot
+    whose id has run over tries holding every one of those targets has
+    filled the table for all their subtrees, and is skipped.  Each tree is
+    annotated once.
 
-    A Zhang-Shasha keyroot pair's forest table reads only cells inside its
-    two subtrees, and each cell is a minimum of single additions of such
-    cells, so equal subtree pairs fill equal tables bit for bit, in
-    whatever order the calls come.  The memo keeps, per pair of structural
-    subtree ids, the values a table writes along the two leftmost paths;
-    a later keyroot pair with the same ids writes them back and fills no
-    table.  No table outlives its fill.  The memo also annotates each tree
-    once.
-
-    A memo started from a ``base`` memo copies the base's intern table,
-    annotated trees and packs, so its subtree ids agree with the base's and
-    it annotates no tree, and packs no list, that the base already has;
-    what it adds stays its own.  A model's base memo is :meth:`seal`-ed, so
-    the memos started from it add nothing to it (see :meth:`relabel_rows`).
-
-    A memo serves one cost model, the one its first call (or its base)
-    passes.  It holds every tree it annotated, so no tree's ``id`` is
-    reused while it lives.  A unit-cost sequence row keeps the pack of its
-    targets in it, with the target list (see :func:`distance_row`).
+    A memo started from a ``base`` copies its intern table, annotated trees,
+    tries and packs, so ids agree and it builds nothing the base has; what
+    it adds, its table included, stays its own.  A memo serves one cost
+    model, its first call's (or its base's), and holds every tree it
+    annotated, so no tree's ``id`` is reused while it lives.  A unit-cost
+    sequence row keeps the pack of its targets with the target list.
     """
 
     def __init__(self, base: DistanceMemo = None):
-        # source subtree id -> target subtree id -> the values a forest table
-        # wrote along the two leftmost paths, row by row
-        self.blocks = {}
-        self._spilled = {}  # id(sealed annotation) -> label -> relabel row
+        self.table = {}  # target subtree id -> source subtree id -> distance
+        self._covered = {}  # source keyroot id -> the target root ids it has run over
         self.cost = base.cost if base else None
         self._intern = dict(base._intern) if base else {}  # (label, child ids) -> subtree id
         self._trees = dict(base._trees) if base else {}  # id(tree) -> (tree, its _Annotated)
         self._packs = dict(base._packs) if base else {}  # id(targets) -> (targets, their pack)
+        self._tries = dict(base._tries) if base else {}  # target root ids -> their trie
 
     def annotate(self, tree: TreeState, cost: CostModel) -> _Annotated:
         if self.cost is None:
@@ -531,127 +619,74 @@ class DistanceMemo:
             self._packs[id(targets)] = targets, _pack(targets)
         return self._packs[id(targets)][1]
 
-    def seal(self):
-        """Limit the relabel rows that the trees annotated so far keep to
-        the labels that occur in them."""
-        kept = frozenset(lab for _, t in self._trees.values() for lab in t.labels)
-        for _, t in self._trees.values():
-            t.kept = kept
+    def trie(self, targets, cost: CostModel) -> tuple:
+        """The root ids of a list of trees, which key their trie, and the
+        trie, kept by its key."""
+        trees = [self.annotate(y, cost) for y in targets]
+        key = tuple([t.ids[-1] for t in trees])
+        if key not in self._tries:
+            self._tries[key] = _Trie(trees)
+        return key, self._tries[key]
 
-    def relabel_rows(self, t1: _Annotated, t2: _Annotated) -> list:
-        """Per node of ``t1``, the costs of relabeling its label to each
-        node of ``t2``.  Each row is cached on ``t2``, except the row of a
-        label that a sealed ``t2`` does not keep: this memo caches it."""
-        rows = []
-        for lab in t1.labels:
-            row = t2.rows.get(lab)
-            if row is None:
-                cache = t2.rows
-                if t2.kept is not None and lab not in t2.kept:
-                    cache = self._spilled.setdefault(id(t2), {})
-                row = cache.get(lab)
-                if row is None:
-                    relabel = t2.cost.cost_relabel
-                    row = cache[lab] = [relabel(lab, b) for b in t2.labels]
-            rows.append(row)
-        return rows
-
-
-def _forest_table(t1: _Annotated, t2: _Annotated, i: int, j: int, td, relabel):
-    """Fill the forest table of keyroot pair ``(i, j)``: cell ``[x][y]`` is
-    the distance between the first ``x`` and ``y`` postorder nodes of their
-    subtrees.  Reads ``td`` inside the subtrees only, writes the distances
-    of the subtree pairs on the two leftmost paths into it, and returns the
-    table and those values, row by row.  ``relabel[ni]`` is the relabel row
-    of node ``ni`` of ``t1`` in ``t2``."""
-    cd, li = t1.indel, t1.lml[i]
-    cols, row = t2.columns()[j]
-    fd = [row]
-    written = []
-    for ni in range(li, i + 1):
-        prev, c_del, td_i, rel_i = row, cd[ni], td[ni], relabel[ni]
-        a = t1.lml[ni] - li
-        fd_a = fd[a]
-        left = prev[0] + c_del
-        row = [left]
-        for diag, up, (nj, c_ins, b) in zip(prev, prev[1:], cols):
-            # min(delete, insert, match) by comparisons, faster than min()
-            up += c_del
-            left += c_ins
-            if up < left:
-                left = up
-            if a or b:
-                diag = fd_a[b] + td_i[nj]
-                if diag < left:
-                    left = diag
-            else:  # both forests are whole trees
-                diag += rel_i[nj]
-                if diag < left:
-                    left = diag
-                td_i[nj] = left
-                written.append(left)
-            row.append(left)
-        fd.append(row)
-    return fd, written
+    def row(self, x: TreeState, targets, cost: CostModel) -> list:
+        """The Zhang-Shasha distances from ``x`` to each of ``targets``: the
+        keyroots of ``x`` whose ids have not yet run over every target fill
+        every column of the targets' trie in one pass."""
+        t1 = self.annotate(x, cost)
+        key, trie = self.trie(targets, cost)
+        rows, first = [], [INF]
+        for i in t1.keyroots:
+            covered = self._covered.setdefault(t1.ids[i], set())
+            if not covered.issuperset(key):
+                covered.update(key)
+                nodes, column = t1.forest(i)
+                off = len(first)
+                rows.append(_ROW0)
+                rows += [(sid, c, off + a, lab) for sid, c, a, lab in nodes]
+                first += column
+        if rows:
+            _fill(rows, first, trie.order, trie.size, self.table, cost.cost_relabel)
+        return [float(self.table[root][t1.ids[-1]]) for root in key]
 
 
-def _zss_distances(t1: _Annotated, t2: _Annotated, blocks, relabel):
-    """Zhang-Shasha subtree-pair distances.  A keyroot pair whose subtree
-    ids ``blocks`` (:attr:`DistanceMemo.blocks`) holds takes the values kept
-    there; any other pair fills its forest table, keeps the values the
-    table wrote and drops the table.  ``relabel`` is
-    :meth:`DistanceMemo.relabel_rows` of the two trees."""
-    td = [[0.0] * t2.n for _ in range(t1.n)]
-    for i in t1.keyroots:
-        path_i = t1.paths[i]
-        known = blocks.setdefault(t1.ids[i], {})
-        for j in t2.keyroots:
-            block = known.get(t2.ids[j])
-            if block is not None:
-                values = iter(block)
-                for ni in path_i:
-                    td_i = td[ni]
-                    for nj, value in zip(t2.paths[j], values):
-                        td_i[nj] = value
-                continue
-            known[t2.ids[j]] = _forest_table(t1, t2, i, j, td, relabel)[1]
-    return td
-
-
-def _zss_mapping(t1: _Annotated, t2: _Annotated, td, relabel):
-    """Backtrace one optimal node mapping from the finished ``td``, filling
-    again the forest table of each keyroot pair it visits (which writes
-    back the values ``td`` holds).  Ties prefer insert, then match/relabel,
-    then delete, as in the sequence backtrace."""
-    ci = t2.indel
+def _zss_mapping(t1: _Annotated, t2: _Annotated, table):
+    """Backtrace one optimal node mapping from the subtree-pair distances
+    in ``table``, filling again the part of each keyroot pair's forest
+    table that it visits (which writes back the values ``table`` holds).
+    Ties prefer insert, then match/relabel, then delete, as in the sequence
+    backtrace."""
+    relabel, ci = t1.cost.cost_relabel, t2.indel
     mapping = []
     stack = [(t1.n - 1, t2.n - 1)]
     while stack:
         ri, rj = stack.pop()
         ki, kj = t1.keyroot_of[ri], t2.keyroot_of[rj]
         li, lj = t1.lml[ki], t2.lml[kj]
-        fd = _forest_table(t1, t2, ki, kj, td, relabel)[0]
         x, y = ri - li + 1, rj - lj + 1
+        # the cells up to (x, y) along kj's one chain of columns: fd[y][x + 1]
+        nodes, column = t1.forest(ki)
+        rows = [_ROW0] + [(sid, c, 1 + a, lab) for sid, c, a, lab in nodes[:x]]
+        chain = [(v, v - 1, node[2], node, ()) for v, node in enumerate(t2.forest(kj)[0][:y], 1)]
+        fd = _fill(rows, [INF] + column[: x + 1], chain, y + 1, table, relabel)
         while x > 0 or y > 0:
             ni = li + x - 1
             nj = lj + y - 1
-            here = fd[x][y]
-            if y > 0 and here == fd[x][y - 1] + ci[nj]:
+            here = fd[y][x + 1]
+            if y > 0 and here == fd[y - 1][x + 1] + ci[nj]:
                 y -= 1  # nj inserted
                 continue
             if x > 0 and y > 0:
-                if t1.lml[ni] == li and t2.lml[nj] == lj:
-                    if here == fd[x - 1][y - 1] + relabel[ni][nj]:
+                a = t1.lml[ni] - li
+                b = t2.lml[nj] - lj
+                if not (a or b):
+                    if here == fd[y - 1][x] + relabel(t1.labels[ni], t2.labels[nj]):
                         mapping.append((ni, nj))
                         x, y = x - 1, y - 1
                         continue
-                else:
-                    a = t1.lml[ni] - li
-                    b = t2.lml[nj] - lj
-                    if here == fd[a][b] + td[ni][nj]:
-                        stack.append((ni, nj))
-                        x, y = a, b
-                        continue
+                elif here == fd[b][a + 1] + table[t2.ids[nj]][t1.ids[ni]]:
+                    stack.append((ni, nj))
+                    x, y = a, b
+                    continue
             x -= 1  # ni deleted
     return mapping
 
@@ -810,20 +845,13 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping):
 def tree_distance(
     x: TreeState, y: TreeState, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None
 ):
-    """Zhang-Shasha tree edit distance with a realizing edit script.
-
-    The distances fill through ``memo`` as in :func:`tree_distance_only`,
-    so a call replays the subtree pairs its batch already filled; the
-    mapping backtrace then fills again the forest table of each keyroot
-    pair it visits.
-    """
+    """Zhang-Shasha tree edit distance with a realizing edit script.  The
+    distance is a row through ``memo`` as in :func:`tree_distance_only`; the
+    mapping backtrace then fills again the cells of the tables it visits."""
     memo = DistanceMemo() if memo is None else memo
+    dist = memo.row(x, (y,), cost)[0]
     t1, t2 = memo.annotate(x, cost), memo.annotate(y, cost)
-    relabel = memo.relabel_rows(t1, t2)
-    td = _zss_distances(t1, t2, memo.blocks, relabel)
-    dist = float(td[-1][-1])
-    mapping = _zss_mapping(t1, t2, td, relabel)
-    script = _script_from_mapping(t1, t2, mapping)
+    script = _script_from_mapping(t1, t2, _zss_mapping(t1, t2, memo.table))
     if not math.isclose(script.total_cost, dist, rel_tol=1e-12, abs_tol=1e-12):
         raise AssertionError(
             f"script cost {script.total_cost} does not realize distance {dist}"
@@ -836,9 +864,7 @@ def tree_distance_only(
 ) -> float:
     """The Zhang-Shasha distance alone; ``memo`` shares subtree-pair
     results with the other calls of its batch (None: a fresh memo)."""
-    memo = DistanceMemo() if memo is None else memo
-    t1, t2 = memo.annotate(x, cost), memo.annotate(y, cost)
-    return float(_zss_distances(t1, t2, memo.blocks, memo.relabel_rows(t1, t2))[-1][-1])
+    return (DistanceMemo() if memo is None else memo).row(x, (y,), cost)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -909,12 +935,15 @@ def distance(x, y, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> f
 
 def distance_row(x, targets, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> list:
     """The edit distances from ``x`` to each of ``targets``, in order.  A
-    unit-cost sequence row is one pass of ``x`` over the pack of ``targets``
-    (see :func:`_scan`), which ``memo`` keeps; any other row makes one
-    :func:`distance` call per target through ``memo`` (None: a fresh memo)."""
-    if isinstance(x, TreeState) or not cost.is_unit:
-        memo = DistanceMemo() if memo is None else memo
-        return [distance(x, y, cost, memo) for y in targets]
+    tree row is one pass of ``x``'s keyroots over the trie of the targets'
+    keyroots (see :meth:`DistanceMemo.row`); a unit-cost sequence row is
+    one pass of ``x`` over the pack of ``targets`` (see :func:`_scan`).
+    ``memo`` keeps the trie or the pack (None: a fresh memo); any other row
+    makes one table per target."""
+    if isinstance(x, TreeState):
+        return (DistanceMemo() if memo is None else memo).row(x, targets, cost)
+    if not cost.is_unit:
+        return [distance(x, y, cost) for y in targets]
     return _scan(x, _pack(targets) if memo is None else memo.pack(targets))
 
 
@@ -923,26 +952,27 @@ def pairwise_distances(states, cost: CostModel = UNIT_COSTS) -> np.ndarray:
 
     Repeated states (equal serialized forms) share one row and column.  A
     unit-cost sequence row is one pass over the pack of the unique states;
-    otherwise each pair of distinct states is computed once, its source
-    row's calls sharing their subtree-pair results (see :class:`DistanceMemo`).
-    Both are exact because distances are bitwise symmetric.
+    otherwise row ``i`` is the :func:`distance_row` from state ``i`` to the
+    states after it.  Both are exact because distances are bitwise
+    symmetric.
     """
     index, unique, ids = {}, [], []
+    memo = DistanceMemo()
     for s in states:
         key = serialize_state(s)
         if key not in index:
             index[key] = len(unique)
             unique.append(s)
+            if isinstance(s, TreeState):
+                memo.annotate(s, cost)
         ids.append(index[key])
     out = np.zeros((len(unique), len(unique)))
-    memo = DistanceMemo()
     for i in range(len(unique)):
         if cost.is_unit and not isinstance(unique[i], TreeState):
             out[i] = distance_row(unique[i], unique, cost, memo)
             continue
-        # each tree is annotated once for the matrix, but subtree-pair
-        # results are kept for one source row only, which bounds their memory
-        memo.blocks.clear()
-        for j in range(i + 1, len(unique)):
-            out[i, j] = out[j, i] = distance(unique[i], unique[j], cost, memo)
+        # trees are annotated once, in the matrix's memo; a row's trie and
+        # subtree-pair distances live with its own memo, bounding their memory
+        row = distance_row(unique[i], unique[i + 1 :], cost, DistanceMemo(memo))
+        out[i, i + 1 :] = out[i + 1 :, i] = row
     return out[np.ix_(ids, ids)]

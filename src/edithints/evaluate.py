@@ -24,6 +24,7 @@ import numpy as np
 from .editdist import CostModel, EditError, UNIT_COSTS
 from .editdist import apply_edit, distance, distance_row, serialize_edit
 from .policies import FitError, Geometry, GprModel, KernelParams, prepared_traces
+from .space import squared
 from .states import EMPTY_CANON
 from .traces import Dataset, Trace, TracePairs
 from .traces import build_pairs, goal_filter  # uncalled; perfbench/tracing.py wraps these names
@@ -156,14 +157,15 @@ def loo_rmse_multi(
             sub = matrix[np.ix_(train_ids, train_ids)]
             folds[held] = (train_ids, Geometry(pairs, sub, mode), [])
         train_ids, geometry, queries = folds[held]
-        try:  # the first call builds the geometry
+        try:  # the first call builds the geometry and embeds the held-out states
             model = GprModel(dataset.kind, geometry, cost, EMPTY_CANON, params)
+            raw_rows = [matrix[g][train_ids] for g in held_ids]
+            if not queries:  # each held-out state's embedding and kernel query
+                squared(np.array(raw_rows))  # a square that overflows skips the fold
+                queries += [(model.embed_query(r).coords, model.kernel_query_sqdist(r)) for r in raw_rows]
         except (FitError, ValueError) as exc:
             skipped.append((ids[held], str(exc)))
             continue
-        raw_rows = [matrix[g][train_ids] for g in held_ids]
-        if not queries:  # each held-out state's embedding and kernel query
-            queries += [(model.embed_query(r).coords, model.kernel_query_sqdist(r)) for r in raw_rows]
         coords = [c for c, _ in queries]
         nexts = flat.successor[held_ids] - held_ids.start
         n = len(held_ids)

@@ -54,7 +54,7 @@ from .editdist import (
     serialize_edit,
     edit_to_dict,
 )
-from .space import CorrectedSpace, NumericalError, QueryEmbedding
+from .space import CorrectedSpace, NumericalError, QueryEmbedding, squared
 from .states import CanonConfig, EMPTY_CANON, canonicalize_state
 from .traces import Dataset, TracePairs, build_pairs, goal_filter
 
@@ -142,8 +142,8 @@ class Geometry:
         if self._built is None:
             idx = self.kernel_indices
             try:
-                space = CorrectedSpace(self.dist_raw**2, self.mode)
-                kernel = CorrectedSpace(self.dist_raw[np.ix_(idx, idx)] ** 2, self.mode)
+                space = CorrectedSpace(squared(self.dist_raw), self.mode)
+                kernel = CorrectedSpace(squared(self.dist_raw[np.ix_(idx, idx)]), self.mode)
                 self._built = (space, kernel, kernel.corrected_sqdist())
             except (ValueError, NumericalError) as exc:
                 self._built = exc
@@ -197,18 +197,15 @@ class GprModel:
         if self._base_memo is None:
             base = DistanceMemo()
             if self.kind == "tree":
-                for s in self.pairs.states:
-                    base.annotate(s, self.cost)
-                base.seal()
+                base.trie(self.pairs.states, self.cost)
             elif self.cost.is_unit:
                 base.pack(self.pairs.states)
             self._base_memo = base
         return DistanceMemo(self._base_memo)
 
-    def query_raw_distances(self, state, memo: DistanceMemo = None) -> np.ndarray:
+    def query_raw_distances(self, state, memo: DistanceMemo) -> np.ndarray:
         """Raw edit distances from ``state`` to every training state,
-        through ``memo`` (None: a fresh :meth:`hint_memo`)."""
-        memo = self.hint_memo() if memo is None else memo
+        through ``memo``, a :meth:`hint_memo`."""
         return np.array(distance_row(state, self.pairs.states, self.cost, memo))
 
     def embed_query(self, raw_distances: np.ndarray) -> QueryEmbedding:
@@ -536,10 +533,10 @@ def sparsify(
 # candidate extraction and pre-image selection
 
 
-def candidate_edits(x, positive_states, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None):
+def candidate_edits(x, positive_states, cost: CostModel, memo: DistanceMemo):
     """Union of edits from the shortest edit scripts x -> state, one entry
     per serialized form, sorted for determinism.  The scripts' distances
-    go through ``memo`` (None: a fresh memo per script).
+    go through ``memo``.
 
     Later script edits may address positions that only exist after earlier
     edits were applied; those cannot be offered as a next step and are
@@ -575,13 +572,10 @@ def preimage_objective(sq_to_x: float, sq_to_support, weights) -> float:
     return float(sq_to_x + np.dot(weights, sq_to_support))
 
 
-def score_candidates(
-    x, candidates, support_states, weights, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None
-):
+def score_candidates(x, candidates, support_states, weights, cost: CostModel, memo: DistanceMemo):
     """Score each candidate edit by d(e(x), x)^2 + sum_i w_i d(e(x), s_i)^2
-    using raw edit distances, all through ``memo`` (None: a fresh memo)."""
+    using raw edit distances, all through ``memo``."""
     weights = np.asarray(weights, dtype=float)
-    memo = DistanceMemo() if memo is None else memo
     targets = list(support_states) + [x]
     scored = []
     for edit in candidates:
@@ -590,9 +584,7 @@ def score_candidates(
     return scored
 
 
-def preimage_select(
-    x, alpha, candidates, model: GprModel, memo: DistanceMemo = None
-) -> HintResult:
+def preimage_select(x, alpha, candidates, model: GprModel, memo: DistanceMemo) -> HintResult:
     """Pick the candidate edit minimizing the pre-image objective, scored
     through ``memo`` (see :func:`score_candidates`).
 
@@ -637,6 +629,7 @@ def chf_hint(
     x = canonicalize_state(state, model.canon)
     memo = model.hint_memo()
     raw = model.query_raw_distances(x, memo)
+    squared(raw)  # the embedding squares the row: a square that overflows is a ValueError
     gamma = model.weights(raw, scheme)
     if float(np.linalg.norm(gamma)) < KERNEL_DECAY_NORM:
         return HintResult(None, None, (), reason="kernel-decay")

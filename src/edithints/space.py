@@ -21,6 +21,7 @@ a saved model keeps the raw distances and rebuilds its spaces on load.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,20 @@ MODES = ("clip", "flip", "shift")
 # how far, relative to the largest entry, a squared distance matrix may
 # stray from symmetry, a zero diagonal and non-negativity
 SQDIST_TOL = 1e-8
+# the largest distance whose square is finite
+MAX_DISTANCE = math.sqrt(np.finfo(float).max)
 
 
 class NumericalError(RuntimeError):
     """Eigensolver failure or irreparably malformed numeric input."""
+
+
+def squared(raw: np.ndarray) -> np.ndarray:
+    """Raw distances squared; a distance whose square overflows is a
+    ``ValueError``."""
+    if raw.size and not raw.max() <= MAX_DISTANCE:
+        raise ValueError("squared distances must be finite")
+    return raw**2
 
 
 def validate_sqdist(d2: np.ndarray) -> np.ndarray:

@@ -182,6 +182,50 @@ def mapping_tree_distance(x: TreeState, y: TreeState, cost: CostModel) -> float:
     return best[0]
 
 
+def zhang_shasha_distance(x: TreeState, y: TreeState, cost: CostModel) -> float:
+    """Zhang and Shasha's (1989) algorithm as published: each keyroot pair
+    fills its own forest table, row by row, and each cell is the minimum of
+    its delete, insert and match sums."""
+
+    def postorder(t):
+        labels, lml = [], []
+
+        def walk(node):
+            kids = [walk(c) for c in node.children]
+            labels.append(node.label)
+            lml.append(lml[kids[0]] if kids else len(labels) - 1)
+            return len(labels) - 1
+
+        walk(t)
+        keyroots = sorted({max(i for i, leaf in enumerate(lml) if leaf == k) for k in lml})
+        return labels, lml, keyroots
+
+    l1, m1, k1 = postorder(x)
+    l2, m2, k2 = postorder(y)
+    td = [[0.0] * len(l2) for _ in l1]
+    for i in k1:
+        for j in k2:
+            li, lj = m1[i], m2[j]
+            rows, cols = i - li + 2, j - lj + 2
+            fd = [[0.0] * cols for _ in range(rows)]
+            for a in range(1, rows):
+                fd[a][0] = fd[a - 1][0] + cost.cost_delete(l1[li + a - 1])
+            for b in range(1, cols):
+                fd[0][b] = fd[0][b - 1] + cost.cost_insert(l2[lj + b - 1])
+            for a in range(1, rows):
+                for b in range(1, cols):
+                    ni, nj = li + a - 1, lj + b - 1
+                    delete = fd[a - 1][b] + cost.cost_delete(l1[ni])
+                    insert = fd[a][b - 1] + cost.cost_insert(l2[nj])
+                    if m1[ni] == li and m2[nj] == lj:
+                        match = fd[a - 1][b - 1] + cost.cost_relabel(l1[ni], l2[nj])
+                        fd[a][b] = td[ni][nj] = min(delete, insert, match)
+                    else:
+                        match = fd[m1[ni] - li][m2[nj] - lj] + td[ni][nj]
+                        fd[a][b] = min(delete, insert, match)
+    return td[-1][-1]
+
+
 # ---------------------------------------------------------------------------
 # edit inversion and replay
 

@@ -87,7 +87,7 @@ def _timed(number, name, limit_seconds, body):
 def test_criterion_1_worked_example_reproduction():
     def body():
         model = fit_model(load_dataset(FIG2), params=KernelParams(1.0, 0.0))
-        raw = model.query_raw_distances(sequence("ab"))
+        raw = model.query_raw_distances(sequence("ab"), model.hint_memo())
         kernel_vector = rbf(model.kernel_query_sqdist(raw), 1.0)
         e = 1.0 / math.sqrt(math.e)
         assert np.allclose(kernel_vector, [e, e], atol=1e-9)
@@ -111,7 +111,7 @@ def test_criterion_2_sparsification_reproduction():
         alpha[index[("a", "a", "c")]] = GAMMA_STAR
         alpha[index[("b",)]] = -GAMMA_STAR
         alpha[index[("b", "b", "c")]] = GAMMA_STAR
-        raw = model.query_raw_distances(sequence("ab"))
+        raw = model.query_raw_distances(sequence("ab"), model.hint_memo())
         query = model.embed_query(raw)
         star = index[("a", "b", "c", "d")]
         limit = raw[star] + 1e-9
@@ -125,8 +125,9 @@ def test_criterion_2_sparsification_reproduction():
         assert abs(tilde[index[("b", "b", "c")]] - 0.3043) < 0.01
         assert abs(tilde[index[("a", "b", "c", "d")]] - 0.3914) < 0.01
         positives = [model.pairs.states[i] for i in np.flatnonzero(tilde > 1e-12)]
-        cands = candidate_edits(sequence("ab"), positives, model.cost)
-        result = preimage_select(sequence("ab"), tilde, cands, model)
+        memo = model.hint_memo()
+        cands = candidate_edits(sequence("ab"), positives, model.cost, memo)
+        result = preimage_select(sequence("ab"), tilde, cands, model, memo)
         assert result.edit == SeqEdit("insert", 3, "c")
 
     _timed(2, "sparsification reproduction", 1.0, body)
@@ -193,17 +194,17 @@ def test_criterion_5_embedding_fidelity():
 def test_criterion_6_gpr_contracts():
     def body():
         model = fit_model(load_dataset(FIG2), params=KernelParams(1.0, 0.0))
-        raw = model.query_raw_distances(sequence("a"))
+        raw = model.query_raw_distances(sequence("a"), model.hint_memo())
         gamma = model.weights(raw, "gpr")
         basis = np.zeros(4)
         basis[0] = 1.0
         assert np.max(np.abs(gamma - basis)) < 1e-8
         far = sequence("z" * 15)  # beyond 10 length scales from everything
-        assert min(model.query_raw_distances(far)) > 10.0
+        assert min(model.query_raw_distances(far, model.hint_memo())) > 10.0
         result = chf_hint(model, far)
         assert result.edit is None and result.reason == "kernel-decay"
         rng = np.random.default_rng(31)
-        q = model.embed_query(model.query_raw_distances(sequence("ab")))
+        q = model.embed_query(model.query_raw_distances(sequence("ab"), model.hint_memo()))
         for _ in range(100):
             g = rng.normal(size=4)
             alpha = alpha_from_gamma(g, model.pairs)

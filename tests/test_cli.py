@@ -206,7 +206,7 @@ def test_model_round_trip_preserves_behavior(fig2_path, tmp_path):
     direct = fit_model(load_dataset(FIG2), params=KernelParams(1.0, 0.0))
     assert np.allclose(model.kernel_matrix, direct.kernel_matrix)
     assert np.allclose(model.dist_raw, direct.dist_raw)
-    raw = model.query_raw_distances(sequence("ab"))
+    raw = model.query_raw_distances(sequence("ab"), model.hint_memo())
     assert np.allclose(model.weights(raw, "gpr"), direct.weights(raw, "gpr"))
 
 
@@ -303,6 +303,49 @@ def test_fit_non_finite_cost_is_data_error(fig2_path, tmp_path, cost):
     assert "Traceback" not in result.stderr
     assert len(result.stderr.strip().splitlines()) == 1
     assert not out.exists()
+
+
+# a "z" costs so much to insert, delete or relabel that the squared
+# distance between a state with one and a state without overflows
+_OVERFLOW_COST = json.dumps({"relabel_default": 1e200, "indel": {"z": 1e200}})
+_Z_TRACES = [
+    {"id": "t1", "successful": True, "states": [["z"], ["z", "a"], ["z", "a", "b"]]},
+    {"id": "t2", "successful": True, "states": [["a"], ["a", "b"]]},
+    {"id": "t3", "successful": True, "states": [["b"], ["a", "b"], ["a", "b", "c"]]},
+]
+
+
+def _strict_json_or_one_line_error(argv) -> int:
+    result = subprocess.run(
+        [sys.executable, "-m", "edithints.cli", *argv], capture_output=True, text=True
+    )
+    assert result.returncode in (0, 2), result.stderr
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+    if result.returncode:
+        assert result.stdout == "" and len(result.stderr.strip().splitlines()) == 1
+    elif result.stdout:  # fit --out writes the model file alone
+        json.loads(result.stdout, parse_constant=lambda c: pytest.fail(f"{c} in {argv[0]} output"))
+    return result.returncode
+
+
+def test_overflowing_squared_distances_give_strict_json_or_a_data_error(tmp_path):
+    every = json.dumps({"kind": "sequence", "traces": _Z_TRACES})
+    for command in (["eval", "--task", "rmse"], ["mds"], ["fit"]):
+        argv = [*command, "--dataset", every, "--cost", _OVERFLOW_COST]
+        assert _strict_json_or_one_line_error(argv) == 2
+    # a model without "z" fits; a query with one is too far for the
+    # embedding policies, and the baselines answer from raw distances
+    model = tmp_path / "model.json"
+    without = json.dumps({"kind": "sequence", "traces": _Z_TRACES[1:]})
+    argv = ["fit", "--dataset", without, "--cost", _OVERFLOW_COST, "--out", str(model)]
+    assert _strict_json_or_one_line_error(argv) == 0
+    codes = {
+        policy: _strict_json_or_one_line_error(
+            ["hint", "--model", str(model), "--state", '["z", "q"]', "--policy", policy, "--seed", "1"]
+        )
+        for policy in ("chf", "nwr", "nn", "zimmerman", "gross", "random")
+    }
+    assert codes == {"chf": 2, "nwr": 2, "nn": 2, "zimmerman": 0, "gross": 0, "random": 0}
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,7 @@ from oracle_utils import (
     random_sequence,
     random_tree,
     tree,
+    zhang_shasha_distance,
 )
 
 
@@ -454,12 +455,17 @@ def test_distances_sharing_a_memo_equal_fresh_calls(states, cost):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(trees(12), min_size=2, max_size=5), cost_models)
 def test_memo_started_from_a_sealed_base_equals_fresh_calls(states, cost):
-    # the base annotates the first tree and is sealed, as a model's training
-    # states are; the batch memo shares its subtree ids and adds nothing to it
+    # the base annotates the first tree and builds its trie, as a model's
+    # training states are; the batch memo shares its subtree ids and trie
+    # and adds nothing to the base
     base = DistanceMemo()
     kept = base.annotate(states[0], cost)
-    base.seal()
-    intern = dict(base._intern)
+    base.trie(states[:1], cost)
+
+    def snapshot():
+        return dict(base._intern), dict(base._trees), dict(base._tries), base.table, base._covered
+
+    before = snapshot()
     memo = DistanceMemo(base)
     for x in states:
         for y in states:
@@ -469,8 +475,7 @@ def test_memo_started_from_a_sealed_base_equals_fresh_calls(states, cost):
             assert (d_script, script) == tree_distance(x, y, cost)
             assert apply_script(script, x) == y
     assert memo.annotate(states[0], cost) is kept
-    assert base._intern == intern and len(base._trees) == 1
-    assert set(kept.rows) <= kept.kept == set(kept.labels)
+    assert snapshot() == before and before[3:] == ({}, {})
 
 
 def test_memo_serves_one_cost_model_and_keeps_its_trees():
@@ -483,6 +488,62 @@ def test_memo_serves_one_cost_model_and_keeps_its_trees():
     assert distance(y, y, CostModel(), memo) == 0.0  # an equal model is the same model
     with pytest.raises(ValueError, match="cost model"):
         distance(y, y, CostModel(indel_default=2.0), memo)
+
+
+def _subtrees(t):
+    yield t
+    for c in t.children:
+        yield from _subtrees(c)
+
+
+# sources built from the targets' subtrees, and targets that repeat, so that
+# rows skip keyroots already run over their trie and share prefixes in it
+@settings(max_examples=100, deadline=None)
+@given(st.lists(trees(10), min_size=1, max_size=4), cost_models, st.randoms())
+def test_tree_rows_sharing_a_memo_equal_fresh_distances(base, cost, rng):
+    parts = [s for t in base for s in _subtrees(t)]
+    sources = base + [
+        tree(rng.choice("abc"), *rng.sample(parts, min(len(parts), rng.randint(1, 3))))
+        for _ in range(3)
+    ]
+    rows = [[rng.choice(base) for _ in range(4)], base + sources[-2:]]
+    memo = DistanceMemo()
+    for x in sources:
+        for targets in rows:
+            got = distance_row(x, targets, cost, memo)
+            want = [distance(x, y, cost) for y in targets]
+            assert got == want
+            assert want == [zhang_shasha_distance(x, y, cost) for y in targets]
+        y = rng.choice(rows[1])
+        assert tree_distance(x, y, cost, memo) == tree_distance(x, y, cost)
+
+
+def test_tree_rows_fill_only_the_keyroots_they_have_not_run(monkeypatch):
+    # x's keyroots are b, d(e), h(c,d(e)), k and the root: five distinct ids
+    x = parse_tree("f(g(a,b),h(c,d(e)),k)")
+    targets = [parse_tree("f(g(a),h(c,d))"), parse_tree("f(k,h(d(e)))"), parse_tree("f(g(a),h(c,d))")]
+    fills, fill = [], editdist._fill
+    monkeypatch.setattr(editdist, "_fill", lambda rows, *rest: fills.append((rows, rest[1])) or fill(rows, *rest))
+    memo = DistanceMemo()
+    want = [distance(x, y) for y in targets]
+    fills.clear()
+    assert distance_row(x, targets, UNIT_COSTS, memo) == want
+    _, trie = memo.trie(targets, UNIT_COSTS)
+    (rows, order), = fills
+    assert len(order) == trie.size - 1  # every column of the trie
+    assert rows.count(editdist._ROW0) == 5 and len(rows) == 5 + 1 + 2 + 4 + 1 + 9
+    fills.clear()
+    assert distance_row(x, targets, UNIT_COSTS, memo) == want
+    assert fills == []  # a rerun fills no column
+    # relabeling e leaves b and k as they were: only d(z), h(c,d(z)) and the
+    # root, the keyroots that contain the edit, fill the trie's columns
+    edited = apply_edit(x, TreeEdit("relabel_node", (2, 2, 1), "z"))
+    want = [distance(edited, y) for y in targets]
+    fills.clear()
+    assert distance_row(edited, targets, UNIT_COSTS, memo) == want
+    (rows, order), = fills
+    assert len(order) == trie.size - 1
+    assert rows.count(editdist._ROW0) == 3 and len(rows) == 3 + 2 + 4 + 9
 
 
 # ---------------------------------------------------------------------------

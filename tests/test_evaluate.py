@@ -212,8 +212,9 @@ def test_shared_fold_records_match_a_fresh_preparation_per_sample(monkeypatch, c
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_unfittable_fold_is_attempted_once_and_skipped_alike_in_every_pass(monkeypatch):
     # a "z" costs so much to insert, delete or relabel that squared
-    # distances between states with and without one overflow: only the
-    # fold that holds out t1 is fittable
+    # distances between states with and without one overflow: the folds
+    # that hold out t2 and t3 cannot build their geometry, and the fold that
+    # holds out t1 builds it but cannot embed t1's states
     cost = CostModel(relabel_default=1e200, indel={"z": 1e200})
     ds = load_dataset(
         {
@@ -226,25 +227,19 @@ def test_unfittable_fold_is_attempted_once_and_skipped_alike_in_every_pass(monke
         }
     )
     spaces = _counted(monkeypatch, space, "validate_sqdist")
-    passes, original = [], evaluate.loo_rmse_multi
-
-    def recorded(*args):
-        passes.append(original(*args))
-        return passes[-1]
-
-    monkeypatch.setattr(evaluate, "loo_rmse_multi", recorded)
     prepared = prepared_traces(ds, cost)
-    params = hyper_search(ds, (0.5, 3.0), (0.01, 0.5), 3, 1, cost, prepared=prepared)
-    recorded(ds, PREDICTION_SCHEMES, params, cost, "clip", prepared)
-    assert len(passes) == 4  # three samples and the final pass
-    reason = "squared distances must be finite"
-    for reports in passes:
-        for report in reports.values():
-            assert report.folds_skipped == (("t2", reason), ("t3", reason))
-            assert [row[0] for row in report.per_trace] == ["t1"]
-    # the fittable fold builds its two spaces once; each other fold's first
-    # space fails once, and later passes repeat its reason without a build
-    assert len(spaces) == 2 + 1 + 1
+    reason = "every fold was unfittable; the first, trace 't1': squared distances must be finite"
+    with pytest.raises(FitError) as search:
+        hyper_search(ds, (0.5, 3.0), (0.01, 0.5), 3, 1, cost, prepared=prepared)
+    assert str(search.value) == reason
+    for psi in (0.5, 3.0):
+        with pytest.raises(FitError) as final:
+            loo_rmse_multi(ds, PREDICTION_SCHEMES, KernelParams(psi, 0.1), cost, "clip", prepared)
+        assert str(final.value) == reason
+    # the fold of t1 builds its two spaces once; the other folds' squares
+    # overflow before a space is built, once, and later passes repeat their
+    # reason without a build
+    assert len(spaces) == 2
 
 
 def test_loo_requires_two_traces():
@@ -460,7 +455,7 @@ def test_predict_coords_matches_pair_loop(scheme, weights):
     model = fit_model(small_corpus(), params=KernelParams(2.0, 0.3))
     for trace in synthetic_corpus(seed=6, n_traces=3, base_solution="abcdef").traces:
         for state in trace.states:
-            raw = model.query_raw_distances(state)
+            raw = model.query_raw_distances(state, model.hint_memo())
             coords = model.embed_query(raw).coords
             got = _predict_coords(model, scheme, raw, coords)
             want = coords + predict_move_loop(model, model.weights(raw, weights))

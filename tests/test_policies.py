@@ -10,6 +10,7 @@ from edithints import editdist, policies
 from edithints.editdist import (
     UNIT_COSTS,
     CostModel,
+    DistanceMemo,
     SeqEdit,
     apply_edit,
     distance,
@@ -129,7 +130,7 @@ def test_worked_example_kernel_matrix(fig2_model):
 
 
 def test_worked_example_gamma(fig2_model):
-    raw = fig2_model.query_raw_distances(sequence("ab"))
+    raw = fig2_model.query_raw_distances(sequence("ab"), fig2_model.hint_memo())
     gamma = fig2_model.weights(raw, "gpr")
     assert gamma[1] == 0.0 and gamma[3] == 0.0  # final self-pairs carry no weight
     assert gamma[0] == pytest.approx(GAMMA_STAR, abs=1e-3)
@@ -148,7 +149,7 @@ def test_worked_example_hint(fig2_model):
 
 
 def test_interpolation_basis_vector(fig2_model):
-    raw = fig2_model.query_raw_distances(sequence("a"))
+    raw = fig2_model.query_raw_distances(sequence("a"), fig2_model.hint_memo())
     gamma = fig2_model.weights(raw, "gpr")
     want = np.zeros(4)
     want[0] = 1.0
@@ -157,7 +158,7 @@ def test_interpolation_basis_vector(fig2_model):
 
 def test_far_query_weights_vanish(fig2_model):
     far = sequence("q" * 30)
-    raw = fig2_model.query_raw_distances(far)
+    raw = fig2_model.query_raw_distances(far, fig2_model.hint_memo())
     assert np.linalg.norm(fig2_model.weights(raw, "gpr")) < 1e-6
     result = chf_hint(fig2_model, far)
     assert result.edit is None and result.reason == "kernel-decay"
@@ -183,7 +184,7 @@ def test_single_state_traces_fit_and_only_baselines_hint():
 
 
 def test_nwr_weights_symmetric_pair(fig2_model):
-    raw = fig2_model.query_raw_distances(sequence("ab"))
+    raw = fig2_model.query_raw_distances(sequence("ab"), fig2_model.hint_memo())
     gamma = fig2_model.weights(raw, "nwr")
     assert gamma[0] == pytest.approx(0.5, abs=1e-9)
     assert gamma[2] == pytest.approx(0.5, abs=1e-9)
@@ -191,7 +192,7 @@ def test_nwr_weights_symmetric_pair(fig2_model):
 
 
 def test_nn_weights_tie_lowest_pair_index(fig2_model):
-    raw = fig2_model.query_raw_distances(sequence("ab"))  # equidistant from a and b
+    raw = fig2_model.query_raw_distances(sequence("ab"), fig2_model.hint_memo())  # equidistant from a and b
     gamma = fig2_model.weights(raw, "nn")
     assert gamma[0] == 1.0 and gamma[2] == 0.0
 
@@ -214,7 +215,7 @@ def test_duplicate_states_fall_back_to_pseudo_inverse():
     }
     model = fit_model(load_dataset(dup), params=KernelParams(1.0, 0.0))
     assert model.used_pseudo_inverse
-    raw = model.query_raw_distances(sequence("a"))
+    raw = model.query_raw_distances(sequence("a"), model.hint_memo())
     gamma = model.weights(raw, "gpr")
     # the pseudo-inverse splits the unit weight across the duplicates
     assert gamma.sum() == pytest.approx(1.0, abs=1e-8)
@@ -239,7 +240,7 @@ def test_alpha_sums_to_zero_random(fig7_model):
 def test_representation_identity(fig2_model):
     # phi(x) + sum gamma_i xi_i equals phi(x) + sum alpha_i phi(x_i)
     rng = np.random.default_rng(17)
-    raw = fig2_model.query_raw_distances(sequence("ab"))
+    raw = fig2_model.query_raw_distances(sequence("ab"), fig2_model.hint_memo())
     q = fig2_model.embed_query(raw)
     for _ in range(100):
         gamma = rng.normal(size=4)
@@ -279,7 +280,7 @@ def test_sparsify_fig7_coefficients(fig7_model):
     alpha[state_index(model, "aac")] = GAMMA_STAR
     alpha[state_index(model, "b")] = -GAMMA_STAR
     alpha[state_index(model, "bbc")] = GAMMA_STAR
-    raw = model.query_raw_distances(sequence("ab"))
+    raw = model.query_raw_distances(sequence("ab"), model.hint_memo())
     query = model.embed_query(raw)
     star = state_index(model, "abcd")
     limit = raw[star]
@@ -304,7 +305,7 @@ def test_sparsify_fig7_hint_still_insert_c(fig7_model):
     alpha = np.zeros(6)
     for text, value in (("a", -GAMMA_STAR), ("aac", GAMMA_STAR), ("b", -GAMMA_STAR), ("bbc", GAMMA_STAR)):
         alpha[state_index(model, text)] = value
-    raw = model.query_raw_distances(sequence("ab"))
+    raw = model.query_raw_distances(sequence("ab"), model.hint_memo())
     query = model.embed_query(raw)
     star = state_index(model, "abcd")
     limit = raw[star]
@@ -313,15 +314,16 @@ def test_sparsify_fig7_hint_still_insert_c(fig7_model):
     ]
     tilde = sparsify(model, alpha, query, allowed, m_max=3)
     positives = [model.pairs.states[i] for i in np.flatnonzero(tilde > 1e-12)]
-    cands = candidate_edits(sequence("ab"), positives, model.cost)
-    result = preimage_select(sequence("ab"), tilde, cands, model)
+    memo = model.hint_memo()
+    cands = candidate_edits(sequence("ab"), positives, model.cost, memo)
+    result = preimage_select(sequence("ab"), tilde, cands, model, memo)
     assert result.edit == SeqEdit("insert", 3, "c")
 
 
 def test_sparsify_m1_matches_exhaustive_scan(fig7_model):
     model = fig7_model
     rng = np.random.default_rng(4)
-    raw = model.query_raw_distances(sequence("ab"))
+    raw = model.query_raw_distances(sequence("ab"), model.hint_memo())
     query = model.embed_query(raw)
     gram = model.space.extended_gram(query)
     allowed = list(range(6))
@@ -365,7 +367,7 @@ def _tree_walks(seed: int, n_traces: int) -> dict:
 
 def _sparsify_inputs(model, x, scheme):
     """alpha, query embedding and allowed support, as ``chf_hint`` builds them."""
-    raw = model.query_raw_distances(x)
+    raw = model.query_raw_distances(x, model.hint_memo())
     alpha = alpha_from_gamma(model.weights(raw, scheme), model.pairs)
     query = model.embed_query(raw)
     star = model.closest_correct_index(model.space.query_sqdist(query))
@@ -425,7 +427,7 @@ def test_sparsify_refits_every_candidate_when_the_screen_fails(fig7_model, monke
         screen = policies._screen
         monkeypatch.setattr(policies, "_screen", lambda *args: screen(*args)[::-1])
     model = fig7_model
-    query = model.embed_query(model.query_raw_distances(sequence("ab")))
+    query = model.embed_query(model.query_raw_distances(sequence("ab"), model.hint_memo()))
     rng = np.random.default_rng(5)
     for _ in range(20):
         alpha = rng.normal(size=6)
@@ -540,7 +542,7 @@ def test_sparsify_matches_oracle_on_degenerate_points(base, extra, query, weight
 
 def test_candidate_edits_worked_example(fig2_model):
     cands = candidate_edits(
-        sequence("ab"), [sequence("aac"), sequence("bbc")], fig2_model.cost
+        sequence("ab"), [sequence("aac"), sequence("bbc")], fig2_model.cost, fig2_model.hint_memo()
     )
     assert set(map(serialize_edit, cands)) == {
         serialize_edit(SeqEdit("relabel", 2, "a")),
@@ -550,13 +552,13 @@ def test_candidate_edits_worked_example(fig2_model):
 
 
 def test_candidate_edits_self_positive_empty(fig2_model):
-    assert candidate_edits(sequence("ab"), [sequence("ab")], fig2_model.cost) == []
+    assert candidate_edits(sequence("ab"), [sequence("ab")], fig2_model.cost, fig2_model.hint_memo()) == []
 
 
 def test_candidate_edits_tree_single_relabel():
     x = parse_tree("f(g,h)")
     y = parse_tree("f(q,h)")
-    cands = candidate_edits(x, [y])
+    cands = candidate_edits(x, [y], UNIT_COSTS, DistanceMemo())
     assert len(cands) == 1
     assert cands[0].kind == "relabel_node" and cands[0].path == (1,)
 
@@ -564,20 +566,20 @@ def test_candidate_edits_tree_single_relabel():
 def test_preimage_worked_example(fig2_model):
     alpha = np.array([-GAMMA_STAR, GAMMA_STAR, -GAMMA_STAR, GAMMA_STAR])
     cands = candidate_edits(
-        sequence("ab"), [sequence("aac"), sequence("bbc")], fig2_model.cost
+        sequence("ab"), [sequence("aac"), sequence("bbc")], fig2_model.cost, fig2_model.hint_memo()
     )
-    result = preimage_select(sequence("ab"), alpha, cands, fig2_model)
+    result = preimage_select(sequence("ab"), alpha, cands, fig2_model, fig2_model.hint_memo())
     assert result.edit == SeqEdit("insert", 3, "c")
 
 
 def test_preimage_single_candidate(fig2_model):
     only = [SeqEdit("delete", 1)]
-    result = preimage_select(sequence("ab"), np.zeros(4), only, fig2_model)
+    result = preimage_select(sequence("ab"), np.zeros(4), only, fig2_model, fig2_model.hint_memo())
     assert result.edit == only[0]
 
 
 def test_preimage_empty_candidates(fig2_model):
-    result = preimage_select(sequence("ab"), np.zeros(4), [], fig2_model)
+    result = preimage_select(sequence("ab"), np.zeros(4), [], fig2_model, fig2_model.hint_memo())
     assert result.edit is None and result.reason == "no-candidates"
 
 
@@ -587,7 +589,7 @@ def test_preimage_near_tie_breaks_by_position(fig2_model, monkeypatch):
     low, high = SeqEdit("insert", 1, "c"), SeqEdit("insert", 3, "c")
     scores = [(high, -67.40653655167708), (low, -67.40653655167654)]
     monkeypatch.setattr("edithints.policies.score_candidates", lambda *args: scores)
-    result = preimage_select(sequence("ab"), np.zeros(4), [high, low], fig2_model)
+    result = preimage_select(sequence("ab"), np.zeros(4), [high, low], fig2_model, fig2_model.hint_memo())
     assert result.edit == low
     assert [e for e, _ in result.candidates] == [low, high]
 
@@ -602,10 +604,11 @@ def test_preimage_matches_brute_force_oracle(fig7_model):
         positives = [model.pairs.states[i] for i in np.flatnonzero(alpha > 1e-12)]
         if not positives:
             continue
-        cands = candidate_edits(x, positives, model.cost)
+        memo = model.hint_memo()
+        cands = candidate_edits(x, positives, model.cost, memo)
         if not cands:
             continue
-        result = preimage_select(x, alpha, cands, model)
+        result = preimage_select(x, alpha, cands, model, memo)
         nz = np.flatnonzero(np.abs(alpha) > 1e-12)
         best = None
         for edit in cands:
@@ -621,13 +624,13 @@ def test_preimage_matches_brute_force_oracle(fig7_model):
 def test_preimage_permutation_invariant(fig2_model):
     alpha = np.array([-GAMMA_STAR, GAMMA_STAR, -GAMMA_STAR, GAMMA_STAR])
     cands = candidate_edits(
-        sequence("ab"), [sequence("aac"), sequence("bbc")], fig2_model.cost
+        sequence("ab"), [sequence("aac"), sequence("bbc")], fig2_model.cost, fig2_model.hint_memo()
     )
     rng = random.Random(5)
     for _ in range(10):
         shuffled = list(cands)
         rng.shuffle(shuffled)
-        result = preimage_select(sequence("ab"), alpha, shuffled, fig2_model)
+        result = preimage_select(sequence("ab"), alpha, shuffled, fig2_model, fig2_model.hint_memo())
         assert result.edit == SeqEdit("insert", 3, "c")
 
 
@@ -665,7 +668,7 @@ def test_score_candidates_on_a_line():
     x = sequence("a" * 3)
     cands = [SeqEdit("insert", 4, "a"), SeqEdit("delete", 3)]
     scored = dict(
-        (serialize_edit(e), s) for e, s in score_candidates(x, cands, states, weights)
+        (serialize_edit(e), s) for e, s in score_candidates(x, cands, states, weights, UNIT_COSTS, DistanceMemo())
     )
     pts = np.array([0.0, 2.0, 5.0])
     for edit, pos in ((cands[0], 4.0), (cands[1], 2.0)):
@@ -795,17 +798,16 @@ def test_sequence_hints_pack_the_training_states_once(monkeypatch):
 
 def test_hints_add_nothing_to_the_model_memo():
     model = fit_model(load_dataset(_tree_walks(74, 6)), params=KernelParams(2.0, 0.3))
-    for x in model.pairs.states:  # each training label against each training state
-        chf_hint(model, x)
+    chf_hint(model, model.pairs.states[0])
     base = model._base_memo
-    annotated = [t for _, t in base._trees.values()]
-    labels = {lab for t in annotated for lab in t.labels}
-    assert all(set(t.rows) == labels for t in annotated)
 
     def snapshot():
-        return dict(base._intern), len(base._trees), [set(t.rows) for t in annotated]
+        return dict(base._intern), dict(base._trees), dict(base._tries), base.table, base._covered
 
     before = snapshot()
+    assert len(before[2]) == 1 and before[3:] == ({}, {})  # the training trie alone
+    for x in model.pairs.states:  # each training label against each training state
+        chf_hint(model, x)
     rng = random.Random(75)
     # labels x, y and z occur in no training state
     _all_hints(model, [random_tree(rng, labels="fgxyz") for _ in range(12)])

@@ -75,7 +75,7 @@ def test_canonicalization_applies_to_queries():
     model = fit_model(ds, canon=canon, params=KernelParams(1.0, 0.0))
     # a query with a fresh variable name canonicalizes onto the training
     # states exactly, so interpolation sees distance zero
-    raw_d = model.query_raw_distances(canonicalize(parse_tree("f(var:zzz)"), canon))
+    raw_d = model.query_raw_distances(canonicalize(parse_tree("f(var:zzz)"), canon), model.hint_memo())
     assert raw_d.min() == 0.0
     result = chf_hint(model, parse_tree("f(var:zzz)"))
     assert result.edit is not None
