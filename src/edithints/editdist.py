@@ -9,9 +9,10 @@ for ordered trees.  Both return an :class:`EditScript` realizing the
 distance; replaying the script on the source state yields the target state
 and the script cost equals the distance exactly.  Without a script, the
 unit-cost sequence distances of a row run bit-parallel over a pack of many
-sequences in one integer, and the tree distances of a row fill Zhang-Shasha's
-tables column by column over a trie of the targets' keyroots, whose shared
-prefixes fill once (see :func:`distance_row`), both to the same bits.
+sequences in one integer, and the tree distances of many sources to many
+targets fill Zhang-Shasha's tables in one pass over a trie of the sources'
+keyroots (the rows) and one of the targets' (the columns), whose shared
+prefixes fill once (see :func:`distance_rows`), both to the same bits.
 
 Position conventions
 --------------------
@@ -466,45 +467,42 @@ class _Annotated:
         self.indel = [cost.cost_delete(lab) for lab in labels]
         self._forests = {}
 
-    def forest(self, k: int) -> tuple:
+    def forest(self, k: int) -> list:
         """Keyroot ``k``'s subtree in postorder, per node its subtree id,
         indel cost, the offset where its subtree starts and, on the leftmost
-        path (offset 0), its label; and the running sums of the indel costs."""
+        path (offset 0), its label."""
         if k not in self._forests:
             lk, ids, lml, labels = self.lml[k], self.ids, self.lml, self.labels
-            nodes = range(lk, k + 1)
-            self._forests[k] = (
-                [(ids[n], self.indel[n], lml[n] - lk, labels[n] if lml[n] == lk else None) for n in nodes],
-                list(accumulate(self.indel[lk : k + 1], initial=0.0)),
-            )
+            self._forests[k] = [
+                (ids[n], self.indel[n], lml[n] - lk, labels[n] if lml[n] == lk else None)
+                for n in range(lk, k + 1)
+            ]
         return self._forests[k]
 
 
 class _Trie:
-    """The forest-table columns of a list of target trees, shared.  A
-    keyroot's columns are its subtree's nodes in postorder, and a column's
-    cells depend only on earlier columns, so target keyroots whose node
-    sequences share a prefix (by subtree id) share those columns exactly.
-    Each trie node is one column.  ``order`` lists them as the keyroots first
-    reach them, a tree's keyroots in postorder: so the column that ends the
-    sequence of a subtree, and writes its distances, comes before any column
-    that reads them, as :func:`_fill` needs."""
+    """Zhang-Shasha forests of one side of a pass, shared.  A keyroot's
+    forests are the prefixes of its subtree's nodes in postorder, and a
+    cell depends only on cells of shorter forests, so keyroots whose node
+    sequences share a prefix (by subtree id) share those forests exactly.
+    Each trie node is one forest: a column of the pass on the target side,
+    a row on the source side, node 0 the empty forest.  ``order`` lists the
+    others as the sequences first reach them, a tree's keyroots in
+    postorder: so the node that ends the sequence of a subtree, and writes
+    its distances, comes before any node that reads them, as :func:`_fill`
+    needs.  With each node it lists the nodes no later one reads."""
 
-    def __init__(self, trees):
-        children, order, seen = [{}], [], set()
-        for t in trees:
-            for k in t.keyroots:
-                if t.ids[k] in seen:  # an equal subtree has the same columns
-                    continue
-                seen.add(t.ids[k])
-                path = [0]
-                for node in t.forest(k)[0]:
-                    v = children[path[-1]].get(node[0])
-                    if v is None:
-                        v = children[path[-1]][node[0]] = len(children)
-                        children.append({})
-                        order.append((v, path[-1], path[node[2]], node))
-                    path.append(v)
+    def __init__(self, forests):
+        children, order = [{}], []
+        for nodes in forests:
+            path = [0]
+            for node in nodes:
+                v = children[path[-1]].get(node[0])
+                if v is None:
+                    v = children[path[-1]][node[0]] = len(children)
+                    children.append({})
+                    order.append((v, path[-1], path[node[2]], node))
+                path.append(v)
         self.size = len(children)
         last = {v: p for p, (v, *_) in enumerate(order)}  # a column no other reads goes at once
         for p, (_, parent, begin, _) in enumerate(order):
@@ -515,21 +513,21 @@ class _Trie:
         self.order = [(*entry, drop) for entry, drop in zip(order, drops)]
 
 
-# row 0 of each source keyroot's table in a column of _fill: its cell is the
-# column's insert alone, as deleting costs INF and every known dict maps the
-# source id -1 to INF
-_ROW0 = (-1, INF, 0, None)
-
-
-def _fill(rows, first, order, size, table, relabel) -> list:
+def _fill(rows, order, size, table, relabel) -> list:
     """Fill Zhang-Shasha forest tables column by column; returns the columns.
-    ``order`` gives per column its index, its previous column's, the column
-    where its node's subtree starts, its node (see :meth:`_Annotated.forest`)
-    and the columns no later one reads.  A column holds the tables of one or
-    more source keyroots, one below the other: ``rows`` has a :data:`_ROW0` or
-    a node per cell after the first.  A cell reads cells above it, earlier
-    columns and ``table[target id][source id]``, the subtree-pair distances
-    that cells where both forests are whole trees write."""
+    ``rows`` and ``order`` give per row (source forest) and per column
+    (target forest) its index, its parent's (the forest without its last
+    node), the index where its last node's subtree starts, that node (see
+    :meth:`_Annotated.forest`) and, for columns, the columns no later one
+    reads; indices run from 1 in order, 0 being the empty forest.  A cell
+    reads its parent row's and parent column's cells, the start row's cell
+    in the start column, and ``table[target id][source id]``, the
+    subtree-pair distances that cells where both forests are whole trees
+    write."""
+    first = [0.0]  # the empty target forest: each row's deletions, summed along its path
+    for _, parent, _, (_, c_del, _, _), _ in rows:
+        first.append(first[parent] + c_del)
+    rows = [(parent, begin, sid, c_del, lab) for _, parent, begin, (sid, c_del, _, lab), _ in rows]
     cols = [first] * size
     labs = {lab for *_, lab in rows if lab is not None}
     costs_of = {}  # target label -> source label -> its relabel cost
@@ -537,13 +535,12 @@ def _fill(rows, first, order, size, table, relabel) -> list:
         prev, start = cols[parent], cols[begin]
         known = table.get(tid)
         if known is None:
-            known = table[tid] = {-1: INF}
-        up = INF
-        cols[v] = col = [up]
+            known = table[tid] = {}
+        cols[v] = col = [prev[0] + c_ins]  # the empty source forest
         # each cell is min(delete, insert, match), by comparisons, faster than min()
         if b:  # the column's forest is no whole tree
-            for left, (sid, c_del, a, _) in zip(prev[1:], rows):
-                up += c_del
+            for left, (p, a, sid, c_del, _) in zip(prev[1:], rows):
+                up = col[p] + c_del
                 left += c_ins
                 if up < left:
                     left = up
@@ -555,8 +552,8 @@ def _fill(rows, first, order, size, table, relabel) -> list:
             if label not in costs_of:
                 costs_of[label] = {lab: relabel(lab, label) for lab in labs}
             costs = costs_of[label]
-            for diag, left, (sid, c_del, a, lab) in zip(prev, prev[1:], rows):
-                up += c_del
+            for left, (p, a, sid, c_del, lab) in zip(prev[1:], rows):
+                up = col[p] + c_del
                 left += c_ins
                 if up < left:
                     left = up
@@ -565,7 +562,7 @@ def _fill(rows, first, order, size, table, relabel) -> list:
                     if up > left:
                         up = left
                 else:  # both forests are whole trees
-                    up = diag + costs[lab]
+                    up = prev[p] + costs[lab]
                     if up > left:
                         up = left
                     known[sid] = up
@@ -580,11 +577,11 @@ class DistanceMemo:
     id]`` keeps the subtree-pair distances that forest tables wrote, by
     structural subtree id: a cell is a minimum of single additions of cells
     inside its two subtrees, so equal subtree pairs get equal bits in any
-    call order.  A tree row is one pass of the source's keyroots over the
-    :class:`_Trie` of its targets, kept per target list; a source keyroot
-    whose id has run over tries holding every one of those targets has
-    filled the table for all their subtrees, and is skipped.  Each tree is
-    annotated once.
+    call order.  A tree pass runs the sources' keyroots, as one
+    :class:`_Trie` of rows, over the trie of columns of its targets, kept
+    per target list; a source keyroot whose id has run over tries holding
+    every one of those targets has filled the table for all their
+    subtrees, and is skipped.  Each tree is annotated once.
 
     A memo started from a ``base`` copies its intern table, annotated trees,
     tries and packs, so ids agree and it builds nothing the base has; what
@@ -619,34 +616,37 @@ class DistanceMemo:
             self._packs[id(targets)] = targets, _pack(targets)
         return self._packs[id(targets)][1]
 
-    def trie(self, targets, cost: CostModel) -> tuple:
-        """The root ids of a list of trees, which key their trie, and the
-        trie, kept by its key."""
+    def trie(self, targets, cost: CostModel) -> _Trie:
+        """The trie of the keyroots of a list of trees, kept by their root ids."""
         trees = [self.annotate(y, cost) for y in targets]
         key = tuple([t.ids[-1] for t in trees])
         if key not in self._tries:
-            self._tries[key] = _Trie(trees)
-        return key, self._tries[key]
+            forests = {}  # an equal subtree has the same forests
+            for t in trees:
+                for k in t.keyroots:
+                    if t.ids[k] not in forests:
+                        forests[t.ids[k]] = t.forest(k)
+            self._tries[key] = _Trie(forests.values())
+        return self._tries[key]
 
-    def row(self, x: TreeState, targets, cost: CostModel) -> list:
-        """The Zhang-Shasha distances from ``x`` to each of ``targets``: the
-        keyroots of ``x`` whose ids have not yet run over every target fill
-        every column of the targets' trie in one pass."""
-        t1 = self.annotate(x, cost)
-        key, trie = self.trie(targets, cost)
-        rows, first = [], [INF]
-        for i in t1.keyroots:
-            covered = self._covered.setdefault(t1.ids[i], set())
-            if not covered.issuperset(key):
-                covered.update(key)
-                nodes, column = t1.forest(i)
-                off = len(first)
-                rows.append(_ROW0)
-                rows += [(sid, c, off + a, lab) for sid, c, a, lab in nodes]
-                first += column
-        if rows:
-            _fill(rows, first, trie.order, trie.size, self.table, cost.cost_relabel)
-        return [float(self.table[root][t1.ids[-1]]) for root in key]
+    def rows(self, xs, targets, cost: CostModel) -> list:
+        """The Zhang-Shasha distances from each of ``xs`` to each of
+        ``targets``: the keyroots of ``xs`` whose ids have not yet run over
+        every target, as one trie of rows, fill the columns of the targets'
+        trie in one pass; with none to run, no trie is built or looked up."""
+        sources = [self.annotate(x, cost) for x in xs]
+        key = [self.annotate(y, cost).ids[-1] for y in targets]
+        forests = []
+        for t in sources:
+            for k in t.keyroots:
+                covered = self._covered.setdefault(t.ids[k], set())
+                if not covered.issuperset(key):
+                    covered.update(key)
+                    forests.append(t.forest(k))
+        if forests:
+            trie = self.trie(targets, cost)
+            _fill(_Trie(forests).order, trie.order, trie.size, self.table, cost.cost_relabel)
+        return [[float(self.table[root][t.ids[-1]]) for root in key] for t in sources]
 
 
 def _zss_mapping(t1: _Annotated, t2: _Annotated, table):
@@ -663,27 +663,29 @@ def _zss_mapping(t1: _Annotated, t2: _Annotated, table):
         ki, kj = t1.keyroot_of[ri], t2.keyroot_of[rj]
         li, lj = t1.lml[ki], t2.lml[kj]
         x, y = ri - li + 1, rj - lj + 1
-        # the cells up to (x, y) along kj's one chain of columns: fd[y][x + 1]
-        nodes, column = t1.forest(ki)
-        rows = [_ROW0] + [(sid, c, 1 + a, lab) for sid, c, a, lab in nodes[:x]]
-        chain = [(v, v - 1, node[2], node, ()) for v, node in enumerate(t2.forest(kj)[0][:y], 1)]
-        fd = _fill(rows, [INF] + column[: x + 1], chain, y + 1, table, relabel)
+        # the cells up to (x, y) along one chain of rows of ki and one
+        # chain of columns of kj: fd[y][x]
+        rows, chain = [
+            [(v, v - 1, node[2], node, ()) for v, node in enumerate(t.forest(k)[:n], 1)]
+            for t, k, n in ((t1, ki, x), (t2, kj, y))
+        ]
+        fd = _fill(rows, chain, y + 1, table, relabel)
         while x > 0 or y > 0:
             ni = li + x - 1
             nj = lj + y - 1
-            here = fd[y][x + 1]
-            if y > 0 and here == fd[y - 1][x + 1] + ci[nj]:
+            here = fd[y][x]
+            if y > 0 and here == fd[y - 1][x] + ci[nj]:
                 y -= 1  # nj inserted
                 continue
             if x > 0 and y > 0:
                 a = t1.lml[ni] - li
                 b = t2.lml[nj] - lj
                 if not (a or b):
-                    if here == fd[y - 1][x] + relabel(t1.labels[ni], t2.labels[nj]):
+                    if here == fd[y - 1][x - 1] + relabel(t1.labels[ni], t2.labels[nj]):
                         mapping.append((ni, nj))
                         x, y = x - 1, y - 1
                         continue
-                elif here == fd[b][a + 1] + table[t2.ids[nj]][t1.ids[ni]]:
+                elif here == fd[b][a] + table[t2.ids[nj]][t1.ids[ni]]:
                     stack.append((ni, nj))
                     x, y = a, b
                     continue
@@ -849,7 +851,7 @@ def tree_distance(
     distance is a row through ``memo`` as in :func:`tree_distance_only`; the
     mapping backtrace then fills again the cells of the tables it visits."""
     memo = DistanceMemo() if memo is None else memo
-    dist = memo.row(x, (y,), cost)[0]
+    dist = memo.rows((x,), (y,), cost)[0][0]
     t1, t2 = memo.annotate(x, cost), memo.annotate(y, cost)
     script = _script_from_mapping(t1, t2, _zss_mapping(t1, t2, memo.table))
     if not math.isclose(script.total_cost, dist, rel_tol=1e-12, abs_tol=1e-12):
@@ -864,7 +866,7 @@ def tree_distance_only(
 ) -> float:
     """The Zhang-Shasha distance alone; ``memo`` shares subtree-pair
     results with the other calls of its batch (None: a fresh memo)."""
-    return (DistanceMemo() if memo is None else memo).row(x, (y,), cost)[0]
+    return (DistanceMemo() if memo is None else memo).rows((x,), (y,), cost)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +925,7 @@ def distance(x, y, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> f
     """The edit distance of two states, without a script.  Tree calls that
     pass one :class:`DistanceMemo` share their subtree-pair results (None: a
     fresh memo); a unit-cost sequence call scans ``y`` over a pack of ``x``
-    alone (see :func:`distance_row`)."""
+    alone (see :func:`distance_rows`)."""
     if isinstance(x, TreeState):
         return tree_distance_only(x, y, cost, memo)
     if not cost.is_unit:
@@ -933,28 +935,44 @@ def distance(x, y, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> f
     return _scan(y, _pack((x,)))[0]
 
 
-def distance_row(x, targets, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> list:
-    """The edit distances from ``x`` to each of ``targets``, in order.  A
-    tree row is one pass of ``x``'s keyroots over the trie of the targets'
-    keyroots (see :meth:`DistanceMemo.row`); a unit-cost sequence row is
-    one pass of ``x`` over the pack of ``targets`` (see :func:`_scan`).
-    ``memo`` keeps the trie or the pack (None: a fresh memo); any other row
-    makes one table per target."""
-    if isinstance(x, TreeState):
-        return (DistanceMemo() if memo is None else memo).row(x, targets, cost)
+def distance_rows(xs, targets, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> list:
+    """The edit distances from each of ``xs`` to each of ``targets``, one
+    row per source.  Tree rows are one pass of the sources' keyroots, as a
+    trie of rows, over the trie of the targets' keyroots (see
+    :meth:`DistanceMemo.rows`); a unit-cost sequence row is one pass of its
+    source over the pack of ``targets`` (see :func:`_scan`).  ``memo``
+    keeps the trie or the pack (None: a fresh memo); any other row makes
+    one table per pair."""
+    if xs and isinstance(xs[0], TreeState):
+        return (DistanceMemo() if memo is None else memo).rows(xs, targets, cost)
     if not cost.is_unit:
-        return [distance(x, y, cost) for y in targets]
-    return _scan(x, _pack(targets) if memo is None else memo.pack(targets))
+        return [[distance(x, y, cost) for y in targets] for x in xs]
+    pack = _pack(targets) if memo is None else memo.pack(targets)
+    return [_scan(x, pack) for x in xs]
+
+
+def distance_row(x, targets, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> list:
+    """The edit distances from ``x`` to each of ``targets``, in order: the
+    one-source case of :func:`distance_rows`."""
+    return distance_rows((x,), targets, cost, memo)[0]
+
+
+# sources per pass of the pairwise matrix: a pass's table holds the subtree
+# pairs of its sources with its targets', so blocks bound its memory; of 4, 8,
+# 16, 32 and all, 16 was the fastest or within 6 % at 32 to 256 tree states
+_MATRIX_BLOCK = 16
 
 
 def pairwise_distances(states, cost: CostModel = UNIT_COSTS) -> np.ndarray:
     """Symmetric matrix of raw edit distances over a state list.
 
-    Repeated states (equal serialized forms) share one row and column.  A
-    unit-cost sequence row is one pass over the pack of the unique states;
-    otherwise row ``i`` is the :func:`distance_row` from state ``i`` to the
-    states after it.  Both are exact because distances are bitwise
-    symmetric.
+    Repeated states (equal serialized forms) share one row and column.  The
+    unique states run in blocks, each block one :func:`distance_rows` pass
+    over the states after its first, with a memo of its own started from
+    one that annotates every tree; a weighted-cost sequence block is one
+    state, as its rows make one table per pair.  The matrix reads the
+    triangle above the diagonal, which is exact because distances are
+    bitwise symmetric.
     """
     index, unique, ids = {}, [], []
     memo = DistanceMemo()
@@ -966,13 +984,10 @@ def pairwise_distances(states, cost: CostModel = UNIT_COSTS) -> np.ndarray:
             if isinstance(s, TreeState):
                 memo.annotate(s, cost)
         ids.append(index[key])
+    step = _MATRIX_BLOCK if cost.is_unit or any(isinstance(s, TreeState) for s in unique) else 1
     out = np.zeros((len(unique), len(unique)))
-    for i in range(len(unique)):
-        if cost.is_unit and not isinstance(unique[i], TreeState):
-            out[i] = distance_row(unique[i], unique, cost, memo)
-            continue
-        # trees are annotated once, in the matrix's memo; a row's trie and
-        # subtree-pair distances live with its own memo, bounding their memory
-        row = distance_row(unique[i], unique[i + 1 :], cost, DistanceMemo(memo))
-        out[i, i + 1 :] = out[i + 1 :, i] = row
+    for i in range(0, len(unique), step):
+        block = distance_rows(unique[i : i + step], unique[i + 1 :], cost, DistanceMemo(memo))
+        for k, row in enumerate(block, i):
+            out[k, k + 1 :] = out[k + 1 :, k] = row[k - i :]
     return out[np.ix_(ids, ids)]

@@ -233,7 +233,7 @@ def hint_quality(model: GprModel, tutor_hints, policy_fn) -> EvalReport:
     matching tutor entries, anything else earns zero.  The RMSE column is
     the raw edit distance, under ``model.cost``, between the hinted state
     and the nearest tutor-hinted state, over the states where a hint was
-    produced.
+    produced; a distance whose square overflows is a ``ValueError``.
 
     ``tutor_hints`` are a dataset's :class:`~edithints.traces.TutorHint`
     entries; ``policy_fn(model, state)`` must return a
@@ -271,7 +271,7 @@ def hint_quality(model: GprModel, tutor_hints, policy_fn) -> EvalReport:
             dists = distance_row(apply_edit(state, result.edit), tutor_states, model.cost)
             if dists:
                 dist_to_tutor = float(min(dists))
-                sq_dists.append(dist_to_tutor**2)
+                sq_dists.append(float(squared(np.array(dist_to_tutor))))
         qualities.append(quality)
         per_state.append((trace_id, step, hinted, quality, dist_to_tutor))
 

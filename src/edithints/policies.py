@@ -50,6 +50,7 @@ from .editdist import (
     distance,
     distance_and_script,
     distance_row,
+    distance_rows,
     pairwise_distances,
     serialize_edit,
     edit_to_dict,
@@ -574,14 +575,14 @@ def preimage_objective(sq_to_x: float, sq_to_support, weights) -> float:
 
 def score_candidates(x, candidates, support_states, weights, cost: CostModel, memo: DistanceMemo):
     """Score each candidate edit by d(e(x), x)^2 + sum_i w_i d(e(x), s_i)^2
-    using raw edit distances, all through ``memo``."""
+    using raw edit distances, every e(x) against the support states and x
+    in one :func:`distance_rows` pass through ``memo``, so that the forests
+    the candidates share with x and with each other fill once.  A square
+    that overflows is a ``ValueError``."""
     weights = np.asarray(weights, dtype=float)
-    targets = list(support_states) + [x]
-    scored = []
-    for edit in candidates:
-        sq = [d**2 for d in distance_row(apply_edit(x, edit), targets, cost, memo)]
-        scored.append((edit, preimage_objective(sq[-1], sq[:-1], weights)))
-    return scored
+    edited = [apply_edit(x, edit) for edit in candidates]
+    sq = squared(np.array(distance_rows(edited, list(support_states) + [x], cost, memo)))
+    return [(edit, preimage_objective(row[-1], row[:-1], weights)) for edit, row in zip(candidates, sq)]
 
 
 def preimage_select(x, alpha, candidates, model: GprModel, memo: DistanceMemo) -> HintResult:

@@ -348,6 +348,23 @@ def test_overflowing_squared_distances_give_strict_json_or_a_data_error(tmp_path
     assert codes == {"chf": 2, "nwr": 2, "nn": 2, "zimmerman": 0, "gross": 0, "random": 0}
 
 
+def test_overflowing_squared_distance_to_the_tutor_is_a_data_error():
+    # the tutor's hint inserts a "z" that costs 1e200 in every way, so the
+    # hinted state's distance to the tutor state has no finite square
+    dataset = {
+        **FIG2,
+        "traces": FIG2["traces"] + [{"id": "err", "successful": False, "states": [["a", "b"]]}],
+        "tutor_hints": [
+            {"trace": "err", "step": 1, "quality": 1.0, "edit": {"kind": "insert", "position": 3, "label": "z"}}
+        ],
+    }
+    cost = {"indel": {"z": 1e200}, "relabel": {"c|z": 1e200, "a|z": 1e200, "b|z": 1e200}}
+    for policy in ("zimmerman", "chf"):
+        argv = ["eval", "--task", "quality", "--policy", policy]
+        argv += ["--dataset", json.dumps(dataset), "--cost", json.dumps(cost)]
+        assert _strict_json_or_one_line_error(argv) == 2
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

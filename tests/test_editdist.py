@@ -20,6 +20,7 @@ from edithints.editdist import (
     distance,
     distance_and_script,
     distance_row,
+    distance_rows,
     edit_from_dict,
     edit_to_dict,
     pairwise_distances,
@@ -518,32 +519,78 @@ def test_tree_rows_sharing_a_memo_equal_fresh_distances(base, cost, rng):
         assert tree_distance(x, y, cost, memo) == tree_distance(x, y, cost)
 
 
+def _single_edits(t, labels, path=()):
+    """Relabelings, deletions and leaf insertions at every node of ``t``,
+    some of which do not apply (a root with other than one child)."""
+    for label in labels:
+        yield TreeEdit("relabel_node", path, label)
+    yield TreeEdit("delete_node", path)
+    yield TreeEdit("insert_node", path + (1,), labels[0], (1, 0))
+    for i, child in enumerate(t.children, 1):
+        yield from _single_edits(child, labels, path + (i,))
+
+
+# the sources of one pass: single edits of x, which share prefixes of their
+# keyroots' node sequences with x and with each other, x itself (also a
+# target) and repeats; earlier rows of the memo covered some of their
+# keyroots over all the targets or over a part of them
+@settings(max_examples=60, deadline=None)
+@given(trees(8), st.lists(trees(6), min_size=1, max_size=3), st.just(UNIT_COSTS) | cost_models, st.randoms())
+def test_many_source_tree_rows_equal_fresh_distances(x, others, cost, rng):
+    edited = []
+    for edit in _single_edits(x, "abc"):
+        try:
+            edited.append(apply_edit(x, edit))
+        except EditError:
+            continue
+    sources = rng.sample(edited, min(len(edited), 6)) + [x]
+    sources += [rng.choice(sources) for _ in range(2)]
+    targets = others + [x]
+    want = [[distance(s, y, cost) for y in targets] for s in sources]
+    assert want == [[zhang_shasha_distance(s, y, cost) for y in targets] for s in sources]
+    memo = DistanceMemo()
+    assert memo.rows(sources[:2], targets[:1], cost) == [row[:1] for row in want[:2]]
+    assert memo.rows([x, sources[2]], targets, cost) == [want[-3], want[2]]
+    assert memo.rows(sources, targets, cost) == want
+    assert distance_rows(sources, targets, cost) == want
+
+
 def test_tree_rows_fill_only_the_keyroots_they_have_not_run(monkeypatch):
     # x's keyroots are b, d(e), h(c,d(e)), k and the root: five distinct ids
+    # of 1 + 2 + 4 + 1 + 9 nodes, whose node sequences share no prefix
     x = parse_tree("f(g(a,b),h(c,d(e)),k)")
     targets = [parse_tree("f(g(a),h(c,d))"), parse_tree("f(k,h(d(e)))"), parse_tree("f(g(a),h(c,d))")]
     fills, fill = [], editdist._fill
-    monkeypatch.setattr(editdist, "_fill", lambda rows, *rest: fills.append((rows, rest[1])) or fill(rows, *rest))
+    monkeypatch.setattr(editdist, "_fill", lambda rows, order, *rest: fills.append((rows, order)) or fill(rows, order, *rest))
     memo = DistanceMemo()
     want = [distance(x, y) for y in targets]
     fills.clear()
     assert distance_row(x, targets, UNIT_COSTS, memo) == want
-    _, trie = memo.trie(targets, UNIT_COSTS)
+    trie = memo.trie(targets, UNIT_COSTS)
     (rows, order), = fills
     assert len(order) == trie.size - 1  # every column of the trie
-    assert rows.count(editdist._ROW0) == 5 and len(rows) == 5 + 1 + 2 + 4 + 1 + 9
+    assert len(rows) == 1 + 2 + 4 + 1 + 9  # one row per node, below the shared row of the empty forest
     fills.clear()
     assert distance_row(x, targets, UNIT_COSTS, memo) == want
-    assert fills == []  # a rerun fills no column
+    assert distance_row(x, targets[:2], UNIT_COSTS, memo) == want[:2]
+    assert fills == [] and len(memo._tries) == 1  # a covered row fills no column and builds no trie
     # relabeling e leaves b and k as they were: only d(z), h(c,d(z)) and the
     # root, the keyroots that contain the edit, fill the trie's columns
     edited = apply_edit(x, TreeEdit("relabel_node", (2, 2, 1), "z"))
-    want = [distance(edited, y) for y in targets]
+    want_edited = [distance(edited, y) for y in targets]
     fills.clear()
-    assert distance_row(edited, targets, UNIT_COSTS, memo) == want
+    assert distance_row(edited, targets, UNIT_COSTS, memo) == want_edited
     (rows, order), = fills
     assert len(order) == trie.size - 1
-    assert rows.count(editdist._ROW0) == 3 and len(rows) == 3 + 2 + 4 + 9
+    assert len(rows) == 2 + 4 + 9
+    # both in one pass of a fresh memo: h(c,d(z)) shares its first node with
+    # h(c,d(e)), the root its first four with x's root, and b and k run once
+    memo = DistanceMemo()
+    fills.clear()
+    assert memo.rows([x, edited, x], targets, UNIT_COSTS) == [want, want_edited, want]
+    (rows, order), = fills
+    assert len(order) == trie.size - 1
+    assert len(rows) == (1 + 2 + 4 + 1 + 9) + 2 + (4 - 1) + (9 - 4)
 
 
 # ---------------------------------------------------------------------------

@@ -814,6 +814,31 @@ def test_hints_add_nothing_to_the_model_memo():
     assert model._base_memo is base and snapshot() == before
 
 
+def test_tree_hint_scores_its_candidates_in_one_fill(monkeypatch):
+    # every candidate e(x) runs against the support states and x in one
+    # pass, however many candidates the hint has
+    model = fit_model(load_dataset(_tree_walks(76, 6)), params=KernelParams(2.0, 0.3))
+    fills, phase, fill = [], ["hint"], editdist._fill
+    monkeypatch.setattr(editdist, "_fill", lambda *args: fills.append(phase[0]) or fill(*args))
+    score = policies.score_candidates
+
+    def scoring(*args):
+        phase[0] = "scoring"
+        try:
+            return score(*args)
+        finally:
+            phase[0] = "hint"
+
+    monkeypatch.setattr(policies, "score_candidates", scoring)
+    rng = random.Random(76)
+    counts = []
+    for x in [random_tree(rng, labels="fghk") for _ in range(8)]:
+        fills.clear()
+        result = chf_hint(model, x)
+        counts.append((len(result.candidates), fills.count("scoring")))
+    assert all(n == 1 for c, n in counts if c) and sum(c > 1 for c, _ in counts) >= 3, counts
+
+
 def test_fit_requires_successful_traces():
     ds = load_dataset(
         {
