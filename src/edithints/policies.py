@@ -347,15 +347,6 @@ def alpha_from_gamma(gamma: np.ndarray, pairs: TracePairs) -> np.ndarray:
 # sparsification
 
 
-def _bordered(block: np.ndarray) -> np.ndarray:
-    """The bordered KKT matrix ``[[G_AA, 1], [1^T, 0]]`` of a Gram block."""
-    k = len(block)
-    kkt = np.ones((k + 1, k + 1))
-    kkt[:k, :k] = block
-    kkt[k, k] = 0.0
-    return kkt
-
-
 def _affine_ls(gram: np.ndarray, target: np.ndarray, cols) -> tuple:
     """Least squares over ``cols`` with coefficients summing to one.
 
@@ -365,7 +356,9 @@ def _affine_ls(gram: np.ndarray, target: np.ndarray, cols) -> tuple:
     k = len(cols)
     sub = gram[np.ix_(cols, cols)]
     rhs = gram[cols, :] @ target
-    kkt = _bordered(sub)
+    kkt = np.ones((k + 1, k + 1))  # the bordered KKT matrix [[G_AA, 1], [1^T, 0]]
+    kkt[:k, :k] = sub
+    kkt[k, k] = 0.0
     vec = np.append(rhs, 1.0)
     sol = np.linalg.lstsq(kkt, vec, rcond=None)[0]
     coef = sol[:k]
@@ -373,36 +366,52 @@ def _affine_ls(gram: np.ndarray, target: np.ndarray, cols) -> tuple:
     return coef, err
 
 
-def _screen(gram, pull, offset, active, cols, best_err, flat_tol):
-    """Estimated squared error of the refit ``active + [j]`` for every j in
-    ``cols``, from one solve against the bordered KKT matrix
-    ``[[G_AA, 1], [1^T, 0]]`` of the active states.
+class _Screen:
+    """Estimated squared errors of the refits ``active + [j]`` over the
+    allowed states ``cols``, kept across one greedy run; ``pull`` is G t
+    and ``offset`` is t^T G t.
 
-    ``pull`` is G t and ``offset`` is t^T G t.  Candidate j's Schur
-    complement s_j is its squared distance to the affine hull of the active
-    states, and adding it lowers the error by g_j^2 / s_j.  An estimate is
-    NaN where s_j is at most ``flat_tol`` or the solve fails.
+    Candidate j's Schur complement s_j is its squared distance to the affine
+    hull of the active states, and adding it lowers the error by g_j^2 / s_j,
+    where g_j is its gap.  Accepting j* updates both by one rank-one step on
+    the cross terms c = G[j*] - solution[:, j*] . border, and appends c to
+    ``border`` and c / s* to ``solution``.
     """
-    diag = np.diag(gram)[cols]
-    if not active:  # one state takes the whole weight
-        return diag - 2.0 * pull[cols] + offset
-    k = len(active)
-    kkt = _bordered(gram[active][:, active])
-    border = np.ones((k + 1, len(cols) + 1))  # candidate columns, then the fit's right side
-    border[:k, :-1] = gram[active][:, cols]
-    border[:k, -1] = pull[active]
-    est = np.full(len(cols), np.nan)
-    try:
-        sol = np.linalg.solve(kkt, border)
-    except np.linalg.LinAlgError:
-        return est
-    if not np.all(np.isfinite(sol)):
-        return est
-    schur = diag - np.einsum("ij,ij->j", border[:, :-1], sol[:, :-1])
-    gap = pull[cols] - sol[:, -1] @ border[:, :-1]
-    ok = schur > flat_tol
-    est[ok] = best_err - gap[ok] ** 2 / schur[ok]
-    return est
+
+    def __init__(self, gram, pull, offset, cols, steps, flat_tol):
+        self.gram, self.cols, self.flat_tol = gram, np.asarray(cols), flat_tol
+        self.diag, self.pull = np.diag(gram)[self.cols], pull[self.cols]
+        self.single = self.diag - 2.0 * self.pull + offset  # one state takes the whole weight
+        self.schur = self.gap = None
+        self.border, self.solution = np.empty((2, steps + 1, len(cols)))
+        self.rows = 0
+
+    def estimates(self, open_, best_err) -> list:
+        """Python floats for the positions ``open_``; NaN where s_j is not
+        above ``flat_tol``, and so everywhere once a pivot has failed."""
+        if self.schur is None:
+            return self.single[open_].tolist()
+        s, g, tol = self.schur.tolist(), self.gap.tolist(), self.flat_tol
+        return [best_err - g[p] * g[p] / s[p] if s[p] > tol else math.nan for p in open_]
+
+    def accept(self, p):
+        """Update s and g for the acceptance of ``cols[p]``."""
+        row, r = self.gram[self.cols[p], self.cols], self.rows
+        if r == 0:  # the rows of a's bordered KKT matrix [[G_aa, 1], [1, 0]]
+            g_aa = row[p]
+            self.schur = self.diag - 2.0 * row + g_aa
+            self.gap = self.pull - row - (self.pull[p] - g_aa)
+            self.border[0], self.border[1] = row, 1.0
+            self.solution[0], self.solution[1] = 1.0, row - g_aa
+        elif 0.0 < self.schur[p] < math.inf:
+            cross = row - self.solution[:r, p] @ self.border[:r]
+            sol = cross / self.schur[p]
+            self.schur -= cross * sol
+            self.gap -= self.gap[p] * sol
+            self.border[r], self.solution[r] = cross, sol
+        else:  # a pivot that is not positive and finite (or NaN, once one was)
+            self.schur[:] = math.nan
+        self.rows = r + 1 if r else 2
 
 
 class _ScreenMiss(Exception):
@@ -412,8 +421,9 @@ class _ScreenMiss(Exception):
 def _greedy(gram, target, allowed, m_max, scale, screened):
     """The greedy run of :func:`sparsify`: its states, coefficients and error."""
     pull = gram @ target
-    offset = float(target @ pull)
     slack = _SCREEN_SLACK * scale
+    steps = min(m_max, len(allowed))
+    screen = _Screen(gram, pull, float(target @ pull), allowed, steps, slack) if screened else None
 
     def refit(cols, estimate):
         coef, err = _affine_ls(gram, target, cols)
@@ -421,37 +431,35 @@ def _greedy(gram, target, allowed, m_max, scale, screened):
             raise _ScreenMiss
         return coef, err
 
-    active, remaining = [], list(allowed)
+    active, remaining = [], list(range(len(allowed)))  # remaining: positions in allowed
     best_err, best_coef = math.inf, None  # best_coef None: best_err is an estimate
-    for _ in range(min(m_max, len(allowed))):
-        if screened:
-            est = _screen(gram, pull, offset, active, remaining, best_err, slack)
-        else:
-            est = np.full(len(remaining), np.nan)
-        known = ~np.isnan(est)
-        low = float(np.min(est[known])) if known.any() else math.inf
-        # with every estimate within one slack of its exact error, those
-        # left out lie more than two slacks above the lowest exact error;
-        # a candidate with no estimate (NaN) is never left out
-        picks = [(j, e) for j, e in zip(remaining, est) if not e > low + 4.0 * slack]
-        if len(picks) == 1 and known.any():  # a clear winner, taken on its estimate
+    for _ in range(steps):
+        est = screen.estimates(remaining, best_err) if screen else [math.nan] * len(remaining)
+        known = [e for e in est if not math.isnan(e)]
+        low = min(known, default=math.inf)
+        # with estimates within one slack of their exact errors, those left out
+        # lie over two slacks above the lowest exact error; NaN is never left out
+        picks = [(p, e) for p, e in zip(remaining, est) if not e > low + 4.0 * slack]
+        if len(picks) == 1 and known:  # a clear winner, taken on its estimate
             fits = {picks[0][0]: (None, low)}
         else:
-            fits = {j: refit(active + [j], e) for j, e in picks}
+            fits = {p: refit(active + [allowed[p]], e) for p, e in picks}
         step_best = None
-        for j, (coef, err) in fits.items():
+        for p, (coef, err) in fits.items():
             if step_best is None or err < step_best[1] - 1e-15:
-                step_best = (j, err, coef)
-        j, err, coef = step_best
+                step_best = (p, err, coef)
+        p, err, coef = step_best
         if err >= best_err - 1e-12 * scale - 2.0 * slack:  # near the stop margin
             if best_coef is None and active:
                 best_coef, best_err = refit(active, best_err)
             if coef is None:
-                coef, err = refit(active + [j], err)
+                coef, err = refit(active + [allowed[p]], err)
             if err >= best_err - 1e-12 * scale:
                 break
-        active.append(j)
-        remaining.remove(j)
+        active.append(allowed[p])
+        remaining.remove(p)
+        if screen:
+            screen.accept(p)
         best_err, best_coef = err, coef
     if best_coef is None and active:
         best_coef, best_err = refit(active, best_err)
@@ -474,21 +482,19 @@ def sparsify(
     ``m_max`` largest coefficients of ``alpha`` inside the support;
     whichever lands closer to the target is returned.
 
-    Each greedy step screens every candidate (:func:`_screen`) and trusts
-    each estimate to within one slack (``_SCREEN_SLACK`` times the Gram
-    scale) of its least-squares refit.  It refits only where a decision
-    lies within that trust: the candidates within four slacks of the
-    lowest estimate, unless one stands alone, and those with no estimate;
-    and at a stop test within two slacks of its ``1e-12`` margin, the
-    winner and the accepted states.  The final coefficients are one refit
-    of the final support, the input of the refit that accepted its last
-    state.  A refit that misses its estimate by more than one slack reruns
-    the greedy run refitting every candidate at every step.  So the
-    support, the coefficients and the stop are those of refitting every
-    candidate at every step.
+    The greedy run keeps each candidate's Schur complement and gap
+    (:class:`_Screen`), updated by one rank-one step per accepted state, and
+    trusts the error estimates they give to within one slack
+    (``_SCREEN_SLACK`` times the Gram scale) of the least-squares refits.
+    It refits only the decisions within that trust: the candidates within
+    four slacks of the lowest estimate unless one stands alone, those with
+    no estimate, and stop tests within two slacks of their ``1e-12`` margin.
+    The final coefficients are one refit of the final support.  A refit
+    that misses its estimate reruns the greedy run refitting every
+    candidate at every step, so the support, the coefficients and the stop
+    are those of refitting every candidate at every step.
 
-    Returns the coefficients ``alpha_tilde``; raises ``ValueError`` when
-    ``allowed`` is empty.
+    Returns ``alpha_tilde``; raises ``ValueError`` when ``allowed`` is empty.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -515,15 +521,13 @@ def sparsify(
         (i for i in allowed if abs(alpha[i]) > 1e-12),
         key=lambda i: (-abs(alpha[i]), i),
     )[:m_max]
-    top = None
-    top_err = math.inf
-    if ranked:
-        total = float(alpha[ranked].sum())
-        if abs(total) > 1e-12:
-            top = np.zeros(m)
-            top[ranked] = alpha[ranked] / total
-            v = np.append(top, 0.0) - target
-            top_err = float(v @ gram @ v)
+    top, top_err = None, math.inf
+    total = float(alpha[ranked].sum())  # 0 when nothing ranks
+    if abs(total) > 1e-12:
+        top = np.zeros(m)
+        top[ranked] = alpha[ranked] / total
+        v = np.append(top, 0.0) - target
+        top_err = float(v @ gram @ v)
 
     if top is not None and top_err < best_err:
         return top
@@ -638,11 +642,7 @@ def chf_hint(
     query = model.embed_query(raw)
     star = model.closest_correct_index(model.space.query_sqdist(query))
     limit = raw[star] + _TIE_EPS
-    allowed = [
-        i
-        for i in range(len(model.pairs))
-        if raw[i] <= limit and model.dist_raw[i, star] <= limit
-    ]
+    allowed = np.flatnonzero((raw <= limit) & (model.dist_raw[:, star] <= limit)).tolist()
     # allowed holds star: raw[star] <= limit and dist_raw[star, star] = 0
     alpha_tilde = sparsify(model, alpha, query, allowed, m_max)
     positives = [int(i) for i in np.flatnonzero(alpha_tilde > 1e-12)]

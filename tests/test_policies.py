@@ -1,10 +1,11 @@
 import math
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from edithints import editdist, policies
 from edithints.editdist import (
@@ -415,17 +416,63 @@ def test_sparsify_matches_full_refit_oracle(kind):
     assert calls >= (200 if kind == "sequence" else 100)
 
 
-@pytest.mark.parametrize("fault", ["solve-fails", "estimates-off"])
-def test_sparsify_refits_every_candidate_when_the_screen_fails(fig7_model, monkeypatch, fault):
-    if fault == "solve-fails":
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
+def test_chf_hint_sparsifies_over_the_states_between_query_and_solution(monkeypatch):
+    # the support chf_hint hands to sparsify is that of the state-by-state
+    # loop of _sparsify_inputs: the states no farther from the query, nor
+    # from the closest correct solution, than that solution is from the query
+    corpus = synthetic_corpus(seed=41, n_traces=10, goal_variants=True)
+    model = fit_model(corpus, params=KernelParams(3.0, 0.3))
+    sparsify_, seen, checked = policies.sparsify, [], []
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+    def recorded(model, alpha, query, allowed, m_max):
+        seen.append(allowed)
+        return sparsify_(model, alpha, query, allowed, m_max)
+
+    monkeypatch.setattr(policies, "sparsify", recorded)
+    for t in synthetic_corpus(seed=42, n_traces=3).traces:
+        for x in t.states:
+            for scheme in ("gpr", "nwr", "nn"):
+                seen.clear()
+                chf_hint(model, x, scheme=scheme)
+                if seen:
+                    assert seen == [_sparsify_inputs(model, x, scheme)[2]]
+                    assert all(type(i) is int for i in seen[0])
+                    checked.append(len(seen[0]))
+    assert len(checked) >= 30 and max(checked) > 1 and min(checked) < len(model.pairs)
+
+
+@pytest.mark.parametrize("fault", ["pivot-fails", "estimates-off"])
+def test_sparsify_refits_every_candidate_when_the_screen_fails(fig7_model, monkeypatch, fault):
+    # pivot-fails: from the second accepted state on, each accepted state's
+    # pivot is 0, so every later estimate of the run is NaN and every
+    # candidate is refitted.  estimates-off: the estimates come in reverse
+    # candidate order, the exact refits miss them and the run is redone
+    accept, estimates = policies._Screen.accept, policies._Screen.estimates
+    greedy, failed, blind, reruns = policies._greedy, [], [], []  # failed keeps its screens alive
+
+    def failing(screen, p):
+        if screen.schur is not None:
+            screen.schur[p] = 0.0
+            failed.append(screen)
+        accept(screen, p)
+
+    def checked(screen, *args):
+        est = estimates(screen, *args)
+        if screen in failed:
+            assert all(math.isnan(e) for e in est)
+            blind.append(1)
+        return est
+
+    def counted(*args):
+        reruns.append(not args[-1])
+        return greedy(*args)
+
+    if fault == "pivot-fails":
+        monkeypatch.setattr(policies._Screen, "accept", failing)
+        monkeypatch.setattr(policies._Screen, "estimates", checked)
     else:
-        # estimates in reverse candidate order: the exact refits miss them
-        screen = policies._screen
-        monkeypatch.setattr(policies, "_screen", lambda *args: screen(*args)[::-1])
+        monkeypatch.setattr(policies._Screen, "estimates", lambda *args: estimates(*args)[::-1])
+    monkeypatch.setattr(policies, "_greedy", counted)
     model = fig7_model
     query = model.embed_query(model.query_raw_distances(sequence("ab"), model.hint_memo()))
     rng = np.random.default_rng(5)
@@ -434,6 +481,10 @@ def test_sparsify_refits_every_candidate_when_the_screen_fails(fig7_model, monke
         alpha -= alpha.mean()
         for m_max in (1, 3):
             _assert_matches_oracle(model, alpha, query, range(6), m_max)
+    if fault == "pivot-fails":
+        assert len(failed) >= 20 and len(blind) >= 20 and not any(reruns)
+    else:
+        assert sum(reruns) >= 20
 
 
 def _sequence_sparsify_inputs(goal_variants: bool):
@@ -457,15 +508,19 @@ def test_sparsify_refits_about_once_per_call(monkeypatch):
     # support and only close picks and stop tests besides.  One shared goal
     # would make ten copies of a state: the tie rule refits every copy that
     # ties for a pick, and copies of an accepted state, which the screen
-    # cannot estimate, are refitted at every step
-    lstsq, calls = np.linalg.lstsq, []
+    # cannot estimate, are refitted at every step.  The screen itself solves
+    # nothing: it updates its estimates by one rank-one step per state
+    lstsq, solve, calls, solves = np.linalg.lstsq, np.linalg.solve, [], []
     monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
-    counts = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
+    counts, solved = [], 0
     for args in _sequence_sparsify_inputs(goal_variants=True):
-        before = len(calls)
+        before, solves_before = len(calls), len(solves)
         sparsify(*args)
         counts.append(len(calls) - before)
+        solved += len(solves) - solves_before
     assert len(counts) >= 200 and sum(counts) <= 2 * len(counts)
+    assert solved == 0 and solves  # the fits behind the inputs solve: the count works
 
 
 @pytest.mark.parametrize("fault", ["close-race", "false-stop"])
@@ -475,27 +530,27 @@ def test_sparsify_reruns_when_a_trusted_winner_was_misestimated(monkeypatch, fau
     # second step the estimates rise together until the clear winner's leaves
     # the error as it was.  Neither is refitted when it is decided; the later
     # refits' checks catch both, and the run is redone refitting every candidate
-    screen, greedy, faults, reruns = policies._screen, policies._greedy, [], []
+    estimates, greedy, faults, reruns = policies._Screen.estimates, policies._greedy, [], []
 
-    def misestimated(gram, pull, offset, active, cols, best_err, slack):
-        est = screen(gram, pull, offset, active, cols, best_err, slack)
+    def misestimated(screen, open_, best_err):
+        est, slack = np.array(estimates(screen, open_, best_err)), screen.flat_tol
         if np.isnan(est).all():
-            return est
+            return est.tolist()
         low = np.nanmin(est)
         close = np.flatnonzero(est <= low + 4.0 * slack)
         if fault == "close-race" and len(close) > 1:
             est[close[-1]] = low - 5.0 * slack
             faults.append(1)
-        elif fault == "false-stop" and len(active) == 1 and len(close) == 1:
+        elif fault == "false-stop" and len(screen.cols) - len(open_) == 1 and len(close) == 1:
             est += best_err - low
             faults.append(1)
-        return est
+        return est.tolist()
 
     def counted(*args):
         reruns.append(not args[-1])
         return greedy(*args)
 
-    monkeypatch.setattr(policies, "_screen", misestimated)
+    monkeypatch.setattr(policies._Screen, "estimates", misestimated)
     monkeypatch.setattr(policies, "_greedy", counted)
     for args in _sequence_sparsify_inputs(goal_variants=False):
         _assert_matches_oracle(*args)
@@ -510,18 +565,9 @@ _EXTRA = st.tuples(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    base=st.lists(_POINT, min_size=1, max_size=6),
-    extra=st.lists(_EXTRA, max_size=6),
-    query=_POINT,
-    weights=st.lists(st.sampled_from([0.0, -1.0, -0.5, 0.25, 1.0, 3.0]), min_size=12, max_size=12),
-    keep=st.lists(st.booleans(), min_size=12, max_size=12),
-    m_max=st.sampled_from([1, 3, 11]),
-)
-def test_sparsify_matches_oracle_on_degenerate_points(base, extra, query, weights, keep, m_max):
-    # duplicated and collinear states make the refits' KKT matrices singular
-    # and their Schur complements vanish; the result still equals the oracle's
+def _planted_inputs(base, extra, query, weights, keep):
+    """``sparsify`` arguments on planted points in the plane: the base
+    points, then each extra point t a + (1 - t) b of two earlier ones."""
     points = [np.array(p, dtype=float) for p in base]
     for i, j, t in extra:
         a, b = points[i % len(points)], points[j % len(points)]
@@ -531,9 +577,57 @@ def test_sparsify_matches_oracle_on_degenerate_points(base, extra, query, weight
     space = CorrectedSpace(planted_sqdist(points), "clip")
     model = SimpleNamespace(pairs=[None] * m, space=space)
     embedded = space.extend(((points - np.array(query, dtype=float)) ** 2).sum(axis=1))
-    alpha = np.array(weights[:m])
-    allowed = [i for i in range(m) if keep[i]]
+    return model, np.array(weights[:m]), embedded, [i for i in range(m) if keep[i]]
+
+
+_PLANTED = dict(
+    base=st.lists(_POINT, min_size=1, max_size=6),
+    extra=st.lists(_EXTRA, max_size=6),
+    query=_POINT,
+    weights=st.lists(st.sampled_from([0.0, -1.0, -0.5, 0.25, 1.0, 3.0]), min_size=12, max_size=12),
+    keep=st.lists(st.booleans(), min_size=12, max_size=12),
+    m_max=st.sampled_from([1, 3, 11]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_PLANTED)
+def test_sparsify_matches_oracle_on_degenerate_points(base, extra, query, weights, keep, m_max):
+    # duplicated and collinear states make the refits' KKT matrices singular
+    # and their Schur complements vanish; the result still equals the oracle's
+    model, alpha, embedded, allowed = _planted_inputs(base, extra, query, weights, keep)
     _assert_matches_oracle(model, alpha, embedded, allowed, m_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_PLANTED)
+def test_screen_estimates_lie_within_one_slack_of_their_refits(
+    base, extra, query, weights, keep, m_max
+):
+    # at every step of a screened greedy run, each candidate's estimate,
+    # carried by rank-one updates from the states accepted so far, is NaN
+    # or within one slack of the refit of the active states and the candidate
+    model, alpha, embedded, allowed = _planted_inputs(base, extra, query, weights, keep)
+    assume(allowed)
+    target = np.append(alpha, 1.0)
+    accept, estimates, active = policies._Screen.accept, policies._Screen.estimates, []
+
+    def accepted(screen, p):
+        active.append(int(screen.cols[p]))
+        accept(screen, p)
+
+    def checked(screen, open_, best_err):
+        est = estimates(screen, open_, best_err)
+        for p, e in zip(open_, est):
+            if not math.isnan(e):
+                cols = active + [int(screen.cols[p])]
+                err = policies._affine_ls(screen.gram, target, cols)[1]
+                assert abs(e - err) <= screen.flat_tol, (cols, e, err)
+        return est
+
+    with mock.patch.object(policies._Screen, "accept", accepted):
+        with mock.patch.object(policies._Screen, "estimates", checked):
+            sparsify(model, alpha, embedded, allowed, m_max)
 
 
 # ---------------------------------------------------------------------------
