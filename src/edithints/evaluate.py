@@ -24,7 +24,7 @@ import numpy as np
 from .editdist import CostModel, EditError, UNIT_COSTS
 from .editdist import apply_edit, distance, distance_row, serialize_edit
 from .policies import FitError, Geometry, GprModel, KernelParams, prepared_traces
-from .space import squared
+from .space import check_mode, squared
 from .states import EMPTY_CANON
 from .traces import Dataset, Trace, TracePairs
 from .traces import build_pairs, goal_filter  # uncalled; perfbench/tracing.py wraps these names
@@ -42,6 +42,9 @@ _WEIGHT_SCHEME = {"gaussian_process": "gpr", "nwr": "nwr", "nn": "nn"}
 
 # synthetic_corpus records one state every 1 to this many steps of a walk
 CORPUS_MAX_STRIDE = 3
+# most matrix entries in one stack of fold geometries: of 4096 to 131072, this
+# and 65536 built spaces fastest per matrix at 12 to 306 states, within noise
+_STACK_ENTRIES = 32768
 
 
 @dataclass(frozen=True)
@@ -99,17 +102,37 @@ _LAYOUT = {
 
 
 def _predict_coords(model: GprModel, scheme: str, raw: np.ndarray, coords, sqdist=None) -> np.ndarray:
-    """Predicted next-state coordinates for one query under a scheme;
-    ``sqdist`` is the query's :meth:`GprModel.kernel_query_sqdist`, or None."""
+    """Predicted next-state coordinates of one query, or a stack of them one per row,
+    under a scheme; ``sqdist`` is their :meth:`GprModel.kernel_query_sqdist`, or None."""
     if scheme == "do_nothing":
         return coords
-    if scheme == "successor_of_closest":
-        return model.space.coordinates[model.closest_successor_raw_index(raw)]
-    if scheme == "closest_correct":
-        return model.space.coordinates[model.closest_correct_raw_index(raw)]
-    gamma = model.weights(raw, _WEIGHT_SCHEME[scheme], sqdist)
     points = model.space.coordinates
-    return coords + gamma @ (points[model.pairs.successor] - points)
+    if scheme == "successor_of_closest":
+        return points[model.closest_successor_raw_index(raw)]
+    if scheme == "closest_correct":
+        return points[model.closest_correct_raw_index(raw)]
+    gamma = model.weights(raw, _WEIGHT_SCHEME[scheme], sqdist)
+    return coords + (gamma[..., None, :] @ (points[model.pairs.successor] - points))[..., 0, :]
+
+
+def _fold_geometries(flat, matrix: np.ndarray, spans: list, mode: str) -> list:
+    """One :class:`Geometry` per fold, its held-out states as its queries;
+    folds of one shape join one group, of ``_STACK_ENTRIES`` entries at most."""
+    folds, groups, ids = [], {}, flat.trace_ids
+    for held, held_ids in enumerate(spans):
+        rest = spans[:held] + spans[held + 1 :]
+        train_ids = [g for span in rest for g in span]
+        pairs = TracePairs.from_lengths(
+            [flat.states[g] for g in train_ids], ids[:held] + ids[held + 1 :], map(len, rest)
+        )
+        m = len(train_ids)
+        shape = groups.setdefault((m, len(pairs.moving_indices)), [[]])
+        if (len(shape[-1]) + 1) * m * m > _STACK_ENTRIES:
+            shape.append([])
+        queries = np.delete(matrix[held_ids], held_ids, axis=1)  # as each pass reads them
+        folds.append(Geometry(pairs, matrix[np.ix_(train_ids, train_ids)], mode, queries, shape[-1]))
+        shape[-1].append(folds[-1])
+    return folds
 
 
 def loo_rmse_multi(
@@ -123,12 +146,16 @@ def loo_rmse_multi(
     """Leave-one-trace-out RMSE for several prediction schemes at once.
 
     Each fold's model is fitted once and shared across schemes, and so is
-    each held-out state's kernel query.  ``prepared`` is
+    each held-out state's kernel query; a fold predicts its held-out
+    states in one call per scheme.  ``prepared`` is
     ``prepared_traces(dataset, cost)``, computed here when not given; its
     fold records keep each fold's geometry and held-out queries, so every
-    later call on it fits only the kernel systems.  The training states
-    are already canonical, so fold models canonicalize nothing.  Returns a
-    mapping scheme name -> :class:`EvalReport`.
+    later call on it fits only the kernel systems.  Folds of one training
+    and kernel size (all of them when every trace has one length) build
+    their geometries as one stack, and embed their held-out states in one
+    pass per space, at the first fold model of any of them.  The training
+    states are already canonical, so fold models canonicalize nothing.
+    Returns a mapping scheme name -> :class:`EvalReport`.
     """
     schemes = tuple(schemes)
     for scheme in schemes:
@@ -136,72 +163,41 @@ def loo_rmse_multi(
             raise ValueError(
                 f"unknown scheme {scheme!r}; expected one of {PREDICTION_SCHEMES}"
             )
+    check_mode(mode)
     if prepared is None:
         prepared = prepared_traces(dataset, cost)
     flat, matrix = prepared
-    folds = prepared.folds.setdefault(mode, {})
     ids = flat.trace_ids
     if len(ids) < 2:
         raise FitError("leave-one-out needs at least two successful traces")
     spans = [range(start, stop) for start, stop in flat.trace_spans]
+    if mode not in prepared.folds:
+        prepared.folds[mode] = _fold_geometries(flat, matrix, spans, mode)
 
     per_trace = {scheme: [] for scheme in schemes}
     skipped = []
-    for held, held_ids in enumerate(spans):
-        if held not in folds:
-            rest = spans[:held] + spans[held + 1 :]
-            train_ids = [g for span in rest for g in span]
-            pairs = TracePairs.from_lengths(
-                [flat.states[g] for g in train_ids], ids[:held] + ids[held + 1 :], map(len, rest)
-            )
-            sub = matrix[np.ix_(train_ids, train_ids)]
-            folds[held] = (train_ids, Geometry(pairs, sub, mode), [])
-        train_ids, geometry, queries = folds[held]
-        try:  # the first call builds the geometry and embeds the held-out states
+    for held, (held_ids, geometry) in enumerate(zip(spans, prepared.folds[mode])):
+        try:  # the first fold of a group builds the group and embeds its queries
             model = GprModel(dataset.kind, geometry, cost, EMPTY_CANON, params)
-            raw_rows = [matrix[g][train_ids] for g in held_ids]
-            if not queries:  # each held-out state's embedding and kernel query
-                squared(np.array(raw_rows))  # a square that overflows skips the fold
-                queries += [(model.embed_query(r).coords, model.kernel_query_sqdist(r)) for r in raw_rows]
+            coords, sqdist = geometry.embedded()
         except (FitError, ValueError) as exc:
             skipped.append((ids[held], str(exc)))
             continue
-        coords = [c for c, _ in queries]
         nexts = flat.successor[held_ids] - held_ids.start
-        n = len(held_ids)
+        n, raw = len(held_ids), np.delete(matrix[held_ids], held_ids, axis=1)
         for scheme in schemes:
-            errs_next = []
-            errs_final = []
-            for t in range(n):
-                pred = _predict_coords(model, scheme, raw_rows[t], coords[t], queries[t][1])
-                errs_next.append(float(np.sum((pred - coords[nexts[t]]) ** 2)))
-                errs_final.append(float(np.sum((pred - coords[-1]) ** 2)))
-            per_trace[scheme].append(
-                (
-                    ids[held],
-                    math.sqrt(sum(errs_next) / n),
-                    math.sqrt(sum(errs_final) / n),
-                    n,
-                )
-            )
+            pred = _predict_coords(model, scheme, raw, coords, sqdist)
+            errs = (((pred - coords[nexts]) ** 2).sum(axis=-1), ((pred - coords[-1]) ** 2).sum(axis=-1))
+            per_trace[scheme].append((ids[held], *(math.sqrt(sum(e.tolist()) / n) for e in errs), n))
 
     reports = {}
-    for scheme in schemes:
-        rows = per_trace[scheme]
+    for scheme, rows in per_trace.items():
         if not rows:
             held, reason = skipped[0]
             raise FitError(f"every fold was unfittable; the first, trace {held!r}: {reason}")
-        nexts = np.array([r[1] for r in rows])
-        finals = np.array([r[2] for r in rows])
-        reports[scheme] = EvalReport(
-            kind="rmse",
-            per_trace=tuple(rows),
-            mean_next=float(nexts.mean()),
-            std_next=float(nexts.std()),
-            mean_final=float(finals.mean()),
-            std_final=float(finals.std()),
-            folds_skipped=tuple(skipped),
-        )
+        nexts, finals = (np.array([row[k] for row in rows]) for k in (1, 2))
+        stats = (float(f(v)) for v in (nexts, finals) for f in (np.mean, np.std))
+        reports[scheme] = EvalReport("rmse", tuple(rows), *stats, folds_skipped=tuple(skipped))
     return reports
 
 
@@ -315,6 +311,7 @@ def hyper_search(
     cost)``, computed here when not given."""
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
+    check_mode(mode)
     if prepared is None:
         prepared = prepared_traces(dataset, cost)
     rng = random.Random(seed)

@@ -126,31 +126,64 @@ class Geometry:
     :meth:`spaces` call builds the corrected embedding over all trace
     states and the kernel's own corrected space over the regression inputs
     (the moving pairs' source states), so that the kernel matrix is a
-    Gaussian kernel on genuine Euclidean points.  Every model of one
-    geometry shares that build; a failed build raises its error again at
-    every later call, without a second attempt."""
+    Gaussian kernel on genuine Euclidean points, and embeds (then drops)
+    ``queries``, raw distances from outside states to the training states,
+    one row each.  Every model of one geometry shares that build; a failed
+    build raises its error again at every later call, without a second attempt.
 
-    def __init__(self, pairs: TracePairs, dist_raw: np.ndarray, mode: str):
+    Geometries of one shape that each hold the ``group`` list of them all
+    are built as one stack, bitwise each one's lone build, at the first
+    :meth:`spaces` call of any; if the stack fails, each builds alone."""
+
+    def __init__(self, pairs: TracePairs, dist_raw: np.ndarray, mode: str, queries=None, group=None):
         if dist_raw.shape != (len(pairs), len(pairs)):
             raise ValueError(f"expected {len(pairs)}x{len(pairs)} distances, got {dist_raw.shape}")
-        self.pairs, self.dist_raw, self.mode = pairs, dist_raw, mode
+        self.pairs, self.dist_raw, self.mode, self.queries = pairs, dist_raw, mode, queries
         self.kernel_indices = pairs.moving_indices.tolist()
-        self._built = None  # the built spaces, or the error of their build
+        ends = pairs.end_indices  # in the order ties break: by trace id, then index
+        self.end_order = ends[np.lexsort((ends, pairs.trace_ids))]
+        self._group = group  # those built with this one: a reference cycle until the build
+        self._built = None  # the built spaces and embedded queries, or the error of their build
 
     def spaces(self) -> tuple:
         """``(space, kernel_space, kernel_sqdist)``: both corrected spaces
         and the kernel space's corrected squared distances."""
         if self._built is None:
-            idx = self.kernel_indices
-            try:
-                space = CorrectedSpace(squared(self.dist_raw), self.mode)
-                kernel = CorrectedSpace(squared(self.dist_raw[np.ix_(idx, idx)]), self.mode)
-                self._built = (space, kernel, kernel.corrected_sqdist())
-            except (ValueError, NumericalError) as exc:
-                self._built = exc
+            _build(self._group or [self])
         if isinstance(self._built, Exception):  # a fresh traceback at every raise
             raise self._built.with_traceback(None)
-        return self._built
+        return self._built[:3]
+
+    def embedded(self) -> tuple:
+        """The queries' corrected coordinates and :meth:`GprModel.kernel_query_sqdist`."""
+        self.spaces()
+        return self._built[3:]
+
+
+def _build(group: list):
+    """A lone geometry (fit, load, hints) builds from its own 2-D matrices."""
+    one, first = len(group) == 1, group[0]
+    join = (lambda arrays, axis=0: arrays[0]) if one else np.stack
+    try:
+        space = CorrectedSpace(squared(join([g.dist_raw for g in group])), first.mode)
+        ix = [np.ix_(g.kernel_indices, g.kernel_indices) for g in group]
+        kernel = CorrectedSpace(squared(join([g.dist_raw[i] for g, i in zip(group, ix)])), first.mode)
+        built = [space, kernel, kernel.corrected_sqdist()]
+        if first.queries is not None:  # a query square that overflows fails the build
+            coords = space.extend(squared(join([g.queries for g in group], -2))).coords
+            q = kernel.extend(join([g.queries[:, g.kernel_indices] for g in group], -2) ** 2)
+            sqdist = np.maximum(kernel.query_sqdist(q), 0.0)
+            built += [np.moveaxis(x, -2, 0) for x in (coords, sqdist)]  # members first
+    except (ValueError, NumericalError) as exc:
+        if one:
+            first._built, first._group = exc, None
+        else:  # each alone, so that a failure stays with its own geometry
+            for g in group:
+                _build([g])
+        return
+    for i, g in enumerate(group):
+        g._built = tuple(built) if one else tuple(p[i] for p in built)
+        g.queries = g._group = None
 
 
 class GprModel:
@@ -163,7 +196,7 @@ class GprModel:
     ):
         self.kind, self.cost, self.canon, self.params = kind, cost, canon, params
         self.pairs, self.dist_raw, self.mode = geometry.pairs, geometry.dist_raw, geometry.mode
-        self.kernel_indices = geometry.kernel_indices
+        self.kernel_indices, self._ends = geometry.kernel_indices, geometry.end_order
         self.space, self.kernel_space, kernel_sqdist = geometry.spaces()
         self.kernel_matrix = rbf(kernel_sqdist, params.length_scale)
         self.used_pseudo_inverse = False
@@ -189,7 +222,7 @@ class GprModel:
             self._inverse = np.linalg.pinv(a, rcond=1e-10)
             self.used_pseudo_inverse = True
 
-    # -- query-side quantities ---------------------------------------------
+    # -- query-side quantities: of one query, or of a stack of them, one per row
 
     def hint_memo(self) -> DistanceMemo:
         """A memo for the distances of one hint, started from the base memo
@@ -215,7 +248,7 @@ class GprModel:
     def kernel_query_sqdist(self, raw_distances: np.ndarray) -> np.ndarray:
         """Corrected squared distances from a query to the regression
         inputs: the eigenvalue correction extended to the new distances."""
-        q = self.kernel_space.extend(raw_distances[self.kernel_indices] ** 2)
+        q = self.kernel_space.extend(raw_distances[..., self.kernel_indices] ** 2)
         return np.maximum(self.kernel_space.query_sqdist(q), 0.0)
 
     def weights(self, raw_distances: np.ndarray, scheme: str, sqdist: np.ndarray = None) -> np.ndarray:
@@ -232,23 +265,21 @@ class GprModel:
         if scheme not in ("gpr", "nwr", "nn"):
             raise ValueError(f"unknown weight scheme {scheme!r}")
         idx = self.kernel_indices
-        gamma = np.zeros(len(self.pairs))
+        gamma = np.zeros(np.shape(raw_distances))
         if not idx:
             return gamma
         d = self.kernel_query_sqdist(raw_distances) if sqdist is None else sqdist
-        if scheme == "nn":
-            best = float(np.min(d))
-            for pos, i in enumerate(idx):  # ties: lowest pair index wins
-                if d[pos] <= best + _TIE_EPS * (1.0 + best):
-                    gamma[i] = 1.0
-                    break
+        if scheme == "nn":  # ties: lowest pair index wins
+            best = d.min(axis=-1, keepdims=True)
+            pos = (d <= best + _TIE_EPS * (1.0 + best)).argmax(axis=-1)
+            np.put_along_axis(gamma, np.array(idx)[pos][..., None], 1.0, axis=-1)
             return gamma
         k = rbf(d, self.params.length_scale)
-        total = float(k.sum())
         if scheme == "gpr":
-            gamma[idx] = self._inverse @ k
-        elif total != 0.0:
-            gamma[idx] = k / total
+            gamma[..., idx] = (self._inverse @ k[..., None])[..., 0]
+        else:
+            total = k.sum(axis=-1, keepdims=True)
+            gamma[..., idx] = k / np.where(total == 0.0, 1.0, total)
         return gamma
 
     def closest_correct_index(self, corrected_sqdist_to_states: np.ndarray) -> int:
@@ -268,26 +299,23 @@ class GprModel:
         to the query in raw edit distance (the state itself when it is
         final); the first state within an absolute ``_TIE_EPS`` of the
         minimum is the closest."""
-        best = float(np.min(raw_distances))
-        nearest = int(np.flatnonzero(raw_distances <= best + _TIE_EPS)[0])
-        return int(self.pairs.successor[nearest])
+        best = raw_distances.min(axis=-1, keepdims=True)
+        return self.pairs.successor[(raw_distances <= best + _TIE_EPS).argmax(axis=-1)].tolist()
 
     def _closest_end(self, values: np.ndarray, relative: bool) -> int:
-        ends = self.pairs.end_indices.tolist()
-        if not ends:
+        if not len(self._ends):
             raise FitError("model has no end states")
-        best = min(float(values[i]) for i in ends)
+        values = np.asarray(values)[..., self._ends]
+        best = values.min(axis=-1, keepdims=True)
         limit = best + _TIE_EPS * ((1.0 + abs(best)) if relative else 1.0)
-        return min(
-            (tid, i) for tid, i in zip(self.pairs.trace_ids, ends) if float(values[i]) <= limit
-        )[1]
+        return self._ends[(values <= limit).argmax(axis=-1)].tolist()
 
 
 class Prepared(tuple):
     """``(pairs, dist_raw)`` of :func:`prepared_traces`.  ``folds`` maps a
     correction mode to the leave-one-out fold records that evaluations on
-    this data fill at first use and share, ``{held-out trace index:
-    (train ids, Geometry, held-out queries)}``; they live as long as it."""
+    this data fill at first use and share, one :class:`Geometry` per fold
+    with the held-out states as its queries; they live as long as it."""
 
     def __new__(cls, pairs: TracePairs, dist_raw: np.ndarray):
         out = super().__new__(cls, (pairs, dist_raw))

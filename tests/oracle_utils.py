@@ -8,11 +8,12 @@ the embedding, direct coordinate geometry for planted configurations,
 the inverse of an edit for round trips, replaying a script edit by edit,
 pair-by-pair accumulation for the state coefficients of pair weights,
 loop forms of the Nystrom projection and the prediction step,
-sparsification that refits every candidate at every greedy step, and a
-hyper-parameter search that scores each sample with a fresh public
-leave-one-out run.  It also holds the small builders and serializers
-that only tests use: tree construction and size, and a dataset's JSON
-object.
+sparsification that refits every candidate at every greedy step, a
+leave-one-out evaluation that fits each fold alone and predicts its
+held-out states one at a time, and a hyper-parameter search that scores
+each sample with a fresh run of it.  It also holds the small builders
+and serializers that only tests use: tree construction and size, and a
+dataset's JSON object.
 """
 
 from __future__ import annotations
@@ -29,14 +30,17 @@ from edithints.editdist import (
     INF,
     CostModel,
     EditError,
+    UNIT_COSTS,
     SeqEdit,
     TreeEdit,
     apply_edit,
     edit_to_dict,
 )
-from edithints.evaluate import loo_rmse
-from edithints.policies import KernelParams
-from edithints.states import Label, TreeState, serialize_state
+from edithints.evaluate import EvalReport
+from edithints.policies import FitError, Geometry, GprModel, KernelParams, prepared_traces
+from edithints.space import squared
+from edithints.states import EMPTY_CANON, Label, TreeState, serialize_state
+from edithints.traces import TracePairs
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +489,105 @@ def greedy_sparsify_oracle(model, alpha, query, allowed, m_max):
 # hyper-parameter search, one public leave-one-out run per sample
 
 
+# ---------------------------------------------------------------------------
+# leave-one-out evaluation, one fold and one held-out state at a time
+
+_WEIGHTS = {"gaussian_process": "gpr", "nwr": "nwr", "nn": "nn"}
+
+
+def _predict_one(model, scheme, raw, coords, sqdist):
+    if scheme == "do_nothing":
+        return coords
+    points = model.space.coordinates
+    if scheme == "successor_of_closest":
+        return points[model.closest_successor_raw_index(raw)]
+    if scheme == "closest_correct":
+        return points[model.closest_correct_raw_index(raw)]
+    gamma = model.weights(raw, _WEIGHTS[scheme], sqdist)
+    return coords + gamma @ (points[model.pairs.successor] - points)
+
+
+def loo_rmse_oracle(dataset, schemes, params=KernelParams(), cost=UNIT_COSTS, mode="clip") -> dict:
+    """The reports ``evaluate.loo_rmse_multi`` must give: every fold fitted
+    alone on a fresh geometry of its own, every held-out state embedded and
+    predicted alone, one 1-D query at a time."""
+    flat, matrix = prepared_traces(dataset, cost)
+    ids = flat.trace_ids
+    if len(ids) < 2:
+        raise FitError("leave-one-out needs at least two successful traces")
+    spans = [range(start, stop) for start, stop in flat.trace_spans]
+    per_trace = {scheme: [] for scheme in schemes}
+    skipped = []
+    for held, held_ids in enumerate(spans):
+        rest = spans[:held] + spans[held + 1 :]
+        train_ids = [g for span in rest for g in span]
+        pairs = TracePairs.from_lengths(
+            [flat.states[g] for g in train_ids], ids[:held] + ids[held + 1 :], map(len, rest)
+        )
+        geometry = Geometry(pairs, matrix[np.ix_(train_ids, train_ids)], mode)
+        rows = [matrix[g][train_ids] for g in held_ids]
+        try:
+            model = GprModel(dataset.kind, geometry, cost, EMPTY_CANON, params)
+            squared(np.array(rows))
+            queries = [(model.embed_query(r).coords, model.kernel_query_sqdist(r)) for r in rows]
+        except (FitError, ValueError) as exc:
+            skipped.append((ids[held], str(exc)))
+            continue
+        coords = [c for c, _ in queries]
+        nexts = flat.successor[held_ids] - held_ids.start
+        n = len(held_ids)
+        for scheme in schemes:
+            errs_next, errs_final = [], []
+            for t in range(n):
+                pred = _predict_one(model, scheme, rows[t], coords[t], queries[t][1])
+                errs_next.append(float(np.sum((pred - coords[nexts[t]]) ** 2)))
+                errs_final.append(float(np.sum((pred - coords[-1]) ** 2)))
+            row = (ids[held], math.sqrt(sum(errs_next) / n), math.sqrt(sum(errs_final) / n), n)
+            per_trace[scheme].append(row)
+    reports = {}
+    for scheme in schemes:
+        rows = per_trace[scheme]
+        if not rows:
+            held, reason = skipped[0]
+            raise FitError(f"every fold was unfittable; the first, trace {held!r}: {reason}")
+        nexts = np.array([r[1] for r in rows])
+        finals = np.array([r[2] for r in rows])
+        reports[scheme] = EvalReport(
+            kind="rmse",
+            per_trace=tuple(rows),
+            mean_next=float(nexts.mean()),
+            std_next=float(nexts.std()),
+            mean_final=float(finals.mean()),
+            std_final=float(finals.std()),
+            folds_skipped=tuple(skipped),
+        )
+    return reports
+
+
+def report_hex(report) -> tuple:
+    """An rmse report with every float as its hex form."""
+    def hexed(v):
+        return v.hex() if isinstance(v, float) else v
+
+    return (
+        tuple(tuple(hexed(v) for v in row) for row in report.per_trace),
+        tuple(hexed(getattr(report, f)) for f in ("mean_next", "std_next", "mean_final", "std_final")),
+        report.folds_skipped,
+    )
+
+
 def hyper_search_oracle(dataset, psi_range, noise_range, repeats, seed, **options):
     """The parameters ``evaluate.hyper_search`` must pick: the same
-    log-uniform draws, each scored by its own ``loo_rmse`` call; the
-    earliest lowest mean next-step RMSE wins."""
+    log-uniform draws, each scored by its own :func:`loo_rmse_oracle` run;
+    the earliest lowest mean next-step RMSE wins."""
 
     def draw(lo, hi):
         return lo if lo == hi else math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
     rng = random.Random(seed)
     samples = [KernelParams(draw(*psi_range), draw(*noise_range)) for _ in range(repeats)]
-    scores = [loo_rmse(dataset, "gaussian_process", p, **options).mean_next for p in samples]
+    scheme = "gaussian_process"
+    scores = [loo_rmse_oracle(dataset, (scheme,), p, **options)[scheme].mean_next for p in samples]
     return samples[scores.index(min(scores))]
 
 

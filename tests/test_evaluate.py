@@ -1,10 +1,11 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
-from edithints import cli, evaluate, space
+from edithints import cli, evaluate, policies, space
 from edithints.editdist import CostModel, SeqEdit, UNIT_COSTS
 from edithints.evaluate import (
     PREDICTION_SCHEMES,
@@ -17,13 +18,35 @@ from edithints.evaluate import (
     synthetic_corpus,
 )
 from edithints.policies import FitError, HintResult, KernelParams, fit_model
-from edithints.traces import load_dataset
+from edithints.traces import Dataset, Trace, load_dataset
 
-from oracle_utils import dataset_to_dict, hyper_search_oracle, predict_move_loop
+from oracle_utils import (
+    dataset_to_dict,
+    hyper_search_oracle,
+    loo_rmse_oracle,
+    predict_move_loop,
+    report_hex,
+)
 
 
 def small_corpus():
     return synthetic_corpus(seed=5, n_traces=6, base_solution="abcdef", min_missing=2, max_missing=4)
+
+
+def shaped_corpus(seed, n_traces=8, states=4):
+    """``n_traces`` sequence traces of ``states`` states each, like the
+    benchmark's eval corpora: the start, a seeded choice of the states
+    between and the solution of longer synthetic traces.  Every fold has
+    one training and kernel size."""
+    rng = random.Random(seed)
+    walks = synthetic_corpus(seed, n_traces=4 * n_traces, min_missing=6, max_missing=6).traces
+    traces = []
+    for walk in [t for t in walks if len(t.states) >= states][:n_traces]:
+        middle = sorted(rng.sample(range(1, len(walk.states) - 1), states - 2))
+        kept = (walk.states[0], *(walk.states[i] for i in middle), walk.states[-1])
+        traces.append(Trace(walk.id, kept, True))
+    assert len(traces) == n_traces
+    return Dataset("sequence", tuple(traces))
 
 
 def test_do_nothing_on_static_traces_is_zero():
@@ -143,13 +166,18 @@ def _counted(monkeypatch, module, name) -> list:
     return calls
 
 
+def _decomposed(calls) -> int:
+    """How many matrices a log of ``jacobi_eigh`` calls decomposed."""
+    return sum(1 if np.ndim(a) == 2 else len(a) for a, *_ in calls)
+
+
 @pytest.mark.parametrize("repeats", [1, 3])
 def test_search_builds_each_fold_geometry_once(monkeypatch, repeats):
     eigh = _counted(monkeypatch, space, "jacobi_eigh")
     ds = small_corpus()
     hyper_search(ds, (0.5, 3.0), (0.01, 0.5), repeats=repeats, seed=2)
     # two corrected spaces per fold, shared by every sample
-    assert len(eigh) == 2 * len(ds.successful_traces())
+    assert _decomposed(eigh) == 2 * len(ds.successful_traces())
 
 
 def test_eval_search_task_reuses_the_search_geometry(monkeypatch, tmp_path):
@@ -159,7 +187,21 @@ def test_eval_search_task_reuses_the_search_geometry(monkeypatch, tmp_path):
     eigh = _counted(monkeypatch, space, "jacobi_eigh")
     argv = ["eval", "--dataset", str(data), "--task", "rmse", "--search", "--repeats", "3"]
     assert cli.main(argv) == 0
-    assert len(eigh) == 2 * len(ds.successful_traces())
+    assert _decomposed(eigh) == 2 * len(ds.successful_traces())
+
+
+def test_folds_of_one_shape_build_as_one_stack_per_space(monkeypatch):
+    # eight traces of four states: every fold trains on 28 states, 21 of
+    # them regression inputs, so the eight folds are one group
+    eigh = _counted(monkeypatch, space, "jacobi_eigh")
+    extend = _counted(monkeypatch, space.CorrectedSpace, "extend")
+    ds = shaped_corpus(1)
+    prepared = prepared_traces(ds)
+    params = hyper_search(ds, (0.5, 5.0), (0.01, 1.0), repeats=2, seed=1, prepared=prepared)
+    loo_rmse_multi(ds, PREDICTION_SCHEMES, params, prepared=prepared)
+    assert [np.shape(a) for a, in eigh] == [(8, 28, 28), (8, 21, 21)]
+    # the held-out states of every fold: one projection per space
+    assert [np.shape(q) for _, q in extend] == [(4, 8, 28), (4, 8, 21)]
 
 
 TREE_CORPUS = {
@@ -207,6 +249,140 @@ def test_shared_fold_records_match_a_fresh_preparation_per_sample(monkeypatch, c
         checked(ds, PREDICTION_SCHEMES, params, cost, mode, prepared)
 
 
+def test_a_stack_holds_at_most_the_entry_bound(monkeypatch):
+    ds = shaped_corpus(1)
+    alone = loo_rmse_multi(ds, PREDICTION_SCHEMES, KernelParams(1.5, 0.2))
+    # room for three 28 x 28 training matrices: stacks of 3, 3 and 2 folds
+    monkeypatch.setattr(evaluate, "_STACK_ENTRIES", 3 * 28 * 28)
+    eigh = _counted(monkeypatch, space, "jacobi_eigh")
+    bounded = loo_rmse_multi(ds, PREDICTION_SCHEMES, KernelParams(1.5, 0.2))
+    assert [np.shape(a)[:2] for a, in eigh] == [(3, 28), (3, 21), (3, 28), (3, 21), (2, 28), (2, 21)]
+    assert bounded == alone
+
+
+def _oracle_case(case):
+    return {
+        "shaped": (shaped_corpus(3), UNIT_COSTS),
+        # traces of 2, 4 and 5 states: folds in groups of several and of one
+        "unequal": (synthetic_corpus(seed=0, n_traces=9, base_solution="abcdefg", min_missing=1, max_missing=4), UNIT_COSTS),
+        "weighted": (small_corpus(), WEIGHTED),
+        "tree": (load_dataset(TREE_CORPUS), UNIT_COSTS),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case, mode",
+    [
+        ("shaped", "clip"),
+        ("shaped", "flip"),
+        ("shaped", "shift"),
+        ("unequal", "clip"),
+        ("unequal", "flip"),
+        ("unequal", "shift"),
+        ("weighted", "shift"),
+        ("tree", "clip"),
+    ],
+)
+def test_loo_matches_the_fold_by_fold_oracle(monkeypatch, case, mode):
+    ds, cost = _oracle_case(case)
+    eigh = _counted(monkeypatch, space, "jacobi_eigh")
+    prepared = prepared_traces(ds, cost)
+    samples = (KernelParams(0.4, 0.0), KernelParams(2.0, 0.3), KernelParams(2.0, 0.3))
+    got = [loo_rmse_multi(ds, PREDICTION_SCHEMES, p, cost, mode, prepared) for p in samples]
+    monkeypatch.undo()
+    # stacks of several folds, and where traces differ in length lone folds too
+    assert {np.ndim(a) for a, in eigh} == ({3} if case in ("shaped", "tree") else {2, 3})
+    for params, reports in zip(samples, got):
+        want = loo_rmse_oracle(ds, PREDICTION_SCHEMES, params, cost, mode)
+        for scheme in PREDICTION_SCHEMES:
+            assert report_hex(reports[scheme]) == report_hex(want[scheme]), scheme
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_search_on_equal_folds_matches_the_oracle(seed):
+    ds = shaped_corpus(seed)
+    got = hyper_search(ds, (0.5, 5.0), (0.01, 1.0), repeats=3, seed=seed)
+    want = hyper_search_oracle(ds, (0.5, 5.0), (0.01, 1.0), 3, seed)
+    assert (got.length_scale.hex(), got.noise_std.hex()) == (
+        want.length_scale.hex(),
+        want.noise_std.hex(),
+    )
+
+
+def test_built_fold_geometries_hold_no_reference_cycle():
+    # a group's members refer to each other until the build; after it,
+    # dropping the prepared data frees every geometry without the cycle
+    # collector, as it did before folds were grouped
+    import gc
+    import weakref
+
+    ds = shaped_corpus(2)
+    prepared = prepared_traces(ds)
+    loo_rmse_multi(ds, ("nn",), prepared=prepared)
+    folds = [weakref.ref(g) for g in prepared.folds["clip"]]
+    gc.disable()
+    try:
+        del prepared
+        assert all(fold() is None for fold in folds)
+    finally:
+        gc.enable()
+
+
+def test_a_fold_that_needs_the_pseudo_inverse_falls_back_alone(monkeypatch):
+    # t1 and t2 are twins, so at zero noise the kernel matrix of a fold that
+    # trains on both is singular; the four folds share one shape and build
+    # as one stack
+    ds = load_dataset(
+        {
+            "kind": "sequence",
+            "traces": [
+                {"id": "t1", "successful": True, "states": [["a"], ["a", "b"]]},
+                {"id": "t2", "successful": True, "states": [["a"], ["a", "b"]]},
+                {"id": "t3", "successful": True, "states": [["c", "d"], ["c", "d", "e"]]},
+                {"id": "t4", "successful": True, "states": [["e", "f"], ["e", "f", "a"]]},
+            ],
+        }
+    )
+    built, original = [], evaluate.GprModel
+
+    def recorded(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(evaluate, "GprModel", recorded)
+    eigh = _counted(monkeypatch, space, "jacobi_eigh")
+    params = KernelParams(0.5, 0.0)
+    got = loo_rmse_multi(ds, PREDICTION_SCHEMES, params)
+    monkeypatch.undo()
+    assert [np.shape(a) for a, in eigh] == [(4, 6, 6), (4, 3, 3)]
+    assert [m.used_pseudo_inverse for m in built] == [False, False, True, True]
+    want = loo_rmse_oracle(ds, PREDICTION_SCHEMES, params)
+    for scheme in PREDICTION_SCHEMES:
+        assert report_hex(got[scheme]) == report_hex(want[scheme]), scheme
+
+
+def test_a_stacked_eigensolver_failure_is_retried_one_matrix_at_a_time(monkeypatch):
+    original = np.linalg.eigh
+    shapes = []
+
+    def stacks_fail(a):
+        shapes.append(np.shape(a))
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", stacks_fail)
+    ds, params = shaped_corpus(5), KernelParams(1.5, 0.2)
+    got = loo_rmse_multi(ds, PREDICTION_SCHEMES, params)
+    monkeypatch.undo()
+    # the stack fails at its first decomposition; then each fold alone
+    assert shapes == [(8, 28, 28)] + [(28, 28), (21, 21)] * 8
+    want = loo_rmse_oracle(ds, PREDICTION_SCHEMES, params)
+    for scheme in PREDICTION_SCHEMES:
+        assert report_hex(got[scheme]) == report_hex(want[scheme]), scheme
+        assert not got[scheme].folds_skipped
+
+
 # the fittable fold's held-out distances overflow too when squared, so its
 # predictions are not finite; only the skipped folds are checked
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -227,6 +403,8 @@ def test_unfittable_fold_is_attempted_once_and_skipped_alike_in_every_pass(monke
         }
     )
     spaces = _counted(monkeypatch, space, "validate_sqdist")
+    squares = _counted(monkeypatch, policies, "squared")
+    eigh = _counted(monkeypatch, space, "jacobi_eigh")
     prepared = prepared_traces(ds, cost)
     reason = "every fold was unfittable; the first, trace 't1': squared distances must be finite"
     with pytest.raises(FitError) as search:
@@ -240,6 +418,16 @@ def test_unfittable_fold_is_attempted_once_and_skipped_alike_in_every_pass(monke
     # overflow before a space is built, once, and later passes repeat their
     # reason without a build
     assert len(spaces) == 2
+    # the folds of t1 and t3 share shape (5, 3): their stack overflows at
+    # its first square, then each is built alone and fails on its own, t1's
+    # at the square of its held-out rows (3, 5) and t3's at its first;
+    # the fold of t2 trains on 6 states and is built alone from the start
+    shapes = [(2, 5, 5), (5, 5), (3, 3), (3, 5), (5, 5), (6, 6)]
+    assert [np.shape(a) for a, in squares] == shapes
+    assert [np.shape(a) for a, in eigh] == [(5, 5), (3, 3)]
+    for fold in prepared.folds["clip"]:
+        with pytest.raises(ValueError, match="squared distances must be finite"):
+            fold.spaces()
 
 
 def test_loo_requires_two_traces():
@@ -257,14 +445,34 @@ def test_loo_requires_two_traces():
 
 @pytest.mark.parametrize("search", [False, True])
 def test_unfittable_folds_report_the_first_fold_and_its_reason(search):
+    # every edit costs so much that the square of any distance between two
+    # states overflows: no fold can build its geometry
+    ds, cost = small_corpus(), CostModel(indel_default=1e200, relabel_default=1e200)
+    if search:
+        call = lambda: hyper_search(ds, (1.0, 1.0), (0.1, 0.1), repeats=1, cost=cost)
+    else:
+        call = lambda: loo_rmse_multi(ds, ("nn", "do_nothing"), cost=cost)
+    with pytest.raises(FitError) as exc:
+        call()
+    reason = "squared distances must be finite"
+    assert str(exc.value) == f"every fold was unfittable; the first, trace 'trace00': {reason}"
+
+
+@pytest.mark.parametrize("search", [False, True])
+def test_unknown_mode_is_rejected_before_the_data_is_prepared(monkeypatch, search):
     ds = small_corpus()
+    with pytest.raises(ValueError) as fitted:
+        fit_model(ds, mode="bogus")
+    monkeypatch.setattr(evaluate, "prepared_traces", lambda *args: pytest.fail("data prepared"))
     if search:
         call = lambda: hyper_search(ds, (1.0, 1.0), (0.1, 0.1), repeats=1, mode="bogus")
     else:
-        call = lambda: loo_rmse_multi(ds, ("nn", "do_nothing"), mode="bogus")
-    # every fold fails in the model fit, which names the mode it rejects
-    with pytest.raises(FitError, match=r"every fold was unfittable.*'trace00'.*'bogus'"):
+        call = lambda: loo_rmse_multi(ds, ["do_nothing"], mode="bogus")
+    with pytest.raises(ValueError) as exc:
         call()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == str(fitted.value)
+    assert str(exc.value) == "correction mode must be one of ('clip', 'flip', 'shift'), got 'bogus'"
 
 
 def test_report_serialization_round_trip():

@@ -196,6 +196,41 @@ def test_nn_weights_tie_lowest_pair_index(fig2_model):
     raw = fig2_model.query_raw_distances(sequence("ab"), fig2_model.hint_memo())  # equidistant from a and b
     gamma = fig2_model.weights(raw, "nn")
     assert gamma[0] == 1.0 and gamma[2] == 0.0
+    # a stack of queries, one per row: a near tie (the second regression
+    # input closer by less than the tie tolerance) still goes to the first
+    idx = fig2_model.kernel_indices
+    d = np.full((2, len(idx)), 5.0)
+    d[0, :2] = (1.0, 1.0 - 1e-12)
+    d[1, 1] = 1.0
+    rows = np.stack([raw, raw])
+    stacked = fig2_model.weights(rows, "nn", d)
+    assert np.flatnonzero(stacked[0]).tolist() == [idx[0]]
+    assert np.flatnonzero(stacked[1]).tolist() == [idx[1]]
+    for row, query, sq in zip(stacked, rows, d):
+        assert np.array_equal(row, fig2_model.weights(query, "nn", sq))
+
+
+def test_closest_end_ties_break_toward_the_lowest_trace_id():
+    # trace "t2" comes first in the dataset; both ends are one edit from
+    # the query, so the end of "t1" wins, for one query and in a stack
+    model = fit_model(
+        load_dataset(
+            {
+                "kind": "sequence",
+                "traces": [
+                    {"id": "t2", "successful": True, "states": [["a"], ["a", "b"]]},
+                    {"id": "t1", "successful": True, "states": [["c"], ["c", "b"]]},
+                ],
+            }
+        )
+    )
+    raw = model.query_raw_distances(sequence("b"), model.hint_memo())
+    end_t1 = model.pairs.end_indices[1]
+    assert model.closest_correct_raw_index(raw) == end_t1
+    near = raw.copy()
+    near[model.pairs.end_indices[0]] -= 1e-12  # within the tie tolerance
+    assert model.closest_correct_raw_index(np.stack([raw, near])) == [end_t1, end_t1]
+    assert model.closest_correct_index(np.stack([raw, near])) == [end_t1, end_t1]
 
 
 def test_own_next_step_reproduced(fig2_model):

@@ -106,6 +106,55 @@ def test_correct_eigenvalues_modes():
         correct_eigenvalues(w, "bogus")
 
 
+def test_correct_eigenvalues_repairs_each_spectrum_of_a_stack():
+    w = np.array([[3.0, 0.5, -2.0], [3.0, 1.0, 0.0]])
+    assert correct_eigenvalues(w, "shift").tolist() == [[5.0, 2.5, 0.0], [3.0, 1.0, 0.0]]
+    assert correct_eigenvalues(w, "clip").tolist() == [[3.0, 0.5, 0.0], [3.0, 1.0, 0.0]]
+
+
+def test_validate_sqdist_checks_each_member_of_a_stack_on_its_own_scale():
+    big = np.array([[0.0, 1e6], [1e6, 0.0]])
+    # an asymmetry of 1e-6 is within the tolerance of the big member's
+    # entries but not of the small member's
+    small = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]])
+    for bad in (small, np.array([[0.0, -1.0], [-1.0, 0.0]]), np.array([[1.0, 1.0], [1.0, 0.0]])):
+        with pytest.raises(ValueError) as alone:
+            validate_sqdist(bad)
+        with pytest.raises(ValueError) as stacked:
+            validate_sqdist(np.stack([big, bad]))
+        assert str(stacked.value) == str(alone.value)
+    assert validate_sqdist(np.stack([big, big])).shape == (2, 2, 2)
+    with pytest.raises(ValueError, match="square"):
+        validate_sqdist(np.zeros((2, 2, 3)))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_stack_of_spaces_is_bitwise_its_members_alone(mode):
+    rng = np.random.default_rng(41)
+    for m in (0, 1, 2, 7, 30):
+        d = np.abs(rng.normal(size=(4, m, m))) + 1.0  # indefinite
+        d2 = ((d + np.swapaxes(d, 1, 2)) / 2) ** 2
+        d2[:, np.arange(m), np.arange(m)] = 0.0
+        d2[1] = planted_sqdist(rng.normal(size=(m, 2)))  # rank 2: dropped directions
+        stack = CorrectedSpace(d2, mode)
+        queries = rng.uniform(0.0, 4.0, size=(3, 4, m))
+        together = stack.extend(queries)
+        for k in range(4):
+            alone, member = CorrectedSpace(d2[k], mode), stack[k]
+            assert vars(member).keys() == vars(alone).keys()
+            for name, value in vars(alone).items():
+                assert np.array_equal(getattr(member, name), value), name
+            assert np.array_equal(stack.corrected_sqdist()[k], alone.corrected_sqdist())
+            rows = alone.extend(queries[:, k])  # a stack of queries on one space
+            for t in range(3):
+                q = alone.extend(queries[t, k])
+                for space, got, at in ((alone, rows, (t,)), (stack, together, (t, k))):
+                    assert np.array_equal(got.coords[at], q.coords)
+                    assert np.array_equal(got.cross_gram[at], q.cross_gram)
+                    assert got.self_inner[at] == q.self_inner
+                    assert np.array_equal(space.query_sqdist(got)[at], alone.query_sqdist(q))
+
+
 def test_euclidean_inputs_pass_through_all_modes():
     rng = np.random.default_rng(5)
     d2 = planted_sqdist(rng.normal(size=(8, 3)))
