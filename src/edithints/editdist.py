@@ -43,11 +43,11 @@ simply exclude those node matches).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps' string form
 
 import numpy as np
 
@@ -74,7 +74,8 @@ class CostModel:
     ``|``, which separates the pair in :meth:`to_dict`.  Unlisted labels
     fall back to the defaults.
     ``is_unit`` (derived, not a field) is true when every indel and every
-    relabel of distinct labels costs 1.
+    relabel of distinct labels costs 1.  ``rows[a][b]`` (derived) is
+    ``cost_relabel(a, b)``, each row and entry made at its first read.
     """
 
     indel_default: float = 1.0
@@ -110,6 +111,7 @@ class CostModel:
             and all(c == 1 for (a, b), c in norm.items() if a != b)
         )
         object.__setattr__(self, "is_unit", unit)
+        object.__setattr__(self, "rows", _Lazy(lambda a: _Lazy(partial(self.cost_relabel, a))))
 
     def cost_delete(self, label: Label) -> float:
         return self.indel.get(label, self.indel_default)
@@ -158,6 +160,17 @@ class CostModel:
         )
 
 
+class _Lazy(dict):
+    """A dict whose missing value for a key is ``make(key)``, then kept."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 UNIT_COSTS = CostModel()
 
 
@@ -167,8 +180,15 @@ UNIT_COSTS = CostModel()
 
 class _Edit:
     @cached_property
-    def serialized(self) -> str:  # see serialize_edit; made once per edit
-        return json.dumps(edit_to_dict(self), sort_keys=True, separators=(",", ":"))
+    def serialized(self) -> str:
+        """What ``json.dumps(edit_to_dict(self), sort_keys=True,
+        separators=(",", ":"))`` writes, made once per edit: the keys in
+        sorted order, the label as json quotes it, the integers exact."""
+        label = "" if self.label is None else f',"label":{_quote(self.label)}'
+        if isinstance(self, SeqEdit):
+            return f'{{"kind":"{self.kind}"{label},"position":{self.position}}}'
+        span = "" if self.child_span is None else '"child_span":[%d,%d],' % self.child_span
+        return f'{{{span}"kind":"{self.kind}"{label},"path":[{",".join(map(str, self.path))}]}}'
 
 
 @dataclass(frozen=True)
@@ -180,7 +200,7 @@ class SeqEdit(_Edit):
     def __post_init__(self):
         if self.kind not in ("delete", "insert", "relabel"):
             raise EditError(f"unknown sequence edit kind {self.kind!r}")
-        if self.position < 1:
+        if _index(self.position, "position") < 1:
             raise EditError("sequence edit positions are 1-based")
         if (self.label is None) != (self.kind == "delete"):
             raise EditError(f"{self.kind} edit has wrong label presence")
@@ -194,7 +214,7 @@ class TreeEdit(_Edit):
     child_span: tuple = None  # (first, count), insert_node only
 
     def __post_init__(self):
-        object.__setattr__(self, "path", tuple(self.path))
+        object.__setattr__(self, "path", tuple(_index(i, "path entry") for i in self.path))
         if self.kind not in ("delete_node", "insert_node", "relabel_node"):
             raise EditError(f"unknown tree edit kind {self.kind!r}")
         if (self.label is None) != (self.kind == "delete_node"):
@@ -202,7 +222,7 @@ class TreeEdit(_Edit):
         if (self.child_span is None) != (self.kind != "insert_node"):
             raise EditError("child_span is for insert_node edits only")
         if self.child_span is not None:
-            first, count = self.child_span
+            first, count = (_index(i, "child_span entry") for i in self.child_span)
             if first < 1 or count < 0:
                 raise EditError(f"invalid child_span {self.child_span!r}")
             if self.path and self.path[-1] != first:
@@ -211,7 +231,7 @@ class TreeEdit(_Edit):
                 )
             if not self.path and (first, count) != (1, 1):
                 raise EditError("a new root must adopt exactly the old root")
-            object.__setattr__(self, "child_span", (int(first), int(count)))
+            object.__setattr__(self, "child_span", (first, count))
 
 
 def edit_to_dict(edit) -> dict:
@@ -246,14 +266,11 @@ def edit_from_dict(raw: dict):
         raise EditError(f"child_span {span!r} is not a pair")
     try:
         if kind in ("delete", "insert", "relabel"):
-            return SeqEdit(kind, _index(raw["position"], "position"), label)
+            return SeqEdit(kind, raw["position"], label)
         if kind in ("delete_node", "insert_node", "relabel_node"):
             path = raw.get("path", [])
             if not isinstance(path, list):
                 raise EditError(f"edit path {path!r} is not a list")
-            path = tuple(_index(i, "path entry") for i in path)
-            if span is not None:
-                span = tuple(_index(i, "child_span entry") for i in span)
             return TreeEdit(kind, path, label, span)
     except (KeyError, TypeError) as exc:
         raise EditError(f"malformed {kind} edit: {exc!r}") from exc
@@ -371,12 +388,11 @@ def _lev_rows(x: SequenceState, y: SequenceState, cost: CostModel):
     row = list(accumulate(cost_y, initial=0.0))
     yield row
     for a in x:
-        cost_a = cost.cost_delete(a)
+        cost_a, rel = cost.cost_delete(a), cost.rows[a]
         left = row[0] + cost_a
         new = [left]
         for diag, up, b, cost_b in zip(row, row[1:], y, cost_y):
-            if a != b:
-                diag += cost.cost_relabel(a, b)
+            diag += rel[b]  # 0.0 for b == a: diag is never -0.0
             up += cost_a
             left += cost_b
             if up < left:
@@ -399,6 +415,7 @@ def seq_distance(x: SequenceState, y: SequenceState, cost: CostModel = UNIT_COST
     """
     m, n = len(x), len(y)
     dp = list(_lev_rows(x, y, cost))
+    ins, rows = [cost.cost_insert(b) for b in y], cost.rows
 
     # backtrace from the end; applied left to right, the edits before the
     # one taken at (i, j) have made the state start with y[:j - 1] (insert,
@@ -407,10 +424,10 @@ def seq_distance(x: SequenceState, y: SequenceState, cost: CostModel = UNIT_COST
     i, j = m, n
     while i > 0 or j > 0:
         here = dp[i][j]
-        if j > 0 and here == dp[i][j - 1] + cost.cost_insert(y[j - 1]):
+        if j > 0 and here == dp[i][j - 1] + ins[j - 1]:
             edits.append(SeqEdit("insert", j, y[j - 1]))
             j -= 1
-        elif i > 0 and j > 0 and here == dp[i - 1][j - 1] + cost.cost_relabel(x[i - 1], y[j - 1]):
+        elif i > 0 and j > 0 and here == dp[i - 1][j - 1] + rows[x[i - 1]][y[j - 1]]:
             if x[i - 1] != y[j - 1]:
                 edits.append(SeqEdit("relabel", j, y[j - 1]))
             i, j = i - 1, j - 1
@@ -523,14 +540,13 @@ def _fill(rows, order, size, table, relabel) -> list:
     reads its parent row's and parent column's cells, the start row's cell
     in the start column, and ``table[target id][source id]``, the
     subtree-pair distances that cells where both forests are whole trees
-    write."""
+    write; a target node matched to a source node costs
+    ``relabel[target label][source label]`` (:attr:`CostModel.rows`)."""
     first = [0.0]  # the empty target forest: each row's deletions, summed along its path
     for _, parent, _, (_, c_del, _, _), _ in rows:
         first.append(first[parent] + c_del)
     rows = [(parent, begin, sid, c_del, lab) for _, parent, begin, (sid, c_del, _, lab), _ in rows]
     cols = [first] * size
-    labs = {lab for *_, lab in rows if lab is not None}
-    costs_of = {}  # target label -> source label -> its relabel cost
     for v, parent, begin, (tid, c_ins, b, label), drop in order:
         prev, start = cols[parent], cols[begin]
         known = table.get(tid)
@@ -549,9 +565,7 @@ def _fill(rows, order, size, table, relabel) -> list:
                     up = left
                 col.append(up)
         else:
-            if label not in costs_of:
-                costs_of[label] = {lab: relabel(lab, label) for lab in labs}
-            costs = costs_of[label]
+            costs = relabel[label]
             for left, (p, a, sid, c_del, lab) in zip(prev[1:], rows):
                 up = col[p] + c_del
                 left += c_ins
@@ -645,7 +659,7 @@ class DistanceMemo:
                     forests.append(t.forest(k))
         if forests:
             trie = self.trie(targets, cost)
-            _fill(_Trie(forests).order, trie.order, trie.size, self.table, cost.cost_relabel)
+            _fill(_Trie(forests).order, trie.order, trie.size, self.table, cost.rows)
         return [[float(self.table[root][t.ids[-1]]) for root in key] for t in sources]
 
 
@@ -655,7 +669,7 @@ def _zss_mapping(t1: _Annotated, t2: _Annotated, table):
     table that it visits (which writes back the values ``table`` holds).
     Ties prefer insert, then match/relabel, then delete, as in the sequence
     backtrace."""
-    relabel, ci = t1.cost.cost_relabel, t2.indel
+    relabel, ci = t1.cost.rows, t2.indel
     mapping = []
     stack = [(t1.n - 1, t2.n - 1)]
     while stack:
@@ -681,7 +695,7 @@ def _zss_mapping(t1: _Annotated, t2: _Annotated, table):
                 a = t1.lml[ni] - li
                 b = t2.lml[nj] - lj
                 if not (a or b):
-                    if here == fd[y - 1][x - 1] + relabel(t1.labels[ni], t2.labels[nj]):
+                    if here == fd[y - 1][x - 1] + relabel[t2.labels[nj]][t1.labels[ni]]:
                         mapping.append((ni, nj))
                         x, y = x - 1, y - 1
                         continue

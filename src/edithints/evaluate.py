@@ -24,7 +24,7 @@ import numpy as np
 from .editdist import CostModel, EditError, UNIT_COSTS
 from .editdist import apply_edit, distance, distance_row, serialize_edit
 from .policies import FitError, Geometry, GprModel, KernelParams, prepared_traces
-from .space import check_mode, squared
+from .space import NumericalError, check_mode, squared
 from .states import EMPTY_CANON
 from .traces import Dataset, Trace, TracePairs
 from .traces import build_pairs, goal_filter  # uncalled; perfbench/tracing.py wraps these names
@@ -180,7 +180,7 @@ def loo_rmse_multi(
         try:  # the first fold of a group builds the group and embeds its queries
             model = GprModel(dataset.kind, geometry, cost, EMPTY_CANON, params)
             coords, sqdist = geometry.embedded()
-        except (FitError, ValueError) as exc:
+        except (FitError, ValueError, NumericalError) as exc:
             skipped.append((ids[held], str(exc)))
             continue
         nexts = flat.successor[held_ids] - held_ids.start

@@ -407,8 +407,9 @@ class _Screen:
     """
 
     def __init__(self, gram, pull, offset, cols, steps, flat_tol):
-        self.gram, self.cols, self.flat_tol = gram, np.asarray(cols), flat_tol
-        self.diag, self.pull = np.diag(gram)[self.cols], pull[self.cols]
+        self.cols, self.flat_tol = np.asarray(cols), flat_tol
+        self.gram = gram[np.ix_(self.cols, self.cols)]  # the allowed states' rows, indexed once
+        self.diag, self.pull = np.diag(self.gram), pull[self.cols]
         self.single = self.diag - 2.0 * self.pull + offset  # one state takes the whole weight
         self.schur = self.gap = None
         self.border, self.solution = np.empty((2, steps + 1, len(cols)))
@@ -424,7 +425,7 @@ class _Screen:
 
     def accept(self, p):
         """Update s and g for the acceptance of ``cols[p]``."""
-        row, r = self.gram[self.cols[p], self.cols], self.rows
+        row, r = self.gram[p], self.rows
         if r == 0:  # the rows of a's bordered KKT matrix [[G_aa, 1], [1, 0]]
             g_aa = row[p]
             self.schur = self.diag - 2.0 * row + g_aa
@@ -568,8 +569,8 @@ def sparsify(
 
 def candidate_edits(x, positive_states, cost: CostModel, memo: DistanceMemo):
     """Union of edits from the shortest edit scripts x -> state, one entry
-    per serialized form, sorted for determinism.  The scripts' distances
-    go through ``memo``.
+    per serialized form, sorted for determinism, each with the state e(x)
+    it makes.  The scripts' distances go through ``memo``.
 
     Later script edits may address positions that only exist after earlier
     edits were applied; those cannot be offered as a next step and are
@@ -581,10 +582,9 @@ def candidate_edits(x, positive_states, cost: CostModel, memo: DistanceMemo):
     out = []
     for edit in sorted(seen, key=serialize_edit):
         try:
-            apply_edit(x, edit)
+            out.append((edit, apply_edit(x, edit)))
         except EditError:
             continue
-        out.append(edit)
     return out
 
 
@@ -594,32 +594,28 @@ def _tie_key(edit):
     return (edit.position, serialize_edit(edit))
 
 
-def preimage_objective(sq_to_x: float, sq_to_support, weights) -> float:
-    """The pre-image score of one candidate: squared distance to the query
-    plus the coefficient-weighted squared distances to the support states.
-
-    For coefficient vectors summing to zero this differs from the squared
-    distance to the represented point by a candidate-independent constant,
-    so score differences equal direct embedding-distance differences.
-    """
-    return float(sq_to_x + np.dot(weights, sq_to_support))
-
-
 def score_candidates(x, candidates, support_states, weights, cost: CostModel, memo: DistanceMemo):
-    """Score each candidate edit by d(e(x), x)^2 + sum_i w_i d(e(x), s_i)^2
-    using raw edit distances, every e(x) against the support states and x
-    in one :func:`distance_rows` pass through ``memo``, so that the forests
-    the candidates share with x and with each other fill once.  A square
-    that overflows is a ``ValueError``."""
-    weights = np.asarray(weights, dtype=float)
-    edited = [apply_edit(x, edit) for edit in candidates]
-    sq = squared(np.array(distance_rows(edited, list(support_states) + [x], cost, memo)))
-    return [(edit, preimage_objective(row[-1], row[:-1], weights)) for edit, row in zip(candidates, sq)]
+    """Score each candidate ``(e, e(x))`` of :func:`candidate_edits` by
+    d(e(x), x)^2 + sum_i w_i d(e(x), s_i)^2 using raw edit distances, every
+    e(x) against the support states and x in one :func:`distance_rows` pass
+    through ``memo``, so that the forests the candidates share with x and
+    with each other fill once.  A square that overflows is a ``ValueError``.
+
+    For coefficients summing to zero the score differs from the squared
+    distance to the represented point by a candidate-independent constant,
+    so score differences equal direct embedding-distance differences."""
+    w = np.asarray(weights, dtype=float)
+    edited = [state for _, state in candidates]
+    rows = distance_rows(edited, list(support_states) + [x], cost, memo)
+    sq = squared(np.array(rows).reshape(len(edited), len(w) + 1))
+    scores = (sq[:, None, :-1] @ w[:, None])[:, 0, 0] + sq[:, -1]  # each row one dot, as np.dot
+    return [(edit, score) for (edit, _), score in zip(candidates, scores.tolist())]
 
 
 def preimage_select(x, alpha, candidates, model: GprModel, memo: DistanceMemo) -> HintResult:
-    """Pick the candidate edit minimizing the pre-image objective, scored
-    through ``memo`` (see :func:`score_candidates`).
+    """Pick, among the candidates of :func:`candidate_edits`, the edit
+    minimizing the pre-image objective, scored through ``memo`` (see
+    :func:`score_candidates`).
 
     Scores within a relative ``_TIE_EPS`` of the lowest tie, so rounding
     in the embedding cannot decide; ties break toward the edit closest to

@@ -7,7 +7,8 @@ distances, numpy's eigensolver and exact characteristic polynomials for
 the embedding, direct coordinate geometry for planted configurations,
 the inverse of an edit for round trips, replaying a script edit by edit,
 pair-by-pair accumulation for the state coefficients of pair weights,
-loop forms of the Nystrom projection and the prediction step,
+loop forms of the Nystrom projection, the prediction step and the
+pre-image score,
 sparsification that refits every candidate at every greedy step, a
 leave-one-out evaluation that fits each fold alone and predicts its
 held-out states one at a time, and a hyper-parameter search that scores
@@ -396,6 +397,13 @@ def extend_coords_loop(space, d2_to_training) -> np.ndarray:
         if lam_plus > eps and abs(lam) > eps:
             coords[k] = (space.eigenvectors[:, k] @ g_tilde) * np.sqrt(lam_plus) / lam
     return coords
+
+
+def preimage_objective(sq_to_x: float, sq_to_support, weights) -> float:
+    """The pre-image score of one candidate on its own: squared distance to
+    the query plus the coefficient-weighted squared distances to the
+    support states, in one ``np.dot``."""
+    return float(sq_to_x + np.dot(weights, sq_to_support))
 
 
 def predict_move_loop(model, gamma) -> np.ndarray:

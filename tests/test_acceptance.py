@@ -28,7 +28,6 @@ from edithints.policies import (
     candidate_edits,
     chf_hint,
     fit_model,
-    preimage_objective,
     preimage_select,
     rbf,
     sparsify,
@@ -49,6 +48,7 @@ from oracle_utils import (
     mapping_tree_distance,
     planted_sqdist,
     poly_roots,
+    preimage_objective,
     random_sequence,
     random_tree,
 )

@@ -359,6 +359,53 @@ def test_edit_json_round_trip():
     }
 
 
+# labels with what json escapes: quotes, backslashes, control characters,
+# non-ASCII, astral characters (surrogate pairs) and lone surrogates
+_LABEL = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\ud800\U0001f600'), st.characters()), max_size=6
+)
+_INDEX = st.integers(1, 10**20)
+_PATH = st.lists(_INDEX, max_size=4).map(tuple)
+_EDITS = st.one_of(
+    st.builds(SeqEdit, st.just("delete"), _INDEX),
+    st.builds(SeqEdit, st.sampled_from(["insert", "relabel"]), _INDEX, _LABEL),
+    st.builds(TreeEdit, st.just("delete_node"), _PATH),
+    st.builds(TreeEdit, st.just("relabel_node"), _PATH, _LABEL),
+    st.builds(lambda label: TreeEdit("insert_node", (), label, (1, 1)), _LABEL),
+    st.builds(
+        lambda path, first, count, label: TreeEdit("insert_node", path + (first,), label, (first, count)),
+        _PATH, _INDEX, st.integers(0, 10**20), _LABEL,
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_EDITS)
+def test_serialize_edit_is_the_canonical_json(edit):
+    # the edits format their JSON themselves: it must be what json writes
+    assert serialize_edit(edit) == json.dumps(edit_to_dict(edit), sort_keys=True, separators=(",", ":"))
+    assert edit_from_dict(json.loads(serialize_edit(edit))) == edit
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SeqEdit("delete", 1.0),
+        lambda: SeqEdit("insert", True, "a"),
+        lambda: SeqEdit("relabel", np.int64(2), "a"),
+        lambda: TreeEdit("delete_node", (1, 2.0)),
+        lambda: TreeEdit("relabel_node", (False,), "a"),
+        lambda: TreeEdit("insert_node", (1,), "a", (1, True)),
+        lambda: TreeEdit("insert_node", (), "a", (1.0, 1)),
+    ],
+    ids=["float", "bool", "numpy", "path-float", "path-bool", "span-bool", "span-float"],
+)
+def test_edits_take_only_int_positions(make):
+    # the serialized form writes positions as they are: only exact ints
+    with pytest.raises(EditError, match="is not an integer"):
+        make()
+
+
 def test_script_backtrace_is_deterministic():
     rng = random.Random(3)
     for _ in range(50):

@@ -383,6 +383,29 @@ def test_a_stacked_eigensolver_failure_is_retried_one_matrix_at_a_time(monkeypat
         assert not got[scheme].folds_skipped
 
 
+def test_a_lone_eigensolver_failure_skips_its_fold_with_its_reason(monkeypatch):
+    # the first 2-D decomposition, that of a fold built alone, fails: that
+    # fold is skipped with its reason, and every other fold reports
+    original, calls = np.linalg.eigh, []
+
+    def first_alone_fails(a):
+        calls.append(np.shape(a))
+        if np.ndim(a) == 2 and sum(len(c) == 2 for c in calls) == 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a)
+
+    ds = small_corpus()
+    folds = len(ds.successful_traces())
+    monkeypatch.setattr(np.linalg, "eigh", first_alone_fails)
+    report = loo_rmse_multi(ds, ["nn", "do_nothing"])
+    assert any(len(c) == 2 for c in calls)
+    for scheme in ("nn", "do_nothing"):
+        (held, reason), = report[scheme].folds_skipped
+        assert reason.startswith("eigendecomposition failed")
+        assert len(report[scheme].per_trace) == folds - 1
+        assert held not in [row[0] for row in report[scheme].per_trace]
+
+
 # the fittable fold's held-out distances overflow too when squared, so its
 # predictions are not finite; only the skipped folds are checked
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from types import SimpleNamespace
@@ -30,7 +32,6 @@ from edithints.policies import (
     fit_model,
     gross_hint,
     hint_by_policy,
-    preimage_objective,
     preimage_select,
     random_hint,
     rbf,
@@ -39,7 +40,7 @@ from edithints.policies import (
     zimmerman_hint,
 )
 from edithints.space import CorrectedSpace
-from edithints.states import parse_tree, sequence, serialize_state
+from edithints.states import CanonConfig, parse_tree, sequence, serialize_state
 from edithints.traces import load_dataset
 
 from oracle_utils import (
@@ -47,6 +48,8 @@ from oracle_utils import (
     combo_sqdist,
     greedy_sparsify_oracle,
     planted_sqdist,
+    preimage_objective,
+    random_sequence,
     random_tree,
 )
 
@@ -644,7 +647,7 @@ def test_screen_estimates_lie_within_one_slack_of_their_refits(
     # or within one slack of the refit of the active states and the candidate
     model, alpha, embedded, allowed = _planted_inputs(base, extra, query, weights, keep)
     assume(allowed)
-    target = np.append(alpha, 1.0)
+    target, gram = np.append(alpha, 1.0), model.space.extended_gram(embedded)
     accept, estimates, active = policies._Screen.accept, policies._Screen.estimates, []
 
     def accepted(screen, p):
@@ -656,7 +659,7 @@ def test_screen_estimates_lie_within_one_slack_of_their_refits(
         for p, e in zip(open_, est):
             if not math.isnan(e):
                 cols = active + [int(screen.cols[p])]
-                err = policies._affine_ls(screen.gram, target, cols)[1]
+                err = policies._affine_ls(gram, target, cols)[1]
                 assert abs(e - err) <= screen.flat_tol, (cols, e, err)
         return est
 
@@ -669,10 +672,18 @@ def test_screen_estimates_lie_within_one_slack_of_their_refits(
 # candidate extraction and pre-image selection
 
 
+def _applied(x, edits) -> list:
+    """Candidates as :func:`candidate_edits` gives them: each edit with e(x)."""
+    return [(edit, apply_edit(x, edit)) for edit in edits]
+
+
 def test_candidate_edits_worked_example(fig2_model):
-    cands = candidate_edits(
-        sequence("ab"), [sequence("aac"), sequence("bbc")], fig2_model.cost, fig2_model.hint_memo()
-    )
+    cands = [
+        edit
+        for edit, _ in candidate_edits(
+            sequence("ab"), [sequence("aac"), sequence("bbc")], fig2_model.cost, fig2_model.hint_memo()
+        )
+    ]
     assert set(map(serialize_edit, cands)) == {
         serialize_edit(SeqEdit("relabel", 2, "a")),
         serialize_edit(SeqEdit("insert", 3, "c")),
@@ -687,7 +698,7 @@ def test_candidate_edits_self_positive_empty(fig2_model):
 def test_candidate_edits_tree_single_relabel():
     x = parse_tree("f(g,h)")
     y = parse_tree("f(q,h)")
-    cands = candidate_edits(x, [y], UNIT_COSTS, DistanceMemo())
+    cands = [edit for edit, _ in candidate_edits(x, [y], UNIT_COSTS, DistanceMemo())]
     assert len(cands) == 1
     assert cands[0].kind == "relabel_node" and cands[0].path == (1,)
 
@@ -703,7 +714,9 @@ def test_preimage_worked_example(fig2_model):
 
 def test_preimage_single_candidate(fig2_model):
     only = [SeqEdit("delete", 1)]
-    result = preimage_select(sequence("ab"), np.zeros(4), only, fig2_model, fig2_model.hint_memo())
+    result = preimage_select(
+        sequence("ab"), np.zeros(4), _applied(sequence("ab"), only), fig2_model, fig2_model.hint_memo()
+    )
     assert result.edit == only[0]
 
 
@@ -718,7 +731,9 @@ def test_preimage_near_tie_breaks_by_position(fig2_model, monkeypatch):
     low, high = SeqEdit("insert", 1, "c"), SeqEdit("insert", 3, "c")
     scores = [(high, -67.40653655167708), (low, -67.40653655167654)]
     monkeypatch.setattr("edithints.policies.score_candidates", lambda *args: scores)
-    result = preimage_select(sequence("ab"), np.zeros(4), [high, low], fig2_model, fig2_model.hint_memo())
+    result = preimage_select(
+        sequence("ab"), np.zeros(4), _applied(sequence("ab"), [high, low]), fig2_model, fig2_model.hint_memo()
+    )
     assert result.edit == low
     assert [e for e, _ in result.candidates] == [low, high]
 
@@ -740,7 +755,7 @@ def test_preimage_matches_brute_force_oracle(fig7_model):
         result = preimage_select(x, alpha, cands, model, memo)
         nz = np.flatnonzero(np.abs(alpha) > 1e-12)
         best = None
-        for edit in cands:
+        for edit, _ in cands:
             after = apply_edit(x, edit)
             score = distance(after, x) ** 2 + sum(
                 alpha[i] * distance(after, model.pairs.states[i]) ** 2 for i in nz
@@ -797,7 +812,7 @@ def test_score_candidates_on_a_line():
     x = sequence("a" * 3)
     cands = [SeqEdit("insert", 4, "a"), SeqEdit("delete", 3)]
     scored = dict(
-        (serialize_edit(e), s) for e, s in score_candidates(x, cands, states, weights, UNIT_COSTS, DistanceMemo())
+        (serialize_edit(e), s) for e, s in score_candidates(x, _applied(x, cands), states, weights, UNIT_COSTS, DistanceMemo())
     )
     pts = np.array([0.0, 2.0, 5.0])
     for edit, pos in ((cands[0], 4.0), (cands[1], 2.0)):
@@ -941,6 +956,71 @@ def test_hints_add_nothing_to_the_model_memo():
     # labels x, y and z occur in no training state
     _all_hints(model, [random_tree(rng, labels="fgxyz") for _ in range(12)])
     assert model._base_memo is base and snapshot() == before
+
+
+_WEIGHTED = CostModel(
+    indel={"a": 0.7, "c": 1.3}, relabel_default=1.5, relabel={("a", "b"): 0.4, ("c", "d"): 2.5}
+)
+# sha256 of the JSON of every policy's hint, to_dict(), on each dataset of
+# _digest_inputs, as an earlier version of the package wrote them
+_HINT_DIGESTS = {
+    "unit": "69a56a95335f61c317627530ae3bbc54269ef90a28b203a3b3ae99f6c32a9a18",
+    "weighted": "2a20a5bef8d46908f7d1754c267a1800b7d9d6b624bf67733789e80999ceb1d9",
+    "tree": "5fedde28d721902ed2a872e9c22425094465805d33d172180b3ec32aa213e737",
+}
+
+
+def _digest_inputs(name: str) -> tuple:
+    """A fitted model and its queries: unit-cost and weighted-cost sequence
+    corpora, and tree walks canonicalized and costed with infinite relabels."""
+    if name == "tree":
+        canon = CanonConfig(commutative_labels=("f",))
+        data = load_dataset(_tree_walks(81, 6), canon)
+        rng = random.Random(81)
+        return fit_model(data, _GROUPED, canon, KernelParams(2.0, 0.3)), [
+            random_tree(rng, labels="fghk") for _ in range(8)
+        ]
+    corpus = lambda seed: synthetic_corpus(seed, 8, "abcdefg", min_missing=2, max_missing=4)
+    cost = UNIT_COSTS if name == "unit" else _WEIGHTED
+    model = fit_model(corpus(82), cost, params=KernelParams(2.0, 0.3))
+    return model, [s for t in corpus(83).traces for s in t.states[:2]]
+
+
+@pytest.mark.parametrize("name", ["unit", "weighted", "tree"])
+def test_hint_outputs_match_recorded_digest(name):
+    # every output byte of every policy's hint, objectives and candidates
+    # included, as recorded: a change to the hint path must leave them as they were
+    hints = _all_hints(*_digest_inputs(name))
+    assert sum(h["edit"] is not None for h in hints) >= len(hints) // 2
+    digest = hashlib.sha256(json.dumps(hints).encode("utf-8")).hexdigest()
+    assert digest == _HINT_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "kind, cost",
+    [("sequence", UNIT_COSTS), ("sequence", _WEIGHTED), ("tree", UNIT_COSTS), ("tree", _GROUPED)],
+    ids=["sequence-unit", "sequence-weighted", "tree-unit", "tree-grouped"],
+)
+def test_score_candidates_give_each_candidate_its_own_objective(kind, cost):
+    # each candidate carries the state its edit makes, and the stacked
+    # product gives each the bits of its own objective: one np.dot per
+    # candidate over its distances computed pair by pair
+    rng, np_rng = random.Random(91), np.random.default_rng(91)
+    state = lambda: random_sequence(rng, "abcd", 6) if kind == "sequence" else random_tree(rng, "fghk")
+    scored = 0
+    for _ in range(12):
+        x, support = state(), [state() for _ in range(3)]
+        weights = np_rng.normal(size=3)
+        memo = DistanceMemo()
+        cands = candidate_edits(x, support, cost, memo)
+        assert all(after == apply_edit(x, edit) for edit, after in cands)
+        got = score_candidates(x, cands, support, weights, cost, memo)
+        assert [e for e, _ in got] == [e for e, _ in cands]
+        for (_, score), (_, after) in zip(got, cands):
+            sq = np.array([distance(after, s, cost) ** 2 for s in support])
+            assert score.hex() == preimage_objective(distance(after, x, cost) ** 2, sq, weights).hex()
+        scored += len(cands)
+    assert scored >= 30
 
 
 def test_tree_hint_scores_its_candidates_in_one_fill(monkeypatch):
