@@ -10,9 +10,10 @@ distance; replaying the script on the source state yields the target state
 and the script cost equals the distance exactly.  Without a script, the
 unit-cost sequence distances of a row run bit-parallel over a pack of many
 sequences in one integer, and the tree distances of many sources to many
-targets fill Zhang-Shasha's tables in one pass over a trie of the sources'
-keyroots (the rows) and one of the targets' (the columns), whose shared
-prefixes fill once (see :func:`distance_rows`), both to the same bits.
+targets fill Zhang-Shasha's tables in one pass of numpy wavefronts over a
+trie of the sources' keyroots (the rows) and one of the targets' (the
+columns), whose shared prefixes fill once (see :func:`distance_rows`), both
+to the same bits.
 
 Position conventions
 --------------------
@@ -380,18 +381,17 @@ def apply_edit(state, edit):
 # sequence edit distance (Levenshtein with backtrace)
 
 
-def _lev_rows(x: SequenceState, y: SequenceState, cost: CostModel):
+def _lev_rows(x: SequenceState, y: SequenceState, cost: CostModel, ins: list):
     """The rows of the Levenshtein table of ``x`` against ``y``, top to
     bottom; row ``i`` holds the distances from ``x[:i]`` to every prefix
-    of ``y``."""
-    cost_y = [cost.cost_insert(b) for b in y]
-    row = list(accumulate(cost_y, initial=0.0))
+    of ``y``.  ``ins`` lists the insert costs of ``y``'s symbols."""
+    row = list(accumulate(ins, initial=0.0))
     yield row
-    for a in x:
-        cost_a, rel = cost.cost_delete(a), cost.rows[a]
+    for a, cost_a in zip(x, map(cost.cost_delete, x)):
+        rel = cost.rows[a]
         left = row[0] + cost_a
         new = [left]
-        for diag, up, b, cost_b in zip(row, row[1:], y, cost_y):
+        for diag, up, b, cost_b in zip(row, row[1:], y, ins):
             diag += rel[b]  # 0.0 for b == a: diag is never -0.0
             up += cost_a
             left += cost_b
@@ -414,8 +414,8 @@ def seq_distance(x: SequenceState, y: SequenceState, cost: CostModel = UNIT_COST
     appended last, e.g. ab -> aac is realized as relabel(2, a), insert(3, c).
     """
     m, n = len(x), len(y)
-    dp = list(_lev_rows(x, y, cost))
-    ins, rows = [cost.cost_insert(b) for b in y], cost.rows
+    ins, rows = list(map(cost.cost_insert, y)), cost.rows
+    dp = list(_lev_rows(x, y, cost, ins))
 
     # backtrace from the end; applied left to right, the edits before the
     # one taken at (i, j) have made the state start with y[:j - 1] (insert,
@@ -499,120 +499,137 @@ class _Annotated:
 
 class _Trie:
     """Zhang-Shasha forests of one side of a pass, shared.  A keyroot's
-    forests are the prefixes of its subtree's nodes in postorder, and a
-    cell depends only on cells of shorter forests, so keyroots whose node
-    sequences share a prefix (by subtree id) share those forests exactly.
-    Each trie node is one forest: a column of the pass on the target side,
-    a row on the source side, node 0 the empty forest.  ``order`` lists the
-    others as the sequences first reach them, a tree's keyroots in
-    postorder: so the node that ends the sequence of a subtree, and writes
-    its distances, comes before any node that reads them, as :func:`_fill`
-    needs.  With each node it lists the nodes no later one reads."""
+    forests are the prefixes of its subtree's nodes in postorder, so
+    keyroots whose node sequences share a prefix (by subtree id) share those
+    forests.  Each trie node is one forest, a column on the target side and
+    a row on the source side, node 0 the empty one.  ``paths[k]`` lists
+    keyroot id ``k``'s forests, ``whole[s]`` is the forest that is the
+    subtree of id ``s``; per forest, the arrays hold its length, parent
+    (without the last node), the forest where its last node's subtree
+    starts, the last node's id, indel cost and label (in ``labels``; whole
+    trees), and the indels summed along the path.  ``costs[a]`` lists
+    ``relabel[b][a]`` for each ``b`` of ``labels``."""
 
-    def __init__(self, forests):
-        children, order = [{}], []
-        for nodes in forests:
+    def __init__(self, forests: dict, relabel):
+        children, self.paths, self.whole, index = [{}], {}, {}, {}
+        made = [(0, 0, 0, -1, 0.0, 0.0, 0)]
+        for kid, nodes in forests.items():
             path = [0]
-            for node in nodes:
-                v = children[path[-1]].get(node[0])
+            for sid, cost, offset, lab in nodes:
+                v = children[path[-1]].get(sid)
                 if v is None:
-                    v = children[path[-1]][node[0]] = len(children)
+                    v = children[path[-1]][sid] = len(children)
                     children.append({})
-                    order.append((v, path[-1], path[node[2]], node))
+                    lab, up = 0 if offset else index.setdefault(lab, len(index)), path[-1]
+                    made.append((len(path), up, path[offset], sid, cost, made[up][5] + cost, lab))
+                    if not offset:
+                        self.whole[sid] = v
                 path.append(v)
-        self.size = len(children)
-        last = {v: p for p, (v, *_) in enumerate(order)}  # a column no other reads goes at once
-        for p, (_, parent, begin, _) in enumerate(order):
-            last[parent] = last[begin] = p
-        drops = [[] for _ in order]
-        for v, p in last.items():
-            drops[p].append(v)
-        self.order = [(*entry, drop) for entry, drop in zip(order, drops)]
+            self.paths[kid] = path
+        depth, parent, begin, self.ids, indel, edge, label = zip(*made)
+        self.size, self.labels = len(made), list(index)
+        self.costs = _Lazy(lambda a: [relabel[b][a] for b in self.labels])
+        # the sum of two lengths stays within int16, which numpy sorts by radix
+        self.depth = np.array(depth, np.int16 if self.size < 2**14 else np.int32)
+        self.parent, self.begin, self.label = np.array(parent), np.array(begin), np.array(label)
+        self.indel, self.edge = np.array(indel), np.array(edge)
+
+    @cached_property
+    def column_terms(self) -> np.ndarray:
+        """The column halves of the flat buffer indices that :func:`_fill`
+        reads, one row per column forest but the empty one."""
+        c, p = np.arange(self.size), self.parent
+        sub = np.array([self.whole.get(s, 0) for s in self.ids])  # the last node's subtree
+        return np.array([c, c, p, self.begin, 0 * c, c, sub, p, self.label, sub == c]).T[1:].copy()
 
 
-def _fill(rows, order, size, table, relabel) -> list:
-    """Fill Zhang-Shasha forest tables column by column; returns the columns.
-    ``rows`` and ``order`` give per row (source forest) and per column
-    (target forest) its index, its parent's (the forest without its last
-    node), the index where its last node's subtree starts, that node (see
-    :meth:`_Annotated.forest`) and, for columns, the columns no later one
-    reads; indices run from 1 in order, 0 being the empty forest.  A cell
-    reads its parent row's and parent column's cells, the start row's cell
-    in the start column, and ``table[target id][source id]``, the
-    subtree-pair distances that cells where both forests are whole trees
-    write; a target node matched to a source node costs
-    ``relabel[target label][source label]`` (:attr:`CostModel.rows`)."""
-    first = [0.0]  # the empty target forest: each row's deletions, summed along its path
-    for _, parent, _, (_, c_del, _, _), _ in rows:
-        first.append(first[parent] + c_del)
-    rows = [(parent, begin, sid, c_del, lab) for _, parent, begin, (sid, c_del, _, lab), _ in rows]
-    cols = [first] * size
-    for v, parent, begin, (tid, c_ins, b, label), drop in order:
-        prev, start = cols[parent], cols[begin]
-        known = table.get(tid)
-        if known is None:
-            known = table[tid] = {}
-        cols[v] = col = [prev[0] + c_ins]  # the empty source forest
-        # each cell is min(delete, insert, match), by comparisons, faster than min()
-        if b:  # the column's forest is no whole tree
-            for left, (p, a, sid, c_del, _) in zip(prev[1:], rows):
-                up = col[p] + c_del
-                left += c_ins
-                if up < left:
-                    left = up
-                up = start[a] + known[sid]
-                if up > left:
-                    up = left
-                col.append(up)
-        else:
-            costs = relabel[label]
-            for left, (p, a, sid, c_del, lab) in zip(prev[1:], rows):
-                up = col[p] + c_del
-                left += c_ins
-                if up < left:
-                    left = up
-                if lab is None:
-                    up = start[a] + known[sid]
-                    if up > left:
-                        up = left
-                else:  # both forests are whole trees
-                    up = prev[p] + costs[lab]
-                    if up > left:
-                        up = left
-                    known[sid] = up
-                col.append(up)
-        for u in drop:
-            cols[u] = None
-    return cols
+# cells whose buffer indices are built at once: of 1024 to 8192, 2048 and 4096
+# filled a tree hint's big passes fastest, their index arrays staying in cache
+_CHUNK = 2048
+
+
+def _fill(rows: _Trie, cols: _Trie, sub, imported) -> np.ndarray:
+    """Fill the Zhang-Shasha forest tables of one pass: returns its cells, a
+    row per row forest (then the ``imported`` rows) and a column per column
+    forest.  A cell is the minimum of three single IEEE additions: its
+    parent row's cell plus a delete, its parent column's plus an insert,
+    and the parents' cell plus a relabel (two whole trees) or else the
+    start forests' cell plus the cell of the last nodes' whole subtrees,
+    whose row is ``sub[r]``, a row of the pass or an imported one.
+    So a cell reads only cells of shorter total length: the cells run in
+    wavefronts of equal total length, each a few array gathers, and a sum
+    past the largest float is ``inf``, as in Python."""
+    n_rows, width = rows.size + len(imported), cols.size
+    relabel = [c for a in rows.labels for c in cols.costs[a]]
+    # one flat buffer: the insert costs, delete costs, relabel costs, cells
+    base = width + rows.size + len(relabel)
+    buf = np.empty(base + n_rows * width)
+    buf[:width], buf[width : width + rows.size] = cols.indel, rows.indel
+    buf[width + rows.size : base] = relabel
+    cells = buf[base:].reshape(n_rows, width)
+    cells[: rows.size, 0], cells[0], cells[rows.size :] = rows.edge, cols.edge, imported
+    # a cell's buffer indices are a row term plus a column term: the cell;
+    # its delete, insert and match operands; the delete and insert costs;
+    # the other match operand; the match operands of two whole trees; and
+    # the count of whole forests among the two
+    r, p = np.arange(rows.size), base + rows.parent * width
+    labels = width + rows.size + rows.label * len(cols.labels)
+    row_terms = np.array(
+        [base + r * width, p, base + r * width, base + rows.begin * width, width + r, 0 * r,
+         base + sub * width, p, labels, sub == r]
+    ).T[1:].copy()
+    sums = rows.depth[1:, None] + cols.depth[1:]
+    order = np.argsort(sums, axis=None, kind="stable")
+    counts = np.bincount(sums.ravel())
+    ends, front = np.cumsum(counts)[counts > 0].tolist(), 0
+    with np.errstate(over="ignore"):
+        for first in range(0, len(order), _CHUNK):
+            last = min(first + _CHUNK, len(order))
+            r, c = np.divmod(order[first:last], width - 1)
+            terms = row_terms.take(r, 0)
+            terms += cols.column_terms.take(c, 0)
+            terms = terms.T
+            reads = terms[1:7].copy()
+            both = terms[9] == 2
+            np.copyto(reads[2], terms[7], where=both)
+            np.copyto(reads[5], terms[8], where=both)
+            at, a = terms[0].copy(), 0
+            while a < last - first:  # the wavefronts of the chunk, or their parts in it
+                b = min(ends[front], last) - first
+                front += ends[front] <= last
+                operands = buf.take(reads[:, a:b])
+                value = operands[:3]
+                value += operands[3:]
+                buf[at[a:b]] = value.min(0)
+                a = b
+    return cells
 
 
 class DistanceMemo:
-    """What the distance calls of one batch share.  ``table[target id][source
-    id]`` keeps the subtree-pair distances that forest tables wrote, by
-    structural subtree id: a cell is a minimum of single additions of cells
-    inside its two subtrees, so equal subtree pairs get equal bits in any
-    call order.  A tree pass runs the sources' keyroots, as one
-    :class:`_Trie` of rows, over the trie of columns of its targets, kept
-    per target list; a source keyroot whose id has run over tries holding
-    every one of those targets has filled the table for all their
-    subtrees, and is skipped.  Each tree is annotated once.
+    """What the distance calls of one batch share.  A tree pass runs the
+    sources' keyroots, as one :class:`_Trie` of rows, over the trie of
+    columns of its targets, kept per target list; the memo keeps its cells
+    and tries in ``_runs[k]`` for each source keyroot id ``k`` it ran.
+    Equal forest pairs get equal bits in any pass.  A source keyroot that a
+    kept pass ran over a trie holding every target of a new pass is
+    skipped, and the new pass imports the rows of its subtrees.  Each tree
+    is annotated once.
 
     A memo started from a ``base`` copies its intern table, annotated trees,
-    tries and packs, so ids agree and it builds nothing the base has; what
-    it adds, its table included, stays its own.  A memo serves one cost
-    model, its first call's (or its base's), and holds every tree it
-    annotated, so no tree's ``id`` is reused while it lives.  A unit-cost
-    sequence row keeps the pack of its targets with the target list.
+    tries, packs and passes, so ids agree and it builds nothing the base
+    has; what it adds stays its own.  A memo serves one cost model, its
+    first call's (or its base's), and holds every tree it annotated, so no
+    tree's ``id`` is reused while it lives.  A unit-cost sequence row keeps
+    the pack of its targets with the target list.
     """
 
     def __init__(self, base: DistanceMemo = None):
-        self.table = {}  # target subtree id -> source subtree id -> distance
-        self._covered = {}  # source keyroot id -> the target root ids it has run over
         self.cost = base.cost if base else None
         self._intern = dict(base._intern) if base else {}  # (label, child ids) -> subtree id
         self._trees = dict(base._trees) if base else {}  # id(tree) -> (tree, its _Annotated)
         self._packs = dict(base._packs) if base else {}  # id(targets) -> (targets, their pack)
         self._tries = dict(base._tries) if base else {}  # target root ids -> their trie
+        self._runs = dict(base._runs) if base else {}  # keyroot id -> [(cells, rows, columns)]
 
     def annotate(self, tree: TreeState, cost: CostModel) -> _Annotated:
         if self.cost is None:
@@ -634,72 +651,105 @@ class DistanceMemo:
         """The trie of the keyroots of a list of trees, kept by their root ids."""
         trees = [self.annotate(y, cost) for y in targets]
         key = tuple([t.ids[-1] for t in trees])
-        if key not in self._tries:
-            forests = {}  # an equal subtree has the same forests
-            for t in trees:
-                for k in t.keyroots:
-                    if t.ids[k] not in forests:
-                        forests[t.ids[k]] = t.forest(k)
-            self._tries[key] = _Trie(forests.values())
+        if key not in self._tries:  # an equal subtree has the same forests
+            forests = {t.ids[k]: t.forest(k) for t in trees for k in t.keyroots}
+            self._tries[key] = _Trie(forests, cost.rows)
         return self._tries[key]
 
     def rows(self, xs, targets, cost: CostModel) -> list:
         """The Zhang-Shasha distances from each of ``xs`` to each of
-        ``targets``: the keyroots of ``xs`` whose ids have not yet run over
-        every target, as one trie of rows, fill the columns of the targets'
-        trie in one pass; with none to run, no trie is built or looked up."""
+        ``targets``: the keyroots of ``xs`` that no kept pass ran over every
+        target, as one trie of rows, fill the columns of the targets' trie
+        in one pass; with none to run, no trie is built or looked up."""
         sources = [self.annotate(x, cost) for x in xs]
         key = [self.annotate(y, cost).ids[-1] for y in targets]
-        forests = []
+        forests, ran = {}, {}  # keyroot ids to run here; to the kept pass that ran them
         for t in sources:
             for k in t.keyroots:
-                covered = self._covered.setdefault(t.ids[k], set())
-                if not covered.issuperset(key):
-                    covered.update(key)
-                    forests.append(t.forest(k))
+                kid = t.ids[k]
+                if kid not in forests and kid not in ran:
+                    for run in self._runs.get(kid, ()):
+                        if all(y in run[2].paths for y in key):
+                            ran[kid] = run
+                            break
+                    else:
+                        forests[kid] = t.forest(k)
         if forests:
-            trie = self.trie(targets, cost)
-            _fill(_Trie(forests).order, trie.order, trie.size, self.table, cost.rows)
-        return [[float(self.table[root][t.ids[-1]]) for root in key] for t in sources]
+            cols = self.trie(targets, cost)
+            rows = _Trie(forests, cost.rows)
+            run = (_fill(rows, cols, *_imports(sources, ran, rows, cols)), rows, cols)
+            for kid in forests:
+                ran[kid] = run
+                self._runs[kid] = [*self._runs.get(kid, ()), run]
+        out = []
+        for t in sources:
+            cells, rows, cols = ran[t.ids[-1]]
+            out.append(cells[rows.whole[t.ids[-1]], [cols.whole[y] for y in key]].tolist())
+        return out
 
 
-def _zss_mapping(t1: _Annotated, t2: _Annotated, table):
-    """Backtrace one optimal node mapping from the subtree-pair distances
-    in ``table``, filling again the part of each keyroot pair's forest
-    table that it visits (which writes back the values ``table`` holds).
-    Ties prefer insert, then match/relabel, then delete, as in the sequence
-    backtrace."""
+def _imports(sources, ran, rows: _Trie, cols: _Trie) -> tuple:
+    """The rows a pass imports: each whole subtree on the leftmost path of a
+    source keyroot that a kept pass ran, unless a row of the pass is that
+    subtree, read from the kept pass at every whole column.  Returns the
+    pass's ``sub`` (see :func:`_fill`) and those rows."""
+    need = {}  # subtree id -> (the kept pass, its row there)
+    for t in sources:
+        for k in t.keyroots:
+            if t.ids[k] in ran:
+                run, lk = ran[t.ids[k]], t.lml[k]
+                for n in range(lk, k + 1):
+                    if t.lml[n] == lk and t.ids[n] not in rows.whole:
+                        need.setdefault(t.ids[n], (run, run[1].paths[t.ids[k]][n - lk + 1]))
+    at = {sid: i for i, sid in enumerate(need, rows.size)}
+    sub = np.array([rows.whole.get(s) or at.get(s, 0) for s in rows.ids])
+    imported, dst = np.full((len(need), cols.size), np.nan), list(cols.whole.values())
+    for i, ((cells, _, kept), row) in enumerate(need.values()):
+        imported[i, dst] = cells[row, [kept.whole[s] for s in cols.whole]]
+    return sub, imported
+
+
+def _zss_mapping(t1: _Annotated, t2: _Annotated, memo: DistanceMemo):
+    """Backtrace one optimal node mapping through the cells that the
+    memo's passes kept: the forest table of a pair of keyroots is read from
+    a pass that ran both.  Ties prefer insert, then match/relabel, then
+    delete, as in the sequence backtrace."""
     relabel, ci = t1.cost.rows, t2.indel
+
+    def cells(ri, rj):
+        """The cells of a pass that ran the keyroots of ri and rj, and the
+        nodes of their forests there up to ri and rj."""
+        ki, kj = t1.ids[t1.keyroot_of[ri]], t2.ids[t2.keyroot_of[rj]]
+        kept, rows, cols = next(run for run in memo._runs[ki] if kj in run[2].paths)
+        return kept, rows.paths[ki][: ri - t1.lml[ri] + 2], cols.paths[kj][: rj - t2.lml[rj] + 2]
+
+    def subtree(ni, nj):
+        kept, rpath, cpath = cells(ni, nj)
+        return float(kept[rpath[-1], cpath[-1]])
+
     mapping = []
     stack = [(t1.n - 1, t2.n - 1)]
     while stack:
         ri, rj = stack.pop()
-        ki, kj = t1.keyroot_of[ri], t2.keyroot_of[rj]
-        li, lj = t1.lml[ki], t2.lml[kj]
+        kept, rpath, cpath = cells(ri, rj)
+        fd, li, lj = kept[np.ix_(rpath, cpath)].tolist(), t1.lml[ri], t2.lml[rj]
         x, y = ri - li + 1, rj - lj + 1
-        # the cells up to (x, y) along one chain of rows of ki and one
-        # chain of columns of kj: fd[y][x]
-        rows, chain = [
-            [(v, v - 1, node[2], node, ()) for v, node in enumerate(t.forest(k)[:n], 1)]
-            for t, k, n in ((t1, ki, x), (t2, kj, y))
-        ]
-        fd = _fill(rows, chain, y + 1, table, relabel)
         while x > 0 or y > 0:
             ni = li + x - 1
             nj = lj + y - 1
-            here = fd[y][x]
-            if y > 0 and here == fd[y - 1][x] + ci[nj]:
+            here = fd[x][y]
+            if y > 0 and here == fd[x][y - 1] + ci[nj]:
                 y -= 1  # nj inserted
                 continue
             if x > 0 and y > 0:
                 a = t1.lml[ni] - li
                 b = t2.lml[nj] - lj
                 if not (a or b):
-                    if here == fd[y - 1][x - 1] + relabel[t2.labels[nj]][t1.labels[ni]]:
+                    if here == fd[x - 1][y - 1] + relabel[t2.labels[nj]][t1.labels[ni]]:
                         mapping.append((ni, nj))
                         x, y = x - 1, y - 1
                         continue
-                elif here == fd[b][a] + table[t2.ids[nj]][t1.ids[ni]]:
+                elif here == fd[a][b] + subtree(ni, nj):
                     stack.append((ni, nj))
                     x, y = a, b
                     continue
@@ -863,11 +913,11 @@ def tree_distance(
 ):
     """Zhang-Shasha tree edit distance with a realizing edit script.  The
     distance is a row through ``memo`` as in :func:`tree_distance_only`; the
-    mapping backtrace then fills again the cells of the tables it visits."""
+    mapping backtrace then reads the cells that the memo's passes kept."""
     memo = DistanceMemo() if memo is None else memo
     dist = memo.rows((x,), (y,), cost)[0][0]
     t1, t2 = memo.annotate(x, cost), memo.annotate(y, cost)
-    script = _script_from_mapping(t1, t2, _zss_mapping(t1, t2, memo.table))
+    script = _script_from_mapping(t1, t2, _zss_mapping(t1, t2, memo))
     if not math.isclose(script.total_cost, dist, rel_tol=1e-12, abs_tol=1e-12):
         raise AssertionError(
             f"script cost {script.total_cost} does not realize distance {dist}"
@@ -878,8 +928,8 @@ def tree_distance(
 def tree_distance_only(
     x: TreeState, y: TreeState, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None
 ) -> float:
-    """The Zhang-Shasha distance alone; ``memo`` shares subtree-pair
-    results with the other calls of its batch (None: a fresh memo)."""
+    """The Zhang-Shasha distance alone; ``memo`` shares the cells of its
+    passes with the other calls of its batch (None: a fresh memo)."""
     return (DistanceMemo() if memo is None else memo).rows((x,), (y,), cost)[0][0]
 
 
@@ -937,13 +987,13 @@ def _scan(y, pack) -> list:
 
 def distance(x, y, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> float:
     """The edit distance of two states, without a script.  Tree calls that
-    pass one :class:`DistanceMemo` share their subtree-pair results (None: a
+    pass one :class:`DistanceMemo` share the cells of its passes (None: a
     fresh memo); a unit-cost sequence call scans ``y`` over a pack of ``x``
     alone (see :func:`distance_rows`)."""
     if isinstance(x, TreeState):
         return tree_distance_only(x, y, cost, memo)
     if not cost.is_unit:
-        for row in _lev_rows(x, y, cost):
+        for row in _lev_rows(x, y, cost, list(map(cost.cost_insert, y))):
             pass
         return float(row[-1])
     return _scan(y, _pack((x,)))[0]
@@ -971,9 +1021,9 @@ def distance_row(x, targets, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = 
     return distance_rows((x,), targets, cost, memo)[0]
 
 
-# sources per pass of the pairwise matrix: a pass's table holds the subtree
-# pairs of its sources with its targets', so blocks bound its memory; of 4, 8,
-# 16, 32 and all, 16 was the fastest or within 6 % at 32 to 256 tree states
+# sources per pass of the pairwise matrix: a pass's cells pair the forests of
+# its sources with its targets', so blocks bound its memory; of 8 to 64, 16 was
+# the fastest at 32 and 64 tree states, and 27 % slower than 64 at 256
 _MATRIX_BLOCK = 16
 
 

@@ -8,7 +8,9 @@ the embedding, direct coordinate geometry for planted configurations,
 the inverse of an edit for round trips, replaying a script edit by edit,
 pair-by-pair accumulation for the state coefficients of pair weights,
 loop forms of the Nystrom projection, the prediction step and the
-pre-image score,
+pre-image score, a cell-by-cell Zhang-Shasha fill over keyroot tries in
+Python, with a backtrace that fills each table it visits again (a bitwise
+oracle of the wavefront kernel),
 sparsification that refits every candidate at every greedy step, a
 leave-one-out evaluation that fits each fold alone and predicts its
 held-out states one at a time, and a hyper-parameter search that scores
@@ -31,10 +33,13 @@ from edithints.editdist import (
     INF,
     CostModel,
     EditError,
+    EditScript,
     UNIT_COSTS,
     SeqEdit,
     TreeEdit,
     apply_edit,
+    _Annotated,
+    _script_from_mapping,
     edit_to_dict,
 )
 from edithints.evaluate import EvalReport
@@ -229,6 +234,123 @@ def zhang_shasha_distance(x: TreeState, y: TreeState, cost: CostModel) -> float:
                         match = fd[m1[ni] - li][m2[nj] - lj] + td[ni][nj]
                         fd[a][b] = min(delete, insert, match)
     return td[-1][-1]
+
+
+# ---------------------------------------------------------------------------
+# a cell-by-cell Zhang-Shasha fill over tries, column by column in Python: a
+# bitwise oracle of the wavefront kernel's distances and scripts
+
+
+def _trie_order(forests) -> tuple:
+    """The trie of node sequences (see ``editdist._Trie``) as a list of
+    ``(node, parent, begin, last node)`` in order, and its size."""
+    children, order = [{}], []
+    for nodes in forests:
+        path = [0]
+        for node in nodes:
+            v = children[path[-1]].get(node[0])
+            if v is None:
+                v = children[path[-1]][node[0]] = len(children)
+                children.append({})
+                order.append((v, path[-1], path[node[2]], node))
+            path.append(v)
+    return order, len(children)
+
+
+def python_fill(rows, order, size, table, relabel) -> list:
+    """Fill Zhang-Shasha forest tables column by column, cell by cell;
+    returns the columns.  ``rows`` and ``order`` list per row (source
+    forest) and per column (target forest) its index, its parent's, the
+    index where its last node's subtree starts and that node; a cell reads
+    its parent row's and parent column's cells, the start row's cell in
+    the start column, and ``table[target id][source id]``, the subtree-pair
+    distances that cells where both forests are whole trees write."""
+    first = [0.0]
+    for _, parent, _, (_, c_del, _, _) in rows:
+        first.append(first[parent] + c_del)
+    rows = [(parent, begin, sid, c_del, lab) for _, parent, begin, (sid, c_del, _, lab) in rows]
+    cols = [first] * size
+    for v, parent, begin, (tid, c_ins, b, label) in order:
+        prev, start = cols[parent], cols[begin]
+        known = table.setdefault(tid, {})
+        cols[v] = col = [prev[0] + c_ins]
+        for left, (p, a, sid, c_del, lab) in zip(prev[1:], rows):
+            up = col[p] + c_del
+            left += c_ins
+            if up < left:
+                left = up
+            if b or lab is None:
+                up = start[a] + known[sid]
+                if up > left:
+                    up = left
+            else:  # both forests are whole trees
+                up = prev[p] + relabel[label][lab]
+                if up > left:
+                    up = left
+                known[sid] = up
+            col.append(up)
+    return cols
+
+
+def _python_table(xs, targets, cost) -> tuple:
+    """Every source keyroot over every target keyroot in one cell-by-cell
+    pass; returns the annotated trees and the subtree-pair table."""
+    intern = {}
+    sources = [_Annotated(x, cost, intern) for x in xs]
+    trees = [_Annotated(y, cost, intern) for y in targets]
+
+    def forests(ts):
+        return {t.ids[k]: t.forest(k) for t in ts for k in t.keyroots}.values()
+
+    table = {}
+    order, size = _trie_order(forests(trees))
+    python_fill(_trie_order(forests(sources))[0], order, size, table, cost.rows)
+    return sources, trees, table
+
+
+def python_distance_rows(xs, targets, cost: CostModel) -> list:
+    """Tree distance rows by :func:`python_fill`."""
+    sources, trees, table = _python_table(xs, targets, cost)
+    return [[float(table[y.ids[-1]][t.ids[-1]]) for y in trees] for t in sources]
+
+
+def python_tree_distance(x: TreeState, y: TreeState, cost: CostModel):
+    """A distance and script by :func:`python_fill`, whose mapping
+    backtrace fills again one chain of rows against one chain of columns
+    for each pair of subtrees it visits."""
+    (t1,), (t2,), table = _python_table((x,), (y,), cost)
+    relabel, ci = cost.rows, t2.indel
+    mapping, stack = [], [(t1.n - 1, t2.n - 1)]
+    while stack:
+        ri, rj = stack.pop()
+        ki, kj = t1.keyroot_of[ri], t2.keyroot_of[rj]
+        li, lj = t1.lml[ki], t2.lml[kj]
+        x_, y_ = ri - li + 1, rj - lj + 1
+        rows, chain = [
+            [(v, v - 1, node[2], node) for v, node in enumerate(t.forest(k)[:n], 1)]
+            for t, k, n in ((t1, ki, x_), (t2, kj, y_))
+        ]
+        fd = python_fill(rows, chain, y_ + 1, table, relabel)
+        while x_ > 0 or y_ > 0:
+            ni, nj = li + x_ - 1, lj + y_ - 1
+            here = fd[y_][x_]
+            if y_ > 0 and here == fd[y_ - 1][x_] + ci[nj]:
+                y_ -= 1
+                continue
+            if x_ > 0 and y_ > 0:
+                a, b = t1.lml[ni] - li, t2.lml[nj] - lj
+                if not (a or b):
+                    if here == fd[y_ - 1][x_ - 1] + relabel[t2.labels[nj]][t1.labels[ni]]:
+                        mapping.append((ni, nj))
+                        x_, y_ = x_ - 1, y_ - 1
+                        continue
+                elif here == fd[b][a] + table[t2.ids[nj]][t1.ids[ni]]:
+                    stack.append((ni, nj))
+                    x_, y_ = a, b
+                    continue
+            x_ -= 1
+    dist = float(table[t2.ids[-1]][t1.ids[-1]])
+    return dist, EditScript(_script_from_mapping(t1, t2, mapping).edits, dist)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from oracle_utils import (
     bfs_string_distances,
     invert_edit,
     mapping_tree_distance,
+    python_distance_rows,
+    python_tree_distance,
     random_sequence,
     random_tree,
     tree,
@@ -511,7 +514,7 @@ def test_memo_started_from_a_sealed_base_equals_fresh_calls(states, cost):
     base.trie(states[:1], cost)
 
     def snapshot():
-        return dict(base._intern), dict(base._trees), dict(base._tries), base.table, base._covered
+        return dict(base._intern), dict(base._trees), dict(base._tries), dict(base._runs)
 
     before = snapshot()
     memo = DistanceMemo(base)
@@ -523,7 +526,7 @@ def test_memo_started_from_a_sealed_base_equals_fresh_calls(states, cost):
             assert (d_script, script) == tree_distance(x, y, cost)
             assert apply_script(script, x) == y
     assert memo.annotate(states[0], cost) is kept
-    assert snapshot() == before and before[3:] == ({}, {})
+    assert snapshot() == before and before[3] == {}  # the base kept no pass
 
 
 def test_memo_serves_one_cost_model_and_keeps_its_trees():
@@ -602,42 +605,126 @@ def test_many_source_tree_rows_equal_fresh_distances(x, others, cost, rng):
     assert distance_rows(sources, targets, cost) == want
 
 
-def test_tree_rows_fill_only_the_keyroots_they_have_not_run(monkeypatch):
+def _passes(memo) -> list:
+    """The passes a memo kept, each (cells, row trie, column trie), in the
+    order of the keyroots that ran them: for two passes, the order they ran."""
+    kept = {}
+    for runs in memo._runs.values():
+        for run in runs:
+            kept.setdefault(id(run[0]), run)
+    return list(kept.values())
+
+
+def test_tree_rows_fill_only_the_keyroots_they_have_not_run():
     # x's keyroots are b, d(e), h(c,d(e)), k and the root: five distinct ids
     # of 1 + 2 + 4 + 1 + 9 nodes, whose node sequences share no prefix
     x = parse_tree("f(g(a,b),h(c,d(e)),k)")
     targets = [parse_tree("f(g(a),h(c,d))"), parse_tree("f(k,h(d(e)))"), parse_tree("f(g(a),h(c,d))")]
-    fills, fill = [], editdist._fill
-    monkeypatch.setattr(editdist, "_fill", lambda rows, order, *rest: fills.append((rows, order)) or fill(rows, order, *rest))
     memo = DistanceMemo()
     want = [distance(x, y) for y in targets]
-    fills.clear()
     assert distance_row(x, targets, UNIT_COSTS, memo) == want
     trie = memo.trie(targets, UNIT_COSTS)
-    (rows, order), = fills
-    assert len(order) == trie.size - 1  # every column of the trie
-    assert len(rows) == 1 + 2 + 4 + 1 + 9  # one row per node, below the shared row of the empty forest
-    fills.clear()
+    (cells, rows, cols), = _passes(memo)
+    assert cols is trie and cells.shape == (rows.size, trie.size)  # every column, no imported row
+    assert rows.size == 1 + (1 + 2 + 4 + 1 + 9)  # the shared row of the empty forest, one row per node
     assert distance_row(x, targets, UNIT_COSTS, memo) == want
     assert distance_row(x, targets[:2], UNIT_COSTS, memo) == want[:2]
-    assert fills == [] and len(memo._tries) == 1  # a covered row fills no column and builds no trie
+    assert len(_passes(memo)) == 1 and len(memo._tries) == 1  # a covered row fills no column and builds no trie
     # relabeling e leaves b and k as they were: only d(z), h(c,d(z)) and the
-    # root, the keyroots that contain the edit, fill the trie's columns
+    # root, the keyroots that contain the edit, fill the trie's columns, and
+    # the root's forests read b's and k's distances from the first pass
     edited = apply_edit(x, TreeEdit("relabel_node", (2, 2, 1), "z"))
     want_edited = [distance(edited, y) for y in targets]
-    fills.clear()
     assert distance_row(edited, targets, UNIT_COSTS, memo) == want_edited
-    (rows, order), = fills
-    assert len(order) == trie.size - 1
-    assert len(rows) == 2 + 4 + 9
+    first, (cells, rows, cols) = _passes(memo)
+    assert cols is trie and rows.size == 1 + (2 + 4 + 9)
+    assert cells.shape == (rows.size + 2, trie.size)  # the imported rows of b and k
+    assert tree_distance(edited, targets[1], UNIT_COSTS, memo) == tree_distance(edited, targets[1])
+    assert len(_passes(memo)) == 2  # the script reads the kept cells
     # both in one pass of a fresh memo: h(c,d(z)) shares its first node with
     # h(c,d(e)), the root its first four with x's root, and b and k run once
     memo = DistanceMemo()
-    fills.clear()
     assert memo.rows([x, edited, x], targets, UNIT_COSTS) == [want, want_edited, want]
-    (rows, order), = fills
-    assert len(order) == trie.size - 1
-    assert len(rows) == (1 + 2 + 4 + 1 + 9) + 2 + (4 - 1) + (9 - 4)
+    (cells, rows, cols), = _passes(memo)
+    assert cols is memo.trie(targets, UNIT_COSTS) and cells.shape == (rows.size, trie.size)
+    assert rows.size == 1 + (1 + 2 + 4 + 1 + 9) + 2 + (4 - 1) + (9 - 4)
+
+
+# relabels only within the label groups {a, b} and {c}; and costs whose sums
+# pass the largest float, so that most distances between unequal trees are inf
+GROUPED_ABC = CostModel(indel={"a": 0.75, "c": 1.25}, relabel_default=INF, relabel={("a", "b"): 0.5})
+HUGE_COSTS = CostModel(indel_default=1e308, indel={"c": 6e307}, relabel_default=1.5e308, relabel={("a", "b"): 8e307})
+kernel_costs = st.sampled_from([UNIT_COSTS, GROUPED_ABC, HUGE_COSTS]) | cost_models
+
+
+@st.composite
+def tree_batches(draw):
+    """Sources and targets assembled from one pool of small subtrees, so
+    that subtrees repeat within and across the trees of a pass, and
+    sources that repeat."""
+    pool = draw(st.lists(trees(4), min_size=1, max_size=4))
+    made = st.builds(lambda label, kids: tree(label, *kids), labels, st.lists(st.sampled_from(pool), max_size=3))
+    state = st.sampled_from(pool) | made | trees(6)
+    sources = draw(st.lists(state, min_size=1, max_size=5))
+    sources += draw(st.lists(st.sampled_from(sources), max_size=2))
+    return sources, draw(st.lists(state, min_size=1, max_size=4))
+
+
+def _hex_rows(rows):
+    return [[d.hex() for d in row] for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_batches(), kernel_costs)
+@example(([parse_tree("a(b,c(a))"), parse_tree("c(c,c)")], [parse_tree("b(a(c),c)")]), HUGE_COSTS)
+def test_wavefront_passes_equal_the_cell_by_cell_fill(batch, cost):
+    # the rows and scripts of the wavefront kernel against the cell-by-cell
+    # fill, bit for bit; a sum past the largest float is inf in both and
+    # warns in neither
+    sources, targets = batch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _hex_rows(distance_rows(sources, targets, cost)) == _hex_rows(
+            python_distance_rows(sources, targets, cost)
+        )
+        for x in sources[:2]:
+            for y in targets[:2]:
+                d, script = tree_distance(x, y, cost)
+                d_want, want = python_tree_distance(x, y, cost)
+                assert d.hex() == d_want.hex() and script.edits == want.edits
+
+
+def test_huge_costs_overflow_to_inf_without_a_warning():
+    x, y = parse_tree("a(b,c(a))"), parse_tree("b(a(c),c)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = distance_row(x, [y, x, parse_tree("b(b,c(a))")], HUGE_COSTS)
+        assert row == [INF, 0.0, 8e307]
+        assert tree_distance(x, y, HUGE_COSTS)[0] == INF
+
+
+# a first pass runs every keyroot of x over the targets; later passes of
+# single edits of x, over those targets or a part of them, skip the keyroots
+# they share with x and import their subtrees' rows
+@settings(max_examples=60, deadline=None)
+@given(trees(8), st.lists(trees(6), min_size=1, max_size=3), kernel_costs, st.randoms())
+def test_later_passes_read_the_rows_of_skipped_keyroots(x, others, cost, rng):
+    edited = []
+    for edit in _single_edits(x, "abc"):
+        try:
+            edited.append(apply_edit(x, edit))
+        except EditError:
+            continue
+    sources = rng.sample(edited, min(len(edited), 4)) + [x]
+    targets = others + [x]
+    part = rng.sample(targets, rng.randint(1, len(targets)))
+    memo = DistanceMemo()
+    assert _hex_rows(memo.rows([x], targets, cost)) == _hex_rows(python_distance_rows([x], targets, cost))
+    assert _hex_rows(memo.rows(sources, part, cost)) == _hex_rows(python_distance_rows(sources, part, cost))
+    for s in sources[:3]:
+        d, script = tree_distance(s, part[0], cost, memo)
+        d_want, want = python_tree_distance(s, part[0], cost)
+        assert d.hex() == d_want.hex() and script.edits == want.edits
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +747,7 @@ NEAR_UNIT_MODELS = [
 
 
 def lev_rows_distance(x, y, cost):
-    for row in _lev_rows(x, y, cost):
+    for row in _lev_rows(x, y, cost, [cost.cost_insert(b) for b in y]):
         pass
     return float(row[-1])
 

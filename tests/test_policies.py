@@ -903,10 +903,12 @@ def _all_hints(model, queries) -> list:
 @pytest.mark.parametrize("seed", [71, 72, 73])
 def test_hint_memo_gives_the_hints_of_fresh_memos(monkeypatch, seed, cost):
     # one memo per hint serves its query row, scripts and scoring; a fresh
-    # memo per call must give every policy the same hint, bit for bit
+    # memo per call must give every policy the same hint, bit for bit.  A
+    # query equal to a training state covers its keyroots over the scoring
+    # targets in the query row, so the scoring pass imports their rows
     model = fit_model(load_dataset(_tree_walks(seed, 6)), cost, params=KernelParams(2.0, 0.3))
     rng = random.Random(seed)
-    queries = [random_tree(rng, labels="fghk") for _ in range(6)]
+    queries = [random_tree(rng, labels="fghk") for _ in range(6)] + list(model.pairs.states[::7])
     shared = _all_hints(model, queries)
     assert sum(h["edit"] is not None and h["alpha"] is not None for h in shared) >= 3
     monkeypatch.setattr(policies, "distance", lambda x, y, c, memo=None: distance(x, y, c))
@@ -914,9 +916,29 @@ def test_hint_memo_gives_the_hints_of_fresh_memos(monkeypatch, seed, cost):
         policies, "distance_row", lambda x, ys, c, memo=None: [distance(x, y, c) for y in ys]
     )
     monkeypatch.setattr(
+        policies, "distance_rows", lambda xs, ys, c, memo=None: [[distance(x, y, c) for y in ys] for x in xs]
+    )
+    monkeypatch.setattr(
         policies, "distance_and_script", lambda x, y, c, memo=None: distance_and_script(x, y, c)
     )
     assert _all_hints(model, queries) == shared
+
+
+def test_a_tree_chf_hint_makes_two_kernel_passes(monkeypatch):
+    # the query row and the scoring; the scripts read the cells the query
+    # row kept, also when the query is a training state
+    model = fit_model(load_dataset(_tree_walks(76, 6)), params=KernelParams(2.0, 0.3))
+    rng = random.Random(76)
+    passes, fill = [], editdist._fill
+    monkeypatch.setattr(editdist, "_fill", lambda *args: passes.append(1) or fill(*args))
+    hinted = 0
+    for x in [random_tree(rng, labels="fghk") for _ in range(4)] + list(model.pairs.states[::5]):
+        passes.clear()
+        result = chf_hint(model, x)
+        if result.candidates:
+            hinted += 1
+            assert len(passes) == 2
+    assert hinted >= 4
 
 
 def test_sequence_hints_pack_the_training_states_once(monkeypatch):
@@ -946,10 +968,10 @@ def test_hints_add_nothing_to_the_model_memo():
     base = model._base_memo
 
     def snapshot():
-        return dict(base._intern), dict(base._trees), dict(base._tries), base.table, base._covered
+        return dict(base._intern), dict(base._trees), dict(base._tries), dict(base._runs)
 
     before = snapshot()
-    assert len(before[2]) == 1 and before[3:] == ({}, {})  # the training trie alone
+    assert len(before[2]) == 1 and before[3] == {}  # the training trie alone, and no pass
     for x in model.pairs.states:  # each training label against each training state
         chf_hint(model, x)
     rng = random.Random(75)
