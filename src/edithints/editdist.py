@@ -456,7 +456,6 @@ class _Annotated:
         self.cost = cost
         self.labels = labels = []
         self.lml = lml = []  # leftmost leaf descendant, postorder index
-        self.parent = parent = []  # postorder index of parent, -1 for root
         self.children = children = []  # postorder indices of children
         self.ids = ids = []  # structural id of each node's subtree
 
@@ -466,9 +465,6 @@ class _Annotated:
             labels.append(node.label)
             lml.append(lml[kids[0]] if kids else idx)
             children.append(kids)
-            parent.append(-1)
-            for k in kids:
-                parent[k] = idx
             key = node.label, tuple([ids[k] for k in kids])
             ids.append(intern.setdefault(key, len(intern)))
             return idx
@@ -757,155 +753,77 @@ def _zss_mapping(t1: _Annotated, t2: _Annotated, memo: DistanceMemo):
     return mapping
 
 
-class _MutNode:
-    """Mutable tree node used while materializing an edit script."""
-
-    __slots__ = ("label", "children", "key")
-
-    def __init__(self, label, children, key):
-        self.label = label
-        self.children = children
-        self.key = key
-
-
-def _build_mut(t: _Annotated) -> _MutNode:
-    """Rebuild the annotated tree as mutable nodes keyed by postorder index."""
-
-    def make(idx: int) -> _MutNode:
-        return _MutNode(t.labels[idx], [make(k) for k in t.children[idx]], ("s", idx))
-
-    return make(t.n - 1)
-
-
-def _find(root: _MutNode, key) -> tuple:
-    """Path of 1-based child indices to the node with ``key``, and the
-    nodes along that path from ``root`` down to the node itself."""
-
-    def search(node):
-        if node.key == key:
-            return (), [node]
-        for i, c in enumerate(node.children, start=1):
-            found = search(c)
-            if found is not None:
-                return (i, *found[0]), [node, *found[1]]
-        return None
-
-    found = search(root)
-    if found is None:
-        raise EditError(f"node {key} not present in working tree")
-    return found
+def _weights(t: _Annotated, mapped) -> tuple:
+    """Per node, its weight and its left siblings' weight.  A node weighs 1
+    if mapped, else its children's weight: the entries its subtree leaves
+    in its parent's child list once its unmapped nodes are deleted."""
+    weight, left = [], [0] * t.n
+    for i in range(t.n):  # postorder: children first
+        run = 0
+        for k in t.children[i]:
+            left[k] = run
+            run += weight[k]
+        weight.append(1 if i in mapped else run)
+    return weight, left
 
 
 def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping):
-    """Turn a Zhang-Shasha node mapping into an applicable edit script.
+    """Turn a Zhang-Shasha node mapping into an applicable edit script,
+    each path its node's place at that step (weights as in :func:`_weights`;
+    pre-order is the order of the paths):
 
-    Order: deletions of unmapped source nodes (postorder, root deferred),
-    relabelings (source pre-order), insertions of unmapped target nodes
-    (target pre-order), then the deferred root deletion if the source root
-    was unmapped.  Deferring an unmapped root until its remaining children
-    have been gathered under the inserted target root keeps every
-    intermediate state a valid single-rooted tree, which the fixed
-    delete-relabel-insert order alone cannot guarantee.
+    - deletes of unmapped non-root source nodes in postorder; at each edge
+      a -> c from the root, the component is 1 + c's left siblings' weight;
+    - relabels of mapped nodes in source pre-order, by the same walk but
+      where an unmapped c gives no component and carries its offset on;
+    - inserts of unmapped target nodes in target pre-order, at (1,) if the
+      source root is unmapped, else (), then the node's target path, each
+      adopting its target children's weight; a target root inserted above
+      the mapped source root goes at () and adopts it;
+    - the delete of an unmapped source root, last, at ().  Deferring it
+      until the target root holds its children keeps every step a tree.
     """
     map_st = dict(mapping)
     map_ts = {j: i for i, j in mapping}
-    root_s = src.n - 1
-    root_unmapped = root_s not in map_st
+    root_unmapped = src.n - 1 not in map_st
+    steps = []  # (edit, cost)
 
-    work = _build_mut(src)
-    edits = []
-    total = 0.0
+    # each source node's path before the deletes, and after them the path of
+    # a mapped node or the offset an unmapped one passes to its children
+    _, left = _weights(src, map_st)
+    path, kept, carry = [()] * src.n, [()] * src.n, [0] * src.n
+    for a in reversed(range(src.n)):  # parents before their children
+        for c in src.children[a]:
+            path[c] = path[a] + (1 + left[c],)
+            offset = carry[a] + left[c]
+            if c in map_st:
+                kept[c] = kept[a] + (1 + offset,)
+            else:
+                kept[c], carry[c] = kept[a], offset
+    for i in range(src.n - 1):  # the root is last
+        if i not in map_st:
+            steps.append((TreeEdit("delete_node", path[i]), src.indel[i]))
+    for i in sorted(map_st, key=kept.__getitem__):
+        old, new = src.labels[i], tgt.labels[map_st[i]]
+        if old != new:
+            steps.append((TreeEdit("relabel_node", kept[i], new), tgt.cost.cost_relabel(old, new)))
 
-    def emit(edit, cost_value):
-        nonlocal total
-        edits.append(edit)
-        total += cost_value
-
-    # deletions, postorder; the root (if unmapped) is deferred to the end
-    for i in range(src.n):
-        if i in map_st or i == root_s:
-            continue
-        path, nodes = _find(work, ("s", i))
-        emit(TreeEdit("delete_node", path), src.indel[i])
-        parent, node = nodes[-2:]
-        parent.children[path[-1] - 1 : path[-1]] = node.children
-
-    # relabelings of mapped nodes, pre-order over the working tree, which
-    # holds only source nodes until the insertions
-    def walk_pre(node, path):
-        yield node, path
-        for k, c in enumerate(node.children, start=1):
-            yield from walk_pre(c, path + (k,))
-
-    for node, path in walk_pre(work, ()):
-        idx = node.key[1]
-        if idx not in map_st:
-            continue
-        j = map_st[idx]
-        if src.labels[idx] != tgt.labels[j]:
-            emit(
-                TreeEdit("relabel_node", path, tgt.labels[j]),
-                tgt.cost.cost_relabel(src.labels[idx], tgt.labels[j]),
-            )
-            node.label = tgt.labels[j]
-
-    # insertions, target pre-order; each unmapped target node is created
-    # under the working counterpart of its target parent and adopts the
-    # contiguous block of children that belong to its target subtree
-    def counterpart(node: _MutNode) -> int:
-        kind, idx = node.key
-        return idx if kind == "t" else map_st[idx]
-
-    def child_toward(q: int, below: int) -> int:
-        """The child of q on the path from q down to ``below`` (target ids)."""
-        node = below
-        while tgt.parent[node] != q:
-            node = tgt.parent[node]
-        return node
-
-    # target pre-order: subtree j spans postorder indices lml[j]..j, so this
-    # key puts each node after the subtrees left of it and before its own
-    for j in sorted(range(tgt.n), key=lambda j: (tgt.lml[j], -j)):
-        if j in map_ts:
-            continue
-        q = tgt.parent[j]  # -1 when j is the target root
-        if q == -1 and not root_unmapped:
-            # new root above the mapped source root
-            emit(
-                TreeEdit("insert_node", (), tgt.labels[j], (1, 1)),
-                tgt.indel[j],
-            )
-            work = _MutNode(tgt.labels[j], [work], ("t", j))
-            continue
-        if q == -1:
-            path, parent = (), work  # the deferred, unmapped source root adopts all
-            first, count = 1, len(parent.children)
-        else:
-            path, nodes = _find(work, ("s", map_ts[q]) if q in map_ts else ("t", q))
-            parent = nodes[-1]
-            # rank each working child by the child of q it lies below in the
-            # target; a Zhang-Shasha mapping keeps sibling order, so the ranks
-            # ascend, and j goes after those below its rank and adopts its own
-            order = {c: rank for rank, c in enumerate(tgt.children[q])}
-            ranks = [order[child_toward(q, counterpart(child))] for child in parent.children]
-            if ranks != sorted(ranks):
-                raise AssertionError("working children are out of target sibling order")
-            first = 1 + sum(rank < order[j] for rank in ranks)
-            count = ranks.count(order[j])
-        emit(
-            TreeEdit("insert_node", path + (first,), tgt.labels[j], (first, count)),
-            tgt.indel[j],
-        )
-        node = _MutNode(tgt.labels[j], parent.children[first - 1 : first - 1 + count], ("t", j))
-        parent.children[first - 1 : first - 1 + count] = [node]
-
+    # every target node before j in pre-order is in place when j is inserted
+    weight, _ = _weights(tgt, map_ts)
+    at = [(1,) if root_unmapped else ()] * tgt.n
+    for q in reversed(range(tgt.n)):
+        for rank, c in enumerate(tgt.children[q], start=1):
+            at[c] = at[q] + (rank,)
+    for j in sorted(range(tgt.n), key=at.__getitem__):
+        if j not in map_ts:
+            span = (at[j][-1], weight[j]) if at[j] else (1, 1)
+            steps.append((TreeEdit("insert_node", at[j], tgt.labels[j], span), tgt.indel[j]))
     if root_unmapped:
-        if len(work.children) != 1:
-            raise AssertionError("deferred root deletion requires a single child")
-        emit(TreeEdit("delete_node", ()), src.indel[root_s])
-        work = work.children[0]
-
-    return EditScript(tuple(edits), total)
+        steps.append((TreeEdit("delete_node", ()), src.indel[-1]))
+    total = 0.0
+    for _, cost_value in steps:
+        total += cost_value
+    return EditScript(tuple(edit for edit, _ in steps), total)
 
 
 def tree_distance(

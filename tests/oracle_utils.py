@@ -10,7 +10,8 @@ pair-by-pair accumulation for the state coefficients of pair weights,
 loop forms of the Nystrom projection, the prediction step and the
 pre-image score, a cell-by-cell Zhang-Shasha fill over keyroot tries in
 Python, with a backtrace that fills each table it visits again (a bitwise
-oracle of the wavefront kernel),
+oracle of the wavefront kernel), edit scripts built from a node mapping
+by editing a mutable working tree and searching it for every path,
 sparsification that refits every candidate at every greedy step, a
 leave-one-out evaluation that fits each fold alone and predicts its
 held-out states one at a time, and a hyper-parameter search that scores
@@ -39,7 +40,6 @@ from edithints.editdist import (
     TreeEdit,
     apply_edit,
     _Annotated,
-    _script_from_mapping,
     edit_to_dict,
 )
 from edithints.evaluate import EvalReport
@@ -350,7 +350,165 @@ def python_tree_distance(x: TreeState, y: TreeState, cost: CostModel):
                     continue
             x_ -= 1
     dist = float(table[t2.ids[-1]][t1.ids[-1]])
-    return dist, EditScript(_script_from_mapping(t1, t2, mapping).edits, dist)
+    return dist, EditScript(script_from_mapping_oracle(t1, t2, mapping).edits, dist)
+
+
+# ---------------------------------------------------------------------------
+# edit scripts from a node mapping by simulating the working tree: each edit
+# is applied to mutable nodes and every path is found by searching them
+
+
+class _MutNode:
+    """Mutable tree node used while materializing an edit script."""
+
+    __slots__ = ("label", "children", "key")
+
+    def __init__(self, label, children, key):
+        self.label = label
+        self.children = children
+        self.key = key
+
+
+def _build_mut(t: _Annotated) -> _MutNode:
+    """Rebuild the annotated tree as mutable nodes keyed by postorder index."""
+
+    def make(idx: int) -> _MutNode:
+        return _MutNode(t.labels[idx], [make(k) for k in t.children[idx]], ("s", idx))
+
+    return make(t.n - 1)
+
+
+def _find(root: _MutNode, key) -> tuple:
+    """Path of 1-based child indices to the node with ``key``, and the
+    nodes along that path from ``root`` down to the node itself."""
+
+    def search(node):
+        if node.key == key:
+            return (), [node]
+        for i, c in enumerate(node.children, start=1):
+            found = search(c)
+            if found is not None:
+                return (i, *found[0]), [node, *found[1]]
+        return None
+
+    found = search(root)
+    if found is None:
+        raise EditError(f"node {key} not present in working tree")
+    return found
+
+
+def script_from_mapping_oracle(src: _Annotated, tgt: _Annotated, mapping):
+    """Turn a Zhang-Shasha node mapping into an applicable edit script by
+    applying each edit to a working tree and searching it for each path.
+
+    Order: deletions of unmapped source nodes (postorder, root deferred),
+    relabelings (source pre-order), insertions of unmapped target nodes
+    (target pre-order), then the deferred root deletion if the source root
+    was unmapped.  Deferring an unmapped root until its remaining children
+    have been gathered under the inserted target root keeps every
+    intermediate state a valid single-rooted tree, which the fixed
+    delete-relabel-insert order alone cannot guarantee.
+    """
+    map_st = dict(mapping)
+    map_ts = {j: i for i, j in mapping}
+    root_s = src.n - 1
+    root_unmapped = root_s not in map_st
+    up = {k: q for q, kids in enumerate(tgt.children) for k in kids}  # target parents
+
+    work = _build_mut(src)
+    edits = []
+    total = 0.0
+
+    def emit(edit, cost_value):
+        nonlocal total
+        edits.append(edit)
+        total += cost_value
+
+    # deletions, postorder; the root (if unmapped) is deferred to the end
+    for i in range(src.n):
+        if i in map_st or i == root_s:
+            continue
+        path, nodes = _find(work, ("s", i))
+        emit(TreeEdit("delete_node", path), src.indel[i])
+        parent, node = nodes[-2:]
+        parent.children[path[-1] - 1 : path[-1]] = node.children
+
+    # relabelings of mapped nodes, pre-order over the working tree, which
+    # holds only source nodes until the insertions
+    def walk_pre(node, path):
+        yield node, path
+        for k, c in enumerate(node.children, start=1):
+            yield from walk_pre(c, path + (k,))
+
+    for node, path in walk_pre(work, ()):
+        idx = node.key[1]
+        if idx not in map_st:
+            continue
+        j = map_st[idx]
+        if src.labels[idx] != tgt.labels[j]:
+            emit(
+                TreeEdit("relabel_node", path, tgt.labels[j]),
+                tgt.cost.cost_relabel(src.labels[idx], tgt.labels[j]),
+            )
+            node.label = tgt.labels[j]
+
+    # insertions, target pre-order; each unmapped target node is created
+    # under the working counterpart of its target parent and adopts the
+    # contiguous block of children that belong to its target subtree
+    def counterpart(node: _MutNode) -> int:
+        kind, idx = node.key
+        return idx if kind == "t" else map_st[idx]
+
+    def child_toward(q: int, below: int) -> int:
+        """The child of q on the path from q down to ``below`` (target ids)."""
+        node = below
+        while up[node] != q:
+            node = up[node]
+        return node
+
+    # target pre-order: subtree j spans postorder indices lml[j]..j, so this
+    # key puts each node after the subtrees left of it and before its own
+    for j in sorted(range(tgt.n), key=lambda j: (tgt.lml[j], -j)):
+        if j in map_ts:
+            continue
+        q = up.get(j, -1)  # -1 when j is the target root
+        if q == -1 and not root_unmapped:
+            # new root above the mapped source root
+            emit(
+                TreeEdit("insert_node", (), tgt.labels[j], (1, 1)),
+                tgt.indel[j],
+            )
+            work = _MutNode(tgt.labels[j], [work], ("t", j))
+            continue
+        if q == -1:
+            path, parent = (), work  # the deferred, unmapped source root adopts all
+            first, count = 1, len(parent.children)
+        else:
+            path, nodes = _find(work, ("s", map_ts[q]) if q in map_ts else ("t", q))
+            parent = nodes[-1]
+            # rank each working child by the child of q it lies below in the
+            # target; a Zhang-Shasha mapping keeps sibling order, so the ranks
+            # ascend, and j goes after those below its rank and adopts its own
+            order = {c: rank for rank, c in enumerate(tgt.children[q])}
+            ranks = [order[child_toward(q, counterpart(child))] for child in parent.children]
+            if ranks != sorted(ranks):
+                raise AssertionError("working children are out of target sibling order")
+            first = 1 + sum(rank < order[j] for rank in ranks)
+            count = ranks.count(order[j])
+        emit(
+            TreeEdit("insert_node", path + (first,), tgt.labels[j], (first, count)),
+            tgt.indel[j],
+        )
+        node = _MutNode(tgt.labels[j], parent.children[first - 1 : first - 1 + count], ("t", j))
+        parent.children[first - 1 : first - 1 + count] = [node]
+
+    if root_unmapped:
+        if len(work.children) != 1:
+            raise AssertionError("deferred root deletion requires a single child")
+        emit(TreeEdit("delete_node", ()), src.indel[root_s])
+        work = work.children[0]
+
+    return EditScript(tuple(edits), total)
 
 
 # ---------------------------------------------------------------------------

@@ -538,6 +538,34 @@ def test_eval_quality_m_max_below_one_is_data_error(tmp_path, capsys, monkeypatc
     assert captured.err.splitlines() == ["edithints: data error: m_max must be at least 1, got 0"]
 
 
+def test_eval_random_policy_without_seed_fails_before_search_and_fit(tmp_path, capsys, monkeypatch):
+    from edithints import cli
+
+    calls = []
+
+    def recording(name, fn):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return record
+
+    monkeypatch.setattr(cli, "hyper_search", recording("hyper_search", cli.hyper_search))
+    monkeypatch.setattr(cli, "fit_model", recording("fit_model", cli.fit_model))
+    data = tmp_path / "hinted.json"
+    data.write_text(json.dumps(_hint()))
+    argv = ["eval", "--dataset", str(data), "--task", "quality", "--policy", "random"]
+    assert run([*argv, "--search", "--repeats", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "edithints: data error: the random policy requires an explicit seed"
+    ]
+    assert calls == []
+    assert run([*argv, "--search", "--repeats", "5", "--seed", "3"]) == 0
+    assert calls == ["hyper_search", "fit_model"]
+
+
 def test_hint_malformed_state_is_data_error(fig2_path, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     run(["fit", "--dataset", fig2_path, "--psi", "1.0", "--noise", "0.0", "--out", str(model_path)])

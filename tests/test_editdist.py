@@ -43,6 +43,7 @@ from oracle_utils import (
     python_tree_distance,
     random_sequence,
     random_tree,
+    script_from_mapping_oracle,
     tree,
     zhang_shasha_distance,
 )
@@ -725,6 +726,34 @@ def test_later_passes_read_the_rows_of_skipped_keyroots(x, others, cost, rng):
         d, script = tree_distance(s, part[0], cost, memo)
         d_want, want = python_tree_distance(s, part[0], cost)
         assert d.hex() == d_want.hex() and script.edits == want.edits
+
+
+# the scripts that a node mapping gives, by path arithmetic, against the
+# working-tree simulation, for the Zhang-Shasha mapping and a subset of it (a
+# subset of a valid mapping is valid); the examples reach a new target root
+# above the source root, a deferred source root and an empty mapping
+@settings(max_examples=300, deadline=None)
+@given(
+    trees(12),
+    trees(12),
+    st.sampled_from([UNIT_COSTS, GROUPED_ABC]) | cost_models,
+    st.sets(st.integers(0, 12)),
+)
+@example(parse_tree("a(b,c)"), parse_tree("c(a(b,c))"), UNIT_COSTS, set())
+@example(parse_tree("c(a(b),c)"), parse_tree("a(b)"), UNIT_COSTS, set())
+@example(parse_tree("c(a,b)"), parse_tree("a(a,b)"), GROUPED_ABC, set())
+@example(parse_tree("a(b,c(a))"), parse_tree("b(a(c),c)"), UNIT_COSTS, set(range(13)))
+def test_scripts_from_mappings_equal_the_working_tree_oracle(x, y, cost, dropped):
+    memo = DistanceMemo()
+    memo.rows((x,), (y,), cost)
+    t1, t2 = memo.annotate(x, cost), memo.annotate(y, cost)
+    full = editdist._zss_mapping(t1, t2, memo)
+    for mapping in (full, [pair for n, pair in enumerate(full) if n not in dropped]):
+        got = editdist._script_from_mapping(t1, t2, mapping)
+        want = script_from_mapping_oracle(t1, t2, mapping)
+        assert [serialize_edit(e) for e in got.edits] == [serialize_edit(e) for e in want.edits]
+        assert got.total_cost.hex() == want.total_cost.hex()
+        assert apply_script(got, x) == y
 
 
 # ---------------------------------------------------------------------------
