@@ -3,17 +3,20 @@
 The atomic edits are deletions, insertions and relabelings of single
 symbols (sequences) or single nodes (trees).  The edit set is symmetric:
 every edit has an inverse edit, so any state is reachable from any other.
-Distances are shortest-path costs in the resulting move graph, computed
-with the standard dynamic programs: Levenshtein for sequences, Zhang-Shasha
-for ordered trees.  Both return an :class:`EditScript` realizing the
-distance; replaying the script on the source state yields the target state
-and the script cost equals the distance exactly.  Without a script, the
-unit-cost sequence distances of a row run bit-parallel over a pack of many
-sequences in one integer, and the tree distances of many sources to many
-targets fill Zhang-Shasha's tables in one pass of numpy wavefronts over a
-trie of the sources' keyroots (the rows) and one of the targets' (the
-columns), whose shared prefixes fill once (see :func:`distance_rows`), both
-to the same bits.
+Distances are computed with the standard dynamic programs: Levenshtein for
+sequences, Zhang-Shasha for ordered trees.  They are shortest-path costs in
+the move graph when ``relabel(a, c) <= relabel(a, b) + relabel(b, c)`` and
+``indel(a) <= relabel(a, b) + indel(b)`` for all labels; otherwise a path
+can cost less (relabels a-b and b-c at 0.1 and a-c at 5: the distance from
+a to c is 2.0, the path through b 0.2).  Both return an :class:`EditScript`
+realizing the distance; replaying the script on the source state yields
+the target state and the script cost equals the distance exactly.  Without
+a script, the unit-cost sequence distances of a row run bit-parallel over a
+pack of many sequences in one integer, and the tree distances of many
+sources to many targets fill Zhang-Shasha's tables in one pass of numpy
+wavefronts over a trie of the sources' keyroots (the rows) and one of the
+targets' (the columns), whose shared prefixes fill once (see
+:func:`distance_rows`), both to the same bits.
 
 Position conventions
 --------------------
@@ -47,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate
+from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps' string form
 
 import numpy as np
@@ -443,54 +446,44 @@ def seq_distance(x: SequenceState, y: SequenceState, cost: CostModel = UNIT_COST
 
 
 class _Annotated:
-    """Postorder node labels, leftmost-leaf indices, keyroots and the
-    cost-model quantities of a tree that every Zhang-Shasha call with it
-    reads.
-
-    ``ids`` numbers each subtree by its structure: ``(label, child ids)``
-    is hash-consed through ``intern``, so trees annotated with one intern
-    table give equal subtrees equal ids.
-    """
+    """A tree's nodes in postorder as flat lists, made in one walk: per node
+    its label, leftmost leaf (``lml``), children, indel cost, keyroot (the
+    last node of its leftmost leaf, ``keyroot_of``) and subtree id (``ids``:
+    ``(label, child ids)`` hash-consed through ``intern``, so trees annotated
+    with one intern table give equal subtrees equal ids).  Keyroot ``k``'s
+    forest is the node range ``lml[k]`` to ``k`` of these lists."""
 
     def __init__(self, root: TreeState, cost: CostModel, intern: dict):
         self.cost = cost
-        self.labels = labels = []
-        self.lml = lml = []  # leftmost leaf descendant, postorder index
-        self.children = children = []  # postorder indices of children
-        self.ids = ids = []  # structural id of each node's subtree
-
-        def walk(node: TreeState) -> int:
-            kids = [walk(c) for c in node.children]
-            idx = len(labels)
-            labels.append(node.label)
-            lml.append(lml[kids[0]] if kids else idx)
+        post, stack = [], [root]
+        while stack:  # the pre-order that visits children right to left
+            node = stack.pop()
+            post.append(node)
+            stack.extend(node.children)
+        post.reverse()  # postorder, children left to right
+        self.labels = labels = [node.label for node in post]
+        self.lml, self.children, self.ids = lml, children, ids = [], [], []
+        done = []  # the finished subtrees whose parent is still to come
+        for i, node in enumerate(post):
+            if node.children:
+                first = len(done) - len(node.children)
+                kids = done[first:]
+                del done[first:]
+                lml.append(lml[kids[0]])
+                key = node.label, tuple([ids[k] for k in kids])
+            else:
+                kids = ()
+                lml.append(i)
+                key = node.label, ()
+            done.append(i)
             children.append(kids)
-            key = node.label, tuple([ids[k] for k in kids])
             ids.append(intern.setdefault(key, len(intern)))
-            return idx
-
-        walk(root)
         self.n = len(labels)
-        last_for_lml = {}
-        for i, leaf in enumerate(lml):
-            last_for_lml[leaf] = i
+        last_for_lml = dict(zip(lml, range(self.n)))  # the last node of each leftmost leaf
         self.keyroots = sorted(last_for_lml.values())
         self.keyroot_of = [last_for_lml[leaf] for leaf in lml]
         # deletion and insertion cost the same
-        self.indel = [cost.cost_delete(lab) for lab in labels]
-        self._forests = {}
-
-    def forest(self, k: int) -> list:
-        """Keyroot ``k``'s subtree in postorder, per node its subtree id,
-        indel cost, the offset where its subtree starts and, on the leftmost
-        path (offset 0), its label."""
-        if k not in self._forests:
-            lk, ids, lml, labels = self.lml[k], self.ids, self.lml, self.labels
-            self._forests[k] = [
-                (ids[n], self.indel[n], lml[n] - lk, labels[n] if lml[n] == lk else None)
-                for n in range(lk, k + 1)
-            ]
-        return self._forests[k]
+        self.indel = list(map(cost.cost_delete, labels))
 
 
 class _Trie:
@@ -498,98 +491,108 @@ class _Trie:
     forests are the prefixes of its subtree's nodes in postorder, so
     keyroots whose node sequences share a prefix (by subtree id) share those
     forests.  Each trie node is one forest, a column on the target side and
-    a row on the source side, node 0 the empty one.  ``paths[k]`` lists
-    keyroot id ``k``'s forests, ``whole[s]`` is the forest that is the
-    subtree of id ``s``; per forest, the arrays hold its length, parent
-    (without the last node), the forest where its last node's subtree
-    starts, the last node's id, indel cost and label (in ``labels``; whole
-    trees), and the indels summed along the path.  ``costs[a]`` lists
-    ``relabel[b][a]`` for each ``b`` of ``labels``."""
+    a row on the source side, node 0 the empty one.  The trie walks the
+    keyroot forests of ``trees`` in their flat node lists, each keyroot id
+    not in ``skip`` once, appends each new forest's fields to a list per
+    field and converts the lists to arrays once.  ``paths[k]`` lists keyroot
+    id ``k``'s forests, ``whole[s]`` is the forest that is the subtree of id
+    ``s``.  Per forest, ``ids`` holds its last node's id, ``links`` its
+    index, parent (without the last node), the forest where its last node's
+    subtree starts (0 for a whole tree), that subtree's row (0 if missing
+    until :func:`_imports` imports it) and its last node's label (in
+    ``labels``), the other arrays its length, indel cost and the indels
+    summed along its path; ``costs[a]`` holds ``relabel[a][b]`` per ``b``."""
 
-    def __init__(self, forests: dict, relabel):
+    def __init__(self, trees, relabel, skip=()):
         children, self.paths, self.whole, index = [{}], {}, {}, {}
-        made = [(0, 0, 0, -1, 0.0, 0.0, 0)]
-        for kid, nodes in forests.items():
-            path = [0]
-            for sid, cost, offset, lab in nodes:
-                v = children[path[-1]].get(sid)
-                if v is None:
-                    v = children[path[-1]][sid] = len(children)
-                    children.append({})
-                    lab, up = 0 if offset else index.setdefault(lab, len(index)), path[-1]
-                    made.append((len(path), up, path[offset], sid, cost, made[up][5] + cost, lab))
-                    if not offset:
-                        self.whole[sid] = v
-                path.append(v)
-            self.paths[kid] = path
-        depth, parent, begin, self.ids, indel, edge, label = zip(*made)
-        self.size, self.labels = len(made), list(index)
-        self.costs = _Lazy(lambda a: [relabel[b][a] for b in self.labels])
-        # the sum of two lengths stays within int16, which numpy sorts by radix
-        self.depth = np.array(depth, np.int16 if self.size < 2**14 else np.int32)
-        self.parent, self.begin, self.label = np.array(parent), np.array(begin), np.array(label)
-        self.indel, self.edge = np.array(indel), np.array(edge)
+        parent, begin, depth, self.ids, indel, edge, label = [0], [0], [0], [-1], [0.0], [0.0], [0]
+        for t in trees:
+            lml, ids, labels, costs = t.lml, t.ids, t.labels, t.indel
+            for k in t.keyroots:
+                if ids[k] in self.paths or ids[k] in skip:
+                    continue
+                lk, path, v = lml[k], [0], 0
+                for n in range(lk, k + 1):
+                    sid = ids[n]
+                    w = children[v].get(sid)
+                    if w is None:
+                        w = children[v][sid] = len(children)
+                        children.append({})
+                        offset = lml[n] - lk
+                        parent.append(v)
+                        begin.append(path[offset])
+                        depth.append(len(path))
+                        self.ids.append(sid)
+                        indel.append(costs[n])
+                        edge.append(edge[v] + costs[n])
+                        label.append(index.setdefault(labels[n], len(index)))
+                        if not offset:
+                            self.whole[sid] = w
+                    path.append(w)
+                    v = w
+                self.paths[ids[k]] = path
+        self.size, self.labels = len(parent), list(index)
+        self.costs = _Lazy(lambda a, b=self.labels: np.array(list(map(relabel[a].__getitem__, b))))
+        sub = list(map(self.whole.get, self.ids, repeat(0)))
+        self.links = np.array([range(self.size), parent, begin, sub, label], np.intp)
+        # a type that holds the sum of two lengths: numpy radix-sorts 8 and 16 bits
+        self.depth = np.array(depth, np.min_scalar_type(2 * max(depth)))
+        costs = np.array([indel, edge], float)
+        self.indel, self.edge = costs[0], costs[1]
 
     @cached_property
     def column_terms(self) -> np.ndarray:
-        """The column halves of the flat buffer indices that :func:`_fill`
-        reads, one row per column forest but the empty one."""
-        c, p = np.arange(self.size), self.parent
-        sub = np.array([self.whole.get(s, 0) for s in self.ids])  # the last node's subtree
-        return np.array([c, c, p, self.begin, 0 * c, c, sub, p, self.label, sub == c]).T[1:].copy()
+        """:func:`_fill`'s column terms, one column per forest but the empty one."""
+        return self.links[_COLUMN_TERMS, 1:] * _COLUMN_SCALE
 
 
+# a cell's buffer indices, each a row of _Trie.links scaled (and offset, for
+# rows) plus a column's: the cell; its delete, insert and match operands; the
+# delete and insert costs; the other match operand; and the match operand
+# and relabel cost of two whole trees
+_COLUMN_TERMS, _ROW_TERMS = [0, 0, 1, 2, 0, 0, 3, 1, 4], [0, 1, 0, 2, 0, 0, 3, 1, 4]
+_COLUMN_SCALE = np.array([1, 1, 1, 1, 0, 1, 1, 1, 1])[:, None]  # a column has no delete cost
 # cells whose buffer indices are built at once: of 1024 to 8192, 2048 and 4096
 # filled a tree hint's big passes fastest, their index arrays staying in cache
 _CHUNK = 2048
 
 
-def _fill(rows: _Trie, cols: _Trie, sub, imported) -> np.ndarray:
+def _fill(rows: _Trie, cols: _Trie, imported) -> np.ndarray:
     """Fill the Zhang-Shasha forest tables of one pass: returns its cells, a
     row per row forest (then the ``imported`` rows) and a column per column
     forest.  A cell is the minimum of three single IEEE additions: its
     parent row's cell plus a delete, its parent column's plus an insert,
     and the parents' cell plus a relabel (two whole trees) or else the
     start forests' cell plus the cell of the last nodes' whole subtrees,
-    whose row is ``sub[r]``, a row of the pass or an imported one.
+    whose row is in ``rows.links[3]``, a row of the pass or an imported one.
     So a cell reads only cells of shorter total length: the cells run in
     wavefronts of equal total length, each a few array gathers, and a sum
     past the largest float is ``inf``, as in Python."""
-    n_rows, width = rows.size + len(imported), cols.size
-    relabel = [c for a in rows.labels for c in cols.costs[a]]
+    n_rows, width, n_labels = rows.size + len(imported), cols.size, len(cols.labels)
     # one flat buffer: the insert costs, delete costs, relabel costs, cells
-    base = width + rows.size + len(relabel)
+    costs = width + rows.size
+    base = costs + len(rows.labels) * n_labels
     buf = np.empty(base + n_rows * width)
-    buf[:width], buf[width : width + rows.size] = cols.indel, rows.indel
-    buf[width + rows.size : base] = relabel
+    buf[:width], buf[width:costs] = cols.indel, rows.indel
+    buf[costs:base] = np.concatenate([cols.costs[a] for a in rows.labels])
     cells = buf[base:].reshape(n_rows, width)
     cells[: rows.size, 0], cells[0], cells[rows.size :] = rows.edge, cols.edge, imported
-    # a cell's buffer indices are a row term plus a column term: the cell;
-    # its delete, insert and match operands; the delete and insert costs;
-    # the other match operand; the match operands of two whole trees; and
-    # the count of whole forests among the two
-    r, p = np.arange(rows.size), base + rows.parent * width
-    labels = width + rows.size + rows.label * len(cols.labels)
-    row_terms = np.array(
-        [base + r * width, p, base + r * width, base + rows.begin * width, width + r, 0 * r,
-         base + sub * width, p, labels, sub == r]
-    ).T[1:].copy()
-    sums = rows.depth[1:, None] + cols.depth[1:]
-    order = np.argsort(sums, axis=None, kind="stable")
-    counts = np.bincount(sums.ravel())
+    scale = np.array([[width] * 4 + [1, 0, width, width, n_labels],
+                      [base] * 4 + [width, 0, base, base, costs]])[..., None]
+    row_terms = rows.links[_ROW_TERMS, 1:] * scale[0] + scale[1]
+    order = np.argsort(rows.depth[1:, None] + cols.depth[1:], axis=None, kind="stable")
+    counts = np.convolve(*(np.bincount(t.depth[1:], minlength=1) for t in (rows, cols)))  # per sum
     ends, front = np.cumsum(counts)[counts > 0].tolist(), 0
     with np.errstate(over="ignore"):
         for first in range(0, len(order), _CHUNK):
             last = min(first + _CHUNK, len(order))
             r, c = np.divmod(order[first:last], width - 1)
-            terms = row_terms.take(r, 0)
-            terms += cols.column_terms.take(c, 0)
-            terms = terms.T
-            reads = terms[1:7].copy()
-            both = terms[9] == 2
+            terms = row_terms.take(r, 1)
+            terms += cols.column_terms.take(c, 1)
+            at, reads, a = terms[0], terms[1:7], 0
+            both = reads[2] == base  # both start forests empty: two whole trees
             np.copyto(reads[2], terms[7], where=both)
             np.copyto(reads[5], terms[8], where=both)
-            at, a = terms[0].copy(), 0
             while a < last - first:  # the wavefronts of the chunk, or their parts in it
                 b = min(ends[front], last) - first
                 front += ends[front] <= last
@@ -648,47 +651,46 @@ class DistanceMemo:
         trees = [self.annotate(y, cost) for y in targets]
         key = tuple([t.ids[-1] for t in trees])
         if key not in self._tries:  # an equal subtree has the same forests
-            forests = {t.ids[k]: t.forest(k) for t in trees for k in t.keyroots}
-            self._tries[key] = _Trie(forests, cost.rows)
+            self._tries[key] = _Trie(trees, cost.rows)
         return self._tries[key]
 
-    def rows(self, xs, targets, cost: CostModel) -> list:
-        """The Zhang-Shasha distances from each of ``xs`` to each of
-        ``targets``: the keyroots of ``xs`` that no kept pass ran over every
-        target, as one trie of rows, fill the columns of the targets' trie
-        in one pass; with none to run, no trie is built or looked up."""
+    def passes(self, xs, targets, cost: CostModel) -> dict:
+        """The kept pass ``(cells, rows, columns)`` that ran each keyroot id of
+        ``xs`` over all ``targets``: those no kept pass ran so fill, as one trie
+        of rows, the targets' trie in one pass (none: no trie is looked up)."""
         sources = [self.annotate(x, cost) for x in xs]
         key = [self.annotate(y, cost).ids[-1] for y in targets]
-        forests, ran = {}, {}  # keyroot ids to run here; to the kept pass that ran them
-        for t in sources:
-            for k in t.keyroots:
-                kid = t.ids[k]
-                if kid not in forests and kid not in ran:
-                    for run in self._runs.get(kid, ()):
-                        if all(y in run[2].paths for y in key):
-                            ran[kid] = run
-                            break
-                    else:
-                        forests[kid] = t.forest(k)
-        if forests:
+        kids, ran = dict.fromkeys(t.ids[k] for t in sources for k in t.keyroots), {}
+        for kid in kids:
+            for run in self._runs.get(kid, ()):
+                if all(y in run[2].paths for y in key):
+                    ran[kid] = run
+                    break
+        if len(ran) < len(kids):
             cols = self.trie(targets, cost)
-            rows = _Trie(forests, cost.rows)
-            run = (_fill(rows, cols, *_imports(sources, ran, rows, cols)), rows, cols)
-            for kid in forests:
+            rows = _Trie(sources, cost.rows, ran)
+            run = (_fill(rows, cols, _imports(sources, ran, rows, cols)), rows, cols)
+            for kid in rows.paths:
                 ran[kid] = run
                 self._runs[kid] = [*self._runs.get(kid, ()), run]
-        out = []
-        for t in sources:
-            cells, rows, cols = ran[t.ids[-1]]
-            out.append(cells[rows.whole[t.ids[-1]], [cols.whole[y] for y in key]].tolist())
+        return ran
+
+    def rows(self, xs, targets, cost: CostModel) -> list:
+        """The distances from each of ``xs`` to each of ``targets``, read from :meth:`passes`."""
+        ran, out = self.passes(xs, targets, cost), []
+        key = [self.annotate(y, cost).ids[-1] for y in targets]
+        for x in xs:
+            root = self.annotate(x, cost).ids[-1]
+            cells, rows, cols = ran[root]
+            out.append(cells[rows.whole[root], [cols.whole[y] for y in key]].tolist())
         return out
 
 
-def _imports(sources, ran, rows: _Trie, cols: _Trie) -> tuple:
+def _imports(sources, ran, rows: _Trie, cols: _Trie) -> np.ndarray:
     """The rows a pass imports: each whole subtree on the leftmost path of a
     source keyroot that a kept pass ran, unless a row of the pass is that
-    subtree, read from the kept pass at every whole column.  Returns the
-    pass's ``sub`` (see :func:`_fill`) and those rows."""
+    subtree, read from the kept pass at every whole column.  Points the
+    subtree rows of ``rows.links[3]`` at them and returns them."""
     need = {}  # subtree id -> (the kept pass, its row there)
     for t in sources:
         for k in t.keyroots:
@@ -697,38 +699,35 @@ def _imports(sources, ran, rows: _Trie, cols: _Trie) -> tuple:
                 for n in range(lk, k + 1):
                     if t.lml[n] == lk and t.ids[n] not in rows.whole:
                         need.setdefault(t.ids[n], (run, run[1].paths[t.ids[k]][n - lk + 1]))
-    at = {sid: i for i, sid in enumerate(need, rows.size)}
-    sub = np.array([rows.whole.get(s) or at.get(s, 0) for s in rows.ids])
+    if need:
+        at = {sid: i for i, sid in enumerate(need, rows.size)}
+        rows.links[3] += [at.get(s, 0) for s in rows.ids]
     imported, dst = np.full((len(need), cols.size), np.nan), list(cols.whole.values())
+    src = {kept: [kept.whole[s] for s in cols.whole] for kept in {run[2] for run, _ in need.values()}}
     for i, ((cells, _, kept), row) in enumerate(need.values()):
-        imported[i, dst] = cells[row, [kept.whole[s] for s in cols.whole]]
-    return sub, imported
+        imported[i, dst] = cells[row, src[kept]]
+    return imported
 
 
-def _zss_mapping(t1: _Annotated, t2: _Annotated, memo: DistanceMemo):
-    """Backtrace one optimal node mapping through the cells that the
-    memo's passes kept: the forest table of a pair of keyroots is read from
-    a pass that ran both.  Ties prefer insert, then match/relabel, then
-    delete, as in the sequence backtrace."""
+def _zss_mapping(t1: _Annotated, t2: _Annotated, ran: dict):
+    """Backtrace one optimal node mapping through kept cells: each keyroot
+    pair's forest table is one gather from ``ran[k]``, the pass that ran t1's
+    keyroot id ``k`` over t2 (:meth:`DistanceMemo.passes`).  Ties prefer
+    insert, then match/relabel, then delete, as in the sequence backtrace."""
     relabel, ci = t1.cost.rows, t2.indel
 
-    def cells(ri, rj):
-        """The cells of a pass that ran the keyroots of ri and rj, and the
-        nodes of their forests there up to ri and rj."""
-        ki, kj = t1.ids[t1.keyroot_of[ri]], t2.ids[t2.keyroot_of[rj]]
-        kept, rows, cols = next(run for run in memo._runs[ki] if kj in run[2].paths)
-        return kept, rows.paths[ki][: ri - t1.lml[ri] + 2], cols.paths[kj][: rj - t2.lml[rj] + 2]
-
     def subtree(ni, nj):
-        kept, rpath, cpath = cells(ni, nj)
-        return float(kept[rpath[-1], cpath[-1]])
+        kept, rows, cols = ran[t1.ids[t1.keyroot_of[ni]]]
+        return kept.item(rows.whole[t1.ids[ni]], cols.whole[t2.ids[nj]])
 
     mapping = []
     stack = [(t1.n - 1, t2.n - 1)]
     while stack:
         ri, rj = stack.pop()
-        kept, rpath, cpath = cells(ri, rj)
-        fd, li, lj = kept[np.ix_(rpath, cpath)].tolist(), t1.lml[ri], t2.lml[rj]
+        ki, kj, li, lj = t1.ids[t1.keyroot_of[ri]], t2.ids[t2.keyroot_of[rj]], t1.lml[ri], t2.lml[rj]
+        kept, rows, cols = ran[ki]
+        rpath, cpath = rows.paths[ki][: ri - li + 2], cols.paths[kj][: rj - lj + 2]
+        fd = kept[np.array(rpath)[:, None], np.array(cpath)].tolist()
         x, y = ri - li + 1, rj - lj + 1
         while x > 0 or y > 0:
             ni = li + x - 1
@@ -803,10 +802,9 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping):
     for i in range(src.n - 1):  # the root is last
         if i not in map_st:
             steps.append((TreeEdit("delete_node", path[i]), src.indel[i]))
-    for i in sorted(map_st, key=kept.__getitem__):
+    for i in sorted([i for i, j in mapping if src.labels[i] != tgt.labels[j]], key=kept.__getitem__):
         old, new = src.labels[i], tgt.labels[map_st[i]]
-        if old != new:
-            steps.append((TreeEdit("relabel_node", kept[i], new), tgt.cost.cost_relabel(old, new)))
+        steps.append((TreeEdit("relabel_node", kept[i], new), tgt.cost.cost_relabel(old, new)))
 
     # every target node before j in pre-order is in place when j is inserted
     weight, _ = _weights(tgt, map_ts)
@@ -814,10 +812,9 @@ def _script_from_mapping(src: _Annotated, tgt: _Annotated, mapping):
     for q in reversed(range(tgt.n)):
         for rank, c in enumerate(tgt.children[q], start=1):
             at[c] = at[q] + (rank,)
-    for j in sorted(range(tgt.n), key=at.__getitem__):
-        if j not in map_ts:
-            span = (at[j][-1], weight[j]) if at[j] else (1, 1)
-            steps.append((TreeEdit("insert_node", at[j], tgt.labels[j], span), tgt.indel[j]))
+    for j in sorted([j for j in range(tgt.n) if j not in map_ts], key=at.__getitem__):
+        span = (at[j][-1], weight[j]) if at[j] else (1, 1)
+        steps.append((TreeEdit("insert_node", at[j], tgt.labels[j], span), tgt.indel[j]))
     if root_unmapped:
         steps.append((TreeEdit("delete_node", ()), src.indel[-1]))
     total = 0.0
@@ -833,9 +830,10 @@ def tree_distance(
     distance is a row through ``memo`` as in :func:`tree_distance_only`; the
     mapping backtrace then reads the cells that the memo's passes kept."""
     memo = DistanceMemo() if memo is None else memo
-    dist = memo.rows((x,), (y,), cost)[0][0]
-    t1, t2 = memo.annotate(x, cost), memo.annotate(y, cost)
-    script = _script_from_mapping(t1, t2, _zss_mapping(t1, t2, memo))
+    ran, t1, t2 = memo.passes((x,), (y,), cost), memo.annotate(x, cost), memo.annotate(y, cost)
+    cells, rows, cols = ran[t1.ids[-1]]
+    dist = cells.item(rows.whole[t1.ids[-1]], cols.whole[t2.ids[-1]])
+    script = _script_from_mapping(t1, t2, _zss_mapping(t1, t2, ran))
     if not math.isclose(script.total_cost, dist, rel_tol=1e-12, abs_tol=1e-12):
         raise AssertionError(
             f"script cost {script.total_cost} does not realize distance {dist}"
@@ -940,8 +938,9 @@ def distance_row(x, targets, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = 
 
 
 # sources per pass of the pairwise matrix: a pass's cells pair the forests of
-# its sources with its targets', so blocks bound its memory; of 8 to 64, 16 was
-# the fastest at 32 and 64 tree states, and 27 % slower than 64 at 256
+# its sources with its targets', so blocks bound its memory.  At 256 tree
+# states on 2 shared cores, blocks of 16, 32 and 64 all took 195-200 ms, and
+# blocks grown with the targets' trie as long, at a 41 % higher memory peak
 _MATRIX_BLOCK = 16
 
 

@@ -9,8 +9,9 @@ the inverse of an edit for round trips, replaying a script edit by edit,
 pair-by-pair accumulation for the state coefficients of pair weights,
 loop forms of the Nystrom projection, the prediction step and the
 pre-image score, a cell-by-cell Zhang-Shasha fill over keyroot tries in
-Python, with a backtrace that fills each table it visits again (a bitwise
-oracle of the wavefront kernel), edit scripts built from a node mapping
+Python on trees annotated by a recursive walk of their own, with a
+backtrace that fills each table it visits again (a bitwise oracle of the
+wavefront kernel), edit scripts built from a node mapping
 by editing a mutable working tree and searching it for every path,
 sparsification that refits every candidate at every greedy step, a
 leave-one-out evaluation that fits each fold alone and predicts its
@@ -39,7 +40,6 @@ from edithints.editdist import (
     SeqEdit,
     TreeEdit,
     apply_edit,
-    _Annotated,
     edit_to_dict,
 )
 from edithints.evaluate import EvalReport
@@ -241,6 +241,54 @@ def zhang_shasha_distance(x: TreeState, y: TreeState, cost: CostModel) -> float:
 # bitwise oracle of the wavefront kernel's distances and scripts
 
 
+class OracleAnnotated:
+    """Postorder node labels, leftmost-leaf indices, children, keyroots and
+    indel costs of a tree, made by a recursive walk: the annotation of the
+    oracle, which shares no code with the package's.
+
+    ``ids`` numbers each subtree by its structure: ``(label, child ids)``
+    is hash-consed through ``intern``, so trees annotated with one intern
+    table give equal subtrees equal ids.
+    """
+
+    def __init__(self, root: TreeState, cost: CostModel, intern: dict):
+        self.cost = cost
+        self.labels = labels = []
+        self.lml = lml = []  # leftmost leaf descendant, postorder index
+        self.children = children = []  # postorder indices of children
+        self.ids = ids = []  # structural id of each node's subtree
+
+        def walk(node: TreeState) -> int:
+            kids = [walk(c) for c in node.children]
+            idx = len(labels)
+            labels.append(node.label)
+            lml.append(lml[kids[0]] if kids else idx)
+            children.append(kids)
+            key = node.label, tuple([ids[k] for k in kids])
+            ids.append(intern.setdefault(key, len(intern)))
+            return idx
+
+        walk(root)
+        self.n = len(labels)
+        last_for_lml = {}
+        for i, leaf in enumerate(lml):
+            last_for_lml[leaf] = i
+        self.keyroots = sorted(last_for_lml.values())
+        self.keyroot_of = [last_for_lml[leaf] for leaf in lml]
+        # deletion and insertion cost the same
+        self.indel = [cost.cost_delete(lab) for lab in labels]
+
+    def forest(self, k: int) -> list:
+        """Keyroot ``k``'s subtree in postorder, per node its subtree id,
+        indel cost, the offset where its subtree starts and, on the leftmost
+        path (offset 0), its label."""
+        lk, ids, lml, labels = self.lml[k], self.ids, self.lml, self.labels
+        return [
+            (ids[n], self.indel[n], lml[n] - lk, labels[n] if lml[n] == lk else None)
+            for n in range(lk, k + 1)
+        ]
+
+
 def _trie_order(forests) -> tuple:
     """The trie of node sequences (see ``editdist._Trie``) as a list of
     ``(node, parent, begin, last node)`` in order, and its size."""
@@ -296,8 +344,8 @@ def _python_table(xs, targets, cost) -> tuple:
     """Every source keyroot over every target keyroot in one cell-by-cell
     pass; returns the annotated trees and the subtree-pair table."""
     intern = {}
-    sources = [_Annotated(x, cost, intern) for x in xs]
-    trees = [_Annotated(y, cost, intern) for y in targets]
+    sources = [OracleAnnotated(x, cost, intern) for x in xs]
+    trees = [OracleAnnotated(y, cost, intern) for y in targets]
 
     def forests(ts):
         return {t.ids[k]: t.forest(k) for t in ts for k in t.keyroots}.values()
@@ -369,7 +417,7 @@ class _MutNode:
         self.key = key
 
 
-def _build_mut(t: _Annotated) -> _MutNode:
+def _build_mut(t) -> _MutNode:
     """Rebuild the annotated tree as mutable nodes keyed by postorder index."""
 
     def make(idx: int) -> _MutNode:
@@ -397,9 +445,11 @@ def _find(root: _MutNode, key) -> tuple:
     return found
 
 
-def script_from_mapping_oracle(src: _Annotated, tgt: _Annotated, mapping):
+def script_from_mapping_oracle(src, tgt, mapping):
     """Turn a Zhang-Shasha node mapping into an applicable edit script by
     applying each edit to a working tree and searching it for each path.
+    ``src`` and ``tgt`` are annotated trees: :class:`OracleAnnotated` or
+    the package's, which holds the same lists.
 
     Order: deletions of unmapped source nodes (postorder, root deferred),
     relabelings (source pre-order), insertions of unmapped target nodes

@@ -30,9 +30,10 @@ from edithints.editdist import (
     tree_distance,
     tree_distance_only,
 )
-from edithints.states import parse_tree, sequence
+from edithints.states import MAX_TREE_DEPTH, parse_tree, sequence
 
 from oracle_utils import (
+    OracleAnnotated,
     all_strings,
     all_trees,
     apply_script,
@@ -695,6 +696,52 @@ def test_wavefront_passes_equal_the_cell_by_cell_fill(batch, cost):
                 assert d.hex() == d_want.hex() and script.edits == want.edits
 
 
+def _chain(names):
+    """A path of nodes, the first name at the root."""
+    out = tree(names[-1])
+    for label in reversed(names[:-1]):
+        out = tree(label, out)
+    return out
+
+
+def _annotation(ts) -> list:
+    """Per annotated tree its per-node lists and keyroot forests, each
+    subtree id replaced by its class among the ids of all of ``ts`` (the
+    first id seen is 0), so two annotations compare equal when their ids
+    are equal exactly where the other's are."""
+    classes = {}
+    out = []
+    for t in ts:
+        ids = [classes.setdefault(i, len(classes)) for i in t.ids]
+        forests = [
+            [(ids[n], t.indel[n].hex(), t.lml[n] - t.lml[k], t.labels[n] if t.lml[n] == t.lml[k] else None)
+             for n in range(t.lml[k], k + 1)]
+            for k in t.keyroots
+        ]
+        out.append((t.labels, t.lml, [list(c) for c in t.children], t.keyroots, t.keyroot_of, ids, forests))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tree_batches().map(lambda batch: batch[0] + batch[1])
+    | st.lists(st.lists(labels, min_size=1, max_size=MAX_TREE_DEPTH + 1).map(_chain), min_size=1, max_size=3),
+    kernel_costs,
+)
+@example([_chain(["a"] * (MAX_TREE_DEPTH + 1)), _chain(["a", "b"] * 50)], UNIT_COSTS)
+def test_annotation_equals_the_recursive_oracle(ts, cost):
+    # the one-walk annotation against the oracle's recursive walk, over trees
+    # that repeat subtrees within and across themselves and chains one level
+    # deeper than a parsed tree may be: the same labels, leftmost leaves,
+    # children, keyroots, keyroot of each node, indels and keyroot forests,
+    # and subtree ids equal exactly where the oracle's are
+    package, oracle = {}, {}
+    got = [editdist._Annotated(t, cost, package) for t in ts]
+    want = [OracleAnnotated(t, cost, oracle) for t in ts]
+    assert _annotation(got) == _annotation(want)
+    assert [[c.hex() for c in t.indel] for t in got] == [[c.hex() for c in t.indel] for t in want]
+
+
 def test_huge_costs_overflow_to_inf_without_a_warning():
     x, y = parse_tree("a(b,c(a))"), parse_tree("b(a(c),c)")
     with warnings.catch_warnings():
@@ -745,9 +792,9 @@ def test_later_passes_read_the_rows_of_skipped_keyroots(x, others, cost, rng):
 @example(parse_tree("a(b,c(a))"), parse_tree("b(a(c),c)"), UNIT_COSTS, set(range(13)))
 def test_scripts_from_mappings_equal_the_working_tree_oracle(x, y, cost, dropped):
     memo = DistanceMemo()
-    memo.rows((x,), (y,), cost)
+    ran = memo.passes((x,), (y,), cost)
     t1, t2 = memo.annotate(x, cost), memo.annotate(y, cost)
-    full = editdist._zss_mapping(t1, t2, memo)
+    full = editdist._zss_mapping(t1, t2, ran)
     for mapping in (full, [pair for n, pair in enumerate(full) if n not in dropped]):
         got = editdist._script_from_mapping(t1, t2, mapping)
         want = script_from_mapping_oracle(t1, t2, mapping)

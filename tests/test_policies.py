@@ -924,21 +924,46 @@ def test_hint_memo_gives_the_hints_of_fresh_memos(monkeypatch, seed, cost):
     assert _all_hints(model, queries) == shared
 
 
-def test_a_tree_chf_hint_makes_two_kernel_passes(monkeypatch):
-    # the query row and the scoring; the scripts read the cells the query
-    # row kept, also when the query is a training state
+def _kernel_counts(monkeypatch, policy) -> list:
+    """Per query of a tree model, the ``_fill`` passes and ``_Trie`` builds
+    of its ``policy`` hint, and whether it hinted; the model's training
+    trie, built once per model, is built before the count."""
     model = fit_model(load_dataset(_tree_walks(76, 6)), params=KernelParams(2.0, 0.3))
+    model.hint_memo()
     rng = random.Random(76)
-    passes, fill = [], editdist._fill
+    passes, tries, fill, build = [], [], editdist._fill, editdist._Trie.__init__
     monkeypatch.setattr(editdist, "_fill", lambda *args: passes.append(1) or fill(*args))
-    hinted = 0
-    for x in [random_tree(rng, labels="fghk") for _ in range(4)] + list(model.pairs.states[::5]):
+    monkeypatch.setattr(editdist._Trie, "__init__", lambda self, *args: tries.append(1) or build(self, *args))
+    counts = []
+    for k, x in enumerate([random_tree(rng, labels="fghk") for _ in range(4)] + list(model.pairs.states[::5])):
         passes.clear()
-        result = chf_hint(model, x)
-        if result.candidates:
-            hinted += 1
-            assert len(passes) == 2
-    assert hinted >= 4
+        tries.clear()
+        result = hint_by_policy(model, x, policy, seed=k)
+        counts.append((len(passes), len(tries), bool(result.candidates)))
+    return counts
+
+
+def test_a_tree_chf_hint_makes_two_kernel_passes(monkeypatch):
+    # the query row and the scoring, over three tries: the query's rows, the
+    # candidates' rows and the columns of the support and the query; the
+    # scripts read the cells the query row kept, also when the query is a
+    # training state.  A hint that declines makes the query row alone
+    counts = _kernel_counts(monkeypatch, "chf")
+    assert all((p, t) == ((2, 3) if hinted else (1, 1)) for p, t, hinted in counts), counts
+    assert sum(hinted for _, _, hinted in counts) >= 4
+
+
+@pytest.mark.parametrize("policy, at_reference", [("zimmerman", (1, 1)), ("gross", (1, 1)), ("random", (1, 2))])
+def test_a_tree_baseline_hint_makes_two_kernel_passes(monkeypatch, policy, at_reference):
+    # zimmerman and gross: the query row, whose cells the script toward the
+    # reference reads, then the distance after the edit, over the query's
+    # rows, the edited tree's rows and the reference's columns; random: the
+    # script toward its reference, then the distance after the edit, over
+    # the same three tries.  A query at its reference makes the query row
+    # alone (zimmerman, gross) or the script's pass alone (random)
+    counts = _kernel_counts(monkeypatch, policy)
+    assert all((p, t) == ((2, 3) if hinted else at_reference) for p, t, hinted in counts), counts
+    assert sum(hinted for _, _, hinted in counts) >= 8
 
 
 def test_sequence_hints_pack_the_training_states_once(monkeypatch):
