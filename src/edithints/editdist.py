@@ -491,25 +491,25 @@ class _Trie:
     forests are the prefixes of its subtree's nodes in postorder, so
     keyroots whose node sequences share a prefix (by subtree id) share those
     forests.  Each trie node is one forest, a column on the target side and
-    a row on the source side, node 0 the empty one.  The trie walks the
-    keyroot forests of ``trees`` in their flat node lists, each keyroot id
-    not in ``skip`` once, appends each new forest's fields to a list per
-    field and converts the lists to arrays once.  ``paths[k]`` lists keyroot
-    id ``k``'s forests, ``whole[s]`` is the forest that is the subtree of id
-    ``s``.  Per forest, ``ids`` holds its last node's id, ``links`` its
-    index, parent (without the last node), the forest where its last node's
-    subtree starts (0 for a whole tree), that subtree's row (0 if missing
-    until :func:`_imports` imports it) and its last node's label (in
+    a row on the source side, node 0 the empty one.  The trie walks every
+    keyroot forest of ``trees`` in their flat node lists, each keyroot id
+    once, appends each new forest's fields to a list per field and converts
+    the lists to arrays once.  ``paths[k]`` lists keyroot id ``k``'s
+    forests, ``whole[s]`` is the forest that is the subtree of id ``s``.
+    Per forest, ``ids`` holds its last node's id, ``links`` its index,
+    parent (without the last node), the forest where its last node's
+    subtree starts (0 for a whole tree), that subtree's forest (which the
+    keyroot of its leftmost leaf walks) and its last node's label (in
     ``labels``), the other arrays its length, indel cost and the indels
     summed along its path; ``costs[a]`` holds ``relabel[a][b]`` per ``b``."""
 
-    def __init__(self, trees, relabel, skip=()):
+    def __init__(self, trees, relabel):
         children, self.paths, self.whole, index = [{}], {}, {}, {}
         parent, begin, depth, self.ids, indel, edge, label = [0], [0], [0], [-1], [0.0], [0.0], [0]
         for t in trees:
             lml, ids, labels, costs = t.lml, t.ids, t.labels, t.indel
             for k in t.keyroots:
-                if ids[k] in self.paths or ids[k] in skip:
+                if ids[k] in self.paths:
                     continue
                 lk, path, v = lml[k], [0], 0
                 for n in range(lk, k + 1):
@@ -557,26 +557,26 @@ _COLUMN_SCALE = np.array([1, 1, 1, 1, 0, 1, 1, 1, 1])[:, None]  # a column has n
 _CHUNK = 2048
 
 
-def _fill(rows: _Trie, cols: _Trie, imported) -> np.ndarray:
+def _fill(rows: _Trie, cols: _Trie) -> np.ndarray:
     """Fill the Zhang-Shasha forest tables of one pass: returns its cells, a
-    row per row forest (then the ``imported`` rows) and a column per column
-    forest.  A cell is the minimum of three single IEEE additions: its
-    parent row's cell plus a delete, its parent column's plus an insert,
-    and the parents' cell plus a relabel (two whole trees) or else the
-    start forests' cell plus the cell of the last nodes' whole subtrees,
-    whose row is in ``rows.links[3]``, a row of the pass or an imported one.
-    So a cell reads only cells of shorter total length: the cells run in
+    row per row forest and a column per column forest.  A cell is the
+    minimum of three single IEEE additions: its parent row's cell plus a
+    delete, its parent column's plus an insert, and the parents' cell plus
+    a relabel (two whole trees) or else the start forests' cell plus the
+    cell of the last nodes' whole subtrees, whose row (``rows.links[3]``)
+    the pass fills too, as it runs every keyroot of its sources.  So a
+    cell reads only cells of shorter total length: the cells run in
     wavefronts of equal total length, each a few array gathers, and a sum
     past the largest float is ``inf``, as in Python."""
-    n_rows, width, n_labels = rows.size + len(imported), cols.size, len(cols.labels)
+    width, n_labels = cols.size, len(cols.labels)
     # one flat buffer: the insert costs, delete costs, relabel costs, cells
     costs = width + rows.size
     base = costs + len(rows.labels) * n_labels
-    buf = np.empty(base + n_rows * width)
+    buf = np.empty(base + rows.size * width)
     buf[:width], buf[width:costs] = cols.indel, rows.indel
     buf[costs:base] = np.concatenate([cols.costs[a] for a in rows.labels])
-    cells = buf[base:].reshape(n_rows, width)
-    cells[: rows.size, 0], cells[0], cells[rows.size :] = rows.edge, cols.edge, imported
+    cells = buf[base:].reshape(rows.size, width)
+    cells[:, 0], cells[0] = rows.edge, cols.edge
     scale = np.array([[width] * 4 + [1, 0, width, width, n_labels],
                       [base] * 4 + [width, 0, base, base, costs]])[..., None]
     row_terms = rows.links[_ROW_TERMS, 1:] * scale[0] + scale[1]
@@ -605,14 +605,14 @@ def _fill(rows: _Trie, cols: _Trie, imported) -> np.ndarray:
 
 
 class DistanceMemo:
-    """What the distance calls of one batch share.  A tree pass runs the
-    sources' keyroots, as one :class:`_Trie` of rows, over the trie of
+    """What the distance calls of one batch share.  A tree pass runs every
+    keyroot of its sources, as one :class:`_Trie` of rows, over the trie of
     columns of its targets, kept per target list; the memo keeps its cells
     and tries in ``_runs[k]`` for each source keyroot id ``k`` it ran.
-    Equal forest pairs get equal bits in any pass.  A source keyroot that a
-    kept pass ran over a trie holding every target of a new pass is
-    skipped, and the new pass imports the rows of its subtrees.  Each tree
-    is annotated once.
+    Equal forest pairs get equal bits in any pass.  A source whose whole
+    tree a kept pass ran (its root id is a keyroot id of that pass) over a
+    trie holding every target of a new pass reads that pass; the new pass
+    runs the other sources whole.  Each tree is annotated once.
 
     A memo started from a ``base`` copies its intern table, annotated trees,
     tries, packs and passes, so ids agree and it builds nothing the base
@@ -655,23 +655,25 @@ class DistanceMemo:
         return self._tries[key]
 
     def passes(self, xs, targets, cost: CostModel) -> dict:
-        """The kept pass ``(cells, rows, columns)`` that ran each keyroot id of
-        ``xs`` over all ``targets``: those no kept pass ran so fill, as one trie
-        of rows, the targets' trie in one pass (none: no trie is looked up)."""
+        """The kept pass ``(cells, rows, columns)`` that ran each source of
+        ``xs`` whole over all ``targets``, by its root id: those no kept pass
+        ran so fill, as one trie of rows, the targets' trie in one pass (none:
+        no trie is looked up)."""
         sources = [self.annotate(x, cost) for x in xs]
         key = [self.annotate(y, cost).ids[-1] for y in targets]
-        kids, ran = dict.fromkeys(t.ids[k] for t in sources for k in t.keyroots), {}
-        for kid in kids:
-            for run in self._runs.get(kid, ()):
+        ran = {}
+        for t in sources:
+            for run in self._runs.get(t.ids[-1], ()):
                 if all(y in run[2].paths for y in key):
-                    ran[kid] = run
+                    ran[t.ids[-1]] = run
                     break
-        if len(ran) < len(kids):
+        rest = [t for t in sources if t.ids[-1] not in ran]
+        if rest:
             cols = self.trie(targets, cost)
-            rows = _Trie(sources, cost.rows, ran)
-            run = (_fill(rows, cols, _imports(sources, ran, rows, cols)), rows, cols)
+            rows = _Trie(rest, cost.rows)
+            run = (_fill(rows, cols), rows, cols)
             for kid in rows.paths:
-                ran[kid] = run
+                ran.setdefault(kid, run)
                 self._runs[kid] = [*self._runs.get(kid, ()), run]
         return ran
 
@@ -686,38 +688,15 @@ class DistanceMemo:
         return out
 
 
-def _imports(sources, ran, rows: _Trie, cols: _Trie) -> np.ndarray:
-    """The rows a pass imports: each whole subtree on the leftmost path of a
-    source keyroot that a kept pass ran, unless a row of the pass is that
-    subtree, read from the kept pass at every whole column.  Points the
-    subtree rows of ``rows.links[3]`` at them and returns them."""
-    need = {}  # subtree id -> (the kept pass, its row there)
-    for t in sources:
-        for k in t.keyroots:
-            if t.ids[k] in ran:
-                run, lk = ran[t.ids[k]], t.lml[k]
-                for n in range(lk, k + 1):
-                    if t.lml[n] == lk and t.ids[n] not in rows.whole:
-                        need.setdefault(t.ids[n], (run, run[1].paths[t.ids[k]][n - lk + 1]))
-    if need:
-        at = {sid: i for i, sid in enumerate(need, rows.size)}
-        rows.links[3] += [at.get(s, 0) for s in rows.ids]
-    imported, dst = np.full((len(need), cols.size), np.nan), list(cols.whole.values())
-    src = {kept: [kept.whole[s] for s in cols.whole] for kept in {run[2] for run, _ in need.values()}}
-    for i, ((cells, _, kept), row) in enumerate(need.values()):
-        imported[i, dst] = cells[row, src[kept]]
-    return imported
-
-
-def _zss_mapping(t1: _Annotated, t2: _Annotated, ran: dict):
+def _zss_mapping(t1: _Annotated, t2: _Annotated, run: tuple):
     """Backtrace one optimal node mapping through kept cells: each keyroot
-    pair's forest table is one gather from ``ran[k]``, the pass that ran t1's
-    keyroot id ``k`` over t2 (:meth:`DistanceMemo.passes`).  Ties prefer
-    insert, then match/relabel, then delete, as in the sequence backtrace."""
+    pair's forest table is one gather from ``run``, the pass that ran t1
+    whole over t2 (:meth:`DistanceMemo.passes`).  Ties prefer insert, then
+    match/relabel, then delete, as in the sequence backtrace."""
     relabel, ci = t1.cost.rows, t2.indel
+    kept, rows, cols = run
 
     def subtree(ni, nj):
-        kept, rows, cols = ran[t1.ids[t1.keyroot_of[ni]]]
         return kept.item(rows.whole[t1.ids[ni]], cols.whole[t2.ids[nj]])
 
     mapping = []
@@ -725,7 +704,6 @@ def _zss_mapping(t1: _Annotated, t2: _Annotated, ran: dict):
     while stack:
         ri, rj = stack.pop()
         ki, kj, li, lj = t1.ids[t1.keyroot_of[ri]], t2.ids[t2.keyroot_of[rj]], t1.lml[ri], t2.lml[rj]
-        kept, rows, cols = ran[ki]
         rpath, cpath = rows.paths[ki][: ri - li + 2], cols.paths[kj][: rj - lj + 2]
         fd = kept[np.array(rpath)[:, None], np.array(cpath)].tolist()
         x, y = ri - li + 1, rj - lj + 1
@@ -831,9 +809,9 @@ def tree_distance(
     mapping backtrace then reads the cells that the memo's passes kept."""
     memo = DistanceMemo() if memo is None else memo
     ran, t1, t2 = memo.passes((x,), (y,), cost), memo.annotate(x, cost), memo.annotate(y, cost)
-    cells, rows, cols = ran[t1.ids[-1]]
+    cells, rows, cols = run = ran[t1.ids[-1]]
     dist = cells.item(rows.whole[t1.ids[-1]], cols.whole[t2.ids[-1]])
-    script = _script_from_mapping(t1, t2, _zss_mapping(t1, t2, ran))
+    script = _script_from_mapping(t1, t2, _zss_mapping(t1, t2, run))
     if not math.isclose(script.total_cost, dist, rel_tol=1e-12, abs_tol=1e-12):
         raise AssertionError(
             f"script cost {script.total_cost} does not realize distance {dist}"
@@ -923,7 +901,9 @@ def distance_rows(xs, targets, cost: CostModel = UNIT_COSTS, memo: DistanceMemo 
     source over the pack of ``targets`` (see :func:`_scan`).  ``memo``
     keeps the trie or the pack (None: a fresh memo); any other row makes
     one table per pair."""
-    if xs and isinstance(xs[0], TreeState):
+    if not xs:
+        return []
+    if isinstance(xs[0], TreeState):
         return (DistanceMemo() if memo is None else memo).rows(xs, targets, cost)
     if not cost.is_unit:
         return [[distance(x, y, cost) for y in targets] for x in xs]

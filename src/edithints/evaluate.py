@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .editdist import CostModel, EditError, UNIT_COSTS
-from .editdist import apply_edit, distance, distance_row, serialize_edit
+from .editdist import apply_edit, distance, distance_row, seq_distance, serialize_edit
 from .policies import FitError, Geometry, GprModel, KernelParams, prepared_traces
 from .space import NumericalError, check_mode, squared
 from .states import EMPTY_CANON
@@ -349,8 +349,6 @@ def synthetic_corpus(
     so the traces are goal-directed but take varied paths through a mostly
     unrepeated state space.
     """
-    from .editdist import seq_distance
-
     rng = random.Random(seed)
     base = tuple(base_solution)
     alphabet = sorted(set(base))

@@ -15,8 +15,7 @@ The eigendecomposition, by LAPACK, is never stored: a saved model keeps
 the raw distances and rebuilds its spaces on load.  Spaces of one size
 build as a stack, one numpy call per step for all, each member bitwise
 its lone build: the 8 leave-one-out folds of a benchmark seq-eval corpus
-build their 28- and 21-state spaces in one call each (folds per second
-649 -> 1087, medians of 10 benchmark runs on 2 shared cores, 1 BLAS thread).
+build their 28- and 21-state spaces in one call each.
 """
 
 from __future__ import annotations

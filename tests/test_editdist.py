@@ -500,6 +500,7 @@ def test_distances_sharing_a_memo_equal_fresh_calls(states, cost):
             d_script, script = tree_distance(x, y, cost)
             assert d == d_script == script.total_cost
             assert apply_script(script, x) == y
+    _assert_passes_read_their_own_rows(memo)
     want = np.array([[distance(a, b, cost) for b in states] for a in states])
     got = pairwise_distances(states, cost)
     assert all(g == w for g, w in zip(got.flat, want.flat))
@@ -529,6 +530,7 @@ def test_memo_started_from_a_sealed_base_equals_fresh_calls(states, cost):
             assert apply_script(script, x) == y
     assert memo.annotate(states[0], cost) is kept
     assert snapshot() == before and before[3] == {}  # the base kept no pass
+    _assert_passes_read_their_own_rows(memo)
 
 
 def test_memo_serves_one_cost_model_and_keeps_its_trees():
@@ -550,7 +552,7 @@ def _subtrees(t):
 
 
 # sources built from the targets' subtrees, and targets that repeat, so that
-# rows skip keyroots already run over their trie and share prefixes in it
+# rows read sources already run over their trie and share prefixes in it
 @settings(max_examples=100, deadline=None)
 @given(st.lists(trees(10), min_size=1, max_size=4), cost_models, st.randoms())
 def test_tree_rows_sharing_a_memo_equal_fresh_distances(base, cost, rng):
@@ -569,6 +571,7 @@ def test_tree_rows_sharing_a_memo_equal_fresh_distances(base, cost, rng):
             assert want == [zhang_shasha_distance(x, y, cost) for y in targets]
         y = rng.choice(rows[1])
         assert tree_distance(x, y, cost, memo) == tree_distance(x, y, cost)
+    _assert_passes_read_their_own_rows(memo)
 
 
 def _single_edits(t, labels, path=()):
@@ -584,8 +587,8 @@ def _single_edits(t, labels, path=()):
 
 # the sources of one pass: single edits of x, which share prefixes of their
 # keyroots' node sequences with x and with each other, x itself (also a
-# target) and repeats; earlier rows of the memo covered some of their
-# keyroots over all the targets or over a part of them
+# target) and repeats; earlier rows of the memo ran some of them over all
+# the targets or over a part of them
 @settings(max_examples=60, deadline=None)
 @given(trees(8), st.lists(trees(6), min_size=1, max_size=3), st.just(UNIT_COSTS) | cost_models, st.randoms())
 def test_many_source_tree_rows_equal_fresh_distances(x, others, cost, rng):
@@ -604,6 +607,7 @@ def test_many_source_tree_rows_equal_fresh_distances(x, others, cost, rng):
     assert memo.rows(sources[:2], targets[:1], cost) == [row[:1] for row in want[:2]]
     assert memo.rows([x, sources[2]], targets, cost) == [want[-3], want[2]]
     assert memo.rows(sources, targets, cost) == want
+    _assert_passes_read_their_own_rows(memo)
     assert distance_rows(sources, targets, cost) == want
 
 
@@ -617,7 +621,16 @@ def _passes(memo) -> list:
     return list(kept.values())
 
 
-def test_tree_rows_fill_only_the_keyroots_they_have_not_run():
+def _assert_passes_read_their_own_rows(memo):
+    """Each pass a memo kept has a row of cells per row forest and no more,
+    and every row forest but a whole tree finds the row of its last node's
+    subtree in the pass: a pass runs every keyroot of its sources."""
+    for cells, rows, cols in _passes(memo):
+        assert cells.shape == (rows.size, cols.size)
+        assert np.all((rows.links[3] > 0) | (rows.links[2] == 0))
+
+
+def test_tree_rows_fill_only_the_sources_they_have_not_run():
     # x's keyroots are b, d(e), h(c,d(e)), k and the root: five distinct ids
     # of 1 + 2 + 4 + 1 + 9 nodes, whose node sequences share no prefix
     x = parse_tree("f(g(a,b),h(c,d(e)),k)")
@@ -627,20 +640,19 @@ def test_tree_rows_fill_only_the_keyroots_they_have_not_run():
     assert distance_row(x, targets, UNIT_COSTS, memo) == want
     trie = memo.trie(targets, UNIT_COSTS)
     (cells, rows, cols), = _passes(memo)
-    assert cols is trie and cells.shape == (rows.size, trie.size)  # every column, no imported row
+    assert cols is trie and cells.shape == (rows.size, trie.size)  # every column
     assert rows.size == 1 + (1 + 2 + 4 + 1 + 9)  # the shared row of the empty forest, one row per node
     assert distance_row(x, targets, UNIT_COSTS, memo) == want
     assert distance_row(x, targets[:2], UNIT_COSTS, memo) == want[:2]
     assert len(_passes(memo)) == 1 and len(memo._tries) == 1  # a covered row fills no column and builds no trie
-    # relabeling e leaves b and k as they were: only d(z), h(c,d(z)) and the
-    # root, the keyroots that contain the edit, fill the trie's columns, and
-    # the root's forests read b's and k's distances from the first pass
+    # relabeling e makes a tree that no kept pass ran whole: its pass runs
+    # all five of its keyroots, b and k too, though the first pass ran them
     edited = apply_edit(x, TreeEdit("relabel_node", (2, 2, 1), "z"))
     want_edited = [distance(edited, y) for y in targets]
     assert distance_row(edited, targets, UNIT_COSTS, memo) == want_edited
     first, (cells, rows, cols) = _passes(memo)
-    assert cols is trie and rows.size == 1 + (2 + 4 + 9)
-    assert cells.shape == (rows.size + 2, trie.size)  # the imported rows of b and k
+    assert cols is trie and rows.size == 1 + (1 + 2 + 4 + 1 + 9)
+    assert cells.shape == (rows.size, trie.size)
     assert tree_distance(edited, targets[1], UNIT_COSTS, memo) == tree_distance(edited, targets[1])
     assert len(_passes(memo)) == 2  # the script reads the kept cells
     # both in one pass of a fresh memo: h(c,d(z)) shares its first node with
@@ -751,12 +763,13 @@ def test_huge_costs_overflow_to_inf_without_a_warning():
         assert tree_distance(x, y, HUGE_COSTS)[0] == INF
 
 
-# a first pass runs every keyroot of x over the targets; later passes of
-# single edits of x, over those targets or a part of them, skip the keyroots
-# they share with x and import their subtrees' rows
+# a first pass runs every keyroot of x over the targets; a later pass of
+# single edits of x and x itself, over those targets or a part of them,
+# reads x from the first pass and runs every keyroot of the edits, also
+# those they share with x
 @settings(max_examples=60, deadline=None)
 @given(trees(8), st.lists(trees(6), min_size=1, max_size=3), kernel_costs, st.randoms())
-def test_later_passes_read_the_rows_of_skipped_keyroots(x, others, cost, rng):
+def test_later_passes_read_kept_sources_and_run_the_others_whole(x, others, cost, rng):
     edited = []
     for edit in _single_edits(x, "abc"):
         try:
@@ -773,6 +786,7 @@ def test_later_passes_read_the_rows_of_skipped_keyroots(x, others, cost, rng):
         d, script = tree_distance(s, part[0], cost, memo)
         d_want, want = python_tree_distance(s, part[0], cost)
         assert d.hex() == d_want.hex() and script.edits == want.edits
+    _assert_passes_read_their_own_rows(memo)
 
 
 # the scripts that a node mapping gives, by path arithmetic, against the
@@ -794,7 +808,7 @@ def test_scripts_from_mappings_equal_the_working_tree_oracle(x, y, cost, dropped
     memo = DistanceMemo()
     ran = memo.passes((x,), (y,), cost)
     t1, t2 = memo.annotate(x, cost), memo.annotate(y, cost)
-    full = editdist._zss_mapping(t1, t2, ran)
+    full = editdist._zss_mapping(t1, t2, ran[t1.ids[-1]])
     for mapping in (full, [pair for n, pair in enumerate(full) if n not in dropped]):
         got = editdist._script_from_mapping(t1, t2, mapping)
         want = script_from_mapping_oracle(t1, t2, mapping)
@@ -944,6 +958,15 @@ def test_distance_row_equals_dynamic_program(case):
         assert [d.hex() for d in distance_row(x, targets, UNIT_COSTS, memo)] == [d.hex() for d in row]
     for y, d in zip(targets, row):
         assert distance_row(y, [x]) == distance_row(x, [y]) == [d]
+
+
+def test_rows_of_no_sources_are_empty():
+    # no source gives no row, of sequences or of trees, and packs or
+    # annotates no target
+    for targets in ([seq_of("ab"), ()], [parse_tree("a(b)"), parse_tree("c")]):
+        memo = DistanceMemo()
+        assert distance_rows([], targets) == distance_rows([], targets, UNIT_COSTS, memo) == []
+        assert not memo._packs and not memo._trees and not memo._tries
 
 
 def test_packs_span_many_machine_words():

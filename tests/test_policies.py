@@ -904,8 +904,9 @@ def _all_hints(model, queries) -> list:
 def test_hint_memo_gives_the_hints_of_fresh_memos(monkeypatch, seed, cost):
     # one memo per hint serves its query row, scripts and scoring; a fresh
     # memo per call must give every policy the same hint, bit for bit.  A
-    # query equal to a training state covers its keyroots over the scoring
-    # targets in the query row, so the scoring pass imports their rows
+    # query equal to a training state has run, in the query row, the
+    # keyroots it shares with its candidates over every scoring target; the
+    # scoring pass runs the candidates whole all the same
     model = fit_model(load_dataset(_tree_walks(seed, 6)), cost, params=KernelParams(2.0, 0.3))
     rng = random.Random(seed)
     queries = [random_tree(rng, labels="fghk") for _ in range(6)] + list(model.pairs.states[::7])
