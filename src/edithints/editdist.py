@@ -55,7 +55,7 @@ from json.encoder import encode_basestring_ascii as _quote  # json.dumps' string
 
 import numpy as np
 
-from .states import Label, SequenceState, TreeState, serialize_state
+from .states import Label, SequenceState, TreeState
 
 INF = math.inf
 
@@ -927,28 +927,24 @@ _MATRIX_BLOCK = 16
 def pairwise_distances(states, cost: CostModel = UNIT_COSTS) -> np.ndarray:
     """Symmetric matrix of raw edit distances over a state list.
 
-    Repeated states (equal serialized forms) share one row and column.  The
-    unique states run in blocks, each block one :func:`distance_rows` pass
-    over the states after its first, with a memo of its own started from
-    one that annotates every tree; a weighted-cost sequence block is one
-    state, as its rows make one table per pair.  The matrix reads the
-    triangle above the diagonal, which is exact because distances are
-    bitwise symmetric.
+    Equal states share one row and column.  The unique states run in
+    blocks, each block one :func:`distance_rows` pass over the states after
+    its first, with a memo of its own started from one that annotates every
+    tree; a weighted-cost sequence block is one state, as its rows make one
+    table per pair.  The blocks stop before the last state, which has no
+    state after it.  The matrix mirrors the triangle above the diagonal,
+    which is exact because distances are bitwise symmetric.
     """
-    index, unique, ids = {}, [], []
-    memo = DistanceMemo()
-    for s in states:
-        key = serialize_state(s)
-        if key not in index:
-            index[key] = len(unique)
-            unique.append(s)
-            if isinstance(s, TreeState):
-                memo.annotate(s, cost)
-        ids.append(index[key])
-    step = _MATRIX_BLOCK if cost.is_unit or any(isinstance(s, TreeState) for s in unique) else 1
+    index, memo = {}, DistanceMemo()
+    ids = [index.setdefault(s if isinstance(s, TreeState) else tuple(s), len(index)) for s in states]
+    unique = list(index)
+    trees = [s for s in unique if isinstance(s, TreeState)]
+    for s in trees:
+        memo.annotate(s, cost)
+    step = _MATRIX_BLOCK if cost.is_unit or trees else 1
     out = np.zeros((len(unique), len(unique)))
-    for i in range(0, len(unique), step):
-        block = distance_rows(unique[i : i + step], unique[i + 1 :], cost, DistanceMemo(memo))
-        for k, row in enumerate(block, i):
-            out[k, k + 1 :] = out[k + 1 :, k] = row[k - i :]
-    return out[np.ix_(ids, ids)]
+    for i in range(0, len(unique) - 1, step):
+        rows = distance_rows(unique[i : i + step], unique[i + 1 :], cost, DistanceMemo(memo))
+        out[i : i + step, i + 1 :] = rows
+    out = np.triu(out, 1)
+    return (out + out.T)[np.ix_(ids, ids)]

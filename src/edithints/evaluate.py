@@ -115,22 +115,24 @@ def _predict_coords(model: GprModel, scheme: str, raw: np.ndarray, coords, sqdis
     return coords + (gamma[..., None, :] @ (points[model.pairs.successor] - points))[..., 0, :]
 
 
-def _fold_geometries(flat, matrix: np.ndarray, spans: list, mode: str) -> list:
-    """One :class:`Geometry` per fold, its held-out states as its queries;
-    folds of one shape join one group, of ``_STACK_ENTRIES`` entries at most."""
-    folds, groups, ids = [], {}, flat.trace_ids
-    for held, held_ids in enumerate(spans):
-        rest = spans[:held] + spans[held + 1 :]
-        train_ids = [g for span in rest for g in span]
-        pairs = TracePairs.from_lengths(
-            [flat.states[g] for g in train_ids], ids[:held] + ids[held + 1 :], map(len, rest)
-        )
-        m = len(train_ids)
+def _fold_geometries(flat, matrix: np.ndarray, mode: str) -> list:
+    """One :class:`Geometry` per fold, which keeps its held-out states' raw
+    rows as its queries for every pass; folds of one shape join one group,
+    of ``_STACK_ENTRIES`` entries at most.  A held-out trace is one span,
+    so both matrices are cut by deleting it."""
+    folds, groups, ids, spans = [], {}, flat.trace_ids, flat.trace_spans
+    lengths = [stop - start for start, stop in spans]
+    for held, (start, stop) in enumerate(spans):
+        cut = slice(start, stop)
+        states, rest = flat.states[:start] + flat.states[stop:], lengths[:held] + lengths[held + 1 :]
+        pairs = TracePairs.from_lengths(states, ids[:held] + ids[held + 1 :], rest)
+        m = len(pairs)
         shape = groups.setdefault((m, len(pairs.moving_indices)), [[]])
         if (len(shape[-1]) + 1) * m * m > _STACK_ENTRIES:
             shape.append([])
-        queries = np.delete(matrix[held_ids], held_ids, axis=1)  # as each pass reads them
-        folds.append(Geometry(pairs, matrix[np.ix_(train_ids, train_ids)], mode, queries, shape[-1]))
+        queries = np.delete(matrix[cut], cut, axis=1)
+        train = np.delete(np.delete(matrix, cut, axis=0), cut, axis=1)
+        folds.append(Geometry(pairs, train, mode, queries, shape[-1]))
         shape[-1].append(folds[-1])
     return folds
 
@@ -149,12 +151,13 @@ def loo_rmse_multi(
     each held-out state's kernel query; a fold predicts its held-out
     states in one call per scheme.  ``prepared`` is
     ``prepared_traces(dataset, cost)``, computed here when not given; its
-    fold records keep each fold's geometry and held-out queries, so every
-    later call on it fits only the kernel systems.  Folds of one training
-    and kernel size (all of them when every trace has one length) build
-    their geometries as one stack, and embed their held-out states in one
-    pass per space, at the first fold model of any of them.  The training
-    states are already canonical, so fold models canonicalize nothing.
+    fold records keep each fold's geometry, its held-out states' raw rows
+    and their embedding for every pass, so every later call on it fits only
+    the kernel systems.  Folds of one training and kernel size (all of them
+    when every trace has one length) build their geometries as one stack,
+    and embed their held-out states in one pass per space, at the first
+    fold model of any of them.  The training states are already canonical,
+    so fold models canonicalize nothing.
     Returns a mapping scheme name -> :class:`EvalReport`.
     """
     schemes = tuple(schemes)
@@ -163,6 +166,8 @@ def loo_rmse_multi(
             raise ValueError(
                 f"unknown scheme {scheme!r}; expected one of {PREDICTION_SCHEMES}"
             )
+    if len(set(schemes)) < len(schemes):
+        raise ValueError(f"each scheme may be named once, got {schemes}")
     check_mode(mode)
     if prepared is None:
         prepared = prepared_traces(dataset, cost)
@@ -170,23 +175,21 @@ def loo_rmse_multi(
     ids = flat.trace_ids
     if len(ids) < 2:
         raise FitError("leave-one-out needs at least two successful traces")
-    spans = [range(start, stop) for start, stop in flat.trace_spans]
     if mode not in prepared.folds:
-        prepared.folds[mode] = _fold_geometries(flat, matrix, spans, mode)
+        prepared.folds[mode] = _fold_geometries(flat, matrix, mode)
 
     per_trace = {scheme: [] for scheme in schemes}
     skipped = []
-    for held, (held_ids, geometry) in enumerate(zip(spans, prepared.folds[mode])):
+    for held, ((start, stop), geometry) in enumerate(zip(flat.trace_spans, prepared.folds[mode])):
         try:  # the first fold of a group builds the group and embeds its queries
             model = GprModel(dataset.kind, geometry, cost, EMPTY_CANON, params)
             coords, sqdist = geometry.embedded()
         except (FitError, ValueError, NumericalError) as exc:
             skipped.append((ids[held], str(exc)))
             continue
-        nexts = flat.successor[held_ids] - held_ids.start
-        n, raw = len(held_ids), np.delete(matrix[held_ids], held_ids, axis=1)
+        nexts, n = flat.successor[start:stop] - start, stop - start
         for scheme in schemes:
-            pred = _predict_coords(model, scheme, raw, coords, sqdist)
+            pred = _predict_coords(model, scheme, geometry.queries, coords, sqdist)
             errs = (((pred - coords[nexts]) ** 2).sum(axis=-1), ((pred - coords[-1]) ** 2).sum(axis=-1))
             per_trace[scheme].append((ids[held], *(math.sqrt(sum(e.tolist()) / n) for e in errs), n))
 
@@ -195,9 +198,11 @@ def loo_rmse_multi(
         if not rows:
             held, reason = skipped[0]
             raise FitError(f"every fold was unfittable; the first, trace {held!r}: {reason}")
-        nexts, finals = (np.array([row[k] for row in rows]) for k in (1, 2))
-        stats = (float(f(v)) for v in (nexts, finals) for f in (np.mean, np.std))
-        reports[scheme] = EvalReport("rmse", tuple(rows), *stats, folds_skipped=tuple(skipped))
+        errs = np.array([[row[k] for row in rows] for k in (1, 2)])  # next and final, per fold
+        mean, std = errs.mean(axis=1).tolist(), errs.std(axis=1).tolist()
+        reports[scheme] = EvalReport(
+            "rmse", tuple(rows), mean[0], std[0], mean[1], std[1], folds_skipped=tuple(skipped)
+        )
     return reports
 
 

@@ -126,10 +126,11 @@ class Geometry:
     :meth:`spaces` call builds the corrected embedding over all trace
     states and the kernel's own corrected space over the regression inputs
     (the moving pairs' source states), so that the kernel matrix is a
-    Gaussian kernel on genuine Euclidean points, and embeds (then drops)
-    ``queries``, raw distances from outside states to the training states,
-    one row each.  Every model of one geometry shares that build; a failed
-    build raises its error again at every later call, without a second attempt.
+    Gaussian kernel on genuine Euclidean points, and embeds ``queries``,
+    raw distances from outside states to the training states, one row each,
+    which it keeps for every later reader.  Every model of one geometry
+    shares that build; a failed build raises its error again at every later
+    call, without a second attempt.
 
     Geometries of one shape that each hold the ``group`` list of them all
     are built as one stack, bitwise each one's lone build, at the first
@@ -183,7 +184,7 @@ def _build(group: list):
         return
     for i, g in enumerate(group):
         g._built = tuple(built) if one else tuple(p[i] for p in built)
-        g.queries = g._group = None
+        g._group = None
 
 
 class GprModel:
@@ -215,7 +216,7 @@ class GprModel:
             diag = np.diag(chol)
             if n and float(np.min(diag)) < 1e-10 * float(np.max(diag)):
                 raise np.linalg.LinAlgError("ill-conditioned")
-            chol_inv = np.linalg.solve(chol, np.eye(n))
+            chol_inv = np.linalg.inv(chol)
             self._inverse = chol_inv.T @ chol_inv
         except np.linalg.LinAlgError:
             # duplicate training states make K singular at zero noise
@@ -315,7 +316,8 @@ class Prepared(tuple):
     """``(pairs, dist_raw)`` of :func:`prepared_traces`.  ``folds`` maps a
     correction mode to the leave-one-out fold records that evaluations on
     this data fill at first use and share, one :class:`Geometry` per fold
-    with the held-out states as its queries; they live as long as it."""
+    that keeps the held-out states' raw rows as its queries for every pass;
+    they live as long as it."""
 
     def __new__(cls, pairs: TracePairs, dist_raw: np.ndarray):
         out = super().__new__(cls, (pairs, dist_raw))

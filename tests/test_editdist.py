@@ -30,7 +30,7 @@ from edithints.editdist import (
     tree_distance,
     tree_distance_only,
 )
-from edithints.states import MAX_TREE_DEPTH, parse_tree, sequence
+from edithints.states import MAX_TREE_DEPTH, TreeState, parse_tree, sequence, serialize_tree
 
 from oracle_utils import (
     OracleAnnotated,
@@ -478,13 +478,63 @@ def test_tree_distance_matches_mapping_oracle(x, y, cost):
 state_lists = st.lists(sequences, min_size=1, max_size=5) | st.lists(trees(6), min_size=1, max_size=5)
 
 
-@settings(max_examples=50, deadline=None)
-@given(state_lists, cost_models, st.randoms())
-def test_pairwise_distances_with_repeats_equals_double_loop(base, cost, rng):
-    states = base + [rng.choice(base) for _ in range(3)]
+def _fresh(like, k: int):
+    """The ``k``-th of a run of distinct states of ``like``'s kind, over
+    labels that the generated states do not use: the binary digits of
+    ``k`` as a sequence, or as a path of tree nodes."""
+    bits = format(k, "b")
+    if not isinstance(like, TreeState):
+        return tuple(bits)
+    node = tree(bits[-1])
+    for label in reversed(bits[:-1]):
+        node = tree(label, node)
+    return node
+
+
+def _with_repeats(base, unique: int, rng) -> list:
+    """``base`` grown by fresh states to ``unique`` distinct ones (when it
+    has fewer), then three repeats of its states as the same objects and
+    three as equal but distinct objects, shuffled."""
+    states, k = list(base), 0
+    while len(set(states)) < unique:
+        k += 1
+        states.append(_fresh(base[0], k))
+    copied = [rng.choice(states) for _ in range(3)]
+    states += [rng.choice(states) for _ in range(3)]
+    states += [parse_tree(serialize_tree(s)) if isinstance(s, TreeState) else tuple(list(s)) for s in copied]
     rng.shuffle(states)
+    return states
+
+
+def _assert_symmetric_matrix(got, want):
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got, got.T) and not got.diagonal().any()
+
+
+# grown to 16, 17 or 33 distinct states, a list ends at the edge of one of
+# the matrix's blocks of 16, or one state past it
+@settings(max_examples=50, deadline=None)
+@given(state_lists, cost_models, st.sampled_from([0, 16, 17, 33]), st.randoms())
+def test_pairwise_distances_with_repeats_equals_double_loop(base, cost, unique, rng):
+    states = _with_repeats(base, unique, rng)
     want = np.array([[distance(a, b, cost) for b in states] for a in states])
-    assert np.array_equal(pairwise_distances(states, cost), want)
+    _assert_symmetric_matrix(pairwise_distances(states, cost), want)
+
+
+@pytest.mark.parametrize("kind", ["tree", "sequence"])
+def test_matrix_blocks_stop_before_the_last_state(monkeypatch, kind):
+    # a block starts at every 16th distinct state and runs over the states
+    # after its first, so none starts at the last; a repeat adds no state
+    kernel = "_fill" if kind == "tree" else "_pack"
+    passes, original = [], getattr(editdist, kernel)
+    monkeypatch.setattr(editdist, kernel, lambda *args: passes.append(1) or original(*args))
+    like = tree("a") if kind == "tree" else ("a",)
+    for unique, want in ((1, 0), (16, 1), (17, 1), (33, 2)):
+        states = [_fresh(like, k) for k in range(1, unique + 1)]
+        passes.clear()
+        got = pairwise_distances(states + [_fresh(like, unique)])
+        assert len(passes) == want, unique
+        assert got.shape == (unique + 1, unique + 1) and not got[-1, -2] and not got.diagonal().any()
 
 
 # three labels and up to a dozen leaves, so that subtrees repeat within and
@@ -995,10 +1045,14 @@ def test_weighted_rows_take_the_per_target_path(monkeypatch):
 
 
 @settings(max_examples=100, deadline=None)
-@given(packed_rows(), st.randoms())
-def test_unit_sequence_matrix_with_repeats_equals_dynamic_program(case, rng):
+@given(packed_rows(), st.sampled_from([0, 16, 17, 33]), st.randoms())
+def test_unit_sequence_matrix_with_repeats_equals_dynamic_program(case, unique, rng):
+    # grown past the block edges as in
+    # test_pairwise_distances_with_repeats_equals_double_loop; unit costs
+    # are symmetric, so the oracle runs the rows of the shorter state
     x, targets = case
-    states = targets + [x] + [rng.choice(targets) for _ in range(3)]
-    rng.shuffle(states)
-    want = np.array([[lev_rows_distance(a, b, UNIT_COSTS) for b in states] for a in states])
-    assert pairwise_distances(states).tobytes() == want.tobytes()
+    states = _with_repeats(targets + [x], unique, rng)
+    want = np.array(
+        [[lev_rows_distance(*sorted((a, b), key=len), UNIT_COSTS) for b in states] for a in states]
+    )
+    _assert_symmetric_matrix(pairwise_distances(states), want)

@@ -136,6 +136,18 @@ def test_do_nothing_final_rmse_closed_form():
         assert got == pytest.approx(want, abs=1e-9)
 
 
+def test_loo_multi_rejects_a_scheme_named_twice(monkeypatch):
+    # a repeated name would add each fold's row once per mention; it is
+    # rejected, as an unknown name is, before any data is prepared
+    prepare = _counted(monkeypatch, evaluate, "prepared_traces")
+    ds = synthetic_corpus(3, n_traces=4)
+    for schemes in (("nn", "nn"), ("bogus",)):
+        with pytest.raises(ValueError):
+            loo_rmse_multi(ds, schemes)
+    assert not prepare
+    assert len(loo_rmse_multi(ds, ("nn",))["nn"].per_trace) == 4
+
+
 def test_loo_multi_consistent_with_single():
     ds = small_corpus()
     params = KernelParams(1.5, 0.2)
@@ -166,6 +178,21 @@ def _counted(monkeypatch, module, name) -> list:
     return calls
 
 
+def _numpy_cuts(monkeypatch) -> list:
+    """Log the ``np.delete`` and ``np.ix_`` calls made inside ``evaluate``."""
+    calls = []
+
+    class Logged:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if name not in ("delete", "ix_"):
+                return attr
+            return lambda *args, **kwargs: calls.append(name) or attr(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "np", Logged())
+    return calls
+
+
 def _decomposed(calls) -> int:
     """How many matrices a log of ``jacobi_eigh`` calls decomposed."""
     return sum(1 if np.ndim(a) == 2 else len(a) for a, *_ in calls)
@@ -175,9 +202,15 @@ def _decomposed(calls) -> int:
 def test_search_builds_each_fold_geometry_once(monkeypatch, repeats):
     eigh = _counted(monkeypatch, space, "jacobi_eigh")
     ds = small_corpus()
-    hyper_search(ds, (0.5, 3.0), (0.01, 0.5), repeats=repeats, seed=2)
+    prepared = prepared_traces(ds)
+    hyper_search(ds, (0.5, 3.0), (0.01, 0.5), repeats=repeats, seed=2, prepared=prepared)
     # two corrected spaces per fold, shared by every sample
     assert _decomposed(eigh) == 2 * len(ds.successful_traces())
+    # a later pass reads each fold's training matrix and held-out rows off
+    # its record, and cuts neither out of the prepared matrix again
+    cuts = _numpy_cuts(monkeypatch)
+    loo_rmse_multi(ds, PREDICTION_SCHEMES, prepared=prepared)
+    assert not cuts and _decomposed(eigh) == 2 * len(ds.successful_traces())
 
 
 def test_eval_search_task_reuses_the_search_geometry(monkeypatch, tmp_path):
@@ -198,7 +231,9 @@ def test_folds_of_one_shape_build_as_one_stack_per_space(monkeypatch):
     ds = shaped_corpus(1)
     prepared = prepared_traces(ds)
     params = hyper_search(ds, (0.5, 5.0), (0.01, 1.0), repeats=2, seed=1, prepared=prepared)
+    cuts = _numpy_cuts(monkeypatch)
     loo_rmse_multi(ds, PREDICTION_SCHEMES, params, prepared=prepared)
+    assert not cuts
     assert [np.shape(a) for a, in eigh] == [(8, 28, 28), (8, 21, 21)]
     # the held-out states of every fold: one projection per space
     assert [np.shape(q) for _, q in extend] == [(4, 8, 28), (4, 8, 21)]

@@ -547,10 +547,12 @@ def test_sparsify_refits_about_once_per_call(monkeypatch):
     # would make ten copies of a state: the tie rule refits every copy that
     # ties for a pick, and copies of an accepted state, which the screen
     # cannot estimate, are refitted at every step.  The screen itself solves
-    # nothing: it updates its estimates by one rank-one step per state
-    lstsq, solve, calls, solves = np.linalg.lstsq, np.linalg.solve, [], []
+    # and inverts nothing: it updates its estimates by one rank-one step per
+    # state
+    lstsq, solve, inv, calls, solves = np.linalg.lstsq, np.linalg.solve, np.linalg.inv, [], []
     monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
     monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
+    monkeypatch.setattr(np.linalg, "inv", lambda *a, **k: solves.append(1) or inv(*a, **k))
     counts, solved = [], 0
     for args in _sequence_sparsify_inputs(goal_variants=True):
         before, solves_before = len(calls), len(solves)
@@ -558,7 +560,7 @@ def test_sparsify_refits_about_once_per_call(monkeypatch):
         counts.append(len(calls) - before)
         solved += len(solves) - solves_before
     assert len(counts) >= 200 and sum(counts) <= 2 * len(counts)
-    assert solved == 0 and solves  # the fits behind the inputs solve: the count works
+    assert solved == 0 and solves  # the fits behind the inputs invert: the count works
 
 
 @pytest.mark.parametrize("fault", ["close-race", "false-stop"])
