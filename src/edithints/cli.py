@@ -23,7 +23,13 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
+
+# one BLAS thread unless the user chose a count: faster for these small
+# matrices, and float outputs then repeat bit for bit on a given host
+if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -261,8 +267,7 @@ def cmd_fit(args) -> int:
     params, search_meta = _params_from_args(args, dataset, cost, prepared)
     model = fit_model(dataset, cost, canon, params, args.mode, prepared)
     payload = model_to_dict(model, digest, search_meta)
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    _write_text(args.out, text)
+    _write_text(args.out, _canonical_json(payload) + "\n")
     return 0
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -103,13 +104,21 @@ def test_fit_stores_worked_kernel_matrix(fig2_path, tmp_path):
     assert np.allclose(kernel, [[1.0, e], [e, 1.0]], atol=1e-12)
 
 
-def test_fit_is_byte_identical(fig2_path, tmp_path):
+def _canonical(raw) -> str:
+    return json.dumps(raw, sort_keys=True, separators=(",", ":"))
+
+
+def test_fit_is_byte_identical(fig2_path, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["fit", "--dataset", fig2_path, "--psi", "1.0", "--noise", "0.0"]
     for path in (a, b):
-        assert run(
-            ["fit", "--dataset", fig2_path, "--psi", "1.0", "--noise", "0.0", "--out", str(path)]
-        ) == 0
+        assert run([*argv, "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # the file is the canonical JSON that the checksum hashes, on one line
+    assert a.read_text() == _canonical(json.loads(a.read_text())) + "\n"
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == a.read_text()
 
 
 PIN_TREE = {
@@ -122,11 +131,17 @@ PIN_TREE = {
     ],
 }
 
-
-@pytest.mark.parametrize(
-    "dataset, flags, digest",
+# each model's dataset and fit flags, the SHA-256 of the file's bytes and
+# that of its content (the canonical JSON of the parsed file)
+MODEL_PINS = pytest.mark.parametrize(
+    "dataset, flags, digest, content_digest",
     [
-        (FIG2, [], "d51290d70e1cfc18cb3e9913f48ecb38bb74a115621111895b5d9ab3e310a60a"),
+        (
+            FIG2,
+            [],
+            "879e506f9c9e5870c51690923a4c51cb969d2381093fe9a29edd49aff140b627",
+            "72d985005e7f91b05989ffd2d80477af26ab927854b605903a54d2cc15fd2ff7",
+        ),
         (
             PIN_TREE,
             [
@@ -134,23 +149,57 @@ PIN_TREE = {
                 "--cost", '{"indel_default": 1.5, "relabel": {"ask|say": 0.5}}',
                 "--psi", "2.0", "--noise", "0.1", "--mode", "flip",
             ],
-            "0300566d958da263745615d5f4f7e42adb81b169b4c6259a3bc9ab845c62c350",
+            "e8ca6d2608ff5192338cda8fac28b17e63b46258ca97f18394d3a531469e2a9b",
+            "16a8c515cb95313bf8c1a7e9894603114e104b6b767273a3596782992a5e266e",
         ),
         (
             dataset_to_dict(synthetic_corpus(5, 4, "abcde", min_missing=1, max_missing=3)),
             ["--search", "--repeats", "3", "--seed", "7"],
-            "6afa0b700804bad09c24bba54bb047e32fbb2e1dfdea564dcf58813c9a842fde",
+            "c183f1fbd5d5003a8aef44ba9d45948a41ecf1f0d746d93608193705d0d27203",
+            "2b3ed1d4118ad63fcdc7a5531dc8d52971fffabc32e861fd1a979ef22236a7f0",
         ),
     ],
     ids=["fig2", "tree", "search"],
 )
-def test_model_bytes_match_recorded_digest(tmp_path, dataset, flags, digest):
-    # the digests were recorded from files written by an earlier version of
-    # the package: a refactor must leave model files byte for byte as they were
+
+
+def _fit_bytes(tmp_path, dataset, flags) -> bytes:
     data, out = tmp_path / "data.json", tmp_path / "model.json"
     data.write_text(json.dumps(dataset))
     assert run(["fit", "--dataset", str(data), *flags, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    return out.read_bytes()
+
+
+@MODEL_PINS
+def test_model_bytes_match_recorded_digest(tmp_path, dataset, flags, digest, content_digest):
+    # a refactor must leave model files byte for byte as they were
+    assert hashlib.sha256(_fit_bytes(tmp_path, dataset, flags)).hexdigest() == digest
+
+
+@MODEL_PINS
+def test_model_content_matches_recorded_digest(tmp_path, dataset, flags, digest, content_digest):
+    # recorded from files in an earlier, indented layout: the content holds
+    # whatever the layout of the file
+    raw = json.loads(_fit_bytes(tmp_path, dataset, flags))
+    assert hashlib.sha256(_canonical(raw).encode("utf-8")).hexdigest() == content_digest
+
+
+def test_indented_model_loads_and_hints_alike(fig2_path, tmp_path, capsys):
+    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    assert run(["fit", "--dataset", fig2_path, "--out", str(compact)]) == 0
+    # the layout that earlier versions wrote: sorted keys, indent=1
+    old = json.dumps(json.loads(compact.read_text()), sort_keys=True, indent=1) + "\n"
+    assert hashlib.sha256(old.encode("utf-8")).hexdigest() == (
+        "d51290d70e1cfc18cb3e9913f48ecb38bb74a115621111895b5d9ab3e310a60a"
+    )
+    indented.write_text(old)
+    capsys.readouterr()
+    outputs = []
+    for path in (compact, indented):
+        assert run(["hint", "--model", str(path), "--state", '["a","b"]']) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["edit"] is not None
 
 
 SEARCH_CORPUS = dataset_to_dict(synthetic_corpus(5, 4, "abcde", min_missing=1, max_missing=3))
@@ -226,9 +275,7 @@ def _rewrite_model(path, change):
     raw = json.loads(path.read_text())
     raw.pop("checksum")
     change(raw)
-    raw["checksum"] = hashlib.sha256(
-        json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
+    raw["checksum"] = hashlib.sha256(_canonical(raw).encode("utf-8")).hexdigest()
     path.write_text(json.dumps(raw))
 
 
@@ -1016,3 +1063,26 @@ def test_console_entry_point(fig2_path, tmp_path):
     )
     assert result.returncode == 0
     assert model_path.exists()
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "env, expected",
+    [({}, ["1", None, None]), ({"OMP_NUM_THREADS": "2"}, [None, "2", None])],
+    ids=["unset", "omp-set"],
+)
+def test_cli_defaults_to_one_blas_thread(env, expected):
+    # the CLI module sets the default before numpy is imported, and leaves
+    # a thread count that the user chose as it is
+    clean = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    script = (
+        "import json, os, sys, edithints; assert 'numpy' not in sys.modules; "
+        "import edithints.cli; print(json.dumps([os.environ.get(k) for k in sys.argv[1:]]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, *_BLAS_THREAD_VARS],
+        env={**clean, **env}, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(result.stdout) == expected
