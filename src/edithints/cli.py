@@ -10,7 +10,9 @@ command-line tokens placed before the explicit flags, so argparse checks
 config values like flags and explicit flags win.  Every JSON argument
 (``--config``, ``--dataset``, ``--cost``, ``--canon``, ``--model``) is
 inline JSON when it starts with ``{`` and a file path otherwise.  All
-outputs are UTF-8 and deterministic given the same inputs and seed.
+outputs are UTF-8.  Given the same inputs and seed, model files are
+byte-identical on every host; float outputs repeat bit for bit for one
+numpy and OpenBLAS build, one CPU kernel and one BLAS thread count.
 
 Exit codes: 0 success (including a null hint), 1 usage error, 2 data
 error, 3 numerical failure.

@@ -12,11 +12,11 @@ a to c is 2.0, the path through b 0.2).  Both return an :class:`EditScript`
 realizing the distance; replaying the script on the source state yields
 the target state and the script cost equals the distance exactly.  Without
 a script, the unit-cost sequence distances of a row run bit-parallel over a
-pack of many sequences in one integer, and the tree distances of many
-sources to many targets fill Zhang-Shasha's tables in one pass of numpy
-wavefronts over a trie of the sources' keyroots (the rows) and one of the
-targets' (the columns), whose shared prefixes fill once (see
-:func:`distance_rows`), both to the same bits.
+pack of many sequences in one integer, and the other distances of many
+sources to many targets (a sequence as the chain tree of its symbols) fill
+Zhang-Shasha's tables in one pass of numpy wavefronts over a trie of the
+sources' keyroots (the rows) and one of the targets' (the columns), whose
+shared prefixes fill once (see :func:`distance_rows`), to the same bits.
 
 Position conventions
 --------------------
@@ -451,33 +451,37 @@ class _Annotated:
     last node of its leftmost leaf, ``keyroot_of``) and subtree id (``ids``:
     ``(label, child ids)`` hash-consed through ``intern``, so trees annotated
     with one intern table give equal subtrees equal ids).  Keyroot ``k``'s
-    forest is the node range ``lml[k]`` to ``k`` of these lists."""
+    forest is the node range ``lml[k]`` to ``k`` of these lists, ``key`` the
+    root's id.  A sequence is the chain tree of its symbols, each the parent
+    of the one before: its one keyroot is its last symbol and each prefix a
+    whole tree, so Zhang-Shasha is Levenshtein on it; ``()`` has key -1."""
 
-    def __init__(self, root: TreeState, cost: CostModel, intern: dict):
+    def __init__(self, root, cost: CostModel, intern: dict):
         self.cost = cost
-        post, stack = [], [root]
-        while stack:  # the pre-order that visits children right to left
-            node = stack.pop()
-            post.append(node)
-            stack.extend(node.children)
-        post.reverse()  # postorder, children left to right
-        self.labels = labels = [node.label for node in post]
+        if isinstance(root, TreeState):
+            post, stack = [], [root]
+            while stack:  # the pre-order that visits children right to left
+                node = stack.pop()
+                post.append(node)
+                stack.extend(node.children)
+            post.reverse()  # postorder, children left to right
+            self.labels = labels = [node.label for node in post]
+            arity = [len(node.children) for node in post]
+        else:
+            self.labels = labels = list(root)
+            arity = [0] + [1] * len(labels)  # a symbol's child: the one before it
         self.lml, self.children, self.ids = lml, children, ids = [], [], []
         done = []  # the finished subtrees whose parent is still to come
-        for i, node in enumerate(post):
-            if node.children:
-                first = len(done) - len(node.children)
-                kids = done[first:]
-                del done[first:]
-                lml.append(lml[kids[0]])
-                key = node.label, tuple([ids[k] for k in kids])
-            else:
-                kids = ()
-                lml.append(i)
-                key = node.label, ()
+        for i, (label, count) in enumerate(zip(labels, arity)):
+            first = len(done) - count
+            kids = done[first:]
+            del done[first:]
+            lml.append(lml[kids[0]] if kids else i)
+            key = label, tuple([ids[k] for k in kids])
             done.append(i)
             children.append(kids)
             ids.append(intern.setdefault(key, len(intern)))
+        self.key = ids[-1] if ids else -1
         self.n = len(labels)
         last_for_lml = dict(zip(lml, range(self.n)))  # the last node of each leftmost leaf
         self.keyroots = sorted(last_for_lml.values())
@@ -495,16 +499,17 @@ class _Trie:
     keyroot forest of ``trees`` in their flat node lists, each keyroot id
     once, appends each new forest's fields to a list per field and converts
     the lists to arrays once.  ``paths[k]`` lists keyroot id ``k``'s
-    forests, ``whole[s]`` is the forest that is the subtree of id ``s``.
-    Per forest, ``ids`` holds its last node's id, ``links`` its index,
-    parent (without the last node), the forest where its last node's
-    subtree starts (0 for a whole tree), that subtree's forest (which the
-    keyroot of its leftmost leaf walks) and its last node's label (in
-    ``labels``), the other arrays its length, indel cost and the indels
-    summed along its path; ``costs[a]`` holds ``relabel[a][b]`` per ``b``."""
+    forests, ``whole[s]`` the forest that is the subtree of id ``s`` (for
+    -1, the empty sequence's key, node 0).  Per forest, ``ids`` holds its
+    last node's id, ``links`` its index, parent (without the last node), the
+    forest where its last node's subtree starts (0 for a whole tree), that
+    subtree's forest (which the keyroot of its leftmost leaf walks) and its
+    last node's label (in ``labels``), the other arrays its length, indel
+    cost and the indels summed along its path; ``costs[a]`` holds
+    ``relabel[a][b]`` per ``b``."""
 
     def __init__(self, trees, relabel):
-        children, self.paths, self.whole, index = [{}], {}, {}, {}
+        children, self.paths, self.whole, index = [{}], {-1: [0]}, {-1: 0}, {}
         parent, begin, depth, self.ids, indel, edge, label = [0], [0], [0], [-1], [0.0], [0.0], [0]
         for t in trees:
             lml, ids, labels, costs = t.lml, t.ids, t.labels, t.indel
@@ -574,7 +579,7 @@ def _fill(rows: _Trie, cols: _Trie) -> np.ndarray:
     base = costs + len(rows.labels) * n_labels
     buf = np.empty(base + rows.size * width)
     buf[:width], buf[width:costs] = cols.indel, rows.indel
-    buf[costs:base] = np.concatenate([cols.costs[a] for a in rows.labels])
+    buf[costs:base] = np.ravel([cols.costs[a] for a in rows.labels])  # concatenate([]) raises
     cells = buf[base:].reshape(rows.size, width)
     cells[:, 0], cells[0] = rows.edge, cols.edge
     scale = np.array([[width] * 4 + [1, 0, width, width, n_labels],
@@ -619,7 +624,7 @@ class DistanceMemo:
     has; what it adds stays its own.  A memo serves one cost model, its
     first call's (or its base's), and holds every tree it annotated, so no
     tree's ``id`` is reused while it lives.  A unit-cost sequence row keeps
-    the pack of its targets with the target list.
+    the pack of its targets with the target list; others are chain trees.
     """
 
     def __init__(self, base: DistanceMemo = None):
@@ -630,7 +635,7 @@ class DistanceMemo:
         self._tries = dict(base._tries) if base else {}  # target root ids -> their trie
         self._runs = dict(base._runs) if base else {}  # keyroot id -> [(cells, rows, columns)]
 
-    def annotate(self, tree: TreeState, cost: CostModel) -> _Annotated:
+    def annotate(self, tree, cost: CostModel) -> _Annotated:
         if self.cost is None:
             self.cost = cost
         elif cost is not self.cost and cost != self.cost:
@@ -647,9 +652,9 @@ class DistanceMemo:
         return self._packs[id(targets)][1]
 
     def trie(self, targets, cost: CostModel) -> _Trie:
-        """The trie of the keyroots of a list of trees, kept by their root ids."""
+        """The trie of the keyroots of a list of states, kept by their root ids."""
         trees = [self.annotate(y, cost) for y in targets]
-        key = tuple([t.ids[-1] for t in trees])
+        key = tuple([t.key for t in trees])
         if key not in self._tries:  # an equal subtree has the same forests
             self._tries[key] = _Trie(trees, cost.rows)
         return self._tries[key]
@@ -660,14 +665,14 @@ class DistanceMemo:
         ran so fill, as one trie of rows, the targets' trie in one pass (none:
         no trie is looked up)."""
         sources = [self.annotate(x, cost) for x in xs]
-        key = [self.annotate(y, cost).ids[-1] for y in targets]
+        key = [self.annotate(y, cost).key for y in targets]
         ran = {}
         for t in sources:
-            for run in self._runs.get(t.ids[-1], ()):
+            for run in self._runs.get(t.key, ()):
                 if all(y in run[2].paths for y in key):
-                    ran[t.ids[-1]] = run
+                    ran[t.key] = run
                     break
-        rest = [t for t in sources if t.ids[-1] not in ran]
+        rest = [t for t in sources if t.key not in ran]
         if rest:
             cols = self.trie(targets, cost)
             rows = _Trie(rest, cost.rows)
@@ -680,9 +685,9 @@ class DistanceMemo:
     def rows(self, xs, targets, cost: CostModel) -> list:
         """The distances from each of ``xs`` to each of ``targets``, read from :meth:`passes`."""
         ran, out = self.passes(xs, targets, cost), []
-        key = [self.annotate(y, cost).ids[-1] for y in targets]
+        key = [self.annotate(y, cost).key for y in targets]
         for x in xs:
-            root = self.annotate(x, cost).ids[-1]
+            root = self.annotate(x, cost).key
             cells, rows, cols = ran[root]
             out.append(cells[rows.whole[root], [cols.whole[y] for y in key]].tolist())
         return out
@@ -809,8 +814,8 @@ def tree_distance(
     mapping backtrace then reads the cells that the memo's passes kept."""
     memo = DistanceMemo() if memo is None else memo
     ran, t1, t2 = memo.passes((x,), (y,), cost), memo.annotate(x, cost), memo.annotate(y, cost)
-    cells, rows, cols = run = ran[t1.ids[-1]]
-    dist = cells.item(rows.whole[t1.ids[-1]], cols.whole[t2.ids[-1]])
+    cells, rows, cols = run = ran[t1.key]
+    dist = cells.item(rows.whole[t1.key], cols.whole[t2.key])
     script = _script_from_mapping(t1, t2, _zss_mapping(t1, t2, run))
     if not math.isclose(script.total_cost, dist, rel_tol=1e-12, abs_tol=1e-12):
         raise AssertionError(
@@ -880,33 +885,27 @@ def _scan(y, pack) -> list:
 
 
 def distance(x, y, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> float:
-    """The edit distance of two states, without a script.  Tree calls that
-    pass one :class:`DistanceMemo` share the cells of its passes (None: a
-    fresh memo); a unit-cost sequence call scans ``y`` over a pack of ``x``
-    alone (see :func:`distance_rows`)."""
-    if isinstance(x, TreeState):
+    """The edit distance of two states, without a script.  Tree and
+    weighted-cost sequence calls that pass one :class:`DistanceMemo` share
+    the cells of its passes (None: a fresh memo); a unit-cost sequence call
+    scans ``y`` over a pack of ``x`` alone (see :func:`distance_rows`)."""
+    if isinstance(x, TreeState) or not cost.is_unit:
         return tree_distance_only(x, y, cost, memo)
-    if not cost.is_unit:
-        for row in _lev_rows(x, y, cost, list(map(cost.cost_insert, y))):
-            pass
-        return float(row[-1])
     return _scan(y, _pack((x,)))[0]
 
 
 def distance_rows(xs, targets, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> list:
     """The edit distances from each of ``xs`` to each of ``targets``, one
-    row per source.  Tree rows are one pass of the sources' keyroots, as a
-    trie of rows, over the trie of the targets' keyroots (see
-    :meth:`DistanceMemo.rows`); a unit-cost sequence row is one pass of its
-    source over the pack of ``targets`` (see :func:`_scan`).  ``memo``
-    keeps the trie or the pack (None: a fresh memo); any other row makes
-    one table per pair."""
+    row per source.  Tree rows, and weighted-cost sequence rows as chain
+    trees, are one pass of the sources' keyroots, as a trie of rows, over
+    the trie of the targets' keyroots (see :meth:`DistanceMemo.rows`); a
+    unit-cost sequence row is one pass of its source over the pack of
+    ``targets`` (see :func:`_scan`).  ``memo`` keeps the trie or the pack
+    (None: a fresh memo)."""
     if not xs:
         return []
-    if isinstance(xs[0], TreeState):
+    if isinstance(xs[0], TreeState) or not cost.is_unit:
         return (DistanceMemo() if memo is None else memo).rows(xs, targets, cost)
-    if not cost.is_unit:
-        return [[distance(x, y, cost) for y in targets] for x in xs]
     pack = _pack(targets) if memo is None else memo.pack(targets)
     return [_scan(x, pack) for x in xs]
 
@@ -928,23 +927,22 @@ def pairwise_distances(states, cost: CostModel = UNIT_COSTS) -> np.ndarray:
     """Symmetric matrix of raw edit distances over a state list.
 
     Equal states share one row and column.  The unique states run in
-    blocks, each block one :func:`distance_rows` pass over the states after
-    its first, with a memo of its own started from one that annotates every
-    tree; a weighted-cost sequence block is one state, as its rows make one
-    table per pair.  The blocks stop before the last state, which has no
-    state after it.  The matrix mirrors the triangle above the diagonal,
-    which is exact because distances are bitwise symmetric.
+    blocks of 16, each block one :func:`distance_rows` pass over the states
+    after its first, with a memo of its own started from one that annotates
+    every state the passes fill (trees and weighted-cost sequences).  The
+    blocks stop before the last state, which has no state after it.  The
+    matrix mirrors the triangle above the diagonal, which is exact because
+    distances are bitwise symmetric.
     """
     index, memo = {}, DistanceMemo()
     ids = [index.setdefault(s if isinstance(s, TreeState) else tuple(s), len(index)) for s in states]
     unique = list(index)
-    trees = [s for s in unique if isinstance(s, TreeState)]
-    for s in trees:
-        memo.annotate(s, cost)
-    step = _MATRIX_BLOCK if cost.is_unit or trees else 1
+    for s in unique:
+        if isinstance(s, TreeState) or not cost.is_unit:
+            memo.annotate(s, cost)
     out = np.zeros((len(unique), len(unique)))
-    for i in range(0, len(unique) - 1, step):
-        rows = distance_rows(unique[i : i + step], unique[i + 1 :], cost, DistanceMemo(memo))
-        out[i : i + step, i + 1 :] = rows
+    for i in range(0, len(unique) - 1, _MATRIX_BLOCK):
+        rows = distance_rows(unique[i : i + _MATRIX_BLOCK], unique[i + 1 :], cost, DistanceMemo(memo))
+        out[i : i + _MATRIX_BLOCK, i + 1 :] = rows
     out = np.triu(out, 1)
     return (out + out.T)[np.ix_(ids, ids)]

@@ -29,8 +29,8 @@ successor-of-closest (first edit toward the closest state's successor in
 its trace), and a seeded random-reference policy.
 
 Fitted models are immutable; every hint query is pure and reproducible.
-At its first hint a model annotates (trees) or packs (unit-cost
-sequences) its training states for the edit distances, once.
+At its first hint a model packs (unit-cost sequences) or annotates (the
+rest) its training states for the edit distances, once.
 """
 
 from __future__ import annotations
@@ -227,14 +227,14 @@ class GprModel:
 
     def hint_memo(self) -> DistanceMemo:
         """A memo for the distances of one hint, started from the base memo
-        that annotates (trees) or packs (unit-cost sequences) the training
+        that packs (unit-cost sequences) or annotates (the rest) the training
         states at the first hint; what the hint adds goes with its memo."""
         if self._base_memo is None:
             base = DistanceMemo()
-            if self.kind == "tree":
-                base.trie(self.pairs.states, self.cost)
-            elif self.cost.is_unit:
+            if self.kind == "sequence" and self.cost.is_unit:
                 base.pack(self.pairs.states)
+            else:
+                base.trie(self.pairs.states, self.cost)
             self._base_memo = base
         return DistanceMemo(self._base_memo)
 

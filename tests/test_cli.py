@@ -224,7 +224,9 @@ QUALITY_CORPUS = {
 )
 def test_eval_search_report_matches_recorded_digest(tmp_path, capsys, task, digest):
     # recorded from the reports of an earlier version of the package, which
-    # prepared the training data once for the search and again for the task
+    # prepared the training data once for the search and again for the task,
+    # with numpy 2.4.6 and OpenBLAS 0.3.31 on its SkylakeX kernels, one BLAS
+    # thread (the RMSEs' last bits depend on all three)
     data = tmp_path / "data.json"
     data.write_text(json.dumps(QUALITY_CORPUS))
     argv = ["eval", "--dataset", str(data), "--task", task, "--search", "--repeats", "3", "--seed", "7"]

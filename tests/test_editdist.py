@@ -868,7 +868,8 @@ def test_scripts_from_mappings_equal_the_working_tree_oracle(x, y, cost, dropped
 
 
 # ---------------------------------------------------------------------------
-# the bit-parallel unit-cost path of distance()
+# the bit-parallel unit-cost path of distance(), and the fill of weighted
+# costs over sequences as chain trees
 
 # unit costs written out in several ways: each must take the bit-parallel
 # path; a listed relabel of a label to itself costs 0 whatever it says
@@ -877,13 +878,20 @@ UNIT_MODELS = [
     CostModel(indel={"a": 1.0}, relabel={("a", "b"): 1}),
     CostModel(indel_default=1, indel={"b": 1, "c": 1.0}, relabel={("c", "a"): 1.0, ("b", "b"): 3.0}),
 ]
-# one cost off 1: each must keep the dynamic program
+# one cost off 1: each must take the Zhang-Shasha fill
 NEAR_UNIT_MODELS = [
     CostModel(relabel_default=2.0),
     CostModel(indel={"a": 0.5}),
     CostModel(relabel={("b", "a"): 0.5}),
     CostModel(indel_default=1.5),
 ]
+# a relabel dearer than deleting and inserting (sequences taken as forests
+# of one-node trees would sum such pairs in another order, off in the last
+# bit for the pair pinned below), relabels only within {a, b}, and sums
+# that overflow to inf
+WIDE_RELABEL = CostModel(indel_default=0.875826109476624, relabel_default=4.5643144504621596)
+NEAR_OVERFLOW = CostModel(indel_default=1e307, relabel_default=1.7e308)
+WEIGHTED_MODELS = NEAR_UNIT_MODELS + [WIDE_RELABEL, GROUPED_ABC, NEAR_OVERFLOW]
 
 
 def lev_rows_distance(x, y, cost):
@@ -896,14 +904,14 @@ def test_unit_cost_models_take_the_bit_parallel_path(monkeypatch):
     assert all(cost.is_unit for cost in UNIT_MODELS)
     assert not any(cost.is_unit for cost in NEAR_UNIT_MODELS)
 
-    def dynamic_program(*args):
-        raise AssertionError("the dynamic program ran")
+    def fill(*args):
+        raise AssertionError("the Zhang-Shasha fill ran")
 
-    monkeypatch.setattr(editdist, "_lev_rows", dynamic_program)
+    monkeypatch.setattr(editdist, "_fill", fill)
     for cost in UNIT_MODELS:
         assert distance(seq_of("abc"), seq_of("bcd"), cost) == 2.0
     for cost in NEAR_UNIT_MODELS:
-        with pytest.raises(AssertionError, match="dynamic program"):
+        with pytest.raises(AssertionError, match="fill ran"):
             distance(seq_of("abc"), seq_of("bcd"), cost)
 
 
@@ -911,7 +919,7 @@ def test_unit_cost_models_take_the_bit_parallel_path(monkeypatch):
 def unit_cost_cases(draw):
     """Two sequences over an alphabet of 1 to 20 symbols, where ``y`` may
     also hold symbols that ``x`` never has, with lengths up to 140 (past one
-    and two 64-bit words), and a unit or near-unit cost model."""
+    and two 64-bit words), and a unit or weighted cost model."""
     alphabet = [chr(ord("a") + i) for i in range(draw(st.integers(1, 20)))]
 
     def symbols(pool):
@@ -919,7 +927,7 @@ def unit_cost_cases(draw):
         return tuple(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
 
     x, y = symbols(alphabet), symbols(alphabet + ["Y", "Z"])
-    return x, y, draw(st.sampled_from(UNIT_MODELS + NEAR_UNIT_MODELS))
+    return x, y, draw(st.sampled_from(UNIT_MODELS + WEIGHTED_MODELS))
 
 
 @settings(max_examples=300, deadline=None)
@@ -929,6 +937,7 @@ def unit_cost_cases(draw):
 @example((tuple("ab" * 40), tuple("ba" * 40) + ("Z",), UNIT_COSTS))
 @example((tuple("abc" * 43), tuple("acb" * 45), UNIT_MODELS[1]))
 @example((tuple("abc" * 43), tuple("acb" * 45), NEAR_UNIT_MODELS[2]))
+@example((("e", "a"), ("b", "d", "d", "d"), WIDE_RELABEL))
 def test_distance_equals_dynamic_program_and_bfs(case):
     x, y, cost = case
     d = distance(x, y, cost)
@@ -945,7 +954,7 @@ def test_distance_equals_dynamic_program_and_bfs(case):
 def sequence_batches(draw):
     """A few sequences over one alphabet, lengths up to 140, and the calls of
     one batch as (pattern index, text index, rebuild the pattern) in a drawn
-    order, under a unit or near-unit cost model."""
+    order, under a unit or weighted cost model."""
     alphabet = [chr(ord("a") + i) for i in range(draw(st.integers(1, 12)))]
     size = st.integers(0, 4) | st.integers(0, 140)
     states = draw(
@@ -957,14 +966,18 @@ def sequence_batches(draw):
     )
     index = st.integers(0, len(states) - 1)
     calls = draw(st.lists(st.tuples(index, index, st.booleans()), min_size=1, max_size=25))
-    return [tuple(s) for s in states], calls, draw(st.sampled_from(UNIT_MODELS + NEAR_UNIT_MODELS))
+    return [tuple(s) for s in states], calls, draw(st.sampled_from(UNIT_MODELS + WEIGHTED_MODELS))
 
 
 @settings(max_examples=200, deadline=None)
 @given(sequence_batches())
+@example(([(), ("a",)], [(0, 1, False)], WIDE_RELABEL))
+@example(([(), (), ("a",)], [(0, 2, False), (1, 0, True)], WIDE_RELABEL))
 def test_sequence_distances_sharing_a_memo_equal_fresh_calls(batch):
     # a rebuilt pattern is a new tuple that dies after its call, so the next
-    # one may take its id; the memo holds each pattern it keeps masks for
+    # one may take its id; the memo holds each pattern it keeps masks or
+    # cells for.  The batch's patterns then run as rows over every state,
+    # through the memo, and the states as a matrix
     states, calls, cost = batch
     memo = DistanceMemo()
     for i, j, rebuild in calls:
@@ -972,6 +985,12 @@ def test_sequence_distances_sharing_a_memo_equal_fresh_calls(batch):
         d = distance(x, states[j], cost, memo)
         assert d.hex() == distance(x, states[j], cost).hex()
         assert d.hex() == lev_rows_distance(x, states[j], cost).hex()
+    sources = [states[i] for i, _, _ in calls]
+    want = [[lev_rows_distance(x, y, cost).hex() for y in states] for x in sources]
+    for rows in (distance_rows(sources, states, cost), distance_rows(sources, states, cost, memo)):
+        assert [[d.hex() for d in row] for row in rows] == want
+    want = np.array([[lev_rows_distance(a, b, cost) for b in states] for a in states])
+    _assert_symmetric_matrix(pairwise_distances(states, cost), want)
 
 
 # ---------------------------------------------------------------------------

@@ -1012,7 +1012,9 @@ _WEIGHTED = CostModel(
     indel={"a": 0.7, "c": 1.3}, relabel_default=1.5, relabel={("a", "b"): 0.4, ("c", "d"): 2.5}
 )
 # sha256 of the JSON of every policy's hint, to_dict(), on each dataset of
-# _digest_inputs, as an earlier version of the package wrote them
+# _digest_inputs, as an earlier version of the package wrote them; recorded
+# with numpy 2.4.6 and OpenBLAS 0.3.31 on its SkylakeX kernels, one BLAS
+# thread (the float fields' last bits depend on all three)
 _HINT_DIGESTS = {
     "unit": "69a56a95335f61c317627530ae3bbc54269ef90a28b203a3b3ae99f6c32a9a18",
     "weighted": "2a20a5bef8d46908f7d1754c267a1800b7d9d6b624bf67733789e80999ceb1d9",
