@@ -11,12 +11,12 @@ can cost less (relabels a-b and b-c at 0.1 and a-c at 5: the distance from
 a to c is 2.0, the path through b 0.2).  Both return an :class:`EditScript`
 realizing the distance; replaying the script on the source state yields
 the target state and the script cost equals the distance exactly.  Without
-a script, the unit-cost sequence distances of a row run bit-parallel over a
-pack of many sequences in one integer, and the other distances of many
-sources to many targets (a sequence as the chain tree of its symbols) fill
-Zhang-Shasha's tables in one pass of numpy wavefronts over a trie of the
-sources' keyroots (the rows) and one of the targets' (the columns), whose
-shared prefixes fill once (see :func:`distance_rows`), to the same bits.
+a script, every distance is a cell of :func:`distance_rows`, whose memo
+picks the route: unit-cost sequences run bit-parallel over a pack of the
+targets in one integer, and the rest (a sequence as the chain tree of its
+symbols) fill Zhang-Shasha's tables in one pass of numpy wavefronts over a
+trie of the sources' keyroots (the rows) and one of the targets' (the
+columns), whose shared prefixes fill once, to the same bits.
 
 Position conventions
 --------------------
@@ -609,22 +609,27 @@ def _fill(rows: _Trie, cols: _Trie) -> np.ndarray:
     return cells
 
 
+def _scans(state, cost: CostModel) -> bool:
+    """Whether rows of ``state`` scan a pack (unit-cost sequences), not fill a trie."""
+    return cost.is_unit and not isinstance(state, TreeState)
+
+
 class DistanceMemo:
-    """What the distance calls of one batch share.  A tree pass runs every
-    keyroot of its sources, as one :class:`_Trie` of rows, over the trie of
-    columns of its targets, kept per target list; the memo keeps its cells
-    and tries in ``_runs[k]`` for each source keyroot id ``k`` it ran.
-    Equal forest pairs get equal bits in any pass.  A source whose whole
-    tree a kept pass ran (its root id is a keyroot id of that pass) over a
-    trie holding every target of a new pass reads that pass; the new pass
-    runs the other sources whole.  Each tree is annotated once.
+    """What the distance calls of one batch share; it alone picks a row's
+    route (:func:`_scans`).  A unit-cost sequence row scans the pack of its
+    targets.  A tree pass runs every keyroot of its sources, as one
+    :class:`_Trie` of rows, over the trie of columns of its targets; the
+    memo keeps its cells and tries in ``_runs[k]`` for each source keyroot
+    id ``k`` it ran.  Equal forest pairs get equal bits in any pass.  A
+    source whose whole tree a kept pass ran (its root id is a keyroot id of
+    that pass) over a trie holding every target of a new pass reads that
+    pass; a new pass runs the others whole.  Each tree is annotated once.
 
     A memo started from a ``base`` copies its intern table, annotated trees,
     tries, packs and passes, so ids agree and it builds nothing the base
     has; what it adds stays its own.  A memo serves one cost model, its
-    first call's (or its base's), and holds every tree it annotated, so no
-    tree's ``id`` is reused while it lives.  A unit-cost sequence row keeps
-    the pack of its targets with the target list; others are chain trees.
+    first call's (or its base's), and holds every tree it annotated and
+    every target list it packed, so no ``id`` is reused while it lives.
     """
 
     def __init__(self, base: DistanceMemo = None):
@@ -645,36 +650,36 @@ class DistanceMemo:
             entry = self._trees[id(tree)] = (tree, _Annotated(tree, cost, self._intern))
         return entry[1]
 
-    def pack(self, targets) -> tuple:
-        """The pack of a list of sequences (see :func:`_pack`), kept with it."""
+    def columns(self, targets, cost: CostModel):
+        """The columns of rows over a non-empty list of states: the pack of
+        unit-cost sequences (see :func:`_pack`), kept with the list, or else
+        the trie of their keyroots, kept by their root ids."""
+        if not _scans(targets[0], cost):
+            return self._trie([self.annotate(y, cost) for y in targets], cost)
         if id(targets) not in self._packs:
             self._packs[id(targets)] = targets, _pack(targets)
         return self._packs[id(targets)][1]
 
-    def trie(self, targets, cost: CostModel) -> _Trie:
-        """The trie of the keyroots of a list of states, kept by their root ids."""
-        trees = [self.annotate(y, cost) for y in targets]
+    def _trie(self, trees, cost: CostModel) -> _Trie:
         key = tuple([t.key for t in trees])
         if key not in self._tries:  # an equal subtree has the same forests
             self._tries[key] = _Trie(trees, cost.rows)
         return self._tries[key]
 
-    def passes(self, xs, targets, cost: CostModel) -> dict:
-        """The kept pass ``(cells, rows, columns)`` that ran each source of
-        ``xs`` whole over all ``targets``, by its root id: those no kept pass
-        ran so fill, as one trie of rows, the targets' trie in one pass (none:
-        no trie is looked up)."""
-        sources = [self.annotate(x, cost) for x in xs]
-        key = [self.annotate(y, cost).key for y in targets]
+    def passes(self, sources, targets, cost: CostModel) -> dict:
+        """The kept pass ``(cells, rows, columns)`` that ran each of the
+        annotated ``sources`` whole over all annotated ``targets``, by its
+        root id: those no kept pass ran fill, as one trie of rows, the
+        targets' trie in one pass (none: no trie is looked up)."""
         ran = {}
         for t in sources:
             for run in self._runs.get(t.key, ()):
-                if all(y in run[2].paths for y in key):
+                if all(y.key in run[2].paths for y in targets):
                     ran[t.key] = run
                     break
         rest = [t for t in sources if t.key not in ran]
         if rest:
-            cols = self.trie(targets, cost)
+            cols = self._trie(targets, cost)
             rows = _Trie(rest, cost.rows)
             run = (_fill(rows, cols), rows, cols)
             for kid in rows.paths:
@@ -683,13 +688,18 @@ class DistanceMemo:
         return ran
 
     def rows(self, xs, targets, cost: CostModel) -> list:
-        """The distances from each of ``xs`` to each of ``targets``, read from :meth:`passes`."""
-        ran, out = self.passes(xs, targets, cost), []
-        key = [self.annotate(y, cost).key for y in targets]
-        for x in xs:
-            root = self.annotate(x, cost).key
-            cells, rows, cols = ran[root]
-            out.append(cells[rows.whole[root], [cols.whole[y] for y in key]].tolist())
+        """The distances from each of ``xs`` to each of ``targets``: scans of
+        the targets' pack, or cells of :meth:`passes` over their annotations."""
+        if not (xs and targets):
+            return [[] for _ in xs]
+        if _scans(xs[0], cost):
+            return list(map(_scan, xs, repeat(self.columns(targets, cost))))
+        sources = [self.annotate(x, cost) for x in xs]
+        trees = [self.annotate(y, cost) for y in targets]
+        ran, out = self.passes(sources, trees, cost), []
+        for t in sources:
+            cells, rows, cols = ran[t.key]
+            out.append(cells[rows.whole[t.key], [cols.whole[y.key] for y in trees]].tolist())
         return out
 
 
@@ -810,11 +820,11 @@ def tree_distance(
     x: TreeState, y: TreeState, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None
 ):
     """Zhang-Shasha tree edit distance with a realizing edit script.  The
-    distance is a row through ``memo`` as in :func:`tree_distance_only`; the
-    mapping backtrace then reads the cells that the memo's passes kept."""
+    distance is a cell of a pass through ``memo`` as in :func:`distance`;
+    the mapping backtrace then reads the cells that the memo's passes kept."""
     memo = DistanceMemo() if memo is None else memo
-    ran, t1, t2 = memo.passes((x,), (y,), cost), memo.annotate(x, cost), memo.annotate(y, cost)
-    cells, rows, cols = run = ran[t1.key]
+    t1, t2 = memo.annotate(x, cost), memo.annotate(y, cost)
+    cells, rows, cols = run = memo.passes((t1,), (t2,), cost)[t1.key]
     dist = cells.item(rows.whole[t1.key], cols.whole[t2.key])
     script = _script_from_mapping(t1, t2, _zss_mapping(t1, t2, run))
     if not math.isclose(script.total_cost, dist, rel_tol=1e-12, abs_tol=1e-12):
@@ -824,21 +834,13 @@ def tree_distance(
     return dist, EditScript(script.edits, dist)
 
 
-def tree_distance_only(
-    x: TreeState, y: TreeState, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None
-) -> float:
-    """The Zhang-Shasha distance alone; ``memo`` shares the cells of its
-    passes with the other calls of its batch (None: a fresh memo)."""
-    return (DistanceMemo() if memo is None else memo).rows((x,), (y,), cost)[0][0]
-
-
 # ---------------------------------------------------------------------------
 # dispatch helpers
 
 
 def distance_and_script(x, y, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None):
     """The edit distance of two states and a script realizing it; ``memo``
-    as in :func:`distance`."""
+    as in :func:`distance_rows`."""
     if isinstance(x, TreeState):
         return tree_distance(x, y, cost, memo)
     return seq_distance(x, y, cost)
@@ -885,35 +887,19 @@ def _scan(y, pack) -> list:
 
 
 def distance(x, y, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> float:
-    """The edit distance of two states, without a script.  Tree and
-    weighted-cost sequence calls that pass one :class:`DistanceMemo` share
-    the cells of its passes (None: a fresh memo); a unit-cost sequence call
-    scans ``y`` over a pack of ``x`` alone (see :func:`distance_rows`)."""
-    if isinstance(x, TreeState) or not cost.is_unit:
-        return tree_distance_only(x, y, cost, memo)
-    return _scan(y, _pack((x,)))[0]
+    """The edit distance of two states, without a script: the one cell of
+    :func:`distance_rows` (``memo`` as there)."""
+    return distance_rows((x,), (y,), cost, memo)[0][0]
+
+
+tree_distance_only = distance  # the distance of two trees, without a script
 
 
 def distance_rows(xs, targets, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> list:
     """The edit distances from each of ``xs`` to each of ``targets``, one
-    row per source.  Tree rows, and weighted-cost sequence rows as chain
-    trees, are one pass of the sources' keyroots, as a trie of rows, over
-    the trie of the targets' keyroots (see :meth:`DistanceMemo.rows`); a
-    unit-cost sequence row is one pass of its source over the pack of
-    ``targets`` (see :func:`_scan`).  ``memo`` keeps the trie or the pack
-    (None: a fresh memo)."""
-    if not xs:
-        return []
-    if isinstance(xs[0], TreeState) or not cost.is_unit:
-        return (DistanceMemo() if memo is None else memo).rows(xs, targets, cost)
-    pack = _pack(targets) if memo is None else memo.pack(targets)
-    return [_scan(x, pack) for x in xs]
-
-
-def distance_row(x, targets, cost: CostModel = UNIT_COSTS, memo: DistanceMemo = None) -> list:
-    """The edit distances from ``x`` to each of ``targets``, in order: the
-    one-source case of :func:`distance_rows`."""
-    return distance_rows((x,), targets, cost, memo)[0]
+    row per source, by the route that ``memo`` picks, which keeps what the
+    rows build for its batch (see :meth:`DistanceMemo.rows`; None: fresh)."""
+    return (DistanceMemo() if memo is None else memo).rows(xs, targets, cost)
 
 
 # sources per pass of the pairwise matrix: a pass's cells pair the forests of
@@ -938,7 +924,7 @@ def pairwise_distances(states, cost: CostModel = UNIT_COSTS) -> np.ndarray:
     ids = [index.setdefault(s if isinstance(s, TreeState) else tuple(s), len(index)) for s in states]
     unique = list(index)
     for s in unique:
-        if isinstance(s, TreeState) or not cost.is_unit:
+        if not _scans(s, cost):
             memo.annotate(s, cost)
     out = np.zeros((len(unique), len(unique)))
     for i in range(0, len(unique) - 1, _MATRIX_BLOCK):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .editdist import CostModel, EditError, UNIT_COSTS
-from .editdist import apply_edit, distance, distance_row, seq_distance, serialize_edit
+from .editdist import apply_edit, distance, distance_rows, seq_distance, serialize_edit
 from .policies import FitError, Geometry, GprModel, KernelParams, prepared_traces
 from .space import NumericalError, check_mode, squared
 from .states import EMPTY_CANON
@@ -269,7 +269,7 @@ def hint_quality(model: GprModel, tutor_hints, policy_fn) -> EvalReport:
                     tutor_states.append(apply_edit(state, entry.edit))
                 except EditError:
                     continue  # a tree edit may not apply to the canonic form
-            dists = distance_row(apply_edit(state, result.edit), tutor_states, model.cost)
+            dists = distance_rows((apply_edit(state, result.edit),), tutor_states, model.cost)[0]
             if dists:
                 dist_to_tutor = float(min(dists))
                 sq_dists.append(float(squared(np.array(dist_to_tutor))))

@@ -29,8 +29,8 @@ successor-of-closest (first edit toward the closest state's successor in
 its trace), and a seeded random-reference policy.
 
 Fitted models are immutable; every hint query is pure and reproducible.
-At its first hint a model packs (unit-cost sequences) or annotates (the
-rest) its training states for the edit distances, once.
+At its first hint a model builds the columns of its training states for
+the edit distances (see :meth:`DistanceMemo.columns`), once.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .editdist import (
     apply_edit,
     distance,
     distance_and_script,
-    distance_row,
     distance_rows,
     pairwise_distances,
     serialize_edit,
@@ -133,8 +132,9 @@ class Geometry:
     call, without a second attempt.
 
     Geometries of one shape that each hold the ``group`` list of them all
-    are built as one stack, bitwise each one's lone build, at the first
-    :meth:`spaces` call of any; if the stack fails, each builds alone."""
+    are built as one stack, bitwise each one's lone build on SkylakeX and
+    Haswell kernels, at the first :meth:`spaces` call of any; if the stack
+    fails, each builds alone."""
 
     def __init__(self, pairs: TracePairs, dist_raw: np.ndarray, mode: str, queries=None, group=None):
         if dist_raw.shape != (len(pairs), len(pairs)):
@@ -227,21 +227,18 @@ class GprModel:
 
     def hint_memo(self) -> DistanceMemo:
         """A memo for the distances of one hint, started from the base memo
-        that packs (unit-cost sequences) or annotates (the rest) the training
-        states at the first hint; what the hint adds goes with its memo."""
+        that builds the columns of the training states (their pack or their
+        trie) at the first hint; what the hint adds goes with its memo."""
         if self._base_memo is None:
             base = DistanceMemo()
-            if self.kind == "sequence" and self.cost.is_unit:
-                base.pack(self.pairs.states)
-            else:
-                base.trie(self.pairs.states, self.cost)
+            base.columns(self.pairs.states, self.cost)
             self._base_memo = base
         return DistanceMemo(self._base_memo)
 
     def query_raw_distances(self, state, memo: DistanceMemo) -> np.ndarray:
         """Raw edit distances from ``state`` to every training state,
         through ``memo``, a :meth:`hint_memo`."""
-        return np.array(distance_row(state, self.pairs.states, self.cost, memo))
+        return np.array(distance_rows((state,), self.pairs.states, self.cost, memo)[0])
 
     def embed_query(self, raw_distances: np.ndarray) -> QueryEmbedding:
         return self.space.extend(raw_distances**2)
@@ -329,12 +326,12 @@ def prepared_traces(dataset: Dataset, cost: CostModel = UNIT_COSTS) -> Prepared:
     """The training data that fitting and evaluation share: the
     goal-filtered successful traces as pairs, and the raw edit distances
     between their states.  Each trace's distances to its goal are one
-    :func:`distance_row`."""
+    :func:`distance_rows` row."""
     successful = dataset.successful_traces()
     if not successful:
         raise FitError("dataset has no successful traces to learn from")
     pairs = build_pairs(
-        goal_filter(t, distance_row(t.states[-1], t.states[:-1], cost)) for t in successful
+        goal_filter(t, distance_rows((t.states[-1],), t.states[:-1], cost)[0]) for t in successful
     )
     return Prepared(pairs, pairwise_distances(pairs.states, cost))
 

@@ -14,7 +14,8 @@ distances (clip and flip modes).
 The eigendecomposition, by LAPACK, is never stored: a saved model keeps
 the raw distances and rebuilds its spaces on load.  Spaces of one size
 build as a stack, one numpy call per step for all, each member bitwise
-its lone build: the 8 leave-one-out folds of a benchmark seq-eval corpus
+its lone build on OpenBLAS's SkylakeX and Haswell kernels (not on
+Prescott's): the 8 leave-one-out folds of a benchmark seq-eval corpus
 build their 28- and 21-state spaces in one call each.
 """
 
@@ -85,7 +86,7 @@ def jacobi_eigh(a: np.ndarray):
     component is positive, which makes the result, and the ``mds`` output
     built on it, independent of the LAPACK build.  A LAPACK failure raises
     :class:`NumericalError`, in a stack that of any member; a member's
-    result is bitwise its result alone.
+    result is bitwise its result alone on SkylakeX and Haswell kernels.
 
     The name predates the LAPACK solver; the benchmark's tracer
     (``perfbench/tracing.py``) wraps this function by name, so a rename
@@ -200,10 +201,11 @@ class CorrectedSpace:
         """Nystrom projection of a query's squared distances to training.
 
         The query's squared distances are centered against the training
-        column means and grand mean, projected onto the corrected
-        eigenbasis, and re-normed so an in-sample query reproduces its own
-        corrected distance row.  Stacked queries, ``(..., size)`` here or
-        ``(..., members, size)`` on a stack, get their lone results bitwise.
+        column means and grand mean, projected onto the corrected eigenbasis,
+        and re-normed so an in-sample query reproduces its own corrected
+        distance row.  Stacked queries, ``(..., size)`` here or
+        ``(..., members, size)`` on a stack, get their lone results bitwise
+        on SkylakeX and Haswell kernels.
         """
         d2q = np.ascontiguousarray(d2_to_training, dtype=float)  # rows BLAS sums as it would alone
         if d2q.shape[d2q.ndim - self.col_means.ndim :] != self.col_means.shape:

@@ -40,6 +40,7 @@ from edithints.editdist import (
     SeqEdit,
     TreeEdit,
     apply_edit,
+    distance_rows,
     edit_to_dict,
 )
 from edithints.evaluate import EvalReport
@@ -354,6 +355,11 @@ def _python_table(xs, targets, cost) -> tuple:
     order, size = _trie_order(forests(trees))
     python_fill(_trie_order(forests(sources))[0], order, size, table, cost.rows)
     return sources, trees, table
+
+
+def distance_row(x, targets, cost: CostModel = UNIT_COSTS, memo=None) -> list:
+    """The package's distances from ``x`` to each of ``targets``: its one row of ``distance_rows``."""
+    return distance_rows((x,), targets, cost, memo)[0]
 
 
 def python_distance_rows(xs, targets, cost: CostModel) -> list:

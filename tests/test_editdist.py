@@ -20,7 +20,6 @@ from edithints.editdist import (
     apply_edit,
     distance,
     distance_and_script,
-    distance_row,
     distance_rows,
     edit_from_dict,
     edit_to_dict,
@@ -38,6 +37,7 @@ from oracle_utils import (
     all_trees,
     apply_script,
     bfs_string_distances,
+    distance_row,
     invert_edit,
     mapping_tree_distance,
     python_distance_rows,
@@ -564,7 +564,7 @@ def test_memo_started_from_a_sealed_base_equals_fresh_calls(states, cost):
     # and adds nothing to the base
     base = DistanceMemo()
     kept = base.annotate(states[0], cost)
-    base.trie(states[:1], cost)
+    base.columns(states[:1], cost)
 
     def snapshot():
         return dict(base._intern), dict(base._trees), dict(base._tries), dict(base._runs)
@@ -688,7 +688,7 @@ def test_tree_rows_fill_only_the_sources_they_have_not_run():
     memo = DistanceMemo()
     want = [distance(x, y) for y in targets]
     assert distance_row(x, targets, UNIT_COSTS, memo) == want
-    trie = memo.trie(targets, UNIT_COSTS)
+    trie = memo.columns(targets, UNIT_COSTS)
     (cells, rows, cols), = _passes(memo)
     assert cols is trie and cells.shape == (rows.size, trie.size)  # every column
     assert rows.size == 1 + (1 + 2 + 4 + 1 + 9)  # the shared row of the empty forest, one row per node
@@ -710,7 +710,7 @@ def test_tree_rows_fill_only_the_sources_they_have_not_run():
     memo = DistanceMemo()
     assert memo.rows([x, edited, x], targets, UNIT_COSTS) == [want, want_edited, want]
     (cells, rows, cols), = _passes(memo)
-    assert cols is memo.trie(targets, UNIT_COSTS) and cells.shape == (rows.size, trie.size)
+    assert cols is memo.columns(targets, UNIT_COSTS) and cells.shape == (rows.size, trie.size)
     assert rows.size == 1 + (1 + 2 + 4 + 1 + 9) + 2 + (4 - 1) + (9 - 4)
 
 
@@ -856,8 +856,8 @@ def test_later_passes_read_kept_sources_and_run_the_others_whole(x, others, cost
 @example(parse_tree("a(b,c(a))"), parse_tree("b(a(c),c)"), UNIT_COSTS, set(range(13)))
 def test_scripts_from_mappings_equal_the_working_tree_oracle(x, y, cost, dropped):
     memo = DistanceMemo()
-    ran = memo.passes((x,), (y,), cost)
     t1, t2 = memo.annotate(x, cost), memo.annotate(y, cost)
+    ran = memo.passes((t1,), (t2,), cost)
     full = editdist._zss_mapping(t1, t2, ran[t1.ids[-1]])
     for mapping in (full, [pair for n, pair in enumerate(full) if n not in dropped]):
         got = editdist._script_from_mapping(t1, t2, mapping)
@@ -1036,6 +1036,28 @@ def test_rows_of_no_sources_are_empty():
         memo = DistanceMemo()
         assert distance_rows([], targets) == distance_rows([], targets, UNIT_COSTS, memo) == []
         assert not memo._packs and not memo._trees and not memo._tries
+
+
+@pytest.mark.parametrize(
+    "states, cost",
+    [
+        ([parse_tree(t) for t in ("a(b,c)", "c(a)", "b(a(c),c)", "a(b,c)", "b")], UNIT_COSTS),
+        ([seq_of(t) for t in ("abcab", "bca", "", "abcab", "cc")], NEAR_UNIT_MODELS[0]),
+    ],
+    ids=["tree", "weighted"],
+)
+def test_rows_annotate_each_source_and_target_once(monkeypatch, states, cost):
+    # one rows call looks up the annotation of each source and each target
+    # once, whether it runs a pass (the first call) or reads kept ones (the
+    # second): passes and the targets' trie read those annotations
+    xs, targets = states[:3], states[1:]
+    want = [[distance(x, y, cost) for y in targets] for x in xs]
+    memo, calls, annotate = DistanceMemo(), [], DistanceMemo.annotate
+    monkeypatch.setattr(DistanceMemo, "annotate", lambda self, t, c: calls.append(t) or annotate(self, t, c))
+    for _ in range(2):
+        calls.clear()
+        assert memo.rows(xs, targets, cost) == want
+        assert len(calls) == len(xs) + len(targets)
 
 
 def test_packs_span_many_machine_words():

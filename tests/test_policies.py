@@ -916,9 +916,6 @@ def test_hint_memo_gives_the_hints_of_fresh_memos(monkeypatch, seed, cost):
     assert sum(h["edit"] is not None and h["alpha"] is not None for h in shared) >= 3
     monkeypatch.setattr(policies, "distance", lambda x, y, c, memo=None: distance(x, y, c))
     monkeypatch.setattr(
-        policies, "distance_row", lambda x, ys, c, memo=None: [distance(x, y, c) for y in ys]
-    )
-    monkeypatch.setattr(
         policies, "distance_rows", lambda xs, ys, c, memo=None: [[distance(x, y, c) for y in ys] for x in xs]
     )
     monkeypatch.setattr(
@@ -983,10 +980,10 @@ def test_sequence_hints_pack_the_training_states_once(monkeypatch):
     shared = _all_hints(model, queries)
     assert sum(t is model.pairs.states for t in packed) == 1
 
-    def dynamic_program(x, ys, cost, memo=None):
-        return [seq_distance(x, y, cost)[0] for y in ys]
+    def dynamic_program(xs, ys, cost, memo=None):
+        return [[seq_distance(x, y, cost)[0] for y in ys] for x in xs]
 
-    monkeypatch.setattr(policies, "distance_row", dynamic_program)
+    monkeypatch.setattr(policies, "distance_rows", dynamic_program)
     assert _all_hints(model, queries) == shared
 
 
