@@ -27,6 +27,7 @@ import io
 import json
 import os
 import sys
+from itertools import chain
 
 # one BLAS thread unless the user chose a count: faster for these small
 # matrices, and float outputs then repeat bit for bit on a given host
@@ -102,7 +103,13 @@ def _sha256(text: str) -> str:
 
 def model_to_dict(model: GprModel, provenance: str, search_meta=None) -> dict:
     """The model file: everything fitting consumed, nothing derived from it.
-    Embeddings and the kernel system are rebuilt from ``dist_raw`` on load."""
+    Embeddings and the kernel system are rebuilt from ``dist_raw`` on load.
+    Each integral distance below 2**53 is written as a JSON integer, every
+    other as its ``repr`` float; either spelling loads as the same double."""
+    d = model.dist_raw
+    dist = d.astype(object)  # Python floats, then Python ints where whole
+    whole = (np.trunc(d) == d) & ~np.signbit(d) & (d < 2**53)
+    dist[whole] = d[whole].astype(np.int64)
     payload = {
         "format": MODEL_FORMAT,
         "kind": model.kind,
@@ -116,7 +123,7 @@ def model_to_dict(model: GprModel, provenance: str, search_meta=None) -> dict:
         "trace_ids": list(model.pairs.trace_ids),
         "trace_lengths": [stop - start for start, stop in model.pairs.trace_spans],
         "states": [serialize_state(s) for s in model.pairs.states],
-        "dist_raw": model.dist_raw.tolist(),
+        "dist_raw": dist.tolist(),
         "provenance": {"dataset_sha256": provenance},
         "search": search_meta,
     }
@@ -140,11 +147,19 @@ def model_from_dict(raw: dict) -> GprModel:
         canon = CanonConfig.from_dict(raw["canon"])
         cost = CostModel.from_dict(raw["cost"])
         params = KernelParams(**raw["params"])
+        # arithmetic takes JSON true for 1, and numpy takes "3.0" for 3.0
+        for key, items, kinds, noun in (
+            ("params", raw["params"].values(), {int, float}, "numbers"),
+            ("trace_lengths", raw["trace_lengths"], {int}, "integers"),
+            ("dist_raw", chain.from_iterable(raw["dist_raw"]), {int, float}, "numbers"),
+        ):
+            if not set(map(type, items)) <= kinds:
+                raise DataError(f"model field {key!r} may hold only JSON {noun}")
         states = [parse_state(text, kind) for text in raw["states"]]
         pairs = TracePairs.from_lengths(states, raw["trace_ids"], raw["trace_lengths"])
         dist_raw = np.array(raw["dist_raw"], dtype=float)
         mode = raw["mode"]
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise DataError(f"model file has a missing or malformed field: {exc!r}") from exc
     return GprModel(kind, Geometry(pairs, dist_raw, mode), cost, canon, params)
 

@@ -6,12 +6,14 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from edithints.cli import load_model, main
+from edithints.cli import load_model, main, model_to_dict
 from edithints.evaluate import synthetic_corpus
 from edithints.policies import KernelParams, fit_model
 from edithints.states import sequence
@@ -131,16 +133,19 @@ PIN_TREE = {
     ],
 }
 
-# each model's dataset and fit flags, the SHA-256 of the file's bytes and
-# that of its content (the canonical JSON of the parsed file)
+# each model's dataset and fit flags, the SHA-256 of the file's bytes, that
+# of its content (the canonical JSON of the parsed file) and that of the
+# doubles its distances load as (recorded when every distance was written
+# as a JSON float, before integral ones became JSON integers)
 MODEL_PINS = pytest.mark.parametrize(
-    "dataset, flags, digest, content_digest",
+    "dataset, flags, digest, content_digest, values_digest",
     [
         (
             FIG2,
             [],
-            "879e506f9c9e5870c51690923a4c51cb969d2381093fe9a29edd49aff140b627",
-            "72d985005e7f91b05989ffd2d80477af26ab927854b605903a54d2cc15fd2ff7",
+            "e7d9a53f3631b45db7f858b16535363c7d2404841a5a6617370b59be063d5153",
+            "fdbb2e6f791de1ebe6688a0e506a9ea6a54708d92dbc90d0955a67c39314a891",
+            "b618e30a4f723f1b27673d43c825571b4f64e7538d38d00e17fa91e194f07ab9",
         ),
         (
             PIN_TREE,
@@ -149,14 +154,16 @@ MODEL_PINS = pytest.mark.parametrize(
                 "--cost", '{"indel_default": 1.5, "relabel": {"ask|say": 0.5}}',
                 "--psi", "2.0", "--noise", "0.1", "--mode", "flip",
             ],
-            "e8ca6d2608ff5192338cda8fac28b17e63b46258ca97f18394d3a531469e2a9b",
-            "16a8c515cb95313bf8c1a7e9894603114e104b6b767273a3596782992a5e266e",
+            "2dea2635e1a63ce5a58705e27d67694d60a6450b3d48046079b42f38679e2e1c",
+            "3c01ac2454e194bab20390c2f9c16f229cfdd0662129f88b61edc90cbd3d1d89",
+            "06de57def9f01fd0b7d77c0154ac876a75c10f9d076c7cbf90a935e4c716c096",
         ),
         (
             dataset_to_dict(synthetic_corpus(5, 4, "abcde", min_missing=1, max_missing=3)),
             ["--search", "--repeats", "3", "--seed", "7"],
-            "c183f1fbd5d5003a8aef44ba9d45948a41ecf1f0d746d93608193705d0d27203",
-            "2b3ed1d4118ad63fcdc7a5531dc8d52971fffabc32e861fd1a979ef22236a7f0",
+            "e6a774383fd85c83487d93931969bc10aa3dde4860eab1e191446af1a5aa17c9",
+            "138bbe519ef325e1272ad5ece3e2235b5bf1808b60c98df1764016a0c12fe5b5",
+            "4328d617c5d4b733201406fa61dae3ef50b3756a5c7bedffc16dcaea156f13b1",
         ),
     ],
     ids=["fig2", "tree", "search"],
@@ -171,35 +178,91 @@ def _fit_bytes(tmp_path, dataset, flags) -> bytes:
 
 
 @MODEL_PINS
-def test_model_bytes_match_recorded_digest(tmp_path, dataset, flags, digest, content_digest):
+def test_model_bytes_match_recorded_digest(
+    tmp_path, dataset, flags, digest, content_digest, values_digest
+):
     # a refactor must leave model files byte for byte as they were
     assert hashlib.sha256(_fit_bytes(tmp_path, dataset, flags)).hexdigest() == digest
 
 
 @MODEL_PINS
-def test_model_content_matches_recorded_digest(tmp_path, dataset, flags, digest, content_digest):
+def test_model_content_matches_recorded_digest(
+    tmp_path, dataset, flags, digest, content_digest, values_digest
+):
     # recorded from files in an earlier, indented layout: the content holds
     # whatever the layout of the file
     raw = json.loads(_fit_bytes(tmp_path, dataset, flags))
     assert hashlib.sha256(_canonical(raw).encode("utf-8")).hexdigest() == content_digest
 
 
+@MODEL_PINS
+def test_model_distances_load_as_recorded_doubles(
+    tmp_path, dataset, flags, digest, content_digest, values_digest
+):
+    # however a distance is spelled, it loads as the double it was
+    raw = json.loads(_fit_bytes(tmp_path, dataset, flags))
+    values = np.array(raw["dist_raw"], dtype=float).tobytes()
+    assert hashlib.sha256(values).hexdigest() == values_digest
+
+
 def test_indented_model_loads_and_hints_alike(fig2_path, tmp_path, capsys):
-    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    compact = tmp_path / "compact.json"
     assert run(["fit", "--dataset", fig2_path, "--out", str(compact)]) == 0
+    raw = json.loads(compact.read_text())
     # the layout that earlier versions wrote: sorted keys, indent=1
-    old = json.dumps(json.loads(compact.read_text()), sort_keys=True, indent=1) + "\n"
-    assert hashlib.sha256(old.encode("utf-8")).hexdigest() == (
-        "d51290d70e1cfc18cb3e9913f48ecb38bb74a115621111895b5d9ab3e310a60a"
+    indented = json.dumps(raw, sort_keys=True, indent=1) + "\n"
+    assert hashlib.sha256(indented.encode("utf-8")).hexdigest() == (
+        "615ed8edb6326fe9451f1f48c3e54e535797a9ce75ba113ab6921f21297960ef"
     )
-    indented.write_text(old)
+    # the spelling that earlier versions wrote, every distance a JSON float,
+    # re-sealed: byte for byte the fig2 model file that they wrote
+    floats = dict(raw, dist_raw=[[float(v) for v in row] for row in raw["dist_raw"]])
+    floats.pop("checksum")
+    floats["checksum"] = hashlib.sha256(_canonical(floats).encode("utf-8")).hexdigest()
+    floats = _canonical(floats) + "\n"
+    assert hashlib.sha256(floats.encode("utf-8")).hexdigest() == (
+        "879e506f9c9e5870c51690923a4c51cb969d2381093fe9a29edd49aff140b627"
+    )
+    paths = [compact]
+    for name, text in (("indented", indented), ("floats", floats)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(text)
     capsys.readouterr()
-    outputs = []
-    for path in (compact, indented):
+    outputs, values = [], load_model(str(compact)).dist_raw.tobytes()
+    for path in paths:
+        assert load_model(str(path)).dist_raw.tobytes() == values
         assert run(["hint", "--model", str(path), "--state", '["a","b"]']) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     assert json.loads(outputs[0])["edit"] is not None
+
+
+# the integral values around 2**53, where doubles stop holding every
+# integer, -0.0, which a JSON 0 would load as 0.0, and sums of 0.1, which
+# are near integers without being any
+_DISTANCES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 1e300]),
+    st.integers(1, 30).map(lambda k: sum([0.1] * k)),
+    st.integers(0, 2**60).map(float),
+    st.floats(0.0, 2.2250738585072014e-308),  # zero and the subnormals
+    st.floats(0.0, allow_infinity=False),
+)
+
+
+_FIG2_MODEL = fit_model(load_dataset(FIG2), params=KernelParams(1.0, 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 5).flatmap(lambda n: arrays(float, (n, n), elements=_DISTANCES)))
+def test_model_distances_round_trip_bitwise(d):
+    # the writer's spelling of each distance is no longer than repr's, and
+    # the loader's one read of the text gives back every double bit for bit
+    model = SimpleNamespace(**{**vars(_FIG2_MODEL), "dist_raw": d})
+    text = _canonical(model_to_dict(model, ""))
+    written = json.loads(text)["dist_raw"]
+    for v, w in zip(d.ravel().tolist(), (w for row in written for w in row)):
+        assert len(json.dumps(w)) <= len(repr(v))
+    assert np.array(written, dtype=float).tobytes() == d.tobytes()
 
 
 SEARCH_CORPUS = dataset_to_dict(synthetic_corpus(5, 4, "abcde", min_missing=1, max_missing=3))
@@ -294,35 +357,44 @@ def test_v1_model_is_data_error(fig2_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "change",
+    "change, field",
     [
-        lambda raw: raw["dist_raw"].pop(),
-        lambda raw: [raw["dist_raw"][i].__setitem__(j, math.nan) for i, j in ((0, 1), (1, 0))],
-        lambda raw: raw.pop("trace_lengths"),
-        lambda raw: raw.update(cost=[]),
+        (lambda raw: raw["dist_raw"].pop(), None),
+        (lambda raw: [raw["dist_raw"][i].__setitem__(j, math.nan) for i, j in ((0, 1), (1, 0))], None),
+        (lambda raw: raw.pop("trace_lengths"), "trace_lengths"),
+        (lambda raw: raw.update(cost=[]), None),
         # the fig2 model holds traces t1 and t2 of two states each
-        lambda raw: raw.update(trace_lengths=[0, 4]),
-        lambda raw: raw.update(trace_lengths=[2, 1]),
-        lambda raw: raw.update(trace_lengths=[-1, 5]),
-        lambda raw: raw.update(trace_lengths=[1.5, 2.5]),
-        lambda raw: raw.update(trace_lengths=[2, 3]),
-        lambda raw: raw.update(trace_ids=["t1", "t2", "t3"]),
-        lambda raw: raw.update(trace_ids=["t1", "t1"]),
-        lambda raw: raw.update(trace_ids=[1, "t2"]),
+        (lambda raw: raw.update(trace_lengths=[0, 4]), None),
+        (lambda raw: raw.update(trace_lengths=[2, 1]), None),
+        (lambda raw: raw.update(trace_lengths=[-1, 5]), None),
+        (lambda raw: raw.update(trace_lengths=[1.5, 2.5]), "trace_lengths"),
+        (lambda raw: raw.update(trace_lengths=[2, 3]), None),
+        (lambda raw: raw.update(trace_ids=["t1", "t2", "t3"]), None),
+        (lambda raw: raw.update(trace_ids=["t1", "t1"]), None),
+        (lambda raw: raw.update(trace_ids=[1, "t2"]), None),
+        # numpy reads true as 1.0 and "3.0" as 3.0, arithmetic reads true as 1
+        (lambda raw: [raw["dist_raw"][i].__setitem__(j, True) for i, j in ((0, 2), (2, 0))], "dist_raw"),
+        (lambda raw: [raw["dist_raw"][i].__setitem__(j, "3.0") for i, j in ((0, 3), (3, 0))], "dist_raw"),
+        (lambda raw: raw.update(trace_lengths=[True, 3]), "trace_lengths"),
+        (lambda raw: [raw["dist_raw"][i].__setitem__(j, 10**400) for i, j in ((0, 3), (3, 0))], None),
+        (lambda raw: raw["params"].update(noise_std=True), "params"),
     ],
     ids=[
         "short-distances", "nan-distance", "missing-key", "cost-not-object", "zero-length",
         "short-sum", "negative-length", "non-integer-length", "long-sum", "extra-trace-id",
-        "duplicate-trace-id", "non-string-trace-id",
+        "duplicate-trace-id", "non-string-trace-id", "boolean-distance", "string-distance",
+        "boolean-length", "overflowing-integer-distance", "boolean-noise",
     ],
 )
-def test_malformed_sealed_model_is_data_error(fig2_path, tmp_path, capsys, change):
+def test_malformed_sealed_model_is_data_error(fig2_path, tmp_path, capsys, change, field):
     model_path = tmp_path / "model.json"
     run(["fit", "--dataset", fig2_path, "--psi", "1.0", "--noise", "0.0", "--out", str(model_path)])
     _rewrite_model(model_path, change)
     capsys.readouterr()
     assert run(["hint", "--model", str(model_path), "--state", '["a"]']) == 2
-    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert field is None or f"'{field}'" in err
 
 
 def test_fit_non_finite_noise_is_data_error(fig2_path, tmp_path):
