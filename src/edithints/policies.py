@@ -70,6 +70,13 @@ class FitError(ValueError):
     """The dataset cannot support a fitted model."""
 
 
+def _first_lowest(values: np.ndarray, relative: bool) -> np.ndarray:
+    """Per row, the first index within a relative or absolute ``_TIE_EPS`` of the lowest."""
+    best = values.min(axis=-1, keepdims=True)
+    limit = best + _TIE_EPS * ((1.0 + abs(best)) if relative else 1.0)
+    return (values <= limit).argmax(axis=-1)
+
+
 def rbf(d2, length_scale: float):
     """Radial basis kernel exp(-0.5 d^2 / psi^2) on squared distances."""
     return np.exp(-0.5 * np.asarray(d2, dtype=float) / (length_scale * length_scale))
@@ -268,8 +275,7 @@ class GprModel:
             return gamma
         d = self.kernel_query_sqdist(raw_distances) if sqdist is None else sqdist
         if scheme == "nn":  # ties: lowest pair index wins
-            best = d.min(axis=-1, keepdims=True)
-            pos = (d <= best + _TIE_EPS * (1.0 + best)).argmax(axis=-1)
+            pos = _first_lowest(d, relative=True)
             np.put_along_axis(gamma, np.array(idx)[pos][..., None], 1.0, axis=-1)
             return gamma
         k = rbf(d, self.params.length_scale)
@@ -297,16 +303,13 @@ class GprModel:
         to the query in raw edit distance (the state itself when it is
         final); the first state within an absolute ``_TIE_EPS`` of the
         minimum is the closest."""
-        best = raw_distances.min(axis=-1, keepdims=True)
-        return self.pairs.successor[(raw_distances <= best + _TIE_EPS).argmax(axis=-1)].tolist()
+        return self.pairs.successor[_first_lowest(raw_distances, relative=False)].tolist()
 
     def _closest_end(self, values: np.ndarray, relative: bool) -> int:
         if not len(self._ends):
             raise FitError("model has no end states")
         values = np.asarray(values)[..., self._ends]
-        best = values.min(axis=-1, keepdims=True)
-        limit = best + _TIE_EPS * ((1.0 + abs(best)) if relative else 1.0)
-        return self._ends[(values <= limit).argmax(axis=-1)].tolist()
+        return self._ends[_first_lowest(values, relative)].tolist()
 
 
 class Prepared(tuple):

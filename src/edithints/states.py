@@ -17,14 +17,16 @@ are at most ``MAX_TREE_DEPTH`` levels deep.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 Label = str
 
 _UNQUOTED_RE = re.compile(r'[^,()"\s\\]+')
 _CANON_VAR_RE = re.compile(r"^v[0-9]+$")
+_RENAMED_VAR_RE = re.compile(r"v[1-9][0-9]*")
 
 # levels (nodes on the longest root-to-leaf path) a parsed tree may have;
 # the tree algorithms recurse once or a few times per level
@@ -201,7 +203,8 @@ class CanonConfig:
 
     ``variable_label_prefixes``: labels starting with one of these prefixes
     are variables and are renamed ``v1, v2, ...`` by first occurrence in
-    pre-order, one name per distinct original label.
+    pre-order, one name per distinct original label.  Labels already of
+    the form ``v<k>`` are never renamed.
 
     ``commutative_labels``: children of nodes with these labels are sorted
     by the serialized text of their (already canonicalized) subtrees.
@@ -209,9 +212,10 @@ class CanonConfig:
     ``dead_labels``: subtrees rooted at these labels are removed (the tree
     root itself is never removed).
 
-    The three lists must be pairwise disjoint.  Renamed labels ``v<k>`` are
-    treated as already canonical; input labels matching ``v[0-9]+`` should
-    not otherwise occur among variables.
+    The three lists must be pairwise disjoint, and when variables are
+    renamed no dead label may be a name that renaming gives
+    (``v[1-9][0-9]*``): a second pass would remove the renamed node.
+    Either fault is a :class:`StateError`.
     """
 
     variable_label_prefixes: tuple = ()
@@ -219,95 +223,67 @@ class CanonConfig:
     dead_labels: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "variable_label_prefixes", tuple(self.variable_label_prefixes)
-        )
-        object.__setattr__(
-            self, "commutative_labels", tuple(self.commutative_labels)
-        )
-        object.__setattr__(self, "dead_labels", tuple(self.dead_labels))
-        groups = [
-            set(self.variable_label_prefixes),
-            set(self.commutative_labels),
-            set(self.dead_labels),
-        ]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                overlap = groups[i] & groups[j]
-                if overlap:
-                    raise StateError(
-                        f"canonicalization label groups overlap: {sorted(overlap)}"
-                    )
+        groups = [tuple(getattr(self, f.name)) for f in fields(self)]
+        for f, group in zip(fields(self), groups):
+            object.__setattr__(self, f.name, group)
+        for a, b in itertools.combinations(groups, 2):
+            overlap = set(a) & set(b)
+            if overlap:
+                raise StateError(f"canonicalization label groups overlap: {sorted(overlap)}")
+        prefixes, _, dead = groups
+        renamed = [label for label in dead if _RENAMED_VAR_RE.fullmatch(label)]
+        if prefixes and renamed:
+            raise StateError(f"dead label {renamed[0]!r} is a name that variable renaming gives")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CanonConfig":
-        names = ("variable_label_prefixes", "commutative_labels", "dead_labels")
+        names = [f.name for f in fields(cls)]
         unknown = sorted(set(raw) - set(names))
         if unknown:
             raise StateError(f"unknown canonicalization key {unknown[0]!r}")
-        fields = {}
         for name in names:
             labels = raw.get(name, [])
             if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
                 raise StateError(f"canonicalization field {name!r} must be a list of strings")
-            fields[name] = tuple(labels)
-        return cls(**fields)
+        return cls(**{name: raw.get(name, []) for name in names})
 
     def to_dict(self) -> dict:
-        return {
-            "variable_label_prefixes": list(self.variable_label_prefixes),
-            "commutative_labels": list(self.commutative_labels),
-            "dead_labels": list(self.dead_labels),
-        }
+        return {f.name: list(getattr(self, f.name)) for f in fields(self)}
 
 
 EMPTY_CANON = CanonConfig()
 
 
-def _prune_dead(t: TreeState, dead: frozenset) -> TreeState:
-    children = tuple(
-        _prune_dead(c, dead) for c in t.children if c.label not in dead
-    )
-    return TreeState(t.label, children)
-
-
 def _is_variable(label: Label, prefixes) -> bool:
-    if _CANON_VAR_RE.fullmatch(label):
-        return False  # already canonical
-    return any(label.startswith(p) for p in prefixes)
-
-
-def _rename_variables(t: TreeState, prefixes, mapping: dict) -> TreeState:
-    label = t.label
-    if _is_variable(label, prefixes):
-        if label not in mapping:
-            mapping[label] = f"v{len(mapping) + 1}"
-        label = mapping[label]
-    return TreeState(label, tuple(_rename_variables(c, prefixes, mapping) for c in t.children))
-
-
-def _sort_commutative(t: TreeState, commutative: frozenset) -> TreeState:
-    children = tuple(_sort_commutative(c, commutative) for c in t.children)
-    if t.label in commutative:
-        children = tuple(sorted(children, key=serialize_tree))
-    return TreeState(t.label, children)
+    # labels already of the form v<k> are canonical
+    return label.startswith(prefixes) and not _CANON_VAR_RE.fullmatch(label)
 
 
 def canonicalize(t: TreeState, cfg: CanonConfig = EMPTY_CANON) -> TreeState:
-    """Canonicalize a tree: prune dead subtrees, rename variables, sort
-    commutative children.
+    """Canonicalize a tree in one walk that builds each output node once.
 
-    Renaming happens before sorting so that a second application is the
-    identity: after the first pass all variables carry their canonical
-    ``v<k>`` names and the sort keys no longer change.  Idempotent; never
-    increases the node count; the empty config is the identity transform.
+    At each node, in order: drop the children whose input label is dead;
+    rename the node's label if it is a variable (names follow first
+    occurrence in pre-order of the pruned tree); walk the kept children in
+    input order; then sort them by serialized text if the renamed label is
+    commutative.  Renaming precedes sorting, so the transform is idempotent.
+    It never increases the node count; the empty config is the identity.
     """
-    t = _prune_dead(t, frozenset(cfg.dead_labels))
-    if cfg.variable_label_prefixes:
-        t = _rename_variables(t, cfg.variable_label_prefixes, {})
-    if cfg.commutative_labels:
-        t = _sort_commutative(t, frozenset(cfg.commutative_labels))
-    return t
+    prefixes = cfg.variable_label_prefixes
+    commutative = frozenset(cfg.commutative_labels)
+    dead = frozenset(cfg.dead_labels)
+    names = {}
+
+    def walk(node: TreeState) -> TreeState:
+        label = node.label
+        if _is_variable(label, prefixes):
+            label = names.setdefault(label, f"v{len(names) + 1}")
+        children = [walk(c) for c in node.children if c.label not in dead]
+        if label in commutative:
+            children.sort(key=serialize_tree)
+        return TreeState(label, children)
+
+    return walk(t)
 
 
 def canonicalize_state(state, cfg: CanonConfig = EMPTY_CANON):

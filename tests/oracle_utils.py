@@ -16,7 +16,8 @@ by editing a mutable working tree and searching it for every path,
 sparsification that refits every candidate at every greedy step, a
 leave-one-out evaluation that fits each fold alone and predicts its
 held-out states one at a time, and a hyper-parameter search that scores
-each sample with a fresh run of it.  It also holds the small builders
+each sample with a fresh run of it, and canonicalization in three
+separate walks (prune, rename, sort).  It also holds the small builders
 and serializers that only tests use: tree construction and size, and a
 dataset's JSON object.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -46,7 +48,14 @@ from edithints.editdist import (
 from edithints.evaluate import EvalReport
 from edithints.policies import FitError, Geometry, GprModel, KernelParams, prepared_traces
 from edithints.space import squared
-from edithints.states import EMPTY_CANON, Label, TreeState, serialize_state
+from edithints.states import (
+    EMPTY_CANON,
+    CanonConfig,
+    Label,
+    TreeState,
+    serialize_state,
+    serialize_tree,
+)
 from edithints.traces import TracePairs
 
 
@@ -633,6 +642,33 @@ def random_tree(rng: random.Random, labels="fgh", max_depth=3, max_kids=3) -> Tr
 
 def random_state(rng: random.Random, kind: str):
     return random_tree(rng) if kind == "tree" else random_sequence(rng)
+
+
+# ---------------------------------------------------------------------------
+# canonicalization in three walks: prune dead subtrees, then rename
+# variables in pre-order, then sort commutative children bottom-up
+
+
+def canonicalize_oracle(t: TreeState, cfg: CanonConfig) -> TreeState:
+    def prune(t):
+        return TreeState(t.label, [prune(c) for c in t.children if c.label not in cfg.dead_labels])
+
+    def rename(t, mapping):
+        label = t.label
+        already_canonical = re.fullmatch(r"v[0-9]+", label)
+        if not already_canonical and any(label.startswith(p) for p in cfg.variable_label_prefixes):
+            if label not in mapping:
+                mapping[label] = f"v{len(mapping) + 1}"
+            label = mapping[label]
+        return TreeState(label, [rename(c, mapping) for c in t.children])
+
+    def sort(t):
+        children = [sort(c) for c in t.children]
+        if t.label in cfg.commutative_labels:
+            children.sort(key=serialize_tree)
+        return TreeState(t.label, children)
+
+    return sort(rename(prune(t), {}))
 
 
 # ---------------------------------------------------------------------------

@@ -494,6 +494,8 @@ def test_overflowing_squared_distance_to_the_tutor_is_a_data_error():
         ("--cost", {"indel_default": True}),
         ("--canon", {"dead_labels": 1}),
         ("--canon", {"commutative_labels": [["x"]]}),
+        # renaming gives v1, which a second canonicalization would remove
+        ("--canon", {"variable_label_prefixes": ["var:"], "dead_labels": ["v1"]}),
     ],
 )
 def test_fit_malformed_cost_or_canon_is_data_error(fig2_path, capsys, flag, value):

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edithints.states import (
     CanonConfig,
     StateError,
     TreeParseError,
+    TreeState,
     canonicalize,
     parse_sequence,
     parse_tree,
@@ -14,7 +16,7 @@ from edithints.states import (
     serialize_tree,
 )
 
-from oracle_utils import random_tree, tree, tree_size
+from oracle_utils import canonicalize_oracle, random_tree, tree, tree_size
 
 
 def test_parse_basic_shapes():
@@ -118,6 +120,19 @@ def test_canonicalize_disjointness_enforced():
         CanonConfig(variable_label_prefixes=("a",), dead_labels=("a",))
 
 
+def test_canonicalize_rejects_dead_label_that_renaming_gives():
+    # f(var:a,g) would canonicalize to f(v1,g), and that again to f(g)
+    with pytest.raises(StateError, match="'v1'"):
+        CanonConfig(variable_label_prefixes=("var:",), dead_labels=("v1",))
+    with pytest.raises(StateError, match="'v12'"):
+        CanonConfig(variable_label_prefixes=("x",), dead_labels=("d", "v12"))
+    # no renaming, or names that renaming never gives: accepted
+    cfg = CanonConfig(dead_labels=("v1",))
+    assert canonicalize(parse_tree("f(v1,g)"), cfg) == parse_tree("f(g)")
+    cfg = CanonConfig(variable_label_prefixes=("var:",), dead_labels=("v0", "v01", "v1x"))
+    assert canonicalize(parse_tree("f(var:a,v0,v01,v1x)"), cfg) == parse_tree("f(v1)")
+
+
 def test_canonicalize_idempotent_and_shrinking():
     rng = random.Random(7)
     cfg = CanonConfig(
@@ -140,3 +155,57 @@ def test_canonicalize_idempotent_with_interacting_rename_and_sort():
     t = parse_tree("r(var:b,c(f(var:a),f(var:b)))")
     once = canonicalize(t, cfg)
     assert canonicalize(once, cfg) == once
+
+
+def test_canonicalize_builds_each_output_node_once(monkeypatch):
+    cfg = CanonConfig(
+        variable_label_prefixes=("var:",), commutative_labels=("add",), dead_labels=("comment",)
+    )
+    t = parse_tree("f(set(var:x,0),comment(todo),ret(add(var:x,1)),add(var:y,var:x))")
+    want = parse_tree("f(set(v1,0),ret(add(1,v1)),add(v1,v2))")
+    built = []
+    init = TreeState.__post_init__
+    monkeypatch.setattr(TreeState, "__post_init__", lambda self: built.append(init(self)))
+    once = canonicalize(t, cfg)
+    assert len(built) == tree_size(want) == 11
+    assert once == want
+
+
+# plain, commutative-looking, dead-looking, variable, canonical v<k> and
+# quoted labels
+_CANON_LABELS = [
+    "f", "g", "add", "eq", "dead", "var:a", "var:b", "vx", "v1", "v2", "v10", "v0", "a b", '"q"',
+]
+
+
+@st.composite
+def _canon_configs(draw):
+    """Valid configs over ``_CANON_LABELS``: prefixes, commutative and
+    dead labels pairwise disjoint, and no dead name that renaming gives
+    when there are prefixes."""
+    prefixes = draw(st.lists(st.sampled_from(["var:", "v", "a", "x"]), max_size=2, unique=True))
+    rest = [label for label in _CANON_LABELS if label not in prefixes]
+    commutative = draw(st.lists(st.sampled_from(rest), max_size=3, unique=True))
+    dead = draw(st.lists(
+        st.sampled_from([label for label in rest if label not in commutative]),
+        max_size=2, unique=True,
+    ))
+    if prefixes:
+        dead = [label for label in dead if label not in ("v1", "v2", "v10")]
+    return CanonConfig(prefixes, commutative, dead)
+
+
+_CANON_TREES = st.recursive(
+    st.builds(TreeState, st.sampled_from(_CANON_LABELS)),
+    lambda kids: st.builds(TreeState, st.sampled_from(_CANON_LABELS), st.lists(kids, max_size=4)),
+    max_leaves=14,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CANON_TREES, _canon_configs())
+def test_canonicalize_matches_three_walks_and_is_idempotent(t, cfg):
+    once = canonicalize(t, cfg)
+    assert serialize_tree(once) == serialize_tree(canonicalize_oracle(t, cfg))
+    assert canonicalize(once, cfg) == once
+    assert tree_size(once) <= tree_size(t)
