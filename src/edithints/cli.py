@@ -45,6 +45,7 @@ from .policies import (
     GprModel,
     KernelParams,
     POLICY_NAMES,
+    check_hint_args,
     fit_model,
     hint_by_policy,
 )
@@ -303,10 +304,7 @@ def cmd_eval(args) -> int:
     if args.task == "quality":  # checked before the search and the fit
         if not dataset.tutor_hints:
             raise DataError("dataset has no tutor hints")
-        if args.m_max < 1:  # the messages hint_by_policy gives
-            raise ValueError(f"m_max must be at least 1, got {args.m_max}")
-        if args.policy == "random" and args.seed is None:
-            raise ValueError("the random policy requires an explicit seed")
+        check_hint_args(args.policy, args.seed, args.m_max)
     params, _ = _params_from_args(args, dataset, cost, prepared)
     if args.task == "rmse":
         reports = loo_rmse_multi(dataset, (args.scheme,), params, cost, args.mode, prepared)

@@ -62,7 +62,7 @@ DEFAULT_M_MAX = 11
 KERNEL_DECAY_NORM = 1e-6
 _TIE_EPS = 1e-9
 # How far, relative to the Gram scale, a screened sparsification error may
-# sit from its exact refit.  It dwarfs the greedy step's 1e-15 tie rule.
+# sit from its exact refit; the greedy step's margins are four slacks.
 _SCREEN_SLACK = 1e-9
 
 
@@ -397,9 +397,9 @@ def _affine_ls(gram: np.ndarray, target: np.ndarray, cols) -> tuple:
 
 
 class _Screen:
-    """Estimated squared errors of the refits ``active + [j]`` over the
+    """Estimated squared errors of the fits ``active + [j]`` over the
     allowed states ``cols``, kept across one greedy run; ``pull`` is G t
-    and ``offset`` is t^T G t.
+    and ``offset`` is t^T G t.  The greedy run decides on these estimates.
 
     Candidate j's Schur complement s_j is its squared distance to the affine
     hull of the active states, and adding it lowers the error by g_j^2 / s_j,
@@ -445,56 +445,27 @@ class _Screen:
         self.rows = r + 1 if r else 2
 
 
-class _ScreenMiss(Exception):
-    """A refit missed its screened estimate by more than one slack."""
-
-
-def _greedy(gram, target, allowed, m_max, scale, screened):
-    """The greedy run of :func:`sparsify`: its states, coefficients and error."""
+def _greedy(gram, target, allowed, m_max, scale):
+    """The greedy run of :func:`sparsify`: its coefficients over every state, and its error."""
     pull = gram @ target
     slack = _SCREEN_SLACK * scale
     steps = min(m_max, len(allowed))
-    screen = _Screen(gram, pull, float(target @ pull), allowed, steps, slack) if screened else None
-
-    def refit(cols, estimate):
-        coef, err = _affine_ls(gram, target, cols)
-        if abs(err - estimate) > slack:  # never for a NaN estimate
-            raise _ScreenMiss
-        return coef, err
-
+    screen = _Screen(gram, pull, float(target @ pull), allowed, steps, slack)
     active, remaining = [], list(range(len(allowed)))  # remaining: positions in allowed
-    best_err, best_coef = math.inf, None  # best_coef None: best_err is an estimate
+    err = math.inf
     for _ in range(steps):
-        est = screen.estimates(remaining, best_err) if screen else [math.nan] * len(remaining)
-        known = [e for e in est if not math.isnan(e)]
-        low = min(known, default=math.inf)
-        # with estimates within one slack of their exact errors, those left out
-        # lie over two slacks above the lowest exact error; NaN is never left out
-        picks = [(p, e) for p, e in zip(remaining, est) if not e > low + 4.0 * slack]
-        if len(picks) == 1 and known:  # a clear winner, taken on its estimate
-            fits = {picks[0][0]: (None, low)}
-        else:
-            fits = {p: refit(active + [allowed[p]], e) for p, e in picks}
-        step_best = None
-        for p, (coef, err) in fits.items():
-            if step_best is None or err < step_best[1] - 1e-15:
-                step_best = (p, err, coef)
-        p, err, coef = step_best
-        if err >= best_err - 1e-12 * scale - 2.0 * slack:  # near the stop margin
-            if best_coef is None and active:
-                best_coef, best_err = refit(active, best_err)
-            if coef is None:
-                coef, err = refit(active + [allowed[p]], err)
-            if err >= best_err - 1e-12 * scale:
-                break
+        est = screen.estimates(remaining, err)
+        low = min((e for e in est if not math.isnan(e)), default=math.inf)
+        if not low < err - 4.0 * slack:
+            break
+        # the lowest index within four slacks stands for its copies
+        p, err = next((p, e) for p, e in zip(remaining, est) if e <= low + 4.0 * slack)
         active.append(allowed[p])
         remaining.remove(p)
-        if screen:
-            screen.accept(p)
-        best_err, best_coef = err, coef
-    if best_coef is None and active:
-        best_coef, best_err = refit(active, best_err)
-    return active, best_coef, best_err
+        screen.accept(p)
+    coef = np.zeros(len(gram) - 1)  # the extended Gram matrix's last row is the query's
+    coef[active], err = _affine_ls(gram, target, active)
+    return coef, err
 
 
 def sparsify(
@@ -508,22 +479,22 @@ def sparsify(
 
     The target is phi(x) + sum_i alpha_i phi(x_i); the approximation is an
     affine combination (coefficients summing to one) supported inside
-    ``allowed``.  Two heuristics compete: greedy forward selection with a
-    sum-constrained least-squares refit per step, and renormalizing the
+    ``allowed``.  Two heuristics compete: greedy forward selection of
+    states for a sum-constrained least-squares fit, and renormalizing the
     ``m_max`` largest coefficients of ``alpha`` inside the support;
     whichever lands closer to the target is returned.
 
-    The greedy run keeps each candidate's Schur complement and gap
-    (:class:`_Screen`), updated by one rank-one step per accepted state, and
-    trusts the error estimates they give to within one slack
-    (``_SCREEN_SLACK`` times the Gram scale) of the least-squares refits.
-    It refits only the decisions within that trust: the candidates within
-    four slacks of the lowest estimate unless one stands alone, those with
-    no estimate, and stop tests within two slacks of their ``1e-12`` margin.
-    The final coefficients are one refit of the final support.  A refit
-    that misses its estimate reruns the greedy run refitting every
-    candidate at every step, so the support, the coefficients and the stop
-    are those of refitting every candidate at every step.
+    The greedy run decides on the error estimates of :class:`_Screen`,
+    which keeps each candidate's Schur complement and gap by one rank-one
+    step per accepted state; a slack is ``_SCREEN_SLACK`` times the Gram
+    scale.  Each step stops unless the lowest estimate lies more than four
+    slacks below the current error, and otherwise accepts, on its
+    estimate, the lowest-index candidate within four slacks of the lowest,
+    so the lowest index stands for its copies.  A candidate on the affine
+    hull of the active states (a copy of one) has no estimate and is never
+    taken; after a failed pivot no candidate has one, and the run ends.
+    The coefficients and the error are one least-squares solve of the
+    final support.
 
     Returns ``alpha_tilde``; raises ``ValueError`` when ``allowed`` is empty.
     """
@@ -539,29 +510,21 @@ def sparsify(
     target = np.append(alpha, 1.0)
     scale = max(1.0, float(np.max(np.abs(np.diag(gram)))))
 
-    # heuristic 1: greedy forward selection with affine refit
-    try:
-        active, best_coef, best_err = _greedy(gram, target, allowed, m_max, scale, True)
-    except _ScreenMiss:
-        active, best_coef, best_err = _greedy(gram, target, allowed, m_max, scale, False)
-    greedy = np.zeros(m)
-    greedy[active] = best_coef
+    # heuristic 1: greedy forward selection, one affine fit of its support
+    greedy, best_err = _greedy(gram, target, allowed, m_max, scale)
 
     # heuristic 2: largest coefficients of alpha inside the support
     ranked = sorted(
         (i for i in allowed if abs(alpha[i]) > 1e-12),
         key=lambda i: (-abs(alpha[i]), i),
     )[:m_max]
-    top, top_err = None, math.inf
     total = float(alpha[ranked].sum())  # 0 when nothing ranks
     if abs(total) > 1e-12:
         top = np.zeros(m)
         top[ranked] = alpha[ranked] / total
         v = np.append(top, 0.0) - target
-        top_err = float(v @ gram @ v)
-
-    if top is not None and top_err < best_err:
-        return top
+        if float(v @ gram @ v) < best_err:
+            return top
     return greedy
 
 
@@ -720,6 +683,14 @@ POLICY_NAMES = ("chf", "nwr", "nn", "zimmerman", "gross", "random")
 _CHF_SCHEMES = {"chf": "gpr", "nwr": "nwr", "nn": "nn"}
 
 
+def check_hint_args(policy: str, seed: int, m_max: int):
+    """The checks of :func:`hint_by_policy` that need no model; ``ValueError`` on a fault."""
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, got {m_max}")
+    if policy == "random" and seed is None:
+        raise ValueError("the random policy requires an explicit seed")
+
+
 def hint_by_policy(
     model: GprModel,
     state,
@@ -727,8 +698,7 @@ def hint_by_policy(
     seed: int = None,
     m_max: int = DEFAULT_M_MAX,
 ) -> HintResult:
-    if m_max < 1:
-        raise ValueError(f"m_max must be at least 1, got {m_max}")
+    check_hint_args(policy, seed, m_max)
     if policy in _CHF_SCHEMES:
         return chf_hint(model, state, m_max, _CHF_SCHEMES[policy])
     if policy == "zimmerman":
@@ -736,7 +706,5 @@ def hint_by_policy(
     if policy == "gross":
         return gross_hint(model, state)
     if policy == "random":
-        if seed is None:
-            raise ValueError("the random policy requires an explicit seed")
         return random_hint(model, state, seed)
     raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")

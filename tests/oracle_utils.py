@@ -811,8 +811,11 @@ def _affine_ls(gram: np.ndarray, target: np.ndarray, cols) -> tuple:
 
 
 def greedy_sparsify_oracle(model, alpha, query, allowed, m_max):
-    """``policies.sparsify`` with the greedy step refitting every remaining
-    candidate by least squares (oracle for the screened step)."""
+    """``policies.sparsify`` with the greedy step deciding on exact refits of
+    every remaining candidate where the screen decides on its estimates: it
+    stops unless the lowest refit lies more than four slacks below the
+    current error, and otherwise takes the lowest-index candidate within
+    four slacks of the lowest."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     alpha = np.asarray(alpha, dtype=float)
@@ -824,24 +827,21 @@ def greedy_sparsify_oracle(model, alpha, query, allowed, m_max):
     gram = model.space.extended_gram(query)
     target = np.append(alpha, 1.0)
     scale = max(1.0, float(np.max(np.abs(np.diag(gram)))))
+    margin = 4.0 * 1e-9 * scale
 
     # heuristic 1: greedy forward selection with affine refit
     active = []
     best_err = math.inf
-    best_coef = None
     remaining = list(allowed)
     for _ in range(min(m_max, len(allowed))):
-        step_best = None
-        for j in remaining:
-            coef, err = _affine_ls(gram, target, active + [j])
-            if step_best is None or err < step_best[1] - 1e-15:
-                step_best = (j, err, coef)
-        j, err, coef = step_best
-        if err >= best_err - 1e-12 * scale:
+        errs = [_affine_ls(gram, target, active + [j])[1] for j in remaining]
+        low = min(errs)
+        if not low < best_err - margin:
             break
+        j, best_err = next((j, e) for j, e in zip(remaining, errs) if e <= low + margin)
         active.append(j)
         remaining.remove(j)
-        best_err, best_coef = err, coef
+    best_coef, best_err = _affine_ls(gram, target, active)
     greedy = np.zeros(m)
     greedy[active] = best_coef
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -431,8 +432,9 @@ def _assert_matches_oracle(model, alpha, query, allowed, m_max):
 
 @pytest.mark.parametrize("kind", ["sequence", "tree"])
 def test_sparsify_matches_full_refit_oracle(kind):
-    # the screened greedy step picks the support, coefficients and stop of
-    # refitting every candidate at every step, bit for bit
+    # the greedy step, deciding on the screen's estimates, picks the support,
+    # coefficients and stop of the same rule applied to exact refits of
+    # every candidate at every step, bit for bit
     if kind == "sequence":
         # one shared goal, so the traces repeat states
         corpus = synthetic_corpus(seed=41, n_traces=10, goal_variants=False)
@@ -479,17 +481,15 @@ def test_chf_hint_sparsifies_over_the_states_between_query_and_solution(monkeypa
     assert len(checked) >= 30 and max(checked) > 1 and min(checked) < len(model.pairs)
 
 
-@pytest.mark.parametrize("fault", ["pivot-fails", "estimates-off"])
-def test_sparsify_refits_every_candidate_when_the_screen_fails(fig7_model, monkeypatch, fault):
-    # pivot-fails: from the second accepted state on, each accepted state's
-    # pivot is 0, so every later estimate of the run is NaN and every
-    # candidate is refitted.  estimates-off: the estimates come in reverse
-    # candidate order, the exact refits miss them and the run is redone
-    accept, estimates = policies._Screen.accept, policies._Screen.estimates
-    greedy, failed, blind, reruns = policies._greedy, [], [], []  # failed keeps its screens alive
+def test_sparsify_ends_the_run_when_a_pivot_fails(fig7_model, monkeypatch):
+    # from the second accepted state on, each accepted state's pivot is 0, so
+    # every later estimate of the run is NaN and the run ends at the two
+    # states it holds: the run of m_max 2 with a sound screen
+    accept, estimates, greedy = policies._Screen.accept, policies._Screen.estimates, policies._greedy
+    broken, failed, blind, runs = [], [], [], []  # failed keeps its screens alive
 
     def failing(screen, p):
-        if screen.schur is not None:
+        if broken and screen.schur is not None:
             screen.schur[p] = 0.0
             failed.append(screen)
         accept(screen, p)
@@ -501,28 +501,30 @@ def test_sparsify_refits_every_candidate_when_the_screen_fails(fig7_model, monke
             blind.append(1)
         return est
 
-    def counted(*args):
-        reruns.append(not args[-1])
-        return greedy(*args)
+    def recorded(*args):
+        runs.append(greedy(*args))
+        return runs[-1]
 
-    if fault == "pivot-fails":
-        monkeypatch.setattr(policies._Screen, "accept", failing)
-        monkeypatch.setattr(policies._Screen, "estimates", checked)
-    else:
-        monkeypatch.setattr(policies._Screen, "estimates", lambda *args: estimates(*args)[::-1])
-    monkeypatch.setattr(policies, "_greedy", counted)
+    monkeypatch.setattr(policies._Screen, "accept", failing)
+    monkeypatch.setattr(policies._Screen, "estimates", checked)
+    monkeypatch.setattr(policies, "_greedy", recorded)
     model = fig7_model
     query = model.embed_query(model.query_raw_distances(sequence("ab"), model.hint_memo()))
     rng = np.random.default_rng(5)
+    cut = 0
     for _ in range(20):
         alpha = rng.normal(size=6)
         alpha -= alpha.mean()
-        for m_max in (1, 3):
-            _assert_matches_oracle(model, alpha, query, range(6), m_max)
-    if fault == "pivot-fails":
-        assert len(failed) >= 20 and len(blind) >= 20 and not any(reruns)
-    else:
-        assert sum(reruns) >= 20
+        sparsify(model, alpha, query, range(6), 2)
+        want = runs[-1]
+        sparsify(model, alpha, query, range(6), 3)
+        cut += np.count_nonzero(runs[-1][0]) == 3
+        broken.append(1)
+        sparsify(model, alpha, query, range(6), 3)
+        broken.clear()
+        got = runs[-1]
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert len(failed) >= 20 and len(blind) >= 20 and cut >= 10
 
 
 def _sequence_sparsify_inputs(goal_variants: bool):
@@ -542,59 +544,23 @@ def _sequence_sparsify_inputs(goal_variants: bool):
 
 
 def test_sparsify_refits_about_once_per_call(monkeypatch):
-    # clear picks are taken on their estimates, so a call refits its final
-    # support and only close picks and stop tests besides.  One shared goal
-    # would make ten copies of a state: the tie rule refits every copy that
-    # ties for a pick, and copies of an accepted state, which the screen
-    # cannot estimate, are refitted at every step.  The screen itself solves
-    # and inverts nothing: it updates its estimates by one rank-one step per
-    # state
+    # the greedy run decides on the screen's estimates and solves its final
+    # support once.  One shared goal makes ten copies of a state, which the
+    # screen gives equal estimates while open and none once one is accepted.
+    # The screen itself solves and inverts nothing: it updates its estimates
+    # by one rank-one step per state
     lstsq, solve, inv, calls, solves = np.linalg.lstsq, np.linalg.solve, np.linalg.inv, [], []
     monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
     monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
     monkeypatch.setattr(np.linalg, "inv", lambda *a, **k: solves.append(1) or inv(*a, **k))
     counts, solved = [], 0
-    for args in _sequence_sparsify_inputs(goal_variants=True):
+    for args in (*_sequence_sparsify_inputs(True), *_sequence_sparsify_inputs(False)):
         before, solves_before = len(calls), len(solves)
         sparsify(*args)
         counts.append(len(calls) - before)
         solved += len(solves) - solves_before
-    assert len(counts) >= 200 and sum(counts) <= 2 * len(counts)
+    assert len(counts) >= 400 and set(counts) == {1}
     assert solved == 0 and solves  # the fits behind the inputs invert: the count works
-
-
-@pytest.mark.parametrize("fault", ["close-race", "false-stop"])
-def test_sparsify_reruns_when_a_trusted_winner_was_misestimated(monkeypatch, fault):
-    # close-race: in each close race the last contender's estimate drops a
-    # few slacks below the lowest, so that it wins alone.  false-stop: at the
-    # second step the estimates rise together until the clear winner's leaves
-    # the error as it was.  Neither is refitted when it is decided; the later
-    # refits' checks catch both, and the run is redone refitting every candidate
-    estimates, greedy, faults, reruns = policies._Screen.estimates, policies._greedy, [], []
-
-    def misestimated(screen, open_, best_err):
-        est, slack = np.array(estimates(screen, open_, best_err)), screen.flat_tol
-        if np.isnan(est).all():
-            return est.tolist()
-        low = np.nanmin(est)
-        close = np.flatnonzero(est <= low + 4.0 * slack)
-        if fault == "close-race" and len(close) > 1:
-            est[close[-1]] = low - 5.0 * slack
-            faults.append(1)
-        elif fault == "false-stop" and len(screen.cols) - len(open_) == 1 and len(close) == 1:
-            est += best_err - low
-            faults.append(1)
-        return est.tolist()
-
-    def counted(*args):
-        reruns.append(not args[-1])
-        return greedy(*args)
-
-    monkeypatch.setattr(policies._Screen, "estimates", misestimated)
-    monkeypatch.setattr(policies, "_greedy", counted)
-    for args in _sequence_sparsify_inputs(goal_variants=False):
-        _assert_matches_oracle(*args)
-    assert len(faults) >= 20 and sum(reruns) >= 20
 
 
 # integer points in the plane repeat and line up often; the extra points
@@ -615,7 +581,7 @@ def _planted_inputs(base, extra, query, weights, keep):
     points = np.array(points)
     m = len(points)
     space = CorrectedSpace(planted_sqdist(points), "clip")
-    model = SimpleNamespace(pairs=[None] * m, space=space)
+    model = SimpleNamespace(pairs=[tuple(p) for p in points], space=space)  # states by value
     embedded = space.extend(((points - np.array(query, dtype=float)) ** 2).sum(axis=1))
     return model, np.array(weights[:m]), embedded, [i for i in range(m) if keep[i]]
 
@@ -637,6 +603,46 @@ def test_sparsify_matches_oracle_on_degenerate_points(base, extra, query, weight
     # and their Schur complements vanish; the result still equals the oracle's
     model, alpha, embedded, allowed = _planted_inputs(base, extra, query, weights, keep)
     _assert_matches_oracle(model, alpha, embedded, allowed, m_max)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_goal_inputs() -> tuple:
+    return tuple(_sequence_sparsify_inputs(goal_variants=False))
+
+
+def _planted_case(base, extra, query, weights, keep, m_max):
+    """Each state's value, by which its copies are equal, and the ``sparsify`` arguments."""
+    model, alpha, embedded, allowed = _planted_inputs(base, extra, query, weights, keep)
+    return model.pairs, (model, alpha, embedded, allowed, m_max)
+
+
+def _shared_goal_case(pick):
+    model, *args = _shared_goal_inputs()[pick % len(_shared_goal_inputs())]
+    return model.pairs.states, (model, *args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.builds(_planted_case, **_PLANTED), st.builds(_shared_goal_case, st.integers(0, 999))))
+def test_sparsify_support_holds_no_copy_above_an_allowed_one(case):
+    # copies of a state, equal by value as pairwise_distances keys them, get
+    # estimates equal up to rounding, and the lowest index stands for them:
+    # the greedy support never holds a state whose copy of lower index was
+    # allowed (the top-coefficient heuristic follows alpha, not the screen)
+    states, args = case
+    assume(args[3])
+    greedy, runs = policies._greedy, []
+
+    def recorded(*a):
+        runs.append(greedy(*a))
+        return runs[-1]
+
+    with mock.patch.object(policies, "_greedy", recorded):
+        sparsify(*args)
+    first = {}
+    for i in sorted(args[3]):
+        first.setdefault(states[i], i)
+    support = np.flatnonzero(runs[-1][0])
+    assert all(first[states[i]] == i for i in support), (support, first)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1013,9 +1019,9 @@ _WEIGHTED = CostModel(
 # with numpy 2.4.6 and OpenBLAS 0.3.31 on its SkylakeX kernels, one BLAS
 # thread (the float fields' last bits depend on all three)
 _HINT_DIGESTS = {
-    "unit": "69a56a95335f61c317627530ae3bbc54269ef90a28b203a3b3ae99f6c32a9a18",
+    "unit": "d9d2d4b4c8c4776b0f92d1085b314a53040328a0136b895f4d29660fe6442b70",
     "weighted": "2a20a5bef8d46908f7d1754c267a1800b7d9d6b624bf67733789e80999ceb1d9",
-    "tree": "5fedde28d721902ed2a872e9c22425094465805d33d172180b3ec32aa213e737",
+    "tree": "b0eebb8c07cd74bb3774a632b566fcb93ce59163382abb5aa3149afbefe0b3dd",
 }
 
 
